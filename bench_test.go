@@ -10,7 +10,10 @@ package mloc
 
 import (
 	"encoding/json"
+	"math/rand"
+	"net/http"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,6 +24,7 @@ import (
 	"mloc/internal/experiments"
 	"mloc/internal/pfs"
 	"mloc/internal/query"
+	"mloc/internal/server"
 )
 
 // benchParams keeps per-iteration cost bounded: 2 random queries per
@@ -266,25 +270,36 @@ func BenchmarkAblationFileOrg(b *testing.B) {
 	}
 }
 
-// queryLatencyBaseline loads the committed BENCH_query.json checkpoint:
-// a map from "index/codec/sel" to the recorded virtual-clock latency.
-// Empty when the file is absent (first recording run).
-func queryLatencyBaseline() map[string]float64 {
+// benchQueryDoc is the part of the committed BENCH_query.json
+// checkpoint the benchmarks gate themselves on. Empty when the file is
+// absent (first recording run).
+type benchQueryDoc struct {
+	QueryLatency []struct {
+		Index   string  `json:"index"`
+		Codec   string  `json:"codec"`
+		Sel     string  `json:"sel"`
+		VirtSOp float64 `json:"virt_s_op"`
+	} `json:"query_latency"`
+	ResultPath []struct {
+		Case    string  `json:"case"`
+		NsMatch float64 `json:"ns_match"`
+		BytesOp float64 `json:"bytes_op"`
+	} `json:"result_path"`
+}
+
+func loadBenchQueryDoc() benchQueryDoc {
+	var doc benchQueryDoc
 	data, err := os.ReadFile("BENCH_query.json")
-	if err != nil {
-		return nil
+	if err != nil || json.Unmarshal(data, &doc) != nil {
+		return benchQueryDoc{}
 	}
-	var doc struct {
-		QueryLatency []struct {
-			Index   string  `json:"index"`
-			Codec   string  `json:"codec"`
-			Sel     string  `json:"sel"`
-			VirtSOp float64 `json:"virt_s_op"`
-		} `json:"query_latency"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil
-	}
+	return doc
+}
+
+// queryLatencyBaseline maps "index/codec/sel" to the recorded
+// virtual-clock latency.
+func queryLatencyBaseline() map[string]float64 {
+	doc := loadBenchQueryDoc()
 	out := make(map[string]float64, len(doc.QueryLatency))
 	for _, r := range doc.QueryLatency {
 		out[r.Index+"/"+r.Codec+"/"+r.Sel] = r.VirtSOp
@@ -373,6 +388,85 @@ func BenchmarkQueryLatency(b *testing.B) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// discardResponse is an http.ResponseWriter that drops the body.
+type discardResponse struct{ header http.Header }
+
+func (d discardResponse) Header() http.Header         { return d.header }
+func (d discardResponse) Write(b []byte) (int, error) { return len(b), nil }
+func (d discardResponse) WriteHeader(int)             {}
+
+// BenchmarkResultPath times what a request pays after the engine's
+// ranks (or a router's shards) hold their matches: the gather into one
+// slice, the sort by linear index, and the JSON encoding of the
+// response — query.MergeResults, server.BuildResult and
+// server.WriteResult, the calls the router makes and the same
+// copy-once/SortMatches/encoder path a data node runs. Four ascending
+// parts interleave, as the bins of four ranks do, so the sort does
+// work. The headline metric is ns/match; scripts/bench_json.sh distills
+// it with allocs/op and B/op into the result_path section of
+// BENCH_query.json, and a run past 2x the committed ns/match or B/op
+// fails, as BenchmarkQueryLatency does on virtual latency.
+func BenchmarkResultPath(b *testing.B) {
+	const parts = 4
+	doc := loadBenchQueryDoc()
+	for _, mode := range []string{"index", "value"} {
+		for _, n := range []int{4 << 10, 64 << 10} {
+			r := rand.New(rand.NewSource(int64(n)))
+			ranks := make([]*query.Result, parts)
+			for p := range ranks {
+				ranks[p] = &query.Result{Matches: make([]query.Match, n/parts)}
+				for i := range ranks[p].Matches {
+					m := query.Match{Index: int64(i*parts*8 + p*8 + r.Intn(8))}
+					if mode == "value" {
+						m.Value = 10 + r.Float64()
+					}
+					ranks[p].Matches[i] = m
+				}
+			}
+			name := mode + "/n=" + strconv.Itoa(n)
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				w := discardResponse{header: http.Header{}}
+				op := func() {
+					res := query.MergeResults(ranks)
+					out := server.BuildResult("phi", res, n, 0)
+					if err := server.WriteResult(w, &out, mode == "index", nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				op() // fills the sort-scratch and encode-buffer pools, as a serving process has
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					op()
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				nsMatch := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(n)
+				bytesOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N)
+				b.ReportMetric(nsMatch, "ns/match")
+				if b.N == 1 {
+					return // go test's probe run: one iteration is no measurement to gate on
+				}
+				for _, base := range doc.ResultPath {
+					if base.Case != name {
+						continue
+					}
+					if base.NsMatch > 0 && nsMatch > 2*base.NsMatch {
+						b.Fatalf("%.1f ns/match exceeds 2x the committed %.1f (BENCH_query.json result_path %s)",
+							nsMatch, base.NsMatch, name)
+					}
+					if base.BytesOp > 0 && bytesOp > 2*base.BytesOp {
+						b.Fatalf("%.0f B/op exceeds 2x the committed %.0f (BENCH_query.json result_path %s)",
+							bytesOp, base.BytesOp, name)
+					}
+				}
+			})
 		}
 	}
 }

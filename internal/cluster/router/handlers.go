@@ -1,6 +1,7 @@
 package router
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -52,15 +53,20 @@ type shardDetail struct {
 	MS float64 `json:"ms"`
 }
 
-// routedWire is the routed query response: the single-node wire format
-// with the cluster's partial-results annotations appended.
-type routedWire struct {
-	server.ResultWire
+// routedAnnotations is the cluster's partial-results report.
+type routedAnnotations struct {
 	// Degraded is true when at least one shard failed and the matches
 	// are therefore a subset of the full answer.
 	Degraded bool `json:"degraded"`
 	// Shards details every shard call, failed ones first-class.
 	Shards []shardDetail `json:"shards"`
+}
+
+// routedWire is the routed query response: the single-node wire format
+// with the cluster's annotations appended.
+type routedWire struct {
+	server.ResultWire
+	routedAnnotations
 }
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -107,7 +113,6 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	parts := make([]*query.Result, 0, len(outcomes))
 	details := make([]shardDetail, 0, len(outcomes))
-	truncated := false
 	failed := 0
 	for _, o := range outcomes {
 		d := shardDetail{
@@ -126,7 +131,6 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		} else {
 			parts = append(parts, o.res.ToResult())
-			truncated = truncated || o.truncated
 		}
 		details = append(details, d)
 	}
@@ -141,15 +145,13 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Each shard reports its full match count, so the merged total is
+	// exact even where a shard (or the cap below) cut its list short.
 	merged := query.MergeResults(parts)
 	out := routedWire{
-		ResultWire: server.BuildResult(wire.Var, merged, rt.cfg.MaxMatches, 0),
-		Degraded:   failed > 0,
-		Shards:     details,
+		ResultWire:        server.BuildResult(wire.Var, merged, rt.cfg.MaxMatches, 0),
+		routedAnnotations: routedAnnotations{Degraded: failed > 0, Shards: details},
 	}
-	// A shard that truncated its own response caps the merged total
-	// too; surface it rather than claiming an exact count.
-	out.Truncated = out.Truncated || truncated
 	out.TraceID = root.TraceID()
 	root.SetInt("matches", int64(out.MatchesTotal))
 	// The grafted remote subtrees carry the per-node cost detail; the
@@ -182,7 +184,14 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.recordQuery(wire.Var, vi, merged, len(outcomes), failed > 0,
 		out.MatchesTotal, wall, out.TraceID, "ok")
-	server.WriteJSON(w, http.StatusOK, out)
+	annotations, err := json.Marshal(out.routedAnnotations)
+	if err != nil {
+		server.WriteError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	if err := server.WriteResult(w, &out.ResultWire, wire.IndexOnly, annotations); err != nil {
+		rt.cfg.Logf("router: trace %d: %v", out.TraceID, err)
+	}
 }
 
 // recordQuery feeds one finished routed query into the always-on query

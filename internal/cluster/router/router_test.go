@@ -50,7 +50,12 @@ type dataNode struct {
 
 func startDataNode(t testing.TB, stores map[string]*core.Store) *dataNode {
 	t.Helper()
-	s, err := server.New(server.Config{Stores: stores})
+	return startDataNodeCfg(t, server.Config{Stores: stores})
+}
+
+func startDataNodeCfg(t testing.TB, cfg server.Config) *dataNode {
+	t.Helper()
+	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +171,60 @@ func TestRoutedMatchesSingleNode(t *testing.T) {
 		}
 		if !reflect.DeepEqual(routed.Matches, direct.Matches) {
 			t.Fatalf("routed query %s: matches diverge from single node", body)
+		}
+	}
+}
+
+// TestRoutedTotalExactWhenShardsTruncate caps every data node's
+// response below one shard's answer: the routed response lists only
+// what the shards listed, flags the truncation, and still reports the
+// match count a single uncapped node does — each shard's matches_total
+// travels through the merge, not the length of its cut list.
+func TestRoutedTotalExactWhenShardsTruncate(t *testing.T) {
+	const nodeCap = 40 // below a single slab's 64 points
+	nodes := make([]*dataNode, 2)
+	for i := range nodes {
+		nodes[i] = startDataNodeCfg(t, server.Config{
+			Stores:     map[string]*core.Store{"phi": buildStore(t, 1)},
+			MaxMatches: nodeCap,
+		})
+	}
+	_, rts := startRouter(t, nodes, func(c *Config) { c.Replication = 1 })
+	whole := startDataNode(t, map[string]*core.Store{"phi": buildStore(t, 1)})
+
+	body := `{"var":"phi","vc":{"min":-1e30,"max":1e30}}`
+	var direct server.ResultWire
+	if code := postJSON(t, whole.ts.URL+"/query", body, &direct); code != http.StatusOK {
+		t.Fatalf("direct query status %d", code)
+	}
+	var routed routedWire
+	if code := postJSON(t, rts.URL+"/query", body, &routed); code != http.StatusOK {
+		t.Fatalf("routed query status %d", code)
+	}
+	if len(routed.Shards) < 2 || routed.Degraded {
+		t.Fatalf("want a healthy fan-out over two shards or more, got %+v", routed.Shards)
+	}
+	if direct.Truncated || direct.MatchesTotal <= nodeCap*len(routed.Shards) {
+		t.Fatalf("single-node answer (%d matches, truncated=%v) does not exceed %d shards' caps; test is vacuous",
+			direct.MatchesTotal, direct.Truncated, len(routed.Shards))
+	}
+	if routed.MatchesTotal != direct.MatchesTotal {
+		t.Fatalf("routed matches_total = %d, single node counts %d", routed.MatchesTotal, direct.MatchesTotal)
+	}
+	if !routed.Truncated || len(routed.Matches) != nodeCap*len(routed.Shards) {
+		t.Fatalf("routed response lists %d matches, truncated=%v; want %d and true",
+			len(routed.Matches), routed.Truncated, nodeCap*len(routed.Shards))
+	}
+	valueAt := make(map[int64]float64, len(direct.Matches))
+	for _, m := range direct.Matches {
+		valueAt[m.Index] = m.Value
+	}
+	for i, m := range routed.Matches {
+		if v, ok := valueAt[m.Index]; !ok || v != m.Value { //mlocvet:ignore floatcmp -- the same stored value must come back bit-equal
+			t.Fatalf("routed match %d = %+v is not in the single-node answer", i, m)
+		}
+		if i > 0 && m.Index <= routed.Matches[i-1].Index {
+			t.Fatalf("routed matches out of order at %d", i)
 		}
 	}
 }

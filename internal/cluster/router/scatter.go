@@ -32,7 +32,6 @@ type shardOutcome struct {
 	hedged    bool
 	failovers int
 	elapsed   time.Duration
-	truncated bool
 }
 
 // plan intersects the request's spatial constraint with the variable's
@@ -249,7 +248,6 @@ func (rt *Router) raceReplicas(ctx context.Context, call *shardCall, traced bool
 					rt.cfg.Health.ReportSuccess(a.node)
 				}
 				out.res, out.node, out.elapsed = a.res, a.node, time.Since(start)
-				out.truncated = a.res.Truncated
 				if h := rt.shardLatency[a.node]; h != nil {
 					h.Observe(out.elapsed.Seconds())
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -42,6 +43,37 @@ type rankOut struct {
 	nodesRead  int
 	reassemble float64
 	filter     float64
+
+	// Scratch the rank reuses across its units. strides are the grid's
+	// row-major strides; widths and global are overwritten per unit.
+	strides, widths []int64
+	global          []int
+}
+
+// gatherRanks is the final gather: every rank's matches copied once
+// into a slice of their summed length and sorted, the volume counters
+// summed, and the time breakdown of the slowest rank.
+func gatherRanks(outs []rankOut) *query.Result {
+	res := &query.Result{}
+	n := 0
+	for i := range outs {
+		n += len(outs[i].matches)
+	}
+	res.Matches = make([]query.Match, 0, n)
+	var slowest float64
+	for i := range outs {
+		res.Matches = append(res.Matches, outs[i].matches...)
+		res.BytesRead += outs[i].bytes
+		res.BlocksRead += outs[i].blocks
+		res.CacheHits += outs[i].cacheHits
+		res.IndexNodesRead += outs[i].nodesRead
+		if t := outs[i].time.Total(); t >= slowest {
+			slowest = t
+			res.Time = outs[i].time
+		}
+	}
+	res.Sort()
+	return res
 }
 
 // Query executes a request over the given number of parallel ranks,
@@ -117,7 +149,8 @@ func (s *Store) QueryContext(ctx context.Context, req *query.Request, ranks int)
 		return nil, err
 	}
 
-	res := &query.Result{BinsAccessed: binsAccessed}
+	res := gatherRanks(outs)
+	res.BinsAccessed = binsAccessed
 	if hier != nil {
 		// Covered leaves were answered from aggregated node bitmaps;
 		// they count as accessed (their contents were served) even
@@ -126,19 +159,6 @@ func (s *Store) QueryContext(ctx context.Context, req *query.Request, ranks int)
 		res.BinsPruned = hier.PrunedLeaves
 		res.BinsCovered = hier.CoveredLeaves
 	}
-	var slowest float64
-	for i := range outs {
-		res.Matches = append(res.Matches, outs[i].matches...)
-		res.BytesRead += outs[i].bytes
-		res.BlocksRead += outs[i].blocks
-		res.CacheHits += outs[i].cacheHits
-		res.IndexNodesRead += outs[i].nodesRead
-		if t := outs[i].time.Total(); t >= slowest {
-			slowest = t
-			res.Time = outs[i].time
-		}
-	}
-	res.Sort()
 	return res, nil
 }
 
@@ -298,61 +318,70 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, nodes []binning.No
 	out.time.IO += clk.Now() - t0
 	vs.Event("read", 0, clk.Now()-t0).SetInt("bytes", ioBytes)
 
-	// Group by level (ascending); Select emits nodes in leaf order, so
-	// a stable partition keeps each level's nodes sorted.
-	byLevel := make(map[int][]binning.NodeRef)
-	maxLevel := 0
+	// The plan sizes the nodes' share of the match buffer before any is
+	// decoded: a node's set bits are the points of the leaf bins under
+	// it — exactly, without an SC; with one, the rank's whole answer lies
+	// inside it, so what is left of its volume bounds the nodes too.
+	var points int64
 	for _, n := range nodes {
-		byLevel[n.Level] = append(byLevel[n.Level], n)
-		if n.Level > maxLevel {
-			maxLevel = n.Level
+		lo, hi := s.vidx.tree.Leaves(n)
+		for _, bm := range s.meta.bins[lo:hi] {
+			for i := range bm.units {
+				points += int64(bm.units[i].count)
+			}
 		}
 	}
+	if req.SC != nil {
+		points = min(points, req.SC.Elems()-int64(len(out.matches)))
+	}
+	out.matches = slices.Grow(out.matches, int(max(points, 0)))
+
+	// Walk the nodes by level (ascending); Select emits them in leaf
+	// order, so a stable sort keeps each level's nodes sorted.
+	refs := slices.Clone(nodes)
+	slices.SortStableFunc(refs, func(a, b binning.NodeRef) int { return a.Level - b.Level })
 	dims := s.meta.shape.Dims()
 	coords := make([]int, dims)
-	for l := 0; l <= maxLevel; l++ {
-		lvl := byLevel[l]
-		if len(lvl) == 0 {
-			continue
-		}
+	l0 := clk.Now()
+	for i, n := range refs {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: query canceled at vindex level %d: %w", l, err)
+			return fmt.Errorf("core: query canceled at vindex node %d/%d: %w", n.Level, n.Index, err)
 		}
-		l0 := clk.Now()
-		for _, n := range lvl {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("core: query canceled at vindex node %d/%d: %w", n.Level, n.Index, err)
-			}
-			id := s.vidx.nodeID(n)
-			raw, err := m.slice(s.vidx.offs[id], s.vidx.lens[id])
-			if err != nil {
-				return fmt.Errorf("core: vindex node %d: %w", id, err)
-			}
-			var w bitmap.WAH
-			decode := clk.MeasureCPU(func() {
-				err = w.UnmarshalBinary(raw)
-			})
-			out.time.Decompress += decode
-			if err != nil {
-				return fmt.Errorf("core: vindex node %d: %w", id, err)
-			}
-			filter := clk.MeasureCPU(func() {
-				it := w.Bits()
-				for lin, ok := it.Next(); ok; lin, ok = it.Next() {
-					if req.SC != nil {
-						coords = s.meta.shape.Coords(lin, coords[:0])
-						if !req.SC.Contains(coords) {
-							continue
-						}
+		id := s.vidx.nodeID(n)
+		raw, err := m.slice(s.vidx.offs[id], s.vidx.lens[id])
+		if err != nil {
+			return fmt.Errorf("core: vindex node %d: %w", id, err)
+		}
+		var w bitmap.WAH
+		decode := clk.MeasureCPU(func() {
+			err = w.UnmarshalBinary(raw)
+		})
+		out.time.Decompress += decode
+		if err != nil {
+			return fmt.Errorf("core: vindex node %d: %w", id, err)
+		}
+		if w.Len() != s.vidx.bitLen {
+			return fmt.Errorf("core: vindex node %d covers %d positions, grid has %d", id, w.Len(), s.vidx.bitLen)
+		}
+		filter := clk.MeasureCPU(func() {
+			it := w.Bits()
+			for lin, ok := it.Next(); ok; lin, ok = it.Next() {
+				if req.SC != nil {
+					coords = s.meta.shape.Coords(lin, coords[:0])
+					if !req.SC.Contains(coords) {
+						continue
 					}
-					out.matches = append(out.matches, query.Match{Index: lin})
 				}
-			})
-			out.filter += filter
-			out.time.Reconstruct += filter
-			out.nodesRead++
+				out.matches = append(out.matches, query.Match{Index: lin})
+			}
+		})
+		out.filter += filter
+		out.time.Reconstruct += filter
+		out.nodesRead++
+		if i+1 == len(refs) || refs[i+1].Level != n.Level {
+			vs.Event("level", 0, clk.Now()-l0).SetInt("level", int64(n.Level))
+			l0 = clk.Now()
 		}
-		vs.Event("level", 0, clk.Now()-l0).SetInt("level", int64(l))
 	}
 	return nil
 }
@@ -391,6 +420,28 @@ func (s *Store) assignTasks(tasks []task, ranks int) [][]task {
 // bin boundary: a bin is the engine's unit of I/O, so that is the
 // soonest point at which stopping saves PFS work.
 func (s *Store) runRank(ctx context.Context, clk *pfs.Clock, tasks []task, req *query.Request, level int, out *rankOut) error {
+	if len(tasks) == 0 {
+		return nil
+	}
+	// The plan bounds the rank's answer: a unit contributes at most its
+	// point count, and exactly that when neither VC nor SC filters it;
+	// an SC's volume bounds it as well.
+	points := 0
+	for _, t := range tasks {
+		points += int(s.meta.bins[t.bin].units[t.unit].count)
+	}
+	if req.SC != nil {
+		points = min(points, int(req.SC.Elems()))
+	}
+	out.matches = make([]query.Match, 0, points)
+	dims := s.meta.shape.Dims()
+	out.global = make([]int, dims)
+	out.widths = make([]int64, dims)
+	out.strides = make([]int64, dims)
+	out.strides[dims-1] = 1
+	for d := dims - 2; d >= 0; d-- {
+		out.strides[d] = out.strides[d+1] * int64(s.meta.shape[d+1])
+	}
 	for lo := 0; lo < len(tasks); {
 		hi := lo + 1
 		for hi < len(tasks) && tasks[hi].bin == tasks[lo].bin {
@@ -601,13 +652,7 @@ func (s *Store) emitUnit(ctx context.Context, clk *pfs.Clock, t task, u *unitMet
 	reg := s.chunks.ChunkRegionByID(u.chunkID)
 	chunkInSC := req.SC == nil || regionInside(reg, *req.SC)
 	dims := s.meta.shape.Dims()
-	global := make([]int, dims)
-	strides := make([]int64, dims)
-	widths := make([]int64, dims)
-	strides[dims-1] = 1
-	for d := dims - 2; d >= 0; d-- {
-		strides[d] = strides[d+1] * int64(s.meta.shape[d+1])
-	}
+	global, strides, widths := out.global, out.strides, out.widths
 	var base int64
 	for d := 0; d < dims; d++ {
 		base += int64(reg.Lo[d]) * strides[d]

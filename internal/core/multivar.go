@@ -184,20 +184,7 @@ func (s *Store) FetchAtContext(ctx context.Context, positions *bitmap.Bitmap, ra
 	if err != nil {
 		return nil, err
 	}
-	res := &query.Result{}
-	var slowest float64
-	for i := range outs {
-		res.Matches = append(res.Matches, outs[i].matches...)
-		res.BytesRead += outs[i].bytes
-		res.BlocksRead += outs[i].blocks
-		res.CacheHits += outs[i].cacheHits
-		if t := outs[i].time.Total(); t >= slowest {
-			slowest = t
-			res.Time = outs[i].time
-		}
-	}
-	res.Sort()
-	return res, nil
+	return gatherRanks(outs), nil
 }
 
 // fetchRank processes a rank's fetch tasks bin by bin; per-bin scratch

@@ -7,7 +7,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 
 	"mloc/internal/binning"
 	"mloc/internal/grid"
@@ -55,9 +54,11 @@ func (r *Request) Validate(shape grid.Shape) error {
 
 // Match is one qualifying point: its row-major linear index in the
 // grid, and its value (NaN-free; unset when the request was IndexOnly).
+// The json tags are the /query wire names: a match travels from the
+// engine's gather to the response encoder as this one type.
 type Match struct {
-	Index int64
-	Value float64
+	Index int64   `json:"index"`
+	Value float64 `json:"value"`
 }
 
 // Components is the virtual-time cost breakdown of a data access,
@@ -99,6 +100,10 @@ func (c *Components) MaxWith(o Components) {
 // Result is a completed access: the matches plus accounting.
 type Result struct {
 	Matches []Match
+	// Total is the number of points the access matched when Matches was
+	// cut short of it (a shard response capped by the server); anything
+	// below len(Matches), the zero value included, means len(Matches).
+	Total int
 	// Time is the per-component virtual-time breakdown of the slowest
 	// rank (queries complete when the last rank finishes).
 	Time Components
@@ -123,29 +128,43 @@ type Result struct {
 	IndexNodesRead int
 }
 
+// MatchCount is the number of points the access matched, listed in
+// Matches or not.
+func (r *Result) MatchCount() int { return max(r.Total, len(r.Matches)) }
+
 // Sort orders matches by linear index; stores produce deterministic
 // output through this before returning.
-func (r *Result) Sort() {
-	sort.Slice(r.Matches, func(i, j int) bool { return r.Matches[i].Index < r.Matches[j].Index })
-}
+func (r *Result) Sort() { SortMatches(r.Matches) }
 
 // MergeResults combines the partial results of shards that answered
 // disjoint pieces of one query — the gather step of a scatter-gather
-// fan-out. Matches are concatenated and re-sorted by linear index (the
-// pieces are disjoint, so this reproduces the single-store order
-// exactly), data-volume counters are summed, and the time breakdown is
-// the component-wise maximum because shards proceed concurrently: the
-// merged query completes when its slowest shard does, just as a
-// parallel query completes with its slowest rank. nil parts are
-// skipped so a caller can pass failed shards without filtering first;
-// merging zero parts yields an empty Result.
+// fan-out. Matches are copied once into a slice of their summed length
+// and ordered by linear index with SortMatches, which reproduces the
+// single-store order exactly: shards that answered ascending slabs
+// concatenate into an ascending list and cost one scan, while a shard
+// that is unsorted, overlaps another or repeats an index is not
+// trusted and falls through to the sort. Match totals and data-volume
+// counters are summed, and the time breakdown is the component-wise
+// maximum because shards proceed concurrently: the merged query
+// completes when its slowest shard does, just as a parallel query
+// completes with its slowest rank. nil parts are skipped so a caller
+// can pass failed shards without filtering first; merging zero parts
+// yields an empty Result.
 func MergeResults(parts []*Result) *Result {
 	merged := &Result{}
+	listed := 0
+	for _, p := range parts {
+		if p != nil {
+			listed += len(p.Matches)
+		}
+	}
+	merged.Matches = make([]Match, 0, listed)
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
 		merged.Matches = append(merged.Matches, p.Matches...)
+		merged.Total += p.MatchCount()
 		merged.Time.MaxWith(p.Time)
 		merged.BytesRead += p.BytesRead
 		merged.BinsAccessed += p.BinsAccessed

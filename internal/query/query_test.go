@@ -101,3 +101,17 @@ func TestMergeResults(t *testing.T) {
 		t.Fatalf("empty merge = %+v", empty)
 	}
 }
+
+// TestMergeResultsCarriesTotals: a shard that listed fewer matches than
+// it found (a capped response) still counts in full.
+func TestMergeResultsCarriesTotals(t *testing.T) {
+	capped := &Result{Matches: []Match{{Index: 1}, {Index: 2}}, Total: 40}
+	whole := &Result{Matches: []Match{{Index: 50}, {Index: 51}, {Index: 52}}}
+	m := MergeResults([]*Result{capped, whole})
+	if len(m.Matches) != 5 || m.MatchCount() != 43 {
+		t.Fatalf("merged %d listed, MatchCount %d; want 5 and 43", len(m.Matches), m.MatchCount())
+	}
+	if got := (&Result{Matches: make([]Match, 3)}).MatchCount(); got != 3 {
+		t.Fatalf("MatchCount without Total = %d, want 3", got)
+	}
+}

@@ -299,11 +299,9 @@ func (s *Server) endpoint(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// MatchWire is one match in a query response.
-type MatchWire struct {
-	Index int64   `json:"index"`
-	Value float64 `json:"value"`
-}
+// MatchWire is one match in a query response: the engine's match type
+// itself, so a result reaches the encoder without a per-match copy.
+type MatchWire = query.Match
 
 // TimeWire is the virtual-time component breakdown in a response.
 type TimeWire struct {
@@ -345,10 +343,13 @@ type ResultWire struct {
 
 // ToResult converts a decoded wire response back into an engine
 // result; the router uses this to merge partial shard responses with
-// query.MergeResults.
+// query.MergeResults. The result shares r's match slice, and carries
+// matches_total so a shard's truncation does not shrink the merged
+// count.
 func (r *ResultWire) ToResult() *query.Result {
-	res := &query.Result{
-		Matches: make([]query.Match, len(r.Matches)),
+	return &query.Result{
+		Matches: r.Matches,
+		Total:   r.MatchesTotal,
 		Time: query.Components{
 			IO:          r.Time.IO,
 			Decompress:  r.Time.Decompress,
@@ -362,10 +363,6 @@ func (r *ResultWire) ToResult() *query.Result {
 		BinsCovered:    r.BinsCovered,
 		IndexNodesRead: r.IndexNodesRead,
 	}
-	for i, m := range r.Matches {
-		res.Matches[i] = query.Match{Index: m.Index, Value: m.Value}
-	}
-	return res
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -461,7 +458,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recordQuery(wire.Var, st, res, queued, wall, out.TraceID, "ok")
 	s.maybeLogSlow(wire.Var, wall, res, out.TraceID)
-	WriteJSON(w, http.StatusOK, out)
+	if err := WriteResult(w, &out, wire.IndexOnly, nil); err != nil {
+		s.cfg.Logf("server: trace %d: %v", out.TraceID, err)
+	}
 }
 
 // recordQuery feeds one finished query into the always-on query log,
@@ -563,13 +562,14 @@ func (s *Server) admissionFailure(w http.ResponseWriter, err error) {
 }
 
 // BuildResult converts an engine result to the wire form, capping the
-// match list. The router calls it with the merged result of a fan-out
-// so routed responses are built by the same code path as single-node
-// ones.
+// match list, which it shares with res. The router calls it with the
+// merged result of a fan-out so routed responses are built by the same
+// code path as single-node ones.
 func BuildResult(name string, res *query.Result, maxMatches int, queued time.Duration) ResultWire {
 	out := ResultWire{
 		Var:            name,
-		MatchesTotal:   len(res.Matches),
+		Matches:        res.Matches,
+		MatchesTotal:   res.MatchCount(),
 		BinsAccessed:   res.BinsAccessed,
 		BlocksRead:     res.BlocksRead,
 		BytesRead:      res.BytesRead,
@@ -585,15 +585,13 @@ func BuildResult(name string, res *query.Result, maxMatches int, queued time.Dur
 		},
 		QueuedMS: float64(queued.Microseconds()) / 1000,
 	}
-	n := len(res.Matches)
-	if n > maxMatches {
-		n = maxMatches
-		out.Truncated = true
+	if len(out.Matches) > maxMatches {
+		out.Matches = out.Matches[:maxMatches]
 	}
-	out.Matches = make([]MatchWire, n)
-	for i := 0; i < n; i++ {
-		out.Matches[i] = MatchWire{Index: res.Matches[i].Index, Value: res.Matches[i].Value}
+	if out.Matches == nil {
+		out.Matches = []MatchWire{} // "matches":[] rather than null
 	}
+	out.Truncated = len(out.Matches) < out.MatchesTotal
 	return out
 }
 

@@ -21,7 +21,10 @@
 #                                           vs hierarchical index across
 #                                           selectivities and codecs —
 #                                           with hier speedup vs the
-#                                           flat scan per cell
+#                                           flat scan per cell — and
+#                                           BenchmarkResultPath (gather,
+#                                           sort and encode per match)
+#                                           as a "result_path" section
 #   BENCHTIME=10x ./scripts/bench_json.sh   longer runs for stabler numbers
 set -eu
 cd "$(dirname "$0")/.."
@@ -33,6 +36,10 @@ if [ "${1:-}" = "query" ]; then
 	trap 'rm -f "$raw"' EXIT
 	go test . -run '^$' -bench '^BenchmarkQueryLatency$' \
 		-benchmem -benchtime "$benchtime" | tee "$raw"
+	# The result path is wall-clock and microseconds per op: a few
+	# hundred iterations, not three, make its ns/match repeatable.
+	go test . -run '^$' -bench '^BenchmarkResultPath$' \
+		-benchmem -benchtime 300x | tee -a "$raw"
 
 	# Result lines look like
 	#   BenchmarkQueryLatency/hier/planes/sel=10%-8  2  1649274 ns/op \
@@ -61,8 +68,23 @@ if [ "${1:-}" = "query" ]; then
 		rns[n] = ns; rallocs[n] = allocs; rbytes[n] = bytes
 		rvirt[n] = virt; rpruned[n] = pruned; rcovered[n] = covered
 	}
+	/^BenchmarkResultPath\// {
+		name = $1
+		sub(/^BenchmarkResultPath\//, "", name)
+		sub(/-[0-9]+$/, "", name)
+		ns = nsmatch = allocs = bytes = 0
+		for (i = 2; i < NF; i++) {
+			if ($(i + 1) == "ns/op") ns = $i
+			else if ($(i + 1) == "ns/match") nsmatch = $i
+			else if ($(i + 1) == "allocs/op") allocs = $i
+			else if ($(i + 1) == "B/op") bytes = $i
+		}
+		pn++
+		pcase[pn] = name; pns[pn] = ns; pnsmatch[pn] = nsmatch
+		pallocs[pn] = allocs; pbytes[pn] = bytes
+	}
 	END {
-		if (n == 0) { print "bench_json: no query results parsed" > "/dev/stderr"; exit 1 }
+		if (n == 0 || pn == 0) { print "bench_json: no query results parsed" > "/dev/stderr"; exit 1 }
 		printf "{\n"
 		printf "  \"benchmark\": \"BenchmarkQueryLatency\",\n"
 		printf "  \"benchtime\": \"%s\",\n", benchtime
@@ -74,6 +96,12 @@ if [ "${1:-}" = "query" ]; then
 			sp = (fv > 0 && rvirt[i] > 0) ? fv / rvirt[i] : 0
 			printf "    {\"index\": \"%s\", \"codec\": \"%s\", \"sel\": \"%s\", \"ns_op\": %.0f, \"allocs_op\": %.0f, \"bytes_op\": %.0f, \"virt_s_op\": %g, \"bins_pruned\": %.0f, \"bins_covered\": %.0f, \"speedup_vs_flat\": %.3f}%s\n", \
 				ridx[i], rcodec[i], rsel[i], rns[i], rallocs[i], rbytes[i], rvirt[i], rpruned[i], rcovered[i], sp, (i < n ? "," : "")
+		}
+		printf "  ],\n"
+		printf "  \"result_path\": [\n"
+		for (i = 1; i <= pn; i++) {
+			printf "    {\"case\": \"%s\", \"ns_op\": %.0f, \"ns_match\": %g, \"allocs_op\": %.0f, \"bytes_op\": %.0f}%s\n", \
+				pcase[i], pns[i], pnsmatch[i], pallocs[i], pbytes[i], (i < pn ? "," : "")
 		}
 		printf "  ]\n"
 		printf "}\n"
