@@ -81,6 +81,25 @@ func AppendFloats(c FloatCodec, dst []byte, values []float64) ([]byte, error) {
 	return append(dst, enc...), nil
 }
 
+// BoundedByteDecoder is an optional ByteCodec extension for codecs whose
+// output can exceed their input: DecodeBytesMax is DecodeBytes that
+// fails once the output would pass max bytes.
+type BoundedByteDecoder interface {
+	DecodeBytesMax(data, dst []byte, max int64) ([]byte, error)
+}
+
+// DecodeBytesMax decodes data with c, appending to dst, for a caller
+// that knows a well-formed stream holds at most max bytes. A codec that
+// can overrun implements BoundedByteDecoder and stops at max+1; one that
+// does not (RawBytes: output is the input) cannot produce more than the
+// caller already read.
+func DecodeBytesMax(c ByteCodec, data, dst []byte, max int64) ([]byte, error) {
+	if b, ok := c.(BoundedByteDecoder); ok {
+		return b.DecodeBytesMax(data, dst, max)
+	}
+	return c.DecodeBytes(data, dst)
+}
+
 // RawBytes is the identity byte codec (used for incompressible planes).
 type RawBytes struct{}
 

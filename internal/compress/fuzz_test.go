@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -100,5 +101,37 @@ func FuzzBitUnpack(f *testing.F) {
 		bits := uint(bitsRaw%31) + 1
 		// Must not panic; errors are fine.
 		_, _, _ = unpackBits(data, count, bits)
+	})
+}
+
+// FuzzZlibDecode: arbitrary bytes inflated into a dst of arbitrary
+// capacity, with and without a limit, never panic and never yield more
+// than the limit; and what the encoder wrote decodes back to its input
+// whatever dst looked like.
+func FuzzZlibDecode(f *testing.F) {
+	z := NewZlib(DefaultZlibLevel)
+	seed, _ := z.EncodeBytes([]byte("a plane of a storage unit, ten values or so"))
+	f.Add(seed, 0, 16)
+	f.Add(seed, 43, 43)
+	f.Add(seed[:len(seed)/2], 7, 100)
+	f.Add(append(append([]byte(nil), seed...), 9, 9), 64, 64)
+	f.Add([]byte{}, 0, 0)
+	f.Add([]byte{0x78, 0x9c}, 1, 1)
+	f.Fuzz(func(t *testing.T, data []byte, room, max int) {
+		if room < 0 || room > 1<<16 || max < 0 || max > 1<<16 {
+			return
+		}
+		_, _ = z.DecodeBytes(data, make([]byte, 0, room))
+		if out, err := z.DecodeBytesMax(data, make([]byte, 0, room), int64(max)); err == nil && len(out) > max {
+			t.Fatalf("decoded %d bytes under a %d-byte limit", len(out), max)
+		}
+		enc, err := z.EncodeBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := z.DecodeBytesMax(enc, make([]byte, 0, room), int64(len(data)))
+		if err != nil || !bytes.Equal(dec, data) {
+			t.Fatalf("roundtrip into a %d-byte dst: %d bytes for %d, %v", room, len(dec), len(data), err)
+		}
 	})
 }

@@ -20,7 +20,7 @@ const DefaultZlibLevel = 6
 type Zlib struct {
 	level   int
 	writers sync.Pool // *zlib.Writer
-	readers sync.Pool // io.ReadCloser implementing zlib.Resetter
+	readers sync.Pool // *zlibReader
 }
 
 // NewZlib builds a Zlib codec; out-of-range levels clamp to the
@@ -95,48 +95,77 @@ func (z *Zlib) DecodeBytesMax(data []byte, dst []byte, max int64) ([]byte, error
 	return z.decode(data, dst, max)
 }
 
-// decode inflates data appending to dst; max < 0 means unlimited.
+// zlibReader is one pooled inflate state with the source reader it is
+// reset onto and the probe buffer decode uses when dst is full, so a
+// decode allocates none of the three.
+type zlibReader struct {
+	src   bytes.Reader
+	zr    io.ReadCloser // implements zlib.Resetter
+	probe [64]byte
+}
+
+// decode inflates data appending to dst; max < 0 means unlimited. The
+// stream is read straight into dst's spare capacity, so a dst sized to
+// the expected output is never reallocated: when it is exactly full a
+// probe read finds the end of the stream. With a limit, at most max+1
+// bytes are ever inflated — one past the limit, so an over-long stream
+// is detected rather than silently truncated.
 func (z *Zlib) decode(data []byte, dst []byte, max int64) ([]byte, error) {
-	var r io.ReadCloser
-	if pooled, ok := z.readers.Get().(io.ReadCloser); ok && pooled != nil { //mlocvet:ignore closepath -- a reader whose Reset failed has undefined inflate state; dropping it is the release
-		if err := pooled.(zlib.Resetter).Reset(bytes.NewReader(data), nil); err != nil {
-			// A failed Reset leaves the inflate state undefined; drop the
-			// reader rather than pooling it.
-			return nil, fmt.Errorf("compress: zlib reader: %w", err)
-		}
-		r = pooled
+	r, _ := z.readers.Get().(*zlibReader) //mlocvet:ignore closepath -- the deferred closure below Puts it (closepath does not look inside closures); only a reader whose Reset failed is dropped, its inflate state being undefined
+	if r == nil {
+		r = &zlibReader{}
+	}
+	r.src.Reset(data)
+	var err error
+	if r.zr == nil {
+		r.zr, err = zlib.NewReader(&r.src)
 	} else {
-		var err error
-		r, err = zlib.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("compress: zlib reader: %w", err)
+		err = r.zr.(zlib.Resetter).Reset(&r.src, nil)
+	}
+	if err != nil {
+		// A failed Reset leaves the inflate state undefined; drop the
+		// reader rather than pooling it.
+		return nil, fmt.Errorf("compress: zlib reader: %w", err)
+	}
+	// From here the reader is pool-safe whatever happens: the next use
+	// Resets it onto a fresh stream.
+	defer func() {
+		r.src.Reset(nil) // a pooled reader must not pin the caller's buffer
+		z.readers.Put(r)
+	}()
+
+	start := len(dst)
+	for {
+		room := dst[len(dst):cap(dst)]
+		if len(room) == 0 {
+			room = r.probe[:]
+		}
+		if max >= 0 {
+			if left := max + 1 - int64(len(dst)-start); int64(len(room)) > left {
+				room = room[:left]
+			}
+		}
+		n, rerr := r.zr.Read(room)
+		dst = append(dst, room[:n]...) // onto itself unless room is the probe
+		if max >= 0 && int64(len(dst)-start) > max {
+			_ = r.zr.Close() //mlocvet:ignore uncheckederr -- the limit-exceeded error being returned takes precedence over any close error
+			return nil, fmt.Errorf("compress: zlib output exceeds %d-byte limit", max)
+		}
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			_ = r.zr.Close() //mlocvet:ignore uncheckederr -- the decode error already being returned takes precedence over any close error
+			return nil, fmt.Errorf("compress: zlib decode: %w", rerr)
 		}
 	}
-	buf := bytes.NewBuffer(dst)
-	src := io.Reader(r)
-	if max >= 0 {
-		// Read one byte past the limit so an over-long stream is
-		// detected rather than silently truncated.
-		src = io.LimitReader(r, max+1)
-	}
-	n, err := io.Copy(buf, src)
-	if err != nil {
-		// The decode error takes precedence over any close error. A
-		// reader that saw corrupt input is still pool-safe: the next use
-		// Resets it onto a fresh stream.
-		_ = r.Close() //mlocvet:ignore uncheckederr -- the decode error already being returned takes precedence over any close error
-		z.readers.Put(r)
-		return nil, fmt.Errorf("compress: zlib decode: %w", err)
-	}
-	if max >= 0 && n > max {
-		_ = r.Close() //mlocvet:ignore uncheckederr -- the limit-exceeded error being returned takes precedence over any close error
-		z.readers.Put(r)
-		return nil, fmt.Errorf("compress: zlib output exceeds %d-byte limit", max)
-	}
-	if err := r.Close(); err != nil {
-		z.readers.Put(r)
+	if err := r.zr.Close(); err != nil {
 		return nil, fmt.Errorf("compress: zlib close: %w", err)
 	}
-	z.readers.Put(r)
-	return buf.Bytes(), nil
+	// Inflate pulls single bytes from a bytes.Reader, so whatever is left
+	// was never part of the stream.
+	if n := r.src.Len(); n != 0 {
+		return nil, fmt.Errorf("compress: zlib stream has %d trailing bytes", n)
+	}
+	return dst, nil
 }

@@ -186,8 +186,10 @@ func BenchmarkDecodeOffsets(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var arena []int32
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeOffsets(raw, len(offsets)); err != nil {
+		var err error
+		if arena, err = decodeOffsets(arena[:0], raw, len(offsets)); err != nil {
 			b.Fatal(err)
 		}
 	}

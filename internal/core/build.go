@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -264,25 +263,6 @@ func runWorkers(n int, fn func(w int)) {
 	wg.Wait()
 }
 
-// newSectionTimer returns the compute-measurement function for a pool
-// of nw workers. While the workers fit in the host's cores each section
-// is timed in place, preserving true concurrency; when oversubscribed,
-// sections run serialized under the simulator's measurement mutex so a
-// worker's wall-clock sample does not count the others' execution time
-// (concurrency was physically impossible anyway). Either way the
-// aggregate across workers approximates total CPU, which the caller
-// charges as total/workers via Clock.AdvanceParallel.
-func newSectionTimer(fs *pfs.Sim, nw int) func(func()) float64 {
-	if nw > runtime.GOMAXPROCS(0) {
-		return fs.MeasureSection
-	}
-	return func(fn func()) float64 {
-		t0 := time.Now()
-		fn()
-		return time.Since(t0).Seconds()
-	}
-}
-
 // binnedChunk is one chunk's pass-1 result: the bins its points fall
 // in (ascending) with the per-bin offset and value lists.
 type binnedChunk struct {
@@ -305,7 +285,6 @@ func binChunks(clk *pfs.Clock, fs *pfs.Sim, chunks *grid.Chunking, order []int64
 	if nw < 1 {
 		nw = 1
 	}
-	measure := newSectionTimer(fs, nw)
 	results := make([]binnedChunk, len(order))
 	cpus := make([]float64, nw)
 	var next atomic.Int64
@@ -321,7 +300,7 @@ func binChunks(clk *pfs.Clock, fs *pfs.Sim, chunks *grid.Chunking, order []int64
 			if pos >= len(order) {
 				break
 			}
-			cpus[w] += measure(func() {
+			cpus[w] += fs.MeasureSection(func() {
 				chunkID := order[pos]
 				chunkBuf = chunks.ExtractChunk(data, chunkID, chunkBuf[:0])
 				for b := range local {
@@ -382,7 +361,6 @@ type encodedBin struct {
 // erroring bin with the lowest id (deterministic because bins are
 // pulled in ascending order).
 func encodeBins(fs *pfs.Sim, meta *storeMeta, perBin [][]rawUnit, cfg Config, nw int) []encodedBin {
-	measure := newSectionTimer(fs, nw)
 	out := make([]encodedBin, len(perBin))
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -398,7 +376,7 @@ func encodeBins(fs *pfs.Sim, meta *storeMeta, perBin [][]rawUnit, cfg Config, nw
 				continue
 			}
 			e := &out[b]
-			e.cpu = measure(func() {
+			e.cpu = fs.MeasureSection(func() {
 				bm := &meta.bins[b]
 				units := perBin[b]
 				e.index = encodeBinIndex(bm, units)

@@ -1,15 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"mloc/internal/binning"
 	"mloc/internal/bitmap"
 	"mloc/internal/cache"
+	"mloc/internal/compress"
 	"mloc/internal/grid"
 	"mloc/internal/mpi"
 	"mloc/internal/obs"
@@ -44,10 +47,98 @@ type rankOut struct {
 	reassemble float64
 	filter     float64
 
-	// Scratch the rank reuses across its units. strides are the grid's
-	// row-major strides; widths and global are overwritten per unit.
+	sc *rankScratch
+}
+
+// rankScratch is everything a rank needs only until gatherRanks has
+// copied its matches out. It is reused bin after bin and, through
+// queryScratchPool, query after query, so none of it is paid per unit.
+type rankScratch struct {
+	// matches is the rank's match buffer between queries; rankOut.matches
+	// is the same buffer while one runs.
+	matches []query.Match
+	// offsets is the current bin's arena of decoded intra-chunk offsets;
+	// ends[i] is where task i's run stops.
+	offsets []int32
+	ends    []int
+	// values[i] is task i's decoded values (nil: answered from the index
+	// alone). The slices belong to the decode cache or to this bin.
+	values [][]float64
+	// planes and inflate serve one unit at a time: the unit's compressed
+	// planes inflate back to back into inflate, and planes[p] points at
+	// plane p there (or at the PFS bytes of a plane stored raw).
+	planes  [][]byte
+	inflate []byte
+	// strides are the grid's row-major strides; widths, global and the
+	// chunk region reg are overwritten per unit.
 	strides, widths []int64
 	global          []int
+	reg             grid.Region
+	// Extent lists of the bin's two reads.
+	idxExtents, dataExtents []extent
+}
+
+// setGrid sizes the coordinate scratch for the store's grid.
+func (sc *rankScratch) setGrid(shape grid.Shape) {
+	dims := shape.Dims()
+	sc.global = slices.Grow(sc.global[:0], dims)[:dims]
+	sc.widths = slices.Grow(sc.widths[:0], dims)[:dims]
+	sc.strides = slices.Grow(sc.strides[:0], dims)[:dims]
+	sc.strides[dims-1] = 1
+	for d := dims - 2; d >= 0; d-- {
+		sc.strides[d] = sc.strides[d+1] * int64(shape[d+1])
+	}
+}
+
+// taskValues returns the per-task values slice for a bin of n tasks,
+// all nil.
+func (sc *rankScratch) taskValues(n int) [][]float64 {
+	sc.values = slices.Grow(sc.values[:0], n)[:n]
+	clear(sc.values)
+	return sc.values
+}
+
+// maxPooledMatches bounds the match buffer an idle scratch may keep
+// (1 MiB of matches); a larger answer's buffer goes back to the GC.
+const maxPooledMatches = 1 << 16
+
+// queryScratch is one query's pooled state: a rankScratch and a rankOut
+// per rank.
+type queryScratch struct {
+	ranks []rankScratch
+	outs  []rankOut
+}
+
+var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
+
+// begin returns zeroed outputs for the given number of ranks, each
+// wired to its scratch and starting on the scratch's match buffer.
+func (q *queryScratch) begin(ranks int) []rankOut {
+	for len(q.ranks) < ranks {
+		q.ranks = append(q.ranks, rankScratch{})
+	}
+	q.outs = slices.Grow(q.outs[:0], ranks)[:ranks]
+	for r := range q.outs {
+		sc := &q.ranks[r]
+		q.outs[r] = rankOut{sc: sc, matches: sc.matches[:0]}
+	}
+	return q.outs
+}
+
+// end readies the scratch for the pool once the gather is done (or the
+// query failed): each rank's match buffer goes back to its scratch
+// unless it outgrew maxPooledMatches, and references to cached values
+// are dropped so an idle scratch pins nothing the cache evicted.
+func (q *queryScratch) end() {
+	for r := range q.outs {
+		o := &q.outs[r]
+		o.sc.matches = nil
+		if cap(o.matches) <= maxPooledMatches {
+			o.sc.matches = o.matches[:0]
+		}
+		clear(o.sc.values[:cap(o.sc.values)])
+		q.outs[r] = rankOut{}
+	}
 }
 
 // gatherRanks is the final gather: every rank's matches copied once
@@ -128,7 +219,10 @@ func (s *Store) QueryContext(ctx context.Context, req *query.Request, ranks int)
 	ps.SetInt("ranks", int64(ranks))
 	ps.End()
 
-	outs := make([]rankOut, ranks)
+	qs := queryScratchPool.Get().(*queryScratch)
+	defer queryScratchPool.Put(qs)
+	outs := qs.begin(ranks)
+	defer qs.end() // runs before the Put, after the gather
 	clks := s.fs.NewClocks(ranks)
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		rctx, rs := obs.StartSpan(ctx, "rank")
@@ -200,7 +294,7 @@ func (s *Store) planTasks(req *query.Request) ([]task, int, *binning.Selection) 
 		for _, b := range mis {
 			sel = append(sel, binSel{bin: b, filterVC: true})
 		}
-		sort.Slice(sel, func(i, j int) bool { return sel[i].bin < sel[j].bin })
+		slices.SortFunc(sel, func(a, b binSel) int { return a.bin - b.bin })
 	} else {
 		sel = make([]binSel, 0, len(s.meta.bins))
 		for b := range s.meta.bins {
@@ -208,34 +302,45 @@ func (s *Store) planTasks(req *query.Request) ([]task, int, *binning.Selection) 
 		}
 	}
 
-	// Chunk selection.
-	var chunkSet map[int64]bool
+	// Chunk selection: under an SC a bin's units are found through its
+	// chunk map, one lookup per overlapping chunk, so planning costs
+	// bins × chunks touched rather than a pass over every unit.
+	var chunkIDs []int64
 	if req.SC != nil {
-		ids := s.chunks.OverlappingChunks(*req.SC)
-		chunkSet = make(map[int64]bool, len(ids))
-		for _, id := range ids {
-			chunkSet[id] = true
-		}
+		chunkIDs = s.chunks.OverlappingChunks(*req.SC)
 	}
 
 	maxTasks := 0
 	for _, bs := range sel {
-		maxTasks += len(s.meta.bins[bs.bin].units)
+		n := len(s.meta.bins[bs.bin].units)
+		if req.SC != nil {
+			n = min(n, len(chunkIDs))
+		}
+		maxTasks += n
 	}
 	tasks := make([]task, 0, maxTasks)
 	binsTouched := 0
 	for _, bs := range sel {
 		bm := &s.meta.bins[bs.bin]
-		touched := false
-		for ui := range bm.units {
-			if chunkSet != nil && !chunkSet[bm.units[ui].chunkID] {
-				continue
+		t := task{bin: bs.bin, needData: !req.IndexOnly || bs.filterVC, filterVC: bs.filterVC}
+		first := len(tasks)
+		if req.SC == nil {
+			for ui := range bm.units {
+				t.unit = ui
+				tasks = append(tasks, t)
 			}
-			needData := !req.IndexOnly || bs.filterVC
-			tasks = append(tasks, task{bin: bs.bin, unit: ui, needData: needData, filterVC: bs.filterVC})
-			touched = true
+		} else {
+			for _, id := range chunkIDs {
+				if ui, ok := bm.unitByChunk[id]; ok {
+					t.unit = ui
+					tasks = append(tasks, t)
+				}
+			}
+			// Chunk ids come in row-major order; units are stored in
+			// curve order.
+			slices.SortFunc(tasks[first:], func(a, b task) int { return a.unit - b.unit })
 		}
-		if touched {
+		if len(tasks) > first {
 			binsTouched++
 		}
 	}
@@ -305,12 +410,13 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, nodes []binning.No
 	// subfile in level order, so sorting and gap-merging the extents
 	// costs at most a seek per disjoint run, not one per level.
 	t0 := clk.Now()
-	extents := make([]extent, len(nodes))
-	for i, n := range nodes {
+	sc := out.sc
+	sc.idxExtents = sc.idxExtents[:0]
+	for _, n := range nodes {
 		id := s.vidx.nodeID(n)
-		extents[i] = extent{s.vidx.offs[id], s.vidx.lens[id]}
+		sc.idxExtents = append(sc.idxExtents, extent{s.vidx.offs[id], s.vidx.lens[id]})
 	}
-	m, ioBytes, err := readCoalesced(s.fs, clk, s.vidx.path, extents)
+	m, ioBytes, err := readCoalesced(s.fs, clk, s.vidx.path, sc.idxExtents)
 	if err != nil {
 		return err
 	}
@@ -340,8 +446,8 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, nodes []binning.No
 	// order, so a stable sort keeps each level's nodes sorted.
 	refs := slices.Clone(nodes)
 	slices.SortStableFunc(refs, func(a, b binning.NodeRef) int { return a.Level - b.Level })
-	dims := s.meta.shape.Dims()
-	coords := make([]int, dims)
+	sc.setGrid(s.meta.shape)
+	coords := sc.global
 	l0 := clk.Now()
 	for i, n := range refs {
 		if err := ctx.Err(); err != nil {
@@ -433,15 +539,8 @@ func (s *Store) runRank(ctx context.Context, clk *pfs.Clock, tasks []task, req *
 	if req.SC != nil {
 		points = min(points, int(req.SC.Elems()))
 	}
-	out.matches = make([]query.Match, 0, points)
-	dims := s.meta.shape.Dims()
-	out.global = make([]int, dims)
-	out.widths = make([]int64, dims)
-	out.strides = make([]int64, dims)
-	out.strides[dims-1] = 1
-	for d := dims - 2; d >= 0; d-- {
-		out.strides[d] = out.strides[d+1] * int64(s.meta.shape[d+1])
-	}
+	out.matches = slices.Grow(out.matches, points)
+	out.sc.setGrid(s.meta.shape)
 	for lo := 0; lo < len(tasks); {
 		hi := lo + 1
 		for hi < len(tasks) && tasks[hi].bin == tasks[lo].bin {
@@ -461,11 +560,12 @@ func (s *Store) runRank(ctx context.Context, clk *pfs.Clock, tasks []task, req *
 // extent is a byte range in a file.
 type extent struct{ off, length int64 }
 
-// processBin handles one rank's tasks within a single bin. When a
-// decode cache is attached, resident units are probed up front so their
-// data extents are never read, and misses are decoded through the
-// cache's single-flight path so concurrent queries decompress each unit
-// once.
+// processBin handles one rank's tasks within a single bin, in stages
+// that each pay their fixed costs once for the bin: probe the decode
+// cache and fetch (resident units' data extents are never read), decode
+// every unit's offsets, resolve the values unit by unit (misses go
+// through the cache's single-flight path so concurrent queries
+// decompress each unit once), then filter and emit the whole bin.
 func (s *Store) processBin(ctx context.Context, clk *pfs.Clock, tasks []task, req *query.Request, level int, out *rankOut) error {
 	bin := tasks[0].bin
 	if s.hookBeforeBin != nil {
@@ -479,36 +579,36 @@ func (s *Store) processBin(ctx context.Context, clk *pfs.Clock, tasks []task, re
 	bs.SetInt("bin", int64(bin))
 	bs.SetInt("units", int64(len(tasks)))
 	// Component snapshots: the deltas across this bin become the
-	// fetch/decode/reassemble/filter child spans. Decode and filter
-	// interleave per unit, so they are recorded as completed Events
-	// carrying virtual-clock seconds (wall time is not split).
+	// fetch/decode/reassemble/filter child spans, recorded as completed
+	// Events carrying virtual-clock seconds (wall time is not split).
 	before := *out
+	sc := out.sc
 	bm := &s.meta.bins[bin]
 	idxPath := binIndexPath(s.prefix, bin)
 	dataPath := binDataPath(s.prefix, bin)
 
 	// Cache probe: units already resident need neither a data read nor
-	// a decode. cached is aligned with tasks (nil = miss or no cache).
-	var cached [][]float64
+	// a decode. values is aligned with tasks (nil = not resolved yet).
+	values := sc.taskValues(len(tasks))
 	if s.decodeCache != nil {
-		cached = make([][]float64, len(tasks))
 		for i, t := range tasks {
 			if !t.needData {
 				continue
 			}
 			if vals, ok := s.decodeCache.Get(s.cacheKey(bin, t.unit, level)); ok {
-				cached[i] = vals
+				values[i] = vals
+				out.cacheHits++
 			}
 		}
 	}
 
 	// Index extents: every task needs its positional index.
-	idxExtents := make([]extent, 0, len(tasks))
+	sc.idxExtents = sc.idxExtents[:0]
 	needAnyData := false
 	for i, t := range tasks {
 		u := &bm.units[t.unit]
-		idxExtents = append(idxExtents, extent{u.indexOff, u.indexLen})
-		if t.needData && (cached == nil || cached[i] == nil) {
+		sc.idxExtents = append(sc.idxExtents, extent{u.indexOff, u.indexLen})
+		if t.needData && values[i] == nil {
 			needAnyData = true
 		}
 	}
@@ -517,7 +617,7 @@ func (s *Store) processBin(ctx context.Context, clk *pfs.Clock, tasks []task, re
 	if err := s.fs.Open(clk, idxPath); err != nil {
 		return err
 	}
-	idxMap, ioBytes, err := readCoalesced(s.fs, clk, idxPath, idxExtents)
+	idxMap, ioBytes, err := readCoalesced(s.fs, clk, idxPath, sc.idxExtents)
 	if err != nil {
 		return err
 	}
@@ -530,25 +630,21 @@ func (s *Store) processBin(ctx context.Context, clk *pfs.Clock, tasks []task, re
 		if err := s.fs.Open(clk, dataPath); err != nil {
 			return err
 		}
-		maxExtents := len(tasks)
-		if s.meta.mode == ModePlanes {
-			maxExtents *= nPlanes
-		}
-		dataExtents := make([]extent, 0, maxExtents)
+		sc.dataExtents = sc.dataExtents[:0]
 		for i, t := range tasks {
-			if !t.needData || (cached != nil && cached[i] != nil) {
+			if !t.needData || values[i] != nil {
 				continue
 			}
 			u := &bm.units[t.unit]
 			if s.meta.mode == ModePlanes {
 				for p := 0; p < nPlanes; p++ {
-					dataExtents = append(dataExtents, extent{u.pieceOff[p], u.pieceLen[p]})
+					sc.dataExtents = append(sc.dataExtents, extent{u.pieceOff[p], u.pieceLen[p]})
 				}
 			} else {
-				dataExtents = append(dataExtents, extent{u.pieceOff[0], u.pieceLen[0]})
+				sc.dataExtents = append(sc.dataExtents, extent{u.pieceOff[0], u.pieceLen[0]})
 			}
 		}
-		dataMap, ioBytes, err = readCoalesced(s.fs, clk, dataPath, dataExtents)
+		dataMap, ioBytes, err = readCoalesced(s.fs, clk, dataPath, sc.dataExtents)
 		if err != nil {
 			return err
 		}
@@ -558,17 +654,33 @@ func (s *Store) processBin(ctx context.Context, clk *pfs.Clock, tasks []task, re
 	bs.Event("fetch", time.Since(wall0), out.time.IO-before.time.IO).
 		SetInt("bytes", out.bytes-before.bytes)
 
-	// Decode and emit.
+	// Reassemble: every unit's offsets into the bin's arena.
+	if err := s.decodeBinOffsets(clk, tasks, idxMap, out); err != nil {
+		return err
+	}
+
+	// Decode: the values of every unit the probe did not resolve.
 	for i, t := range tasks {
-		u := &bm.units[t.unit]
-		var hit []float64
-		if cached != nil {
-			hit = cached[i]
+		if !t.needData || values[i] != nil {
+			continue
 		}
-		if err := s.emitUnit(ctx, clk, t, u, req, level, idxMap, dataMap, hit, out); err != nil {
-			return err
+		values[i], err = s.unitValues(ctx, clk, t, &bm.units[t.unit], level, dataMap, out)
+		if err != nil {
+			return fmt.Errorf("core: bin %d unit %d data: %w", bin, t.unit, err)
 		}
 	}
+
+	// Filter: map intra-chunk offsets to global indices and emit.
+	filter := clk.MeasureCPU(func() {
+		lo := 0
+		for i, t := range tasks {
+			s.emitUnit(t, &bm.units[t.unit], req, sc.offsets[lo:sc.ends[i]], values[i], out)
+			lo = sc.ends[i]
+		}
+	})
+	out.filter += filter
+	out.time.Reconstruct += filter
+
 	bs.Event("decode", 0, out.time.Decompress-before.time.Decompress).
 		SetInt("blocks", int64(out.blocks-before.blocks))
 	bs.Event("reassemble", 0, out.reassemble-before.reassemble)
@@ -578,22 +690,54 @@ func (s *Store) processBin(ctx context.Context, clk *pfs.Clock, tasks []task, re
 	return nil
 }
 
+// decodeBinOffsets decodes the positional index of every task of one
+// bin into the rank's offsets arena, as one measured section charged to
+// the reassemble component.
+func (s *Store) decodeBinOffsets(clk *pfs.Clock, tasks []task, idxMap *extentMap, out *rankOut) error {
+	sc := out.sc
+	sc.offsets, sc.ends = sc.offsets[:0], sc.ends[:0]
+	bm := &s.meta.bins[tasks[0].bin]
+	var err error
+	reassemble := clk.MeasureCPU(func() {
+		for _, t := range tasks {
+			u := &bm.units[t.unit]
+			var raw []byte
+			if raw, err = idxMap.slice(u.indexOff, u.indexLen); err == nil {
+				sc.offsets, err = decodeOffsets(sc.offsets, raw, int(u.count))
+			}
+			if err != nil {
+				err = fmt.Errorf("core: bin %d unit %d index: %w", t.bin, t.unit, err)
+				return
+			}
+			sc.ends = append(sc.ends, len(sc.offsets))
+		}
+	})
+	out.reassemble += reassemble
+	out.time.Reconstruct += reassemble
+	return err
+}
+
 // cacheKey builds the decode-cache key for one unit of this store.
 func (s *Store) cacheKey(bin, unit, level int) cache.Key {
 	return cache.Key{Store: s.prefix, Bin: bin, Unit: unit, Level: level}
 }
 
-// unitValues resolves a unit's decoded values: from the probe result,
-// through the decode cache's single-flight path, or by decoding
-// directly when no cache is attached. It updates the rank's decompress
-// time, block count, and cache-hit count.
-func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, t task, u *unitMeta, level int, dataMap *extentMap, cachedVals []float64, out *rankOut) ([]float64, error) {
-	if cachedVals != nil {
-		out.cacheHits++
-		return cachedVals, nil
+// unitValues decodes a unit's values: through the decode cache's
+// single-flight path, or directly when no cache is attached. It updates
+// the rank's decompress time, block count, and cache-hit count. The
+// measured section sits inside the flight's compute, never around the
+// wait for another query's flight: a waiter holds no slot of the
+// measurement gate, so the flight's leader can always get one.
+func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, t task, u *unitMeta, level int, dataMap *extentMap, out *rankOut) ([]float64, error) {
+	var decompress float64
+	decode := func() (values []float64, err error) {
+		decompress = clk.MeasureCPU(func() {
+			values, err = s.decodeUnitValues(u, level, dataMap, out.sc)
+		})
+		return values, err
 	}
 	if s.decodeCache == nil {
-		values, decompress, err := s.decodeUnitValues(clk, u, level, dataMap)
+		values, err := decode()
 		if err != nil {
 			return nil, err
 		}
@@ -601,12 +745,7 @@ func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, t task, u *unitM
 		out.blocks++
 		return values, nil
 	}
-	var decompress float64
-	values, hit, err := s.decodeCache.GetOrCompute(ctx, s.cacheKey(t.bin, t.unit, level), func() ([]float64, error) {
-		v, d, derr := s.decodeUnitValues(clk, u, level, dataMap)
-		decompress = d
-		return v, derr
-	})
+	values, hit, err := s.decodeCache.GetOrCompute(ctx, s.cacheKey(t.bin, t.unit, level), decode)
 	if err != nil {
 		return nil, err
 	}
@@ -621,147 +760,123 @@ func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, t task, u *unitM
 	return values, nil
 }
 
-// emitUnit decodes one unit's index (and data when needed) and appends
-// the qualifying matches. cachedVals carries the unit's decoded values
-// when the bin-level cache probe hit (nil otherwise).
-func (s *Store) emitUnit(ctx context.Context, clk *pfs.Clock, t task, u *unitMeta, req *query.Request, level int, idxMap, dataMap *extentMap, cachedVals []float64, out *rankOut) error {
-	idxRaw, err := idxMap.slice(u.indexOff, u.indexLen)
-	if err != nil {
-		return fmt.Errorf("core: bin %d unit %d index: %w", t.bin, t.unit, err)
-	}
-	var offsets []int32
-	reassemble := clk.MeasureCPU(func() {
-		offsets, err = decodeOffsets(idxRaw, int(u.count))
-	})
-	if err != nil {
-		return fmt.Errorf("core: bin %d unit %d index: %w", t.bin, t.unit, err)
-	}
-
-	var values []float64
-	if t.needData {
-		values, err = s.unitValues(ctx, clk, t, u, level, dataMap, cachedVals, out)
-		if err != nil {
-			return fmt.Errorf("core: bin %d unit %d data: %w", t.bin, t.unit, err)
-		}
-	}
-
-	// Map intra-chunk offsets to global indices and filter. The chunk's
-	// global strides are precomputed so the per-point mapping avoids
-	// repeated bounds-checked Linear calls — this loop dominates
-	// high-selectivity region queries.
-	reg := s.chunks.ChunkRegionByID(u.chunkID)
+// emitUnit appends one unit's qualifying matches: offsets are its
+// decoded intra-chunk offsets, values its decoded values (nil when the
+// unit is answered from the index alone). The chunk's global strides
+// are precomputed so the per-point mapping avoids repeated
+// bounds-checked Linear calls — this loop dominates high-selectivity
+// region queries.
+func (s *Store) emitUnit(t task, u *unitMeta, req *query.Request, offsets []int32, values []float64, out *rankOut) {
+	s.chunks.ChunkRegionInto(u.chunkID, &out.sc.reg)
+	reg := out.sc.reg
 	chunkInSC := req.SC == nil || regionInside(reg, *req.SC)
 	dims := s.meta.shape.Dims()
-	global, strides, widths := out.global, out.strides, out.widths
+	global, strides, widths := out.sc.global, out.sc.strides, out.sc.widths
 	var base int64
 	for d := 0; d < dims; d++ {
 		base += int64(reg.Lo[d]) * strides[d]
 		widths[d] = int64(reg.Hi[d] - reg.Lo[d])
 	}
-	filter := clk.MeasureCPU(func() {
-		for i, off := range offsets {
-			// Decompose the intra-chunk offset and accumulate the
-			// global linear index in one pass.
-			rem := int64(off)
-			lin := base
-			for d := dims - 1; d >= 0; d-- {
-				l := rem % widths[d]
-				rem /= widths[d]
-				lin += l * strides[d]
-				if !chunkInSC {
-					global[d] = reg.Lo[d] + int(l)
-				}
+	for i, off := range offsets {
+		// Decompose the intra-chunk offset and accumulate the global
+		// linear index in one pass.
+		rem := int64(off)
+		lin := base
+		for d := dims - 1; d >= 0; d-- {
+			l := rem % widths[d]
+			rem /= widths[d]
+			lin += l * strides[d]
+			if !chunkInSC {
+				global[d] = reg.Lo[d] + int(l)
 			}
-			if !chunkInSC && !req.SC.Contains(global) {
+		}
+		if !chunkInSC && !req.SC.Contains(global) {
+			continue
+		}
+		var v float64
+		if values != nil {
+			v = values[i]
+			if t.filterVC && !req.VC.Contains(v) {
 				continue
 			}
-			var v float64
-			if values != nil {
-				v = values[i]
-				if t.filterVC && !req.VC.Contains(v) {
-					continue
-				}
-			}
-			m := query.Match{Index: lin}
-			if !req.IndexOnly {
-				m.Value = v
-			}
-			out.matches = append(out.matches, m)
 		}
-	})
-
-	out.reassemble += reassemble
-	out.filter += filter
-	out.time.Reconstruct += reassemble + filter
-	return nil
+		m := query.Match{Index: lin}
+		if !req.IndexOnly {
+			m.Value = v
+		}
+		out.matches = append(out.matches, m)
+	}
 }
 
 // decodeUnitValues reconstructs the unit's values at the given PLoD
-// level (planes mode) or in full (floats mode), returning the scaled
-// decompress time it charged to clk.
-func (s *Store) decodeUnitValues(clk *pfs.Clock, u *unitMeta, level int, dataMap *extentMap) ([]float64, float64, error) {
+// level (planes mode) or in full (floats mode). The returned slice is
+// freshly allocated — the decode cache may keep it — while the planes
+// it is assembled from inflate into sc. Every plane is inflated through
+// the bounded decoder: the metadata says how many bytes it holds, so a
+// corrupt piece fails one byte past that instead of allocating without
+// limit.
+func (s *Store) decodeUnitValues(u *unitMeta, level int, dataMap *extentMap, sc *rankScratch) ([]float64, error) {
 	count := int(u.count)
 	if s.meta.mode == ModeFloats {
 		raw, err := dataMap.slice(u.pieceOff[0], u.pieceLen[0])
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		var values []float64
-		d := clk.MeasureCPU(func() {
-			values, err = s.floatCodec.DecodeFloats(raw, make([]float64, 0, count))
-		})
+		values, err := s.floatCodec.DecodeFloats(raw, make([]float64, 0, count))
 		if err != nil {
-			return nil, d, err
+			return nil, err
 		}
 		if len(values) != count {
-			return nil, d, fmt.Errorf("decoded %d values, want %d", len(values), count) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
+			return nil, fmt.Errorf("decoded %d values, want %d", len(values), count) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
 		}
-		return values, d, nil
+		return values, nil
 	}
 
 	nPlanes := plod.PlanesForLevel(level)
-	planes := make([][]byte, nPlanes)
-	var decompress float64
+	sc.planes = slices.Grow(sc.planes[:0], nPlanes)[:nPlanes]
+	// count has passed decodeOffsets' check against the index bytes read,
+	// so it can size the buffer the unit's planes inflate into back to
+	// back.
+	sc.inflate = slices.Grow(sc.inflate[:0], count*plod.BytesPerValue(level))
 	for p := 0; p < nPlanes; p++ {
 		raw, err := dataMap.slice(u.pieceOff[p], u.pieceLen[p])
 		if err != nil {
-			return nil, decompress, err
+			return nil, err
 		}
 		want := count * plod.PlaneWidth(p)
 		if p < s.meta.compPlanes && u.rawPlanes&(1<<uint(p)) == 0 {
-			var dec []byte
-			decompress += clk.MeasureCPU(func() {
-				dec, err = s.byteCodec.DecodeBytes(raw, make([]byte, 0, want))
-			})
+			from := len(sc.inflate)
+			sc.inflate, err = compress.DecodeBytesMax(s.byteCodec, raw, sc.inflate, int64(want))
 			if err != nil {
-				return nil, decompress, err
+				return nil, err
 			}
-			planes[p] = dec
-		} else {
-			planes[p] = raw
+			raw = sc.inflate[from:]
 		}
-		if len(planes[p]) != want {
-			return nil, decompress, fmt.Errorf("plane %d has %d bytes, want %d", p, len(planes[p]), want) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
+		if len(raw) != want {
+			return nil, fmt.Errorf("plane %d has %d bytes, want %d", p, len(raw), want) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
 		}
+		sc.planes[p] = raw
 	}
-	var values []float64
-	decompress += clk.MeasureCPU(func() {
-		values = plod.Assemble(planes, level, count, plod.FillCentered, make([]float64, 0, count))
-	})
-	return values, decompress, nil
+	return plod.Assemble(sc.planes, level, count, plod.FillCentered, make([]float64, 0, count)), nil
 }
 
-// decodeOffsets expands the delta-uvarint intra-chunk offsets. The
-// varint decode is inlined with a single-byte fast path because this
-// stream is the inner loop of every index read.
-func decodeOffsets(raw []byte, count int) ([]int32, error) {
-	out := make([]int32, count)
+// decodeOffsets expands count delta-uvarint intra-chunk offsets from
+// raw, appending them to dst. The varint decode is inlined with a
+// single-byte fast path because this stream is the inner loop of every
+// index read.
+func decodeOffsets(dst []int32, raw []byte, count int) ([]int32, error) {
+	n := len(raw)
+	if count > n {
+		// Every entry takes at least a byte; checked before count sizes
+		// anything, since it comes from the store's metadata.
+		return dst, fmt.Errorf("truncated offset stream at entry %d", n) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
+	}
+	dst = slices.Grow(dst, count)
 	prev := int32(0)
 	pos := 0
-	n := len(raw)
 	for i := 0; i < count; i++ {
 		if pos >= n {
-			return nil, fmt.Errorf("truncated offset stream at entry %d", i) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
+			return dst, fmt.Errorf("truncated offset stream at entry %d", i) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
 		}
 		b := raw[pos]
 		if b < 0x80 {
@@ -769,14 +884,14 @@ func decodeOffsets(raw []byte, count int) ([]int32, error) {
 			// points inside a chunk sit a few positions apart).
 			pos++
 			prev += int32(b)
-			out[i] = prev
+			dst = append(dst, prev)
 			continue
 		}
 		var d uint64
 		var shift uint
 		for {
 			if pos >= n {
-				return nil, fmt.Errorf("truncated offset stream at entry %d", i) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
+				return dst, fmt.Errorf("truncated offset stream at entry %d", i) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
 			}
 			c := raw[pos]
 			pos++
@@ -786,16 +901,16 @@ func decodeOffsets(raw []byte, count int) ([]int32, error) {
 			}
 			shift += 7
 			if shift > 35 {
-				return nil, fmt.Errorf("malformed offset varint at entry %d", i) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
+				return dst, fmt.Errorf("malformed offset varint at entry %d", i) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
 			}
 		}
 		prev += int32(d)
-		out[i] = prev
+		dst = append(dst, prev)
 	}
 	if pos != n {
-		return nil, fmt.Errorf("offset stream has %d trailing bytes", n-pos) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
+		return dst, fmt.Errorf("offset stream has %d trailing bytes", n-pos) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
 	}
-	return out, nil
+	return dst, nil
 }
 
 // localCoords converts a row-major offset within a chunk region to
@@ -846,17 +961,17 @@ func (m *extentMap) slice(off, length int64) ([]byte, error) {
 // per merged extent, charging clk. Extents separated by gaps up to the
 // simulator's CoalesceGap are merged too: reading through a small gap
 // costs less than the seek it avoids, which is exactly the paper's
-// rationale for curve-ordered layouts (§III-B2).
+// rationale for curve-ordered layouts (§III-B2). The list is sorted and
+// merged in place: the caller gets it back reordered and overwritten.
 func readCoalesced(fs *pfs.Sim, clk *pfs.Clock, path string, extents []extent) (*extentMap, int64, error) {
 	if len(extents) == 0 {
 		return &extentMap{}, 0, nil
 	}
 	maxGap := fs.CoalesceGap()
-	sorted := append([]extent(nil), extents...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].off < sorted[j].off })
-	merged := make([]extent, 0, len(sorted))
-	cur := sorted[0]
-	for _, e := range sorted[1:] {
+	slices.SortFunc(extents, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
+	merged := extents[:0] // writes trail the reads below
+	cur := extents[0]
+	for _, e := range extents[1:] {
 		if e.length == 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"mloc/internal/datagen"
@@ -58,7 +59,9 @@ func FuzzMetaUnmarshal(f *testing.F) {
 }
 
 // FuzzDecodeOffsets: the positional-index decoder must be panic-free on
-// arbitrary streams.
+// arbitrary streams, and appending into an arena that already holds
+// other units' offsets must leave those untouched and produce the same
+// run as decoding into an empty one.
 func FuzzDecodeOffsets(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, 3)
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, 1)
@@ -70,9 +73,21 @@ func FuzzDecodeOffsets(f *testing.F) {
 		if count < 0 || count > 1<<16 {
 			return
 		}
-		out, err := decodeOffsets(raw, count)
+		out, err := decodeOffsets(nil, raw, count)
 		if err == nil && len(out) != count {
 			t.Fatalf("decoded %d offsets, want %d", len(out), count)
+		}
+		// A short-capacity arena forces the grow path mid-bin.
+		arena := append(make([]int32, 0, 4), -7, -8, -9)
+		arena, aerr := decodeOffsets(arena, raw, count)
+		if (aerr == nil) != (err == nil) {
+			t.Fatalf("empty arena: %v, non-empty arena: %v", err, aerr)
+		}
+		if !slices.Equal(arena[:3], []int32{-7, -8, -9}) {
+			t.Fatalf("earlier offsets overwritten: %v", arena[:3])
+		}
+		if err == nil && !slices.Equal(arena[3:], out) {
+			t.Fatalf("arena run %v differs from fresh decode %v", arena[3:], out)
 		}
 	})
 }

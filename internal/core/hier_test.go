@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"math/rand"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"mloc/internal/datagen"
 	"mloc/internal/grid"
 	"mloc/internal/pfs"
-	"mloc/internal/plod"
 	"mloc/internal/query"
 )
 
@@ -251,48 +249,5 @@ func TestHierarchicalRejectsOversizedNodeBitmap(t *testing.T) {
 	req := &query.Request{VC: &binning.ValueConstraint{Min: lo, Max: hi}, IndexOnly: true}
 	if _, err := st.Query(req, 2); err == nil || !strings.Contains(err.Error(), "positions") {
 		t.Fatalf("query over oversized node bitmaps: err = %v, want a vindex node size error", err)
-	}
-}
-
-// A spatial constraint that covers a sliver of the chunks it touches
-// must bound the rank's match buffer by its own volume, not by the
-// point count of those chunks — on the unit path and the vindex path.
-func TestRankMatchBufferBoundedBySC(t *testing.T) {
-	data, shape := testData(t)
-	fs := pfs.New(pfs.DefaultConfig())
-	st, err := Build(fs, pfs.NewClock(), "narrow/hier", shape, data, hierTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := grid.NewRegion([]int{0, 0}, []int{2, shape[1]}) // two rows of the 8-row chunks
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := datagen.Selectivity(data, 0.5, 11, 1024)
-	for name, req := range map[string]*query.Request{
-		"region":       {SC: &sc, IndexOnly: true},
-		"value+region": {VC: &binning.ValueConstraint{Min: lo, Max: hi}, SC: &sc, IndexOnly: true},
-	} {
-		tasks, _, hier := st.planTasks(req)
-		var out rankOut
-		clk := st.fs.NewClocks(1)[0]
-		ctx := context.Background()
-		if err := st.runRank(ctx, clk, tasks, req, plod.MaxLevel, &out); err != nil {
-			t.Fatal(err)
-		}
-		if hier != nil {
-			if len(hier.Inside) == 0 {
-				t.Fatalf("%s: no inside nodes, the vindex path is not exercised", name)
-			}
-			if err := st.runNodes(ctx, clk, hier.Inside, req, &out); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// 2×: growing a buffer the unit path left short may double it.
-		if int64(cap(out.matches)) > 2*sc.Elems() {
-			t.Errorf("%s: rank buffer holds %d matches, SC has %d points", name, cap(out.matches), sc.Elems())
-		}
-		res := gatherRanks([]rankOut{out})
-		matchesEqual(t, res.Matches, bruteForce(data, shape, req), name)
 	}
 }

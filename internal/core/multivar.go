@@ -167,7 +167,10 @@ func (s *Store) FetchAtContext(ctx context.Context, positions *bitmap.Bitmap, ra
 	}
 	perRank := s.assignTasks(tasks, ranks)
 
-	outs := make([]rankOut, ranks)
+	qs := queryScratchPool.Get().(*queryScratch)
+	defer queryScratchPool.Put(qs)
+	outs := qs.begin(ranks)
+	defer qs.end() // runs before the Put, after the gather
 	clks := s.fs.NewClocks(ranks)
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		rctx, rs := obs.StartSpan(ctx, "rank")
@@ -190,9 +193,9 @@ func (s *Store) FetchAtContext(ctx context.Context, positions *bitmap.Bitmap, ra
 // fetchRank processes a rank's fetch tasks bin by bin; per-bin scratch
 // (the coordinate buffers) is shared across bins.
 func (s *Store) fetchRank(ctx context.Context, clk *pfs.Clock, tasks []task, positions *bitmap.Bitmap, out *rankOut) error {
-	dims := s.meta.shape.Dims()
-	local := make([]int, dims)
-	global := make([]int, dims)
+	out.sc.setGrid(s.meta.shape)
+	local := make([]int, s.meta.shape.Dims())
+	global := out.sc.global
 	for lo := 0; lo < len(tasks); {
 		hi := lo + 1
 		for hi < len(tasks) && tasks[hi].bin == tasks[lo].bin {
@@ -224,6 +227,7 @@ func (s *Store) fetchBin(ctx context.Context, clk *pfs.Clock, binTasks []task, p
 	bs.SetInt("bin", int64(bin))
 	bs.SetInt("units", int64(len(binTasks)))
 	before := *out
+	sc := out.sc
 	dims := s.meta.shape.Dims()
 	bm := &s.meta.bins[bin]
 	idxPath := binIndexPath(s.prefix, bin)
@@ -234,12 +238,12 @@ func (s *Store) fetchBin(ctx context.Context, clk *pfs.Clock, binTasks []task, p
 	if err := s.fs.Open(clk, idxPath); err != nil {
 		return err
 	}
-	idxExtents := make([]extent, 0, len(binTasks))
+	sc.idxExtents = sc.idxExtents[:0]
 	for _, t := range binTasks {
 		u := &bm.units[t.unit]
-		idxExtents = append(idxExtents, extent{u.indexOff, u.indexLen})
+		sc.idxExtents = append(sc.idxExtents, extent{u.indexOff, u.indexLen})
 	}
-	idxMap, ioBytes, err := readCoalesced(s.fs, clk, idxPath, idxExtents)
+	idxMap, ioBytes, err := readCoalesced(s.fs, clk, idxPath, sc.idxExtents)
 	if err != nil {
 		return err
 	}
@@ -251,10 +255,11 @@ func (s *Store) fetchBin(ctx context.Context, clk *pfs.Clock, binTasks []task, p
 	type hitUnit struct {
 		t    task
 		hits []int // indices into the unit's point list
-		offs []int32
+		offs int   // where the unit's offsets start in sc.offsets
 	}
 	var hits []hitUnit
 	var decodeErr error
+	sc.offsets = sc.offsets[:0]
 	reassemble := clk.MeasureCPU(func() {
 		for _, t := range binTasks {
 			u := &bm.units[t.unit]
@@ -263,14 +268,16 @@ func (s *Store) fetchBin(ctx context.Context, clk *pfs.Clock, binTasks []task, p
 				decodeErr = err
 				return
 			}
-			offs, err := decodeOffsets(raw, int(u.count))
+			from := len(sc.offsets)
+			sc.offsets, err = decodeOffsets(sc.offsets, raw, int(u.count))
 			if err != nil {
 				decodeErr = err
 				return
 			}
-			reg := s.chunks.ChunkRegionByID(u.chunkID)
+			s.chunks.ChunkRegionInto(u.chunkID, &sc.reg)
+			reg := sc.reg
 			var hu hitUnit
-			for i, off := range offs {
+			for i, off := range sc.offsets[from:] {
 				localCoords(reg, int64(off), local)
 				for d := 0; d < dims; d++ {
 					global[d] = reg.Lo[d] + local[d]
@@ -281,8 +288,10 @@ func (s *Store) fetchBin(ctx context.Context, clk *pfs.Clock, binTasks []task, p
 			}
 			if hu.hits != nil {
 				hu.t = t
-				hu.offs = offs
+				hu.offs = from
 				hits = append(hits, hu)
+			} else {
+				sc.offsets = sc.offsets[:from]
 			}
 		}
 	})
@@ -293,18 +302,16 @@ func (s *Store) fetchBin(ctx context.Context, clk *pfs.Clock, binTasks []task, p
 	}
 	if len(hits) != 0 {
 		// Probe the decode cache: resident units need no data read.
-		cached := make([][]float64, len(hits))
-		missing := 0
+		cached := sc.taskValues(len(hits))
+		missing := len(hits)
 		if s.decodeCache != nil {
 			for i, h := range hits {
 				if vals, ok := s.decodeCache.Get(s.cacheKey(bin, h.t.unit, plod.MaxLevel)); ok {
 					cached[i] = vals
-				} else {
-					missing++
+					out.cacheHits++
+					missing--
 				}
 			}
-		} else {
-			missing = len(hits)
 		}
 
 		// Read data only for hit units the cache could not serve.
@@ -314,11 +321,7 @@ func (s *Store) fetchBin(ctx context.Context, clk *pfs.Clock, binTasks []task, p
 			if err := s.fs.Open(clk, dataPath); err != nil {
 				return err
 			}
-			maxExtents := len(hits)
-			if s.meta.mode == ModePlanes {
-				maxExtents *= plod.NumPlanes
-			}
-			dataExtents := make([]extent, 0, maxExtents)
+			sc.dataExtents = sc.dataExtents[:0]
 			for i, h := range hits {
 				if cached[i] != nil {
 					continue
@@ -326,15 +329,15 @@ func (s *Store) fetchBin(ctx context.Context, clk *pfs.Clock, binTasks []task, p
 				u := &bm.units[h.t.unit]
 				if s.meta.mode == ModePlanes {
 					for p := 0; p < plod.NumPlanes; p++ {
-						dataExtents = append(dataExtents, extent{u.pieceOff[p], u.pieceLen[p]})
+						sc.dataExtents = append(sc.dataExtents, extent{u.pieceOff[p], u.pieceLen[p]})
 					}
 				} else {
-					dataExtents = append(dataExtents, extent{u.pieceOff[0], u.pieceLen[0]})
+					sc.dataExtents = append(sc.dataExtents, extent{u.pieceOff[0], u.pieceLen[0]})
 				}
 			}
 			var ioBytes int64
 			var err error
-			dataMap, ioBytes, err = readCoalesced(s.fs, clk, dataPath, dataExtents)
+			dataMap, ioBytes, err = readCoalesced(s.fs, clk, dataPath, sc.dataExtents)
 			if err != nil {
 				return err
 			}
@@ -344,14 +347,18 @@ func (s *Store) fetchBin(ctx context.Context, clk *pfs.Clock, binTasks []task, p
 
 		for i, h := range hits {
 			u := &bm.units[h.t.unit]
-			values, err := s.unitValues(ctx, clk, h.t, u, plod.MaxLevel, dataMap, cached[i], out)
-			if err != nil {
-				return err
+			values := cached[i]
+			if values == nil {
+				var err error
+				if values, err = s.unitValues(ctx, clk, h.t, u, plod.MaxLevel, dataMap, out); err != nil {
+					return err
+				}
 			}
-			reg := s.chunks.ChunkRegionByID(u.chunkID)
+			s.chunks.ChunkRegionInto(u.chunkID, &sc.reg)
+			reg := sc.reg
 			filter := clk.MeasureCPU(func() {
 				for _, i := range h.hits {
-					localCoords(reg, int64(h.offs[i]), local)
+					localCoords(reg, int64(sc.offsets[h.offs+i]), local)
 					for d := 0; d < dims; d++ {
 						global[d] = reg.Lo[d] + local[d]
 					}

@@ -267,8 +267,9 @@ func (s *SubsetStore) ReadLevel(level int, ranks int) (*SubsetResult, error) {
 			times[c.Rank()].Decompress += clk.MeasureCPU(func() {
 				buf := raw
 				if int(b.length) != 8*b.count {
-					buf, derr = s.codec.DecodeBytes(raw, make([]byte, 0, 8*b.count))
+					buf, derr = compress.DecodeBytesMax(s.codec, raw, make([]byte, 0, 8*b.count), int64(8*b.count))
 					if derr != nil {
+						derr = fmt.Errorf("core: subset block %d/%d: %w", bt.lvl, bt.idx, derr)
 						return
 					}
 				}

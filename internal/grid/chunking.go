@@ -1,6 +1,9 @@
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Chunking decomposes a grid into fixed-size axis-aligned chunks
 // (the paper's "blocks"). Edge chunks may be smaller when the shape is
@@ -76,8 +79,27 @@ func (c *Chunking) ChunkRegion(chunkCoords []int) Region {
 // ChunkRegionByID returns the region of the chunk with the given linear
 // (row-major) chunk id.
 func (c *Chunking) ChunkRegionByID(id int64) Region {
-	coords := c.grid.Coords(id, nil)
-	return c.ChunkRegion(coords)
+	var reg Region
+	c.ChunkRegionInto(id, &reg)
+	return reg
+}
+
+// ChunkRegionInto is ChunkRegionByID into a caller-owned region: reg's
+// Lo and Hi are overwritten, reusing their storage, so a loop over many
+// chunks allocates nothing.
+func (c *Chunking) ChunkRegionInto(id int64, reg *Region) {
+	if id < 0 || id >= c.grid.Elems() {
+		panic(fmt.Sprintf("grid: chunk id %d out of [0,%d)", id, c.grid.Elems()))
+	}
+	dims := len(c.shape)
+	reg.Lo = slices.Grow(reg.Lo[:0], dims)[:dims]
+	reg.Hi = slices.Grow(reg.Hi[:0], dims)[:dims]
+	for d := dims - 1; d >= 0; d-- {
+		cc := int(id % int64(c.grid[d]))
+		id /= int64(c.grid[d])
+		reg.Lo[d] = cc * c.size[d]
+		reg.Hi[d] = min(reg.Lo[d]+c.size[d], c.shape[d])
+	}
 }
 
 // ChunkOf returns the chunk coordinates containing the grid point.

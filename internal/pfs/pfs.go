@@ -18,6 +18,7 @@ package pfs
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -100,12 +101,16 @@ type Clock struct {
 	// deterministic regardless of goroutine scheduling; cross-process
 	// interference is covered by the contention factor instead.
 	heads []headPos
-	// cpuMu, when set (clocks created by a Sim), serializes MeasureCPU
-	// sections across ranks so each rank's wall-clock measurement covers
-	// only its own work — essential on machines with fewer cores than
-	// simulated ranks, where concurrent sections would otherwise count
-	// each other's execution time.
-	cpuMu *sync.Mutex
+	// work is charge's per-OST scratch, kept here because a clock has one
+	// goroutine and a query issues hundreds of reads on it.
+	work []ostWork
+	// gate, when set (clocks created by a Sim), is the simulator's
+	// measurement gate: MeasureCPU sections hold one of its slots, so at
+	// most one section runs per core and a rank's wall-clock sample
+	// covers only its own work — essential on machines with fewer cores
+	// than simulated ranks, where unbounded concurrent sections would
+	// count each other's execution time.
+	gate chan struct{}
 }
 
 // NewClock returns a standalone clock at virtual time zero with CPU
@@ -153,17 +158,25 @@ func (c *Clock) AdvanceCPU(d float64) float64 {
 
 // MeasureCPU runs fn, measures its wall-clock duration, charges it via
 // AdvanceCPU, and returns the scaled delta. When the clock came from a
-// Sim, the section runs under the simulator's measurement mutex (see
-// the cpuMu field); compute still counts toward each rank's own virtual
-// clock, so simulated parallelism is unaffected.
+// Sim, the section holds a slot of the simulator's measurement gate
+// (see the gate field); compute still counts toward each rank's own
+// virtual clock, so simulated parallelism is unaffected. fn must not
+// wait on another goroutine's measured section: on a one-core host the
+// gate has one slot.
 func (c *Clock) MeasureCPU(fn func()) float64 {
-	if c.cpuMu != nil {
-		c.cpuMu.Lock()
-		defer c.cpuMu.Unlock()
+	return c.AdvanceCPU(timeSection(c.gate, fn))
+}
+
+// timeSection runs fn holding a slot of gate (nil: ungated) and returns
+// its wall-clock seconds.
+func timeSection(gate chan struct{}, fn func()) float64 {
+	if gate != nil {
+		gate <- struct{}{}
+		defer func() { <-gate }()
 	}
 	t0 := time.Now()
 	fn()
-	return c.AdvanceCPU(time.Since(t0).Seconds())
+	return time.Since(t0).Seconds()
 }
 
 // AdvanceParallel charges compute that ran fanned out over a bounded
@@ -207,6 +220,14 @@ type Stats struct {
 	OSTBusy []float64
 }
 
+// ostWork is one OST's share of a striped transfer being charged.
+type ostWork struct {
+	bytes   int64
+	seeks   int64
+	lastEnd int64
+	touched bool
+}
+
 // headPos tracks where an OST's head last finished, for seek detection.
 type headPos struct {
 	fileID int64
@@ -236,8 +257,12 @@ type Sim struct {
 	files  map[string]*file
 	nextID int64
 	stats  Stats
-	// cpuMu serializes MeasureCPU sections of this Sim's clocks.
-	cpuMu sync.Mutex
+	// gate is a counting semaphore as wide as the host's usable cores
+	// (GOMAXPROCS when the Sim was made): every measured section of this
+	// Sim — Clock.MeasureCPU and MeasureSection alike — holds one slot,
+	// so sections run truly concurrently up to the core count and never
+	// share a core with another measured section.
+	gate chan struct{}
 }
 
 // New constructs a simulator; it panics on invalid configuration since
@@ -257,6 +282,7 @@ func New(cfg Config) *Sim {
 		cfg:    cfg,
 		stripe: stripe,
 		files:  make(map[string]*file),
+		gate:   make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 }
 
@@ -271,7 +297,7 @@ func (s *Sim) NewClock() *Clock {
 	if scale <= 0 { // zero means unset (Config.CPUScale doc)
 		scale = 1
 	}
-	return &Clock{cpuScale: scale, contention: 1, cpuMu: &s.cpuMu}
+	return &Clock{cpuScale: scale, contention: 1, gate: s.gate}
 }
 
 // NewClocks returns n per-rank clocks whose transfer times carry a
@@ -292,20 +318,15 @@ func (s *Sim) NewClocks(n int) []*Clock {
 	return out
 }
 
-// MeasureSection runs fn under the simulator's CPU-measurement mutex
-// (the one Clock.MeasureCPU uses) and returns its wall-clock seconds
-// without advancing any clock. Parallel builders use it when their
-// worker count exceeds the host's cores: oversubscribed concurrent
-// sections would otherwise count each other's execution time, inflating
-// the aggregate CPU that Clock.AdvanceParallel divides by the worker
-// count. When workers fit in the host's cores, callers should time
-// sections directly and keep true concurrency.
+// MeasureSection runs fn holding a slot of the simulator's measurement
+// gate (the one Clock.MeasureCPU uses) and returns its wall-clock
+// seconds without advancing any clock. Parallel builders time their
+// workers' sections with it: workers that fit in the host's cores keep
+// true concurrency, and the excess of an oversubscribed pool waits its
+// turn instead of counting the others' execution time into the
+// aggregate CPU that Clock.AdvanceParallel divides by the worker count.
 func (s *Sim) MeasureSection(fn func()) float64 {
-	s.cpuMu.Lock()
-	defer s.cpuMu.Unlock()
-	t0 := time.Now()
-	fn()
-	return time.Since(t0).Seconds()
+	return timeSection(s.gate, fn)
 }
 
 // byteScale returns the effective transfer-time multiplier.
@@ -450,6 +471,7 @@ func (s *Sim) charge(clk *Clock, f *file, startT float64, offset, length int64, 
 	}
 	if clk.heads == nil {
 		clk.heads = make([]headPos, s.cfg.NumOSTs)
+		clk.work = make([]ostWork, s.cfg.NumOSTs)
 	}
 	contention := clk.contention
 	if contention < 1 {
@@ -457,13 +479,8 @@ func (s *Sim) charge(clk *Clock, f *file, startT float64, offset, length int64, 
 	}
 	// Partition [offset, offset+length) into per-OST byte counts and
 	// detect whether each OST needs a seek (non-contiguous head).
-	type ostWork struct {
-		bytes   int64
-		seeks   int64
-		lastEnd int64
-		touched bool
-	}
-	work := make([]ostWork, s.cfg.NumOSTs)
+	work := clk.work
+	clear(work)
 	stripe := s.stripe
 	for pos := offset; pos < offset+length; {
 		stripeIdx := pos / stripe

@@ -3,8 +3,10 @@ package pfs
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func testConfig() Config {
@@ -421,40 +423,114 @@ func TestClockAdvanceParallel(t *testing.T) {
 	}
 }
 
-func TestMeasureSectionSerializesAndTimes(t *testing.T) {
-	s := New(testConfig())
-	// Sections from concurrent goroutines run one at a time under the
-	// measurement mutex, so each sample times only its own work.
-	var inside, maxInside, entered int32
+// gateOccupancy runs the given number of concurrent measured sections
+// on s — Sim.MeasureSection and Clock.MeasureCPU alternately, which
+// share the gate — each yielding the processor while inside, and returns
+// how many ran and the most that were ever inside at once.
+func gateOccupancy(t *testing.T, s *Sim, sections int) (entered, maxInside int32) {
+	t.Helper()
+	var inside int32
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	body := func() {
+		mu.Lock()
+		inside++
+		entered++
+		maxInside = max(maxInside, inside)
+		mu.Unlock()
+		for i := 0; i < 20; i++ {
+			runtime.Gosched() // let every other goroutine reach the gate
+		}
+		mu.Lock()
+		inside--
+		mu.Unlock()
+	}
+	for i := 0; i < sections; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			d := s.MeasureSection(func() {
-				mu.Lock()
-				inside++
-				entered++
-				if inside > maxInside {
-					maxInside = inside
-				}
-				mu.Unlock()
-				mu.Lock()
-				inside--
-				mu.Unlock()
-			})
+			var d float64
+			if i%2 == 0 {
+				d = s.MeasureSection(body)
+			} else {
+				d = s.NewClock().MeasureCPU(body)
+			}
 			if d < 0 {
 				t.Errorf("negative section time %v", d)
 			}
-		}()
+		}(i)
 	}
 	wg.Wait()
-	if entered != 4 {
-		t.Fatalf("ran %d sections, want 4", entered)
+	return entered, maxInside
+}
+
+// TestMeasureGateBoundedByCores: measured sections never outnumber the
+// cores (so a sample never shares a core with another section), exactly
+// one runs at a time on a one-core host, and with two cores two really
+// are inside together.
+func TestMeasureGateBoundedByCores(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	entered, maxInside := gateOccupancy(t, New(testConfig()), 8*procs)
+	if int(entered) != 8*procs {
+		t.Fatalf("ran %d sections, want %d", entered, 8*procs)
 	}
-	if maxInside != 1 {
-		t.Fatalf("%d sections overlapped under MeasureSection", maxInside)
+	if int(maxInside) > procs {
+		t.Fatalf("%d sections inside at once with GOMAXPROCS %d", maxInside, procs)
+	}
+
+	defer runtime.GOMAXPROCS(procs)
+	runtime.GOMAXPROCS(1)
+	entered, maxInside = gateOccupancy(t, New(testConfig()), 8)
+	if entered != 8 || maxInside != 1 {
+		t.Fatalf("GOMAXPROCS(1): %d sections ran, %d at once; want 8 and exactly 1", entered, maxInside)
+	}
+
+	// Two sections that each wait for the other to arrive: they finish
+	// only if the gate lets both in.
+	runtime.GOMAXPROCS(2)
+	s := New(testConfig())
+	arrived := make(chan struct{}, 2)
+	both := make(chan struct{})
+	done := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		go func() {
+			s.MeasureSection(func() {
+				arrived <- struct{}{}
+				<-both
+			})
+			done <- struct{}{}
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(10 * time.Second):
+			t.Fatal("GOMAXPROCS(2): the second section never got inside while the first was")
+		}
+	}
+	close(both)
+	<-done
+	<-done
+}
+
+// TestReadAtChargesWithoutAllocating: the per-OST partition of a read
+// lives on the clock, so charging a striped read allocates nothing once
+// the clock has made its first request.
+func TestReadAtChargesWithoutAllocating(t *testing.T) {
+	s := New(testConfig())
+	clk := s.NewClock()
+	if err := s.WriteFile(clk, "f", make([]byte, 1<<16)); err != nil {
+		t.Fatal(err)
+	}
+	off := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.ReadAt(clk, "f", off%(1<<15), 5000); err != nil {
+			t.Fatal(err)
+		}
+		off += 7777
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadAt allocates %.0f times per call, want 0", allocs)
 	}
 }
 

@@ -102,7 +102,13 @@ func TestMetricsMidQuery(t *testing.T) {
 	close(gate.release)
 	wg.Wait()
 
+	// The handler's slot is released after the client has the body (see
+	// idleStats): scrape until the gauge has caught up.
 	_, after := getBody(t, ts, "/metrics")
+	for deadline := time.Now().Add(2 * time.Second); metricValue(t, after, "mloc_server_in_flight") != 0 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		_, after = getBody(t, ts, "/metrics")
+	}
 	if probs := obs.Lint(after, true); len(probs) != 0 {
 		t.Errorf("post-query exposition lint problems: %v", probs)
 	}

@@ -85,6 +85,22 @@ func getStats(t *testing.T, ts *httptest.Server) map[string]int64 {
 	return stats
 }
 
+// idleStats polls /stats until in_flight reads 0, for at most two
+// seconds, and returns the last snapshot. handleQuery releases its
+// admission slot in a defer that runs after the body is written, so a
+// client can hold the whole response while the gauge still counts it.
+func idleStats(t *testing.T, ts *httptest.Server) map[string]int64 {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		stats := getStats(t, ts)
+		if stats["in_flight"] == 0 || time.Now().After(deadline) {
+			return stats
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestQueryEndToEnd round-trips a combined value+spatial query and
 // checks the matches against a direct engine query; the second
 // identical request must be served from the shared decode cache.
@@ -242,7 +258,7 @@ func TestAdmissionShedsOverload(t *testing.T) {
 	close(gate.release)
 	wg.Wait()
 
-	stats := getStats(t, ts)
+	stats := idleStats(t, ts)
 	if stats["queries_rejected"] < 2 {
 		t.Errorf("queries_rejected = %d, want >= 2", stats["queries_rejected"])
 	}
@@ -300,7 +316,7 @@ func TestCanceledRequestFreesSlot(t *testing.T) {
 	if res.MatchesTotal == 0 {
 		t.Errorf("follow-up query returned no matches")
 	}
-	stats := getStats(t, ts)
+	stats := idleStats(t, ts)
 	if stats["queries_canceled"] == 0 {
 		t.Errorf("queries_canceled = 0, want >= 1")
 	}

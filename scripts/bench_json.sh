@@ -25,6 +25,10 @@
 #                                           BenchmarkResultPath (gather,
 #                                           sort and encode per match)
 #                                           as a "result_path" section
+#                                           and BenchmarkValuePath (a
+#                                           sub-volume value query per
+#                                           store, cold and warm cache)
+#                                           as a "value_path" section
 #   BENCHTIME=10x ./scripts/bench_json.sh   longer runs for stabler numbers
 set -eu
 cd "$(dirname "$0")/.."
@@ -39,6 +43,9 @@ if [ "${1:-}" = "query" ]; then
 	# The result path is wall-clock and microseconds per op: a few
 	# hundred iterations, not three, make its ns/match repeatable.
 	go test . -run '^$' -bench '^BenchmarkResultPath$' \
+		-benchmem -benchtime 300x | tee -a "$raw"
+	# The value path is wall-clock too, about a millisecond per op.
+	go test . -run '^$' -bench '^BenchmarkValuePath$' \
 		-benchmem -benchtime 300x | tee -a "$raw"
 
 	# Result lines look like
@@ -83,8 +90,21 @@ if [ "${1:-}" = "query" ]; then
 		pcase[pn] = name; pns[pn] = ns; pnsmatch[pn] = nsmatch
 		pallocs[pn] = allocs; pbytes[pn] = bytes
 	}
+	/^BenchmarkValuePath\// {
+		name = $1
+		sub(/^BenchmarkValuePath\//, "", name)
+		sub(/-[0-9]+$/, "", name)
+		ns = allocs = bytes = 0
+		for (i = 2; i < NF; i++) {
+			if ($(i + 1) == "ns/op") ns = $i
+			else if ($(i + 1) == "allocs/op") allocs = $i
+			else if ($(i + 1) == "B/op") bytes = $i
+		}
+		vn++
+		vcase[vn] = name; vns[vn] = ns; vallocs[vn] = allocs; vbytes[vn] = bytes
+	}
 	END {
-		if (n == 0 || pn == 0) { print "bench_json: no query results parsed" > "/dev/stderr"; exit 1 }
+		if (n == 0 || pn == 0 || vn == 0) { print "bench_json: no query results parsed" > "/dev/stderr"; exit 1 }
 		printf "{\n"
 		printf "  \"benchmark\": \"BenchmarkQueryLatency\",\n"
 		printf "  \"benchtime\": \"%s\",\n", benchtime
@@ -102,6 +122,12 @@ if [ "${1:-}" = "query" ]; then
 		for (i = 1; i <= pn; i++) {
 			printf "    {\"case\": \"%s\", \"ns_op\": %.0f, \"ns_match\": %g, \"allocs_op\": %.0f, \"bytes_op\": %.0f}%s\n", \
 				pcase[i], pns[i], pnsmatch[i], pallocs[i], pbytes[i], (i < pn ? "," : "")
+		}
+		printf "  ],\n"
+		printf "  \"value_path\": [\n"
+		for (i = 1; i <= vn; i++) {
+			printf "    {\"case\": \"%s\", \"ns_op\": %.0f, \"allocs_op\": %.0f, \"bytes_op\": %.0f}%s\n", \
+				vcase[i], vns[i], vallocs[i], vbytes[i], (i < vn ? "," : "")
 		}
 		printf "  ]\n"
 		printf "}\n"
@@ -200,11 +226,11 @@ END {
 		m = rmode[i]
 		ws = (baseNs[m] > 0 && rns[i] > 0) ? baseNs[m] / rns[i] : 0
 		vs = (baseVirt[m] > 0 && rvirt[i] > 0) ? baseVirt[m] / rvirt[i] : 0
-		# w=max oversubscribes the pool past the chunk-plane count, so
-		# its speedup routinely collapses below w=4; annotate the row
-		# so the trajectory is not misread as a regression (see
-		# DESIGN.md, "MeasureSection serialization under w=max").
-		note = (rworkers[i] == "w=max") ? ", \"note\": \"oversubscribed: w exceeds independent chunk planes; MeasureSection serializes the excess workers, so sub-w=4 speedup here is expected, not a regression\"" : ""
+		# w=max is GOMAXPROCS workers, so on a host with fewer than four
+		# cores it is a smaller pool than w=4; annotate the row so the
+		# trajectory is not misread as a regression (see DESIGN.md,
+		# "One measurement gate, as wide as the cores").
+		note = (rworkers[i] == "w=max") ? ", \"note\": \"w=max is GOMAXPROCS workers: with fewer than 4 cores it is a smaller pool than w=4, so a lower speedup here is expected, not a regression\"" : ""
 		printf "    {\"mode\": \"%s\", \"workers\": \"%s\", \"ns_op\": %d, \"allocs_op\": %d, \"bytes_op\": %d, \"virt_s_op\": %g, \"wall_speedup\": %.3f, \"virt_speedup\": %.3f%s}%s\n", \
 			m, rworkers[i], rns[i], rallocs[i], rbytes[i], rvirt[i], ws, vs, note, (i < n ? "," : "")
 	}
