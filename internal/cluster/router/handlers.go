@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"mloc/internal/obs"
@@ -20,9 +19,9 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/vars", rt.counted("vars", rt.handleVars))
 	mux.HandleFunc("/stats", rt.counted("stats", rt.handleStats))
 	mux.HandleFunc("/healthz", rt.counted("healthz", rt.handleHealthz))
-	mux.HandleFunc("/metrics", rt.counted("metrics", rt.handleMetrics))
-	mux.HandleFunc("/debug/traces", rt.counted("traces", rt.handleTraces))
-	mux.HandleFunc("/debug/querylog", rt.counted("querylog", rt.handleQueryLog))
+	mux.HandleFunc("/metrics", rt.counted("metrics", server.MetricsHandler(rt.cfg.Registry)))
+	mux.HandleFunc("/debug/traces", rt.counted("traces", server.TracesHandler(rt.cfg.Tracer)))
+	mux.HandleFunc("/debug/querylog", rt.counted("querylog", server.QueryLogHandler(rt.qlog)))
 	mux.HandleFunc("/cluster/nodes", rt.counted("nodes", rt.handleNodes))
 	return mux
 }
@@ -228,23 +227,6 @@ func (rt *Router) recordQuery(name string, vi *varInfo, merged *query.Result,
 	rt.queryLatency.ObserveExemplar(wall.Seconds(), traceID)
 }
 
-// handleQueryLog serves the router's query log, newest first,
-// filterable with ?store=, ?var=, and ?min_latency= — the same
-// contract as the data-node endpoint.
-func (rt *Router) handleQueryLog(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		server.WriteError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	f, err := server.ParseQueryLogFilter(r.URL.Query())
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	server.WriteJSONIndent(w, http.StatusOK, rt.qlog.Snapshot(f))
-}
-
 func (rt *Router) handleVars(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -300,42 +282,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		server.WriteError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	if err := rt.cfg.Registry.WritePrometheus(w); err != nil {
-		_ = err //mlocvet:ignore uncheckederr -- response already committed; a mid-write disconnect has no recovery
-	}
-}
-
-func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		server.WriteError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if id := r.URL.Query().Get("id"); id != "" {
-		n, err := strconv.ParseUint(id, 10, 64)
-		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", id))
-			return
-		}
-		td, ok := rt.cfg.Tracer.DumpByID(n)
-		if !ok {
-			server.WriteError(w, http.StatusNotFound, fmt.Sprintf("trace %d not retained", n))
-			return
-		}
-		server.WriteJSONIndent(w, http.StatusOK, td)
-		return
-	}
-	server.WriteJSONIndent(w, http.StatusOK, rt.cfg.Tracer.Dump())
 }
 
 // nodeWire is one data node in GET /cluster/nodes.

@@ -210,7 +210,7 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 	if err := fs.WriteFile(clk, metaPath(prefix), metaBytes); err != nil {
 		return nil, err
 	}
-	st, err := newStore(fs, prefix, meta, cfg.ByteCodec, cfg.FloatCodec, cfg.Assignment)
+	st, err := newStore(fs, prefix, meta, cfg.ByteCodec, cfg.FloatCodec)
 	if err != nil {
 		return nil, err
 	}

@@ -146,8 +146,6 @@ type Config struct {
 	FloatCodec compress.FloatCodec
 	// SampleSize bounds the sample used for bin-boundary estimation.
 	SampleSize int
-	// Assignment is the block-to-rank policy (default column order).
-	Assignment Assignment
 	// BuildWorkers bounds the worker pool Build fans chunk binning and
 	// per-bin encoding over; 0 means GOMAXPROCS. The produced store is
 	// byte-identical for every worker count (see README §Parallel
@@ -183,7 +181,6 @@ func DefaultConfig(chunkSize []int) Config {
 		ByteCodec:      compress.NewZlib(compress.DefaultZlibLevel),
 		CompressPlanes: 1,
 		SampleSize:     1 << 20,
-		Assignment:     AssignColumn,
 	}
 }
 
@@ -245,12 +242,6 @@ func (c *Config) normalize() error {
 	}
 	if c.SampleSize < 1 {
 		c.SampleSize = 1 << 20
-	}
-	if c.Assignment == "" {
-		c.Assignment = AssignColumn
-	}
-	if c.Assignment != AssignColumn && c.Assignment != AssignRoundRobin {
-		return fmt.Errorf("core: unknown assignment %q", c.Assignment)
 	}
 	if c.BuildWorkers < 0 {
 		return fmt.Errorf("core: BuildWorkers %d < 0", c.BuildWorkers)

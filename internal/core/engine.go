@@ -1,11 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -20,19 +18,6 @@ import (
 	"mloc/internal/plod"
 	"mloc/internal/query"
 )
-
-// task is one unit of query work: one (bin, unit) pair plus what must
-// be done with it.
-type task struct {
-	bin  int
-	unit int
-	// needData: the unit's data pieces must be read (value retrieval,
-	// or VC filtering in a misaligned bin).
-	needData bool
-	// filterVC: the unit's values must be checked against the VC
-	// (misaligned bins only; aligned bins satisfy it by construction).
-	filterVC bool
-}
 
 // rankOut accumulates one rank's results. reassemble and filter split
 // the Reconstruct component for span attribution (index/offset decoding
@@ -58,7 +43,7 @@ type rankScratch struct {
 	// is the same buffer while one runs.
 	matches []query.Match
 	// offsets is the current bin's arena of decoded intra-chunk offsets;
-	// ends[i] is where task i's run stops.
+	// ends[i] is where task i's run stops (see run).
 	offsets []int32
 	ends    []int
 	// values[i] is task i's decoded values (nil: answered from the index
@@ -75,7 +60,18 @@ type rankScratch struct {
 	global          []int
 	reg             grid.Region
 	// Extent lists of the bin's two reads.
-	idxExtents, dataExtents []extent
+	idxExtents, dataExtents []pfs.Extent
+}
+
+// run returns task i's decoded offsets in the current bin's arena. It is
+// empty for a unit none of whose points a position predicate selects:
+// such a unit is not probed, read or decoded any further.
+func (sc *rankScratch) run(i int) []int32 {
+	lo := 0
+	if i > 0 {
+		lo = sc.ends[i-1]
+	}
+	return sc.offsets[lo:sc.ends[i]]
 }
 
 // setGrid sizes the coordinate scratch for the store's grid.
@@ -182,40 +178,34 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 // so a disconnected caller frees its serving slot instead of running
 // the access to completion.
 func (s *Store) QueryContext(ctx context.Context, req *query.Request, ranks int) (*query.Result, error) {
-	if err := req.Validate(s.meta.shape); err != nil {
-		return nil, err
-	}
+	return s.execute(ctx, ranks, func() (*plan, error) { return s.planQuery(req) })
+}
+
+// execute is the one frame every access runs in: compile the plan and
+// assign it to ranks (the "plan" span), run each rank's bins and vindex
+// nodes on its own clock with pooled scratch, gather.
+func (s *Store) execute(ctx context.Context, ranks int, compile func() (*plan, error)) (*query.Result, error) {
 	if ranks < 1 {
 		return nil, fmt.Errorf("core: ranks %d < 1", ranks)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: query canceled: %w", err)
 	}
-	level := req.PLoDLevel
-	if level == 0 {
-		level = plod.MaxLevel
-	}
-	if s.meta.mode == ModeFloats && level != plod.MaxLevel {
-		return nil, fmt.Errorf("core: store mode %q does not support PLoD level %d (use the planes/COL mode)",
-			s.meta.mode, level)
-	}
 
 	_, ps := obs.StartSpan(ctx, "plan")
-	tasks, binsAccessed, hier := s.planTasks(req)
-	perRank := s.assignTasks(tasks, ranks)
-	var perRankNodes [][]binning.NodeRef
-	if hier != nil {
-		loads := make([]int, ranks)
-		for r := range perRank {
-			loads[r] = len(perRank[r])
-		}
-		perRankNodes = assignNodes(hier.Inside, loads)
-		ps.SetInt("bins_pruned", int64(hier.PrunedLeaves))
-		ps.SetInt("bins_covered", int64(hier.CoveredLeaves))
-		ps.SetInt("index_nodes", int64(len(hier.Inside)))
+	p, err := compile()
+	if err != nil {
+		ps.End()
+		return nil, err
 	}
-	ps.SetInt("tasks", int64(len(tasks)))
-	ps.SetInt("bins", int64(binsAccessed))
+	perRank, perRankNodes := s.assign(p, ranks)
+	if p.hier != nil {
+		ps.SetInt("bins_pruned", int64(p.hier.PrunedLeaves))
+		ps.SetInt("bins_covered", int64(p.hier.CoveredLeaves))
+		ps.SetInt("index_nodes", int64(len(p.hier.Inside)))
+	}
+	ps.SetInt("tasks", int64(len(p.tasks)))
+	ps.SetInt("bins", int64(p.bins))
 	ps.SetInt("ranks", int64(ranks))
 	ps.End()
 
@@ -224,12 +214,12 @@ func (s *Store) QueryContext(ctx context.Context, req *query.Request, ranks int)
 	outs := qs.begin(ranks)
 	defer qs.end() // runs before the Put, after the gather
 	clks := s.fs.NewClocks(ranks)
-	err := mpi.Run(ranks, func(c *mpi.Comm) error {
+	err = mpi.Run(ranks, func(c *mpi.Comm) error {
 		rctx, rs := obs.StartSpan(ctx, "rank")
 		rs.SetInt("rank", int64(c.Rank()))
-		rerr := s.runRank(rctx, clks[c.Rank()], perRank[c.Rank()], req, level, &outs[c.Rank()])
+		rerr := s.runRank(rctx, clks[c.Rank()], p, perRank[c.Rank()], &outs[c.Rank()])
 		if rerr == nil && perRankNodes != nil {
-			rerr = s.runNodes(rctx, clks[c.Rank()], perRankNodes[c.Rank()], req, &outs[c.Rank()])
+			rerr = s.runNodes(rctx, clks[c.Rank()], p, perRankNodes[c.Rank()], &outs[c.Rank()])
 		}
 		o := &outs[c.Rank()]
 		rs.SetFloat("virt_total_s", o.time.Total())
@@ -244,144 +234,16 @@ func (s *Store) QueryContext(ctx context.Context, req *query.Request, ranks int)
 	}
 
 	res := gatherRanks(outs)
-	res.BinsAccessed = binsAccessed
-	if hier != nil {
+	res.BinsAccessed = p.bins
+	if p.hier != nil {
 		// Covered leaves were answered from aggregated node bitmaps;
 		// they count as accessed (their contents were served) even
 		// though no per-bin file was touched.
-		res.BinsAccessed += hier.CoveredLeaves
-		res.BinsPruned = hier.PrunedLeaves
-		res.BinsCovered = hier.CoveredLeaves
+		res.BinsAccessed += p.hier.CoveredLeaves
+		res.BinsPruned = p.hier.PrunedLeaves
+		res.BinsCovered = p.hier.CoveredLeaves
 	}
 	return res, nil
-}
-
-// hierPlan reports whether a request takes the hierarchical index path:
-// the store has a vindex, the request is value-constrained, and it is
-// index-only, so fully-inside subtrees resolve from aggregated node
-// bitmaps with no data reads. Value-retrieval requests decode the data
-// anyway, which the per-bin layout already serves optimally.
-func (s *Store) hierPlan(req *query.Request) bool {
-	return s.vidx != nil && req.VC != nil && req.IndexOnly
-}
-
-// planTasks selects bins by VC and chunks by SC, producing the task
-// list in column order (bin-major, then storage order within the bin).
-// On the hierarchical path only boundary leaves become tasks; the
-// returned Selection carries the inside-subtree roots (answered from
-// the vindex by runNodes) and the pruning accounting.
-func (s *Store) planTasks(req *query.Request) ([]task, int, *binning.Selection) {
-	// Bin selection.
-	type binSel struct {
-		bin      int
-		filterVC bool
-	}
-	var sel []binSel
-	var hier *binning.Selection
-	if s.hierPlan(req) {
-		hs := s.vidx.tree.Select(*req.VC)
-		hier = &hs
-		sel = make([]binSel, 0, len(hs.Boundary))
-		for _, b := range hs.Boundary {
-			sel = append(sel, binSel{bin: b, filterVC: true})
-		}
-	} else if req.VC != nil {
-		aligned, mis := s.scheme.SelectBins(*req.VC)
-		sel = make([]binSel, 0, len(aligned)+len(mis))
-		for _, b := range aligned {
-			sel = append(sel, binSel{bin: b})
-		}
-		for _, b := range mis {
-			sel = append(sel, binSel{bin: b, filterVC: true})
-		}
-		slices.SortFunc(sel, func(a, b binSel) int { return a.bin - b.bin })
-	} else {
-		sel = make([]binSel, 0, len(s.meta.bins))
-		for b := range s.meta.bins {
-			sel = append(sel, binSel{bin: b})
-		}
-	}
-
-	// Chunk selection: under an SC a bin's units are found through its
-	// chunk map, one lookup per overlapping chunk, so planning costs
-	// bins × chunks touched rather than a pass over every unit.
-	var chunkIDs []int64
-	if req.SC != nil {
-		chunkIDs = s.chunks.OverlappingChunks(*req.SC)
-	}
-
-	maxTasks := 0
-	for _, bs := range sel {
-		n := len(s.meta.bins[bs.bin].units)
-		if req.SC != nil {
-			n = min(n, len(chunkIDs))
-		}
-		maxTasks += n
-	}
-	tasks := make([]task, 0, maxTasks)
-	binsTouched := 0
-	for _, bs := range sel {
-		bm := &s.meta.bins[bs.bin]
-		t := task{bin: bs.bin, needData: !req.IndexOnly || bs.filterVC, filterVC: bs.filterVC}
-		first := len(tasks)
-		if req.SC == nil {
-			for ui := range bm.units {
-				t.unit = ui
-				tasks = append(tasks, t)
-			}
-		} else {
-			for _, id := range chunkIDs {
-				if ui, ok := bm.unitByChunk[id]; ok {
-					t.unit = ui
-					tasks = append(tasks, t)
-				}
-			}
-			// Chunk ids come in row-major order; units are stored in
-			// curve order.
-			slices.SortFunc(tasks[first:], func(a, b task) int { return a.unit - b.unit })
-		}
-		if len(tasks) > first {
-			binsTouched++
-		}
-	}
-	return tasks, binsTouched, hier
-}
-
-// minNodesPerRank keeps node fan-out worthwhile: every rank that
-// touches the vindex pays an open plus at least one seek, so tiny node
-// sets concentrate on few ranks instead of spreading that fixed cost
-// everywhere.
-const minNodesPerRank = 8
-
-// assignNodes splits the inside-subtree roots into contiguous runs
-// (each run's vindex reads stay adjacent and coalesce) and hands the
-// runs to the ranks with the lightest task load, so node reads overlap
-// boundary-bin work instead of extending the slowest rank.
-func assignNodes(nodes []binning.NodeRef, loads []int) [][]binning.NodeRef {
-	ranks := len(loads)
-	out := make([][]binning.NodeRef, ranks)
-	if len(nodes) == 0 {
-		return out
-	}
-	k := (len(nodes) + minNodesPerRank - 1) / minNodesPerRank
-	if k > ranks {
-		k = ranks
-	}
-	// Ranks ordered by ascending task load, ties by rank for determinism.
-	order := make([]int, ranks)
-	for r := range order {
-		order[r] = r
-	}
-	sort.SliceStable(order, func(i, j int) bool { return loads[order[i]] < loads[order[j]] })
-	per := (len(nodes) + k - 1) / k
-	for i := 0; i < k; i++ {
-		lo, hi := i*per, i*per+per
-		if hi > len(nodes) {
-			hi = len(nodes)
-		}
-		out[order[i]] = nodes[lo:hi]
-	}
-	return out
 }
 
 // runNodes answers one rank's share of the inside-subtree roots from
@@ -392,7 +254,7 @@ func assignNodes(nodes []binning.NodeRef, loads []int) [][]binning.NodeRef {
 // cost is charged per tree level — the span carries one virtual-clock
 // event per level, mirroring the per-level charging the build passes
 // report.
-func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, nodes []binning.NodeRef, req *query.Request, out *rankOut) error {
+func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []binning.NodeRef, out *rankOut) error {
 	if len(nodes) == 0 {
 		return nil
 	}
@@ -414,9 +276,9 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, nodes []binning.No
 	sc.idxExtents = sc.idxExtents[:0]
 	for _, n := range nodes {
 		id := s.vidx.nodeID(n)
-		sc.idxExtents = append(sc.idxExtents, extent{s.vidx.offs[id], s.vidx.lens[id]})
+		sc.idxExtents = append(sc.idxExtents, pfs.Extent{Off: s.vidx.offs[id], Len: s.vidx.lens[id]})
 	}
-	m, ioBytes, err := readCoalesced(s.fs, clk, s.vidx.path, sc.idxExtents)
+	m, ioBytes, err := s.fs.ReadExtents(clk, s.vidx.path, sc.idxExtents)
 	if err != nil {
 		return err
 	}
@@ -437,9 +299,7 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, nodes []binning.No
 			}
 		}
 	}
-	if req.SC != nil {
-		points = min(points, req.SC.Elems()-int64(len(out.matches)))
-	}
+	points = min(points, p.limit-int64(len(out.matches)))
 	out.matches = slices.Grow(out.matches, int(max(points, 0)))
 
 	// Walk the nodes by level (ascending); Select emits them in leaf
@@ -454,7 +314,7 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, nodes []binning.No
 			return fmt.Errorf("core: query canceled at vindex node %d/%d: %w", n.Level, n.Index, err)
 		}
 		id := s.vidx.nodeID(n)
-		raw, err := m.slice(s.vidx.offs[id], s.vidx.lens[id])
+		raw, err := m.Slice(s.vidx.offs[id], s.vidx.lens[id])
 		if err != nil {
 			return fmt.Errorf("core: vindex node %d: %w", id, err)
 		}
@@ -472,9 +332,9 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, nodes []binning.No
 		filter := clk.MeasureCPU(func() {
 			it := w.Bits()
 			for lin, ok := it.Next(); ok; lin, ok = it.Next() {
-				if req.SC != nil {
+				if p.sc != nil {
 					coords = s.meta.shape.Coords(lin, coords[:0])
-					if !req.SC.Contains(coords) {
+					if !p.sc.Contains(coords) {
 						continue
 					}
 				}
@@ -492,54 +352,22 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, nodes []binning.No
 	return nil
 }
 
-// assignTasks splits the task list across ranks. Column order hands
-// each rank a contiguous slice (few bins, thus few files, per rank);
-// round-robin stripes tasks across ranks (the ablation alternative,
-// which maximizes file sharing and contention).
-func (s *Store) assignTasks(tasks []task, ranks int) [][]task {
-	out := make([][]task, ranks)
-	switch s.assignment {
-	case AssignRoundRobin:
-		for i, t := range tasks {
-			r := i % ranks
-			out[r] = append(out[r], t)
-		}
-	default: // AssignColumn
-		per := (len(tasks) + ranks - 1) / ranks
-		for r := 0; r < ranks; r++ {
-			lo := r * per
-			hi := lo + per
-			if lo > len(tasks) {
-				lo = len(tasks)
-			}
-			if hi > len(tasks) {
-				hi = len(tasks)
-			}
-			out[r] = tasks[lo:hi]
-		}
-	}
-	return out
-}
-
 // runRank executes one rank's tasks, grouped by bin so each bin's files
 // are opened once and reads coalesce. Cancellation is checked at every
 // bin boundary: a bin is the engine's unit of I/O, so that is the
 // soonest point at which stopping saves PFS work.
-func (s *Store) runRank(ctx context.Context, clk *pfs.Clock, tasks []task, req *query.Request, level int, out *rankOut) error {
+func (s *Store) runRank(ctx context.Context, clk *pfs.Clock, p *plan, tasks []task, out *rankOut) error {
 	if len(tasks) == 0 {
 		return nil
 	}
 	// The plan bounds the rank's answer: a unit contributes at most its
-	// point count, and exactly that when neither VC nor SC filters it;
-	// an SC's volume bounds it as well.
-	points := 0
+	// point count, and exactly that when nothing filters it; the
+	// predicate's own limit bounds it as well.
+	var points int64
 	for _, t := range tasks {
-		points += int(s.meta.bins[t.bin].units[t.unit].count)
+		points += int64(s.meta.bins[t.bin].units[t.unit].count)
 	}
-	if req.SC != nil {
-		points = min(points, int(req.SC.Elems()))
-	}
-	out.matches = slices.Grow(out.matches, points)
+	out.matches = slices.Grow(out.matches, int(min(points, p.limit)))
 	out.sc.setGrid(s.meta.shape)
 	for lo := 0; lo < len(tasks); {
 		hi := lo + 1
@@ -549,7 +377,7 @@ func (s *Store) runRank(ctx context.Context, clk *pfs.Clock, tasks []task, req *
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: query canceled before bin %d: %w", tasks[lo].bin, err)
 		}
-		if err := s.processBin(ctx, clk, tasks[lo:hi], req, level, out); err != nil {
+		if err := s.runBin(ctx, clk, p, tasks[lo:hi], out); err != nil {
 			return err
 		}
 		lo = hi
@@ -557,16 +385,15 @@ func (s *Store) runRank(ctx context.Context, clk *pfs.Clock, tasks []task, req *
 	return nil
 }
 
-// extent is a byte range in a file.
-type extent struct{ off, length int64 }
-
-// processBin handles one rank's tasks within a single bin, in stages
-// that each pay their fixed costs once for the bin: probe the decode
-// cache and fetch (resident units' data extents are never read), decode
-// every unit's offsets, resolve the values unit by unit (misses go
+// runBin handles one rank's tasks within a single bin, in six stages
+// that each pay their fixed costs once for the bin: read the positional
+// indices; decode every unit's offsets (a position predicate drops the
+// units it selects nothing in); probe the decode cache; read the data
+// pieces of the units still unresolved (resident and dropped units'
+// extents are never read); resolve the values unit by unit (misses go
 // through the cache's single-flight path so concurrent queries
-// decompress each unit once), then filter and emit the whole bin.
-func (s *Store) processBin(ctx context.Context, clk *pfs.Clock, tasks []task, req *query.Request, level int, out *rankOut) error {
+// decompress each unit once); then filter and emit the whole bin.
+func (s *Store) runBin(ctx context.Context, clk *pfs.Clock, p *plan, tasks []task, out *rankOut) error {
 	bin := tasks[0].bin
 	if s.hookBeforeBin != nil {
 		s.hookBeforeBin(bin)
@@ -587,84 +414,74 @@ func (s *Store) processBin(ctx context.Context, clk *pfs.Clock, tasks []task, re
 	idxPath := binIndexPath(s.prefix, bin)
 	dataPath := binDataPath(s.prefix, bin)
 
-	// Cache probe: units already resident need neither a data read nor
-	// a decode. values is aligned with tasks (nil = not resolved yet).
-	values := sc.taskValues(len(tasks))
-	if s.decodeCache != nil {
-		for i, t := range tasks {
-			if !t.needData {
-				continue
-			}
-			if vals, ok := s.decodeCache.Get(s.cacheKey(bin, t.unit, level)); ok {
-				values[i] = vals
-				out.cacheHits++
-			}
-		}
-	}
-
-	// Index extents: every task needs its positional index.
-	sc.idxExtents = sc.idxExtents[:0]
-	needAnyData := false
-	for i, t := range tasks {
-		u := &bm.units[t.unit]
-		sc.idxExtents = append(sc.idxExtents, extent{u.indexOff, u.indexLen})
-		if t.needData && values[i] == nil {
-			needAnyData = true
-		}
-	}
+	// Index read: every task needs its positional index.
 	t0 := clk.Now()
 	wall0 := time.Now()
 	if err := s.fs.Open(clk, idxPath); err != nil {
 		return err
 	}
-	idxMap, ioBytes, err := readCoalesced(s.fs, clk, idxPath, sc.idxExtents)
+	sc.idxExtents = sc.idxExtents[:0]
+	for _, t := range tasks {
+		u := &bm.units[t.unit]
+		sc.idxExtents = append(sc.idxExtents, pfs.Extent{Off: u.indexOff, Len: u.indexLen})
+	}
+	idxMap, ioBytes, err := s.fs.ReadExtents(clk, idxPath, sc.idxExtents)
 	if err != nil {
 		return err
 	}
 	out.bytes += ioBytes
+	out.time.IO += clk.Now() - t0
+	fetchWall := time.Since(wall0)
 
-	// Data extents for the required pieces of cache-missed units.
-	nPlanes := plod.PlanesForLevel(level)
-	var dataMap *extentMap
-	if needAnyData {
+	// Reassemble: every unit's offsets into the bin's arena.
+	if err := s.decodeBinOffsets(clk, p, tasks, idxMap, out); err != nil {
+		return err
+	}
+
+	// Cache probe: units already resident need neither a data read nor
+	// a decode. values is aligned with tasks (nil = not resolved yet, or
+	// answered from the index alone); the rest list their data pieces.
+	values := sc.taskValues(len(tasks))
+	sc.dataExtents = sc.dataExtents[:0]
+	for i, t := range tasks {
+		if !t.needData || len(sc.run(i)) == 0 {
+			continue
+		}
+		if s.decodeCache != nil {
+			if vals, ok := s.decodeCache.Get(s.cacheKey(bin, t.unit, p.level)); ok {
+				values[i] = vals
+				out.cacheHits++
+				continue
+			}
+		}
+		sc.dataExtents = bm.units[t.unit].appendPieces(sc.dataExtents, p.pieces)
+	}
+
+	// Data read, when the probe left any unit unresolved.
+	var dataMap *pfs.ExtentMap
+	if len(sc.dataExtents) > 0 {
+		t1 := clk.Now()
+		wall1 := time.Now()
 		if err := s.fs.Open(clk, dataPath); err != nil {
 			return err
 		}
-		sc.dataExtents = sc.dataExtents[:0]
-		for i, t := range tasks {
-			if !t.needData || values[i] != nil {
-				continue
-			}
-			u := &bm.units[t.unit]
-			if s.meta.mode == ModePlanes {
-				for p := 0; p < nPlanes; p++ {
-					sc.dataExtents = append(sc.dataExtents, extent{u.pieceOff[p], u.pieceLen[p]})
-				}
-			} else {
-				sc.dataExtents = append(sc.dataExtents, extent{u.pieceOff[0], u.pieceLen[0]})
-			}
-		}
-		dataMap, ioBytes, err = readCoalesced(s.fs, clk, dataPath, sc.dataExtents)
+		dataMap, ioBytes, err = s.fs.ReadExtents(clk, dataPath, sc.dataExtents)
 		if err != nil {
 			return err
 		}
 		out.bytes += ioBytes
+		out.time.IO += clk.Now() - t1
+		fetchWall += time.Since(wall1)
 	}
-	out.time.IO += clk.Now() - t0
-	bs.Event("fetch", time.Since(wall0), out.time.IO-before.time.IO).
+	bs.Event("fetch", fetchWall, out.time.IO-before.time.IO).
 		SetInt("bytes", out.bytes-before.bytes)
-
-	// Reassemble: every unit's offsets into the bin's arena.
-	if err := s.decodeBinOffsets(clk, tasks, idxMap, out); err != nil {
-		return err
-	}
 
 	// Decode: the values of every unit the probe did not resolve.
 	for i, t := range tasks {
-		if !t.needData || values[i] != nil {
+		if !t.needData || values[i] != nil || len(sc.run(i)) == 0 {
 			continue
 		}
-		values[i], err = s.unitValues(ctx, clk, t, &bm.units[t.unit], level, dataMap, out)
+		values[i], err = s.unitValues(ctx, clk, t, &bm.units[t.unit], p.level, dataMap, out)
 		if err != nil {
 			return fmt.Errorf("core: bin %d unit %d data: %w", bin, t.unit, err)
 		}
@@ -672,10 +489,8 @@ func (s *Store) processBin(ctx context.Context, clk *pfs.Clock, tasks []task, re
 
 	// Filter: map intra-chunk offsets to global indices and emit.
 	filter := clk.MeasureCPU(func() {
-		lo := 0
 		for i, t := range tasks {
-			s.emitUnit(t, &bm.units[t.unit], req, sc.offsets[lo:sc.ends[i]], values[i], out)
-			lo = sc.ends[i]
+			s.emitUnit(t, &bm.units[t.unit], p, sc.run(i), values[i], out)
 		}
 	})
 	out.filter += filter
@@ -690,10 +505,21 @@ func (s *Store) processBin(ctx context.Context, clk *pfs.Clock, tasks []task, re
 	return nil
 }
 
+// appendPieces appends the extents of the unit's first n data pieces:
+// what a read of the unit fetches and what Explain prices.
+func (u *unitMeta) appendPieces(dst []pfs.Extent, n int) []pfs.Extent {
+	for i := 0; i < n; i++ {
+		dst = append(dst, pfs.Extent{Off: u.pieceOff[i], Len: u.pieceLen[i]})
+	}
+	return dst
+}
+
 // decodeBinOffsets decodes the positional index of every task of one
 // bin into the rank's offsets arena, as one measured section charged to
-// the reassemble component.
-func (s *Store) decodeBinOffsets(clk *pfs.Clock, tasks []task, idxMap *extentMap, out *rankOut) error {
+// the reassemble component. Under a position predicate the section also
+// looks the decoded points up: a unit holding no selected position keeps
+// an empty run.
+func (s *Store) decodeBinOffsets(clk *pfs.Clock, p *plan, tasks []task, idxMap *pfs.ExtentMap, out *rankOut) error {
 	sc := out.sc
 	sc.offsets, sc.ends = sc.offsets[:0], sc.ends[:0]
 	bm := &s.meta.bins[tasks[0].bin]
@@ -701,13 +527,17 @@ func (s *Store) decodeBinOffsets(clk *pfs.Clock, tasks []task, idxMap *extentMap
 	reassemble := clk.MeasureCPU(func() {
 		for _, t := range tasks {
 			u := &bm.units[t.unit]
+			from := len(sc.offsets)
 			var raw []byte
-			if raw, err = idxMap.slice(u.indexOff, u.indexLen); err == nil {
+			if raw, err = idxMap.Slice(u.indexOff, u.indexLen); err == nil {
 				sc.offsets, err = decodeOffsets(sc.offsets, raw, int(u.count))
 			}
 			if err != nil {
 				err = fmt.Errorf("core: bin %d unit %d index: %w", t.bin, t.unit, err)
 				return
+			}
+			if p.positions != nil && !s.anySelected(u, sc.offsets[from:], p.positions, sc) {
+				sc.offsets = sc.offsets[:from]
 			}
 			sc.ends = append(sc.ends, len(sc.offsets))
 		}
@@ -715,6 +545,34 @@ func (s *Store) decodeBinOffsets(clk *pfs.Clock, tasks []task, idxMap *extentMap
 	out.reassemble += reassemble
 	out.time.Reconstruct += reassemble
 	return err
+}
+
+// enterChunk loads the unit's chunk region and widths into the scratch
+// and returns the global linear index of the chunk's origin.
+func (s *Store) enterChunk(u *unitMeta, sc *rankScratch) (base int64) {
+	s.chunks.ChunkRegionInto(u.chunkID, &sc.reg)
+	for d := range sc.widths {
+		base += int64(sc.reg.Lo[d]) * sc.strides[d]
+		sc.widths[d] = int64(sc.reg.Hi[d] - sc.reg.Lo[d])
+	}
+	return base
+}
+
+// anySelected reports whether any of the unit's points (given as its
+// intra-chunk offsets) is set in positions.
+func (s *Store) anySelected(u *unitMeta, offsets []int32, positions *bitmap.Bitmap, sc *rankScratch) bool {
+	base := s.enterChunk(u, sc)
+	for _, off := range offsets {
+		rem, lin := int64(off), base
+		for d := len(sc.widths) - 1; d >= 0; d-- {
+			lin += (rem % sc.widths[d]) * sc.strides[d]
+			rem /= sc.widths[d]
+		}
+		if positions.Get(lin) {
+			return true
+		}
+	}
+	return false
 }
 
 // cacheKey builds the decode-cache key for one unit of this store.
@@ -728,7 +586,7 @@ func (s *Store) cacheKey(bin, unit, level int) cache.Key {
 // measured section sits inside the flight's compute, never around the
 // wait for another query's flight: a waiter holds no slot of the
 // measurement gate, so the flight's leader can always get one.
-func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, t task, u *unitMeta, level int, dataMap *extentMap, out *rankOut) ([]float64, error) {
+func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, t task, u *unitMeta, level int, dataMap *pfs.ExtentMap, out *rankOut) ([]float64, error) {
 	var decompress float64
 	decode := func() (values []float64, err error) {
 		decompress = clk.MeasureCPU(func() {
@@ -762,21 +620,19 @@ func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, t task, u *unitM
 
 // emitUnit appends one unit's qualifying matches: offsets are its
 // decoded intra-chunk offsets, values its decoded values (nil when the
-// unit is answered from the index alone). The chunk's global strides
-// are precomputed so the per-point mapping avoids repeated
-// bounds-checked Linear calls — this loop dominates high-selectivity
-// region queries.
-func (s *Store) emitUnit(t task, u *unitMeta, req *query.Request, offsets []int32, values []float64, out *rankOut) {
-	s.chunks.ChunkRegionInto(u.chunkID, &out.sc.reg)
+// unit is answered from the index alone), the plan's predicate decides.
+// The chunk's global strides are precomputed so the per-point mapping
+// avoids repeated bounds-checked Linear calls — this loop dominates
+// high-selectivity region queries.
+func (s *Store) emitUnit(t task, u *unitMeta, p *plan, offsets []int32, values []float64, out *rankOut) {
+	if len(offsets) == 0 {
+		return
+	}
+	base := s.enterChunk(u, out.sc)
 	reg := out.sc.reg
-	chunkInSC := req.SC == nil || regionInside(reg, *req.SC)
+	chunkInSC := p.sc == nil || regionInside(reg, *p.sc)
 	dims := s.meta.shape.Dims()
 	global, strides, widths := out.sc.global, out.sc.strides, out.sc.widths
-	var base int64
-	for d := 0; d < dims; d++ {
-		base += int64(reg.Lo[d]) * strides[d]
-		widths[d] = int64(reg.Hi[d] - reg.Lo[d])
-	}
 	for i, off := range offsets {
 		// Decompose the intra-chunk offset and accumulate the global
 		// linear index in one pass.
@@ -790,18 +646,21 @@ func (s *Store) emitUnit(t task, u *unitMeta, req *query.Request, offsets []int3
 				global[d] = reg.Lo[d] + int(l)
 			}
 		}
-		if !chunkInSC && !req.SC.Contains(global) {
+		if !chunkInSC && !p.sc.Contains(global) {
+			continue
+		}
+		if p.positions != nil && !p.positions.Get(lin) {
 			continue
 		}
 		var v float64
 		if values != nil {
 			v = values[i]
-			if t.filterVC && !req.VC.Contains(v) {
+			if t.filterVC && !p.vc.Contains(v) {
 				continue
 			}
 		}
 		m := query.Match{Index: lin}
-		if !req.IndexOnly {
+		if !p.indexOnly {
 			m.Value = v
 		}
 		out.matches = append(out.matches, m)
@@ -815,10 +674,10 @@ func (s *Store) emitUnit(t task, u *unitMeta, req *query.Request, offsets []int3
 // the bounded decoder: the metadata says how many bytes it holds, so a
 // corrupt piece fails one byte past that instead of allocating without
 // limit.
-func (s *Store) decodeUnitValues(u *unitMeta, level int, dataMap *extentMap, sc *rankScratch) ([]float64, error) {
+func (s *Store) decodeUnitValues(u *unitMeta, level int, dataMap *pfs.ExtentMap, sc *rankScratch) ([]float64, error) {
 	count := int(u.count)
 	if s.meta.mode == ModeFloats {
-		raw, err := dataMap.slice(u.pieceOff[0], u.pieceLen[0])
+		raw, err := dataMap.Slice(u.pieceOff[0], u.pieceLen[0])
 		if err != nil {
 			return nil, err
 		}
@@ -839,7 +698,7 @@ func (s *Store) decodeUnitValues(u *unitMeta, level int, dataMap *extentMap, sc 
 	// back.
 	sc.inflate = slices.Grow(sc.inflate[:0], count*plod.BytesPerValue(level))
 	for p := 0; p < nPlanes; p++ {
-		raw, err := dataMap.slice(u.pieceOff[p], u.pieceLen[p])
+		raw, err := dataMap.Slice(u.pieceOff[p], u.pieceLen[p])
 		if err != nil {
 			return nil, err
 		}
@@ -913,16 +772,6 @@ func decodeOffsets(dst []int32, raw []byte, count int) ([]int32, error) {
 	return dst, nil
 }
 
-// localCoords converts a row-major offset within a chunk region to
-// local coordinates.
-func localCoords(reg grid.Region, off int64, dst []int) {
-	for d := len(dst) - 1; d >= 0; d-- {
-		w := int64(reg.Hi[d] - reg.Lo[d])
-		dst[d] = int(off % w)
-		off /= w
-	}
-}
-
 // regionInside reports whether inner is fully contained in outer.
 func regionInside(inner, outer grid.Region) bool {
 	for d := range inner.Lo {
@@ -931,78 +780,4 @@ func regionInside(inner, outer grid.Region) bool {
 		}
 	}
 	return true
-}
-
-// extentMap holds coalesced read buffers for extent lookups.
-type extentMap struct {
-	base []int64
-	bufs [][]byte
-}
-
-// slice returns the bytes for an extent previously covered by a
-// coalesced read.
-func (m *extentMap) slice(off, length int64) ([]byte, error) {
-	if length == 0 {
-		return nil, nil
-	}
-	i := sort.Search(len(m.base), func(i int) bool { return m.base[i] > off })
-	if i == 0 {
-		return nil, fmt.Errorf("extent [%d,%d) not loaded", off, off+length) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
-	}
-	i--
-	rel := off - m.base[i]
-	if rel+length > int64(len(m.bufs[i])) {
-		return nil, fmt.Errorf("extent [%d,%d) exceeds loaded range", off, off+length) //mlocvet:ignore errprefix -- wrapped with the core prefix by the exported caller
-	}
-	return m.bufs[i][rel : rel+length], nil
-}
-
-// readCoalesced sorts and merges the extents and issues one PFS read
-// per merged extent, charging clk. Extents separated by gaps up to the
-// simulator's CoalesceGap are merged too: reading through a small gap
-// costs less than the seek it avoids, which is exactly the paper's
-// rationale for curve-ordered layouts (§III-B2). The list is sorted and
-// merged in place: the caller gets it back reordered and overwritten.
-func readCoalesced(fs *pfs.Sim, clk *pfs.Clock, path string, extents []extent) (*extentMap, int64, error) {
-	if len(extents) == 0 {
-		return &extentMap{}, 0, nil
-	}
-	maxGap := fs.CoalesceGap()
-	slices.SortFunc(extents, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
-	merged := extents[:0] // writes trail the reads below
-	cur := extents[0]
-	for _, e := range extents[1:] {
-		if e.length == 0 {
-			continue
-		}
-		if cur.length == 0 {
-			cur = e
-			continue
-		}
-		if e.off <= cur.off+cur.length+maxGap {
-			// Adjacent, overlapping, or within the economical gap:
-			// extend (gap bytes are read and paid for).
-			if end := e.off + e.length; end > cur.off+cur.length {
-				cur.length = end - cur.off
-			}
-			continue
-		}
-		merged = append(merged, cur)
-		cur = e
-	}
-	if cur.length > 0 {
-		merged = append(merged, cur)
-	}
-	m := &extentMap{base: make([]int64, 0, len(merged)), bufs: make([][]byte, 0, len(merged))}
-	var total int64
-	for _, e := range merged {
-		buf, err := fs.ReadAt(clk, path, e.off, e.length)
-		if err != nil {
-			return nil, total, err
-		}
-		m.base = append(m.base, e.off)
-		m.bufs = append(m.bufs, buf)
-		total += e.length
-	}
-	return m, total, nil
 }

@@ -5,7 +5,7 @@ import (
 	"io"
 	"strings"
 
-	"mloc/internal/plod"
+	"mloc/internal/pfs"
 	"mloc/internal/query"
 )
 
@@ -109,61 +109,45 @@ func (p *Plan) Observe(res *query.Result) {
 	}
 }
 
-// Explain plans a request against the store without executing it.
+// Explain plans a request against the store without executing it: it
+// compiles the plan the executor would run and prices it from the unit
+// metadata.
 func (s *Store) Explain(req *query.Request) (*Plan, error) {
-	if err := req.Validate(s.meta.shape); err != nil {
+	p, err := s.planQuery(req)
+	if err != nil {
 		return nil, err
 	}
-	level := req.PLoDLevel
-	if level == 0 {
-		level = plod.MaxLevel
+	out := &Plan{
+		Order:          s.meta.order,
+		AlignedBins:    p.aligned,
+		MisalignedBins: p.misaligned,
+		ChunksSelected: p.chunks,
+		PlanesRead:     p.pieces,
 	}
-	if s.meta.mode == ModeFloats && level != plod.MaxLevel {
-		return nil, fmt.Errorf("core: store mode %q does not support PLoD level %d", s.meta.mode, level)
-	}
-	tasks, _, hier := s.planTasks(req)
-
-	p := &Plan{Order: s.meta.order, PlanesRead: 1}
-	if hier != nil {
-		p.Hierarchical = true
-		p.BinsPruned = hier.PrunedLeaves
-		p.BinsCovered = hier.CoveredLeaves
-		p.IndexNodes = len(hier.Inside)
-		for _, n := range hier.Inside {
-			p.IndexBytes += s.vidx.lens[s.vidx.nodeID(n)]
+	if p.hier != nil {
+		out.Hierarchical = true
+		out.BinsPruned = p.hier.PrunedLeaves
+		out.BinsCovered = p.hier.CoveredLeaves
+		out.IndexNodes = len(p.hier.Inside)
+		for _, n := range p.hier.Inside {
+			out.IndexBytes += s.vidx.lens[s.vidx.nodeID(n)]
 		}
 	}
-	if s.meta.mode == ModePlanes {
-		p.PlanesRead = plod.PlanesForLevel(level)
-	}
-	if req.VC != nil {
-		aligned, mis := s.scheme.SelectBins(*req.VC)
-		p.AlignedBins, p.MisalignedBins = len(aligned), len(mis)
-	} else {
-		p.AlignedBins = s.NumBins()
-	}
-	if req.SC != nil {
-		p.ChunksSelected = int64(len(s.chunks.OverlappingChunks(*req.SC)))
-	} else {
-		p.ChunksSelected = s.chunks.NumChunks()
-	}
-	for _, t := range tasks {
+	var pieces []pfs.Extent
+	for _, t := range p.tasks {
 		u := &s.meta.bins[t.bin].units[t.unit]
-		p.Units++
-		p.Points += int64(u.count)
-		p.IndexBytes += u.indexLen
+		out.Units++
+		out.Points += int64(u.count)
+		out.IndexBytes += u.indexLen
 		if t.needData {
-			p.UnitsWithData++
-			if s.meta.mode == ModePlanes {
-				for pl := 0; pl < p.PlanesRead; pl++ {
-					p.DataBytes += u.pieceLen[pl]
-				}
-			} else {
-				p.DataBytes += u.pieceLen[0]
+			out.UnitsWithData++
+			pieces = u.appendPieces(pieces[:0], p.pieces)
+			for _, e := range pieces {
+				out.DataBytes += e.Len
 			}
 		}
 	}
-	return p, nil
+	return out, nil
 }
 
 // String renders a human-readable plan.

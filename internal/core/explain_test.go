@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"mloc/internal/binning"
 	"mloc/internal/datagen"
 	"mloc/internal/grid"
+	"mloc/internal/pfs"
 	"mloc/internal/query"
 )
 
@@ -44,6 +47,79 @@ func TestExplainMatchesExecution(t *testing.T) {
 	if res.BytesRead < plan.IndexBytes+plan.DataBytes {
 		t.Errorf("executed bytes %d below plan estimate %d",
 			res.BytesRead, plan.IndexBytes+plan.DataBytes)
+	}
+
+	// Without gap merging (a zero seek latency makes CoalesceGap 0) and
+	// without a cache the estimate is exact: Explain folds over the plan
+	// the executor runs and prices a unit from the extents it reads, so
+	// the two cannot drift. Random requests of every kind, on a flat and
+	// a hierarchical store, over 1–4 ranks.
+	pcfg := pfs.DefaultConfig()
+	pcfg.SeekLatency = 0
+	fs := pfs.New(pcfg)
+	if fs.CoalesceGap() != 0 {
+		t.Fatalf("CoalesceGap = %d with zero seek latency", fs.CoalesceGap())
+	}
+	data, shape := testData(t)
+	flatCfg, hierCfg := testConfig(), testConfig()
+	hierCfg.HierarchicalIndex = true
+	r := rand.New(rand.NewSource(20))
+	for _, sc := range []struct {
+		name string
+		cfg  Config
+	}{{"flat", flatCfg}, {"hier", hierCfg}} {
+		name := sc.name
+		st, err := Build(fs, fs.NewClock(), "exact/"+name, shape, data, sc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 150; i++ {
+			req := &query.Request{}
+			kind := r.Intn(4) // VC, SC, both, index-only VC (±SC)
+			if kind != 1 {
+				lo, hi := datagen.Selectivity(data, 0.02+0.7*r.Float64(), int64(i), 512)
+				req.VC = &binning.ValueConstraint{Min: lo, Max: hi}
+			}
+			if kind == 1 || kind == 2 || (kind == 3 && r.Intn(2) == 0) {
+				x0, y0 := r.Intn(shape[0]), r.Intn(shape[1])
+				sc, err := grid.NewRegion([]int{x0, y0}, []int{x0 + 1 + r.Intn(shape[0]-x0), y0 + 1 + r.Intn(shape[1]-y0)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.SC = &sc
+			}
+			req.IndexOnly = kind == 3
+			if !req.IndexOnly && r.Intn(2) == 0 {
+				req.PLoDLevel = 1 + r.Intn(7)
+			}
+			label := fmt.Sprintf("%s request %d (%+v)", name, i, *req)
+			plan, err := st.Explain(req)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			res, err := st.Query(req, 1+r.Intn(4))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if got, want := res.BytesRead, plan.IndexBytes+plan.DataBytes; got != want {
+				t.Fatalf("%s: executed %d bytes, plan prices %d index + %d data", label, got, plan.IndexBytes, plan.DataBytes)
+			}
+			if plan.UnitsWithData != res.BlocksRead || plan.IndexNodes != res.IndexNodesRead {
+				t.Fatalf("%s: plan has %d data units and %d index nodes, execution decoded %d and read %d",
+					label, plan.UnitsWithData, plan.IndexNodes, res.BlocksRead, res.IndexNodesRead)
+			}
+			// The bin counts the plan carries are the flat scheme's, on
+			// the hierarchical path too.
+			wantAligned, wantMis := st.NumBins(), 0
+			if req.VC != nil {
+				a, m := st.Scheme().SelectBins(*req.VC)
+				wantAligned, wantMis = len(a), len(m)
+			}
+			if plan.AlignedBins != wantAligned || plan.MisalignedBins != wantMis {
+				t.Fatalf("%s: plan bins %d aligned + %d misaligned, SelectBins gives %d + %d",
+					label, plan.AlignedBins, plan.MisalignedBins, wantAligned, wantMis)
+			}
+		}
 	}
 }
 

@@ -190,6 +190,10 @@ func TestMultiVarSpans(t *testing.T) {
 	if fv.Find("rank") == nil {
 		t.Error("fetch_var span has no rank children")
 	}
+	// A position fetch is the query pipeline: planned, then run per bin.
+	if fv.Find("plan") == nil || fv.Find("bin") == nil {
+		t.Error("fetch_var span has no plan or bin span")
+	}
 }
 
 func TestBuildSpans(t *testing.T) {

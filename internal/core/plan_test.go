@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mloc/internal/binning"
+	"mloc/internal/bitmap"
 	"mloc/internal/datagen"
 	"mloc/internal/grid"
 	"mloc/internal/pfs"
@@ -14,14 +15,10 @@ import (
 	"mloc/internal/sfc"
 )
 
-// planAllUnits is the planner planTasks replaced, kept as the test's
-// reference: bins selected the same way, then every unit of every
+// planAllUnits is the planner the chunk-map walk replaced, kept as the
+// test's reference: bins selected the same way, then every unit of every
 // selected bin checked against a set of the SC's chunk ids.
 func planAllUnits(s *Store, req *query.Request) ([]task, int) {
-	type binSel struct {
-		bin      int
-		filterVC bool
-	}
 	var sel []binSel
 	switch {
 	case s.hierPlan(req):
@@ -67,11 +64,37 @@ func planAllUnits(s *Store, req *query.Request) ([]task, int) {
 	return tasks, binsTouched
 }
 
+// fetchAllUnits is the reference in its position-fetch form, the scan
+// FetchAt used to carry: every unit of every bin checked against the set
+// of chunks holding a selected position.
+func fetchAllUnits(s *Store, positions *bitmap.Bitmap) ([]task, int) {
+	chunkHits := make(map[int64]bool)
+	coords := make([]int, s.meta.shape.Dims())
+	positions.Each(func(i int64) {
+		coords = s.meta.shape.Coords(i, coords[:0])
+		chunkHits[s.chunks.ChunkIDOf(coords)] = true
+	})
+	var tasks []task
+	binsTouched := 0
+	for b := range s.meta.bins {
+		first := len(tasks)
+		for ui, u := range s.meta.bins[b].units {
+			if chunkHits[u.chunkID] {
+				tasks = append(tasks, task{bin: b, unit: ui, needData: true})
+			}
+		}
+		if len(tasks) > first {
+			binsTouched++
+		}
+	}
+	return tasks, binsTouched
+}
+
 // TestPlanMatchesAllUnitsScan: planning through each bin's chunk map
 // yields exactly the task list and bin count of the all-units scan, for
 // every request kind on 2-D and 3-D stores under both curves — SCs that
 // reach past the grid edge and SCs that miss every unit of some bins
-// included.
+// included — and for position fetches from empty to dense bitmaps.
 func TestPlanMatchesAllUnitsScan(t *testing.T) {
 	gts := datagen.GTSLike(64, 64, 3)
 	phi, _ := gts.Var("phi")
@@ -129,12 +152,15 @@ func TestPlanMatchesAllUnitsScan(t *testing.T) {
 				}
 				name := fmt.Sprintf("%s/%s/req%d", f.name, curve, i)
 				want, wantBins := planAllUnits(st, req)
-				got, gotBins, _ := st.planTasks(req)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: %d tasks, all-units scan gives %d (or the order differs)", name, len(got), len(want))
+				p, err := st.planQuery(req)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if gotBins != wantBins {
-					t.Fatalf("%s: binsTouched = %d, all-units scan gives %d", name, gotBins, wantBins)
+				if !slices.Equal(p.tasks, want) {
+					t.Fatalf("%s: %d tasks, all-units scan gives %d (or the order differs)", name, len(p.tasks), len(want))
+				}
+				if p.bins != wantBins {
+					t.Fatalf("%s: binsTouched = %d, all-units scan gives %d", name, p.bins, wantBins)
 				}
 				if req.SC != nil && req.VC == nil && wantBins < st.NumBins() {
 					sparse++
@@ -142,6 +168,31 @@ func TestPlanMatchesAllUnitsScan(t *testing.T) {
 			}
 			if sparse == 0 {
 				t.Errorf("%s/%s: no SC skipped a whole bin; the sparse case is not exercised", f.name, curve)
+			}
+			// Position fetches: no position, one, a sprinkle, a blob, all.
+			n := f.shape.Elems()
+			for i, density := range []float64{0, 0, 0.001, 0.02, 0.3, 1} {
+				bm := bitmap.New(n)
+				if i == 1 {
+					bm.Set(r.Int63n(n))
+				}
+				for j := int64(0); j < n; j++ {
+					if r.Float64() < density {
+						bm.Set(j)
+					}
+				}
+				want, wantBins := fetchAllUnits(st, bm)
+				p, err := st.planFetch(bm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(p.tasks, want) || p.bins != wantBins {
+					t.Fatalf("%s/%s/fetch%d: %d tasks in %d bins, all-units scan gives %d in %d (or the order differs)",
+						f.name, curve, i, len(p.tasks), p.bins, len(want), wantBins)
+				}
+				if (len(want) == 0) != (bm.Count() == 0) {
+					t.Fatalf("%s/%s/fetch%d: %d positions planned as %d tasks", f.name, curve, i, bm.Count(), len(want))
+				}
 			}
 		}
 	}

@@ -1,0 +1,154 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"mloc/internal/binning"
+	"mloc/internal/bitmap"
+	"mloc/internal/cache"
+	"mloc/internal/datagen"
+	"mloc/internal/grid"
+	"mloc/internal/pfs"
+	"mloc/internal/query"
+)
+
+// TestEmptyPredicatesAreEmptyPlans: a predicate no point can satisfy — an
+// SC of zero volume (Lo == Hi passes Validate, and OverlappingChunks
+// returns nil for it) or an all-zero position bitmap — plans no task, so
+// the answer is empty and the PFS is never touched. The nil chunk list
+// must not read as "unconstrained".
+func TestEmptyPredicatesAreEmptyPlans(t *testing.T) {
+	data, shape := testData(t)
+	hierCfg := testConfig()
+	hierCfg.HierarchicalIndex = true
+	lo, hi := datagen.Selectivity(data, 0.4, 1, 512)
+	vc := &binning.ValueConstraint{Min: lo, Max: hi}
+	flatSC, err := grid.NewRegion([]int{5, 0}, []int{5, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pointSC, err := grid.NewRegion([]int{7, 9}, []int{7, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []struct {
+		name string
+		cfg  Config
+	}{{"flat", testConfig()}, {"hier", hierCfg}} {
+		fs := pfs.New(pfs.DefaultConfig())
+		st, err := Build(fs, fs.NewClock(), "empty/"+sc.name, shape, data, sc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		untouched := func(label string, res *query.Result, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", sc.name, label, err)
+			}
+			if s := fs.Stats(); len(res.Matches) != 0 || res.BytesRead != 0 || s.Opens != 0 || s.Reads != 0 {
+				t.Errorf("%s/%s: %d matches, %d bytes, %d opens, %d reads; an empty predicate costs nothing",
+					sc.name, label, len(res.Matches), res.BytesRead, s.Opens, s.Reads)
+			}
+		}
+		for _, ranks := range []int{1, 3} {
+			for _, region := range []*grid.Region{&flatSC, &pointSC} {
+				// (Index-only with a VC on the hierarchical store is left
+				// out: its inside subtrees are read whatever the SC.)
+				for i, req := range []*query.Request{
+					{SC: region},
+					{SC: region, IndexOnly: true},
+					{SC: region, VC: vc},
+					{SC: region, PLoDLevel: 2},
+				} {
+					if err := req.Validate(shape); err != nil {
+						t.Fatal(err)
+					}
+					fs.ResetStats()
+					res, err := st.Query(req, ranks)
+					untouched(fmt.Sprintf("sc %v request %d ranks %d", *region, i, ranks), res, err)
+				}
+			}
+			fs.ResetStats()
+			res, err := st.FetchAt(bitmap.New(shape.Elems()), ranks)
+			untouched(fmt.Sprintf("zero bitmap ranks %d", ranks), res, err)
+		}
+	}
+}
+
+// TestPositionFetchEqualsValueQuery: a position set is just another
+// predicate. Fetching at the bitmap of a request's index-only answer
+// returns exactly the matches of the value query with the same
+// constraints — on col, iso and isa stores, in 2-D and 3-D, with and
+// without a decode cache.
+func TestPositionFetchEqualsValueQuery(t *testing.T) {
+	gts := datagen.GTSLike(48, 48, 4)
+	phi, _ := gts.Var("phi")
+	s3d := datagen.S3DLike(12, 4)
+	temp, err := s3d.Var("temp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := []struct {
+		name  string
+		shape grid.Shape
+		data  []float64
+		chunk []int
+	}{
+		{"2d", gts.Shape, phi.Data, []int{8, 8}},
+		{"3d", s3d.Shape, temp.Data, []int{5, 5, 5}},
+	}
+	r := rand.New(rand.NewSource(21))
+	for _, f := range fields {
+		for _, sc := range []struct {
+			name string
+			cfg  Config
+		}{{"col", DefaultConfig(f.chunk)}, {"iso", ISOConfig(f.chunk)}, {"isa", ISAConfig(f.chunk)}} {
+			sc.cfg.NumBins = 9
+			sc.cfg.SampleSize = 1024
+			fs := pfs.New(pfs.DefaultConfig())
+			st, err := Build(fs, fs.NewClock(), "pos/"+f.name+"/"+sc.name, f.shape, f.data, sc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 16; i++ {
+				st.SetDecodeCache(nil)
+				if i%2 == 1 {
+					c, err := cache.New(4 << 20)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st.SetDecodeCache(c)
+				}
+				req := query.Request{}
+				if i%4 != 3 { // VC, VC, VC+SC (below), SC
+					lo, hi := datagen.Selectivity(f.data, 0.02+0.5*r.Float64(), int64(i), 1024)
+					req.VC = &binning.ValueConstraint{Min: lo, Max: hi}
+				}
+				if i%4 >= 2 {
+					lo, hi := make([]int, len(f.shape)), make([]int, len(f.shape))
+					for d, n := range f.shape {
+						lo[d] = r.Intn(n)
+						hi[d] = lo[d] + 1 + r.Intn(n-lo[d])
+					}
+					region, err := grid.NewRegion(lo, hi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					req.SC = &region
+				}
+				ranks := 1 + r.Intn(4)
+				want, err := st.Query(&req, ranks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := st.FetchAt(positionsOf(t, st, req), 1+r.Intn(4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				matchesEqual(t, got.Matches, want.Matches, fmt.Sprintf("%s/%s request %d", f.name, sc.name, i))
+			}
+		}
+	}
+}

@@ -289,8 +289,11 @@ func TestLargeAnswerBufferNotRetained(t *testing.T) {
 	} {
 		qs := new(queryScratch)
 		outs := qs.begin(1)
-		tasks, _, _ := st.planTasks(tc.req)
-		if err := st.runRank(context.Background(), fs.NewClock(), tasks, tc.req, plod.MaxLevel, &outs[0]); err != nil {
+		p, err := st.planQuery(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.runRank(context.Background(), fs.NewClock(), p, p.tasks, &outs[0]); err != nil {
 			t.Fatal(err)
 		}
 		n := len(gatherRanks(outs).Matches)

@@ -36,7 +36,7 @@ type Store struct {
 }
 
 // newStore assembles the runtime view over metadata.
-func newStore(fs *pfs.Sim, prefix string, meta *storeMeta, bc compress.ByteCodec, fc compress.FloatCodec, assign Assignment) (*Store, error) {
+func newStore(fs *pfs.Sim, prefix string, meta *storeMeta, bc compress.ByteCodec, fc compress.FloatCodec) (*Store, error) {
 	chunks, err := grid.NewChunking(meta.shape, meta.chunkSize)
 	if err != nil {
 		return nil, err
@@ -53,9 +53,6 @@ func newStore(fs *pfs.Sim, prefix string, meta *storeMeta, bc compress.ByteCodec
 	if err != nil {
 		return nil, err
 	}
-	if assign == "" {
-		assign = AssignColumn
-	}
 	return &Store{
 		fs:         fs,
 		prefix:     prefix,
@@ -65,7 +62,7 @@ func newStore(fs *pfs.Sim, prefix string, meta *storeMeta, bc compress.ByteCodec
 		curve:      curve,
 		byteCodec:  bc,
 		floatCodec: fc,
-		assignment: assign,
+		assignment: AssignColumn,
 	}, nil
 }
 
@@ -94,7 +91,7 @@ func Open(fs *pfs.Sim, clk *pfs.Clock, prefix string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := newStore(fs, prefix, meta, bc, fc, AssignColumn)
+	st, err := newStore(fs, prefix, meta, bc, fc)
 	if err != nil {
 		return nil, err
 	}

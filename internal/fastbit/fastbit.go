@@ -11,7 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mloc/internal/binning"
 	"mloc/internal/bitmap"
@@ -227,10 +227,31 @@ func (s *Store) Shape() grid.Shape { return s.shape }
 // NumBins returns the effective bin count.
 func (s *Store) NumBins() int { return s.scheme.NumBins() }
 
-// Query answers a request with the given rank count. Per the paper's
-// observed behavior, each query first loads the entire index from the
-// PFS (rank-partitioned), then evaluates bitmaps, then fetches
-// candidate values from the base data where needed.
+// rankOut accumulates one rank's results.
+type rankOut struct {
+	matches   []query.Match
+	time      query.Components
+	bytes     int64
+	nodesRead int
+}
+
+// binExtent locates a leaf bin's serialized bitmap in the index file.
+func (s *Store) binExtent(bin int) pfs.Extent {
+	return pfs.Extent{Off: s.bitmapOffsets[bin], Len: s.bitmapOffsets[bin+1] - s.bitmapOffsets[bin]}
+}
+
+// Query answers a request with the given rank count. The request is
+// resolved to two lists of bitmaps in the index file: those whose every
+// set bit satisfies the VC by construction (aligned bins, or the
+// inside-subtree nodes of a hierarchical store) and those whose
+// candidates' values must be checked (edge bins). What differs between
+// the two kinds of store is only how a rank pays for the index: per the
+// paper's observed behavior a flat query first loads the entire index
+// from the PFS (rank-partitioned), while a value-constrained query on a
+// hierarchical store reads just its own bitmaps' extents, coalesced —
+// fully-outside subtrees cost nothing. Either way the rank then
+// evaluates its share of both lists and fetches candidate values from
+// the base data where needed.
 func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 	if err := req.Validate(s.shape); err != nil {
 		return nil, err
@@ -238,110 +259,100 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 	if ranks < 1 {
 		return nil, fmt.Errorf("fastbit: ranks %d < 1", ranks)
 	}
-	if s.tree != nil && req.VC != nil {
-		return s.queryHier(req, ranks)
-	}
 
-	type rankOut struct {
-		matches []query.Match
-		time    query.Components
-		bytes   int64
-	}
-	outs := make([]rankOut, ranks)
-
-	// Bins relevant to the VC (everything when unconstrained).
-	var aligned, edge []int
-	if req.VC != nil {
-		aligned, edge = s.scheme.SelectBins(*req.VC)
-	} else {
-		for b := 0; b < s.scheme.NumBins(); b++ {
-			aligned = append(aligned, b)
+	var sure, check []pfs.Extent
+	res := &query.Result{}
+	hier := s.tree != nil && req.VC != nil
+	if hier {
+		sel := s.tree.Select(*req.VC)
+		for _, n := range sel.Inside {
+			id := s.nodeID(n)
+			sure = append(sure, pfs.Extent{Off: s.nodeOffs[id], Len: s.nodeLens[id]})
 		}
+		for _, b := range sel.Boundary {
+			check = append(check, s.binExtent(b))
+		}
+		res.BinsAccessed = len(sel.Boundary) + sel.CoveredLeaves
+		res.BinsPruned = sel.PrunedLeaves
+		res.BinsCovered = sel.CoveredLeaves
+	} else {
+		// Bins relevant to the VC (everything when unconstrained).
+		var aligned, edge []int
+		if req.VC != nil {
+			aligned, edge = s.scheme.SelectBins(*req.VC)
+		} else {
+			for b := 0; b < s.scheme.NumBins(); b++ {
+				aligned = append(aligned, b)
+			}
+		}
+		for _, b := range aligned {
+			sure = append(sure, s.binExtent(b))
+		}
+		for _, b := range edge {
+			check = append(check, s.binExtent(b))
+		}
+		res.BinsAccessed = len(aligned) + len(edge)
 	}
 
+	outs := make([]rankOut, ranks)
 	clks := s.fs.NewClocks(ranks)
+	indexPath := s.prefix + "/index"
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		clk := clks[c.Rank()]
 		out := &outs[c.Rank()]
+		// This rank's share of a list: every ranks-th bitmap.
+		mine := func(all []pfs.Extent) []pfs.Extent {
+			var share []pfs.Extent
+			for i := c.Rank(); i < len(all); i += c.Size() {
+				share = append(share, all[i])
+			}
+			return share
+		}
+		mySure, myCheck := mine(sure), mine(check)
 
-		// Load the FULL index (the paper's dominating cost): ranks read
-		// disjoint partitions concurrently.
-		if err := s.fs.Open(clk, s.prefix+"/index"); err != nil {
+		if hier && len(mySure)+len(myCheck) == 0 {
+			return nil
+		}
+		if err := s.fs.Open(clk, indexPath); err != nil {
 			return err
 		}
-		per := (s.indexSize + int64(c.Size()) - 1) / int64(c.Size())
-		lo := per * int64(c.Rank())
-		hi := lo + per
-		if hi > s.indexSize {
-			hi = s.indexSize
-		}
-		if lo < hi {
+		if hier {
 			t0 := clk.Now()
-			if _, err := s.fs.ReadAt(clk, s.prefix+"/index", lo, hi-lo); err != nil {
+			// The reader reorders its list; the shares keep theirs.
+			_, n, err := s.fs.ReadExtents(clk, indexPath, slices.Concat(mySure, myCheck))
+			if err != nil {
 				return err
 			}
 			out.time.IO += clk.Now() - t0
-			out.bytes += hi - lo
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-
-		// Evaluate this rank's share of the relevant bins.
-		myBins := func(bins []int) []int {
-			var mine []int
-			for i := c.Rank(); i < len(bins); i += c.Size() {
-				mine = append(mine, bins[i])
-			}
-			return mine
-		}
-
-		// Aligned bins: bitmap indices alone answer index-only regions.
-		for _, b := range myBins(aligned) {
-			wah, err := s.loadBitmap(b)
-			if err != nil {
-				return err
-			}
-			var pending []int64
-			out.time.Decompress += clk.MeasureCPU(func() {
-				bm := wah.Decompress()
-				bm.Each(func(i int64) {
-					if req.SC != nil && !s.inRegion(i, req.SC) {
-						return
-					}
-					if req.IndexOnly {
-						out.matches = append(out.matches, query.Match{Index: i})
-						return
-					}
-					pending = append(pending, i)
-				})
-			})
-			if len(pending) > 0 {
-				if err := s.fetchValues(clk, out1{&out.matches, &out.time, &out.bytes}, pending, nil); err != nil {
+			out.bytes += n
+			out.nodesRead = len(mySure)
+		} else {
+			// Load the FULL index (the paper's dominating cost): ranks read
+			// disjoint partitions concurrently.
+			per := (s.indexSize + int64(c.Size()) - 1) / int64(c.Size())
+			lo := per * int64(c.Rank())
+			hi := min(lo+per, s.indexSize)
+			if lo < hi {
+				t0 := clk.Now()
+				if _, err := s.fs.ReadAt(clk, indexPath, lo, hi-lo); err != nil {
 					return err
 				}
+				out.time.IO += clk.Now() - t0
+				out.bytes += hi - lo
 			}
-		}
-		// Edge bins: values must be checked against the VC.
-		for _, b := range myBins(edge) {
-			wah, err := s.loadBitmap(b)
-			if err != nil {
+			if err := c.Barrier(); err != nil {
 				return err
 			}
-			var pending []int64
-			out.time.Decompress += clk.MeasureCPU(func() {
-				bm := wah.Decompress()
-				bm.Each(func(i int64) {
-					if req.SC != nil && !s.inRegion(i, req.SC) {
-						return
-					}
-					pending = append(pending, i)
-				})
-			})
-			if len(pending) > 0 {
-				if err := s.fetchValues(clk, out1{&out.matches, &out.time, &out.bytes}, pending, req); err != nil {
-					return err
-				}
+		}
+
+		for _, e := range mySure {
+			if err := s.evalBitmap(clk, out, e, req, false); err != nil {
+				return err
+			}
+		}
+		for _, e := range myCheck {
+			if err := s.evalBitmap(clk, out, e, req, true); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -350,134 +361,6 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 		return nil, err
 	}
 
-	res := &query.Result{BinsAccessed: len(aligned) + len(edge)}
-	var slowest float64
-	for i := range outs {
-		res.Matches = append(res.Matches, outs[i].matches...)
-		res.BytesRead += outs[i].bytes
-		if t := outs[i].time.Total(); t >= slowest {
-			slowest = t
-			res.Time = outs[i].time
-		}
-	}
-	res.Sort()
-	return res, nil
-}
-
-// queryHier answers a value-constrained request through the super-bin
-// tree: inside-subtree node bitmaps and boundary-leaf bitmaps are the
-// only index bytes read (coalesced extents instead of the flat path's
-// full index load), fully-outside subtrees cost nothing, and only
-// boundary candidates have their values checked against the VC.
-func (s *Store) queryHier(req *query.Request, ranks int) (*query.Result, error) {
-	sel := s.tree.Select(*req.VC)
-
-	type rankOut struct {
-		matches   []query.Match
-		time      query.Components
-		bytes     int64
-		nodesRead int
-	}
-	outs := make([]rankOut, ranks)
-	clks := s.fs.NewClocks(ranks)
-	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		clk := clks[c.Rank()]
-		out := &outs[c.Rank()]
-
-		var myNodes []binning.NodeRef
-		for i := c.Rank(); i < len(sel.Inside); i += c.Size() {
-			myNodes = append(myNodes, sel.Inside[i])
-		}
-		var myEdges []int
-		for i := c.Rank(); i < len(sel.Boundary); i += c.Size() {
-			myEdges = append(myEdges, sel.Boundary[i])
-		}
-		if len(myNodes)+len(myEdges) == 0 {
-			return nil
-		}
-		if err := s.fs.Open(clk, s.prefix+"/index"); err != nil {
-			return err
-		}
-		extents := make([][2]int64, 0, len(myNodes)+len(myEdges))
-		for _, n := range myNodes {
-			id := s.nodeID(n)
-			extents = append(extents, [2]int64{s.nodeOffs[id], s.nodeLens[id]})
-		}
-		for _, b := range myEdges {
-			extents = append(extents, [2]int64{s.bitmapOffsets[b], s.bitmapOffsets[b+1] - s.bitmapOffsets[b]})
-		}
-		bytes, ioSec, err := s.readExtents(clk, extents)
-		if err != nil {
-			return err
-		}
-		out.bytes += bytes
-		out.time.IO += ioSec
-
-		// Inside nodes: every set bit satisfies the VC by construction.
-		for _, n := range myNodes {
-			id := s.nodeID(n)
-			raw, err := s.fs.Peek(s.prefix+"/index", s.nodeOffs[id], s.nodeLens[id])
-			if err != nil {
-				return err
-			}
-			var w bitmap.WAH
-			if err := w.UnmarshalBinary(raw); err != nil {
-				return fmt.Errorf("fastbit: node %d bitmap: %w", id, err)
-			}
-			var pending []int64
-			out.time.Decompress += clk.MeasureCPU(func() {
-				bm := w.Decompress()
-				bm.Each(func(i int64) {
-					if req.SC != nil && !s.inRegion(i, req.SC) {
-						return
-					}
-					if req.IndexOnly {
-						out.matches = append(out.matches, query.Match{Index: i})
-						return
-					}
-					pending = append(pending, i)
-				})
-			})
-			if len(pending) > 0 {
-				if err := s.fetchValues(clk, out1{&out.matches, &out.time, &out.bytes}, pending, nil); err != nil {
-					return err
-				}
-			}
-			out.nodesRead++
-		}
-		// Boundary leaves: values must be checked against the VC.
-		for _, b := range myEdges {
-			wah, err := s.loadBitmap(b)
-			if err != nil {
-				return err
-			}
-			var pending []int64
-			out.time.Decompress += clk.MeasureCPU(func() {
-				bm := wah.Decompress()
-				bm.Each(func(i int64) {
-					if req.SC != nil && !s.inRegion(i, req.SC) {
-						return
-					}
-					pending = append(pending, i)
-				})
-			})
-			if len(pending) > 0 {
-				if err := s.fetchValues(clk, out1{&out.matches, &out.time, &out.bytes}, pending, req); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &query.Result{
-		BinsAccessed: len(sel.Boundary) + sel.CoveredLeaves,
-		BinsPruned:   sel.PrunedLeaves,
-		BinsCovered:  sel.CoveredLeaves,
-	}
 	var slowest float64
 	for i := range outs {
 		res.Matches = append(res.Matches, outs[i].matches...)
@@ -492,76 +375,49 @@ func (s *Store) queryHier(req *query.Request, ranks int) (*query.Result, error) 
 	return res, nil
 }
 
-// readExtents charges the PFS for the given (offset, length) extents of
-// the index file — sorted and merged through the simulator's coalesce
-// gap — and returns the bytes charged plus the elapsed virtual I/O
-// seconds. Payloads are retrieved afterwards with Peek.
-func (s *Store) readExtents(clk *pfs.Clock, extents [][2]int64) (int64, float64, error) {
-	if len(extents) == 0 {
-		return 0, 0, nil
-	}
-	sort.Slice(extents, func(i, j int) bool { return extents[i][0] < extents[j][0] })
-	maxGap := s.fs.CoalesceGap()
-	t0 := clk.Now()
-	var bytes int64
-	runLo, runHi := extents[0][0], extents[0][0]+extents[0][1]
-	flush := func() error {
-		if runHi <= runLo {
-			return nil
-		}
-		if _, err := s.fs.ReadAt(clk, s.prefix+"/index", runLo, runHi-runLo); err != nil {
-			return err
-		}
-		bytes += runHi - runLo
-		return nil
-	}
-	for _, e := range extents[1:] {
-		lo, hi := e[0], e[0]+e[1]
-		if lo <= runHi+maxGap {
-			if hi > runHi {
-				runHi = hi
-			}
-			continue
-		}
-		if err := flush(); err != nil {
-			return 0, 0, err
-		}
-		runLo, runHi = lo, hi
-	}
-	if err := flush(); err != nil {
-		return 0, 0, err
-	}
-	return bytes, clk.Now() - t0, nil
-}
-
-// out1 bundles the per-rank output pointers for fetchValues.
-type out1 struct {
-	matches *[]query.Match
-	time    *query.Components
-	bytes   *int64
-}
-
-// loadBitmap deserializes one bin's WAH bitmap from the (already
-// loaded) index region.
-func (s *Store) loadBitmap(bin int) (*bitmap.WAH, error) {
-	lo, hi := s.bitmapOffsets[bin], s.bitmapOffsets[bin+1]
-	// The bytes were already paid for by the full index load; Peek
-	// re-slices them without double-charging the cost model.
-	raw, err := s.fs.Peek(s.prefix+"/index", lo, hi-lo)
+// evalBitmap evaluates one serialized bitmap of the index file: its set
+// bits inside the SC become matches — directly for an index-only request
+// when the bitmap satisfies the VC by construction, otherwise after
+// their values are fetched from the base data (and, with check, tested
+// against the VC). The index bytes were already paid for by the rank's
+// index load — on a flat store possibly by another rank's partition of
+// it — so Peek re-slices them without double-charging the cost model.
+func (s *Store) evalBitmap(clk *pfs.Clock, out *rankOut, e pfs.Extent, req *query.Request, check bool) error {
+	raw, err := s.fs.Peek(s.prefix+"/index", e.Off, e.Len)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var w bitmap.WAH
 	if err := w.UnmarshalBinary(raw); err != nil {
-		return nil, fmt.Errorf("fastbit: bin %d bitmap: %w", bin, err)
+		return fmt.Errorf("fastbit: bitmap at index offset %d: %w", e.Off, err)
 	}
-	return &w, nil
+	var pending []int64
+	out.time.Decompress += clk.MeasureCPU(func() {
+		coords := make([]int, 0, s.shape.Dims())
+		w.Decompress().Each(func(i int64) {
+			if req.SC != nil {
+				coords = s.shape.Coords(i, coords[:0])
+				if !req.SC.Contains(coords) {
+					return
+				}
+			}
+			if req.IndexOnly && !check {
+				out.matches = append(out.matches, query.Match{Index: i})
+				return
+			}
+			pending = append(pending, i)
+		})
+	})
+	if len(pending) == 0 {
+		return nil
+	}
+	return s.fetchValues(clk, out, pending, req, check)
 }
 
 // fetchValues reads candidate point values from the base data,
 // coalescing adjacent indices into single reads, filters by the VC when
-// req != nil, and appends matches.
-func (s *Store) fetchValues(clk *pfs.Clock, out out1, indices []int64, req *query.Request) error {
+// check is set, and appends matches.
+func (s *Store) fetchValues(clk *pfs.Clock, out *rankOut, indices []int64, req *query.Request, check bool) error {
 	if err := s.fs.Open(clk, s.prefix+"/data"); err != nil {
 		return err
 	}
@@ -578,27 +434,22 @@ func (s *Store) fetchValues(clk *pfs.Clock, out out1, indices []int64, req *quer
 			return err
 		}
 		out.time.IO += clk.Now() - t0
-		*out.bytes += count * 8
+		out.bytes += count * 8
 		out.time.Reconstruct += clk.MeasureCPU(func() {
 			for k := int64(0); k < count; k++ {
 				v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*k:]))
-				if req != nil && req.VC != nil && !req.VC.Contains(v) {
+				if check && !req.VC.Contains(v) {
 					continue
 				}
+				// An index-only request gets here only to have the VC checked.
 				m := query.Match{Index: start + k}
-				if req == nil || !req.IndexOnly {
+				if !req.IndexOnly {
 					m.Value = v
 				}
-				*out.matches = append(*out.matches, m)
+				out.matches = append(out.matches, m)
 			}
 		})
 		i = j
 	}
 	return nil
-}
-
-// inRegion tests a linear index against a spatial region.
-func (s *Store) inRegion(idx int64, region *grid.Region) bool {
-	coords := s.shape.Coords(idx, make([]int, 0, s.shape.Dims()))
-	return region.Contains(coords)
 }

@@ -1,14 +1,10 @@
-package core
+package pfs
 
-import (
-	"testing"
+import "testing"
 
-	"mloc/internal/pfs"
-)
-
-func coalesceFS(t *testing.T) *pfs.Sim {
+func coalesceFS(t *testing.T) *Sim {
 	t.Helper()
-	fs := pfs.New(pfs.Config{
+	fs := New(Config{
 		NumOSTs:     2,
 		StripeSize:  1 << 20,
 		SeekLatency: 0.005,
@@ -16,7 +12,7 @@ func coalesceFS(t *testing.T) *pfs.Sim {
 		ReadBW:      1e6, // CoalesceGap = 5000 bytes
 		WriteBW:     1e6,
 	})
-	if err := fs.WriteFile(pfs.NewClock(), "f", make([]byte, 1<<16)); err != nil {
+	if err := fs.WriteFile(NewClock(), "f", make([]byte, 1<<16)); err != nil {
 		t.Fatal(err)
 	}
 	return fs
@@ -25,7 +21,7 @@ func coalesceFS(t *testing.T) *pfs.Sim {
 func TestReadCoalescedMergesAdjacent(t *testing.T) {
 	fs := coalesceFS(t)
 	clk := fs.NewClock()
-	m, bytes, err := readCoalesced(fs, clk, "f", []extent{
+	m, bytes, err := fs.ReadExtents(clk, "f", []Extent{
 		{0, 100}, {100, 100}, {200, 100},
 	})
 	if err != nil {
@@ -37,9 +33,9 @@ func TestReadCoalescedMergesAdjacent(t *testing.T) {
 	if fs.Stats().Reads != 1 {
 		t.Fatalf("adjacent extents issued %d reads, want 1", fs.Stats().Reads)
 	}
-	for _, e := range []extent{{0, 100}, {150, 100}, {299, 1}} {
-		if _, err := m.slice(e.off, e.length); err != nil {
-			t.Fatalf("slice(%d,%d): %v", e.off, e.length, err)
+	for _, e := range []Extent{{0, 100}, {150, 100}, {299, 1}} {
+		if _, err := m.Slice(e.Off, e.Len); err != nil {
+			t.Fatalf("slice(%d,%d): %v", e.Off, e.Len, err)
 		}
 	}
 }
@@ -47,7 +43,7 @@ func TestReadCoalescedMergesAdjacent(t *testing.T) {
 func TestReadCoalescedMergesSmallGaps(t *testing.T) {
 	fs := coalesceFS(t) // gap threshold 5000 bytes
 	clk := fs.NewClock()
-	_, bytes, err := readCoalesced(fs, clk, "f", []extent{
+	_, bytes, err := fs.ReadExtents(clk, "f", []Extent{
 		{0, 100}, {2000, 100}, // gap 1900 < 5000: merged, gap bytes read
 	})
 	if err != nil {
@@ -64,7 +60,7 @@ func TestReadCoalescedMergesSmallGaps(t *testing.T) {
 func TestReadCoalescedSplitsLargeGaps(t *testing.T) {
 	fs := coalesceFS(t)
 	clk := fs.NewClock()
-	_, _, err := readCoalesced(fs, clk, "f", []extent{
+	_, _, err := fs.ReadExtents(clk, "f", []Extent{
 		{0, 100}, {20000, 100}, // gap 19900 > 5000: two reads
 	})
 	if err != nil {
@@ -78,15 +74,15 @@ func TestReadCoalescedSplitsLargeGaps(t *testing.T) {
 func TestReadCoalescedUnsortedOverlapping(t *testing.T) {
 	fs := coalesceFS(t)
 	clk := fs.NewClock()
-	m, _, err := readCoalesced(fs, clk, "f", []extent{
+	m, _, err := fs.ReadExtents(clk, "f", []Extent{
 		{500, 100}, {0, 200}, {450, 100}, {100, 50},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []extent{{0, 200}, {450, 150}, {500, 100}} {
-		if _, err := m.slice(e.off, e.length); err != nil {
-			t.Fatalf("slice(%d,%d): %v", e.off, e.length, err)
+	for _, e := range []Extent{{0, 200}, {450, 150}, {500, 100}} {
+		if _, err := m.Slice(e.Off, e.Len); err != nil {
+			t.Fatalf("slice(%d,%d): %v", e.Off, e.Len, err)
 		}
 	}
 }
@@ -94,14 +90,14 @@ func TestReadCoalescedUnsortedOverlapping(t *testing.T) {
 func TestReadCoalescedZeroLengthExtents(t *testing.T) {
 	fs := coalesceFS(t)
 	clk := fs.NewClock()
-	m, bytes, err := readCoalesced(fs, clk, "f", []extent{{0, 0}, {10, 0}})
+	m, bytes, err := fs.ReadExtents(clk, "f", []Extent{{0, 0}, {10, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes != 0 {
 		t.Fatalf("zero extents read %d bytes", bytes)
 	}
-	if got, err := m.slice(5, 0); err != nil || got != nil {
+	if got, err := m.Slice(5, 0); err != nil || got != nil {
 		t.Fatalf("zero slice = %v, %v", got, err)
 	}
 }
@@ -109,18 +105,18 @@ func TestReadCoalescedZeroLengthExtents(t *testing.T) {
 func TestExtentMapSliceErrors(t *testing.T) {
 	fs := coalesceFS(t)
 	clk := fs.NewClock()
-	m, _, err := readCoalesced(fs, clk, "f", []extent{{100, 50}})
+	m, _, err := fs.ReadExtents(clk, "f", []Extent{{100, 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.slice(0, 10); err == nil {
+	if _, err := m.Slice(0, 10); err == nil {
 		t.Error("slice before loaded range accepted")
 	}
-	if _, err := m.slice(140, 20); err == nil {
+	if _, err := m.Slice(140, 20); err == nil {
 		t.Error("slice past loaded range accepted")
 	}
-	empty := &extentMap{}
-	if _, err := empty.slice(0, 1); err == nil {
+	empty := &ExtentMap{}
+	if _, err := empty.Slice(0, 1); err == nil {
 		t.Error("slice on empty map accepted")
 	}
 }

@@ -265,9 +265,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/stats", s.endpoint("stats", s.handleStats))
 	mux.HandleFunc("/vars", s.endpoint("vars", s.handleVars))
 	mux.HandleFunc("/healthz", s.endpoint("healthz", s.handleHealthz))
-	mux.HandleFunc("/metrics", s.endpoint("metrics", s.handleMetrics))
-	mux.HandleFunc("/debug/traces", s.endpoint("traces", s.handleTraces))
-	mux.HandleFunc("/debug/querylog", s.endpoint("querylog", s.handleQueryLog))
+	mux.HandleFunc("/metrics", s.endpoint("metrics", MetricsHandler(s.reg)))
+	mux.HandleFunc("/debug/traces", s.endpoint("traces", TracesHandler(s.tracer)))
+	mux.HandleFunc("/debug/querylog", s.endpoint("querylog", QueryLogHandler(s.qlog)))
 	return mux
 }
 
@@ -515,20 +515,24 @@ func ParseQueryLogFilter(q url.Values) (obs.QueryFilter, error) {
 	return f, nil
 }
 
-// handleQueryLog serves the always-on query log, newest first,
-// filterable with ?store=, ?var=, and ?min_latency=.
-func (s *Server) handleQueryLog(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteError(w, http.StatusMethodNotAllowed, "GET required")
-		return
+// QueryLogHandler serves an always-on query log, newest first,
+// filterable with ?store=, ?var=, and ?min_latency=. Like MetricsHandler
+// and TracesHandler it is the one implementation of its debug endpoint:
+// the data node and the router both mount it, over their own log.
+func QueryLogHandler(ql *obs.QueryLog) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			w.Header().Set("Allow", http.MethodGet)
+			WriteError(w, http.StatusMethodNotAllowed, "GET required")
+			return
+		}
+		f, err := ParseQueryLogFilter(r.URL.Query())
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		WriteJSONIndent(w, http.StatusOK, ql.Snapshot(f))
 	}
-	f, err := ParseQueryLogFilter(r.URL.Query())
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	WriteJSONIndent(w, http.StatusOK, s.qlog.Snapshot(f))
 }
 
 // maybeLogSlow emits the slow-query log line when the wall-clock
@@ -634,44 +638,48 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, stats)
 }
 
-// handleMetrics serves the registry in Prometheus text exposition.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	if err := s.reg.WritePrometheus(w); err != nil {
-		// The response is already committed (mid-write disconnect).
-		_ = err //mlocvet:ignore uncheckederr -- response already committed; a mid-write disconnect has no recovery
+// MetricsHandler serves a registry in Prometheus text exposition.
+func MetricsHandler(reg *obs.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			w.Header().Set("Allow", http.MethodGet)
+			WriteError(w, http.StatusMethodNotAllowed, "GET required")
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.WriteHeader(http.StatusOK)
+		if err := reg.WritePrometheus(w); err != nil {
+			// The response is already committed (mid-write disconnect).
+			_ = err //mlocvet:ignore uncheckederr -- response already committed; a mid-write disconnect has no recovery
+		}
 	}
 }
 
-// handleTraces serves retained query traces: the full ring (newest
+// TracesHandler serves a tracer's retained traces: the full ring (newest
 // first) by default, or one span tree with ?id=<trace_id>.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if id := r.URL.Query().Get("id"); id != "" {
-		n, err := strconv.ParseUint(id, 10, 64)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", id))
+func TracesHandler(tr *obs.Tracer) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			w.Header().Set("Allow", http.MethodGet)
+			WriteError(w, http.StatusMethodNotAllowed, "GET required")
 			return
 		}
-		td, ok := s.tracer.DumpByID(n)
-		if !ok {
-			WriteError(w, http.StatusNotFound, fmt.Sprintf("trace %d not retained", n))
+		if id := r.URL.Query().Get("id"); id != "" {
+			n, err := strconv.ParseUint(id, 10, 64)
+			if err != nil {
+				WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad trace id %q", id))
+				return
+			}
+			td, ok := tr.DumpByID(n)
+			if !ok {
+				WriteError(w, http.StatusNotFound, fmt.Sprintf("trace %d not retained", n))
+				return
+			}
+			WriteJSONIndent(w, http.StatusOK, td)
 			return
 		}
-		WriteJSONIndent(w, http.StatusOK, td)
-		return
+		WriteJSONIndent(w, http.StatusOK, tr.Dump())
 	}
-	WriteJSONIndent(w, http.StatusOK, s.tracer.Dump())
 }
 
 // VarWire describes one served variable in GET /vars.
