@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # Packages exercising the goroutine-based SPMD runtime and the
 # concurrent query service — the ones where a data race would actually
 # bite.
-RACE_PKGS = ./internal/mpi ./internal/pfs ./internal/compress ./internal/core ./internal/fastbit ./internal/stage ./internal/cache ./internal/query ./internal/server ./internal/obs \
+RACE_PKGS = ./internal/client ./internal/mpi ./internal/pfs ./internal/compress ./internal/core ./internal/fastbit ./internal/stage ./internal/cache ./internal/query ./internal/server ./internal/obs \
 	./internal/cluster/shardmap ./internal/cluster/health ./internal/cluster/fault ./internal/cluster/router
 
 .PHONY: build test vet vet-fast mlocvet mlocvet-baseline race bench-json bench-query fuzz-short fuzz-list fuzz-list-check serve-smoke cluster-smoke obslint check
@@ -75,7 +75,7 @@ fuzz-list-check:
 
 ## serve-smoke: boot mlocd, query it twice via mlocctl, assert the
 ## second query hits the shared decode cache, validate /metrics,
-## /debug/traces, pprof, and the slow-query log, drain gracefully.
+## /debug/traces, pprof, and the query log, drain gracefully.
 serve-smoke:
 	./scripts/serve_smoke.sh
 

@@ -1,11 +1,11 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -14,12 +14,13 @@ import (
 	"strings"
 	"time"
 
+	"mloc/internal/client"
 	"mloc/internal/grid"
 	"mloc/internal/obs"
+	"mloc/internal/server"
 )
 
-// remoteClient is the shared HTTP plumbing of the query/stats
-// subcommands.
+// remoteClient is the shared HTTP plumbing of the remote subcommands.
 type remoteClient struct {
 	base string
 	http *http.Client
@@ -29,11 +30,8 @@ func newRemoteClient(addr string) (*remoteClient, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("-remote address is required (e.g. -remote 127.0.0.1:8080)")
 	}
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
 	return &remoteClient{
-		base: strings.TrimSuffix(addr, "/"),
+		base: client.BaseURL(addr),
 		http: &http.Client{Timeout: 60 * time.Second},
 	}, nil
 }
@@ -42,38 +40,37 @@ func newRemoteClient(addr string) (*remoteClient, error) {
 // so a miscalibrated server cannot park the CLI for minutes.
 const maxRetryAfter = 5 * time.Second
 
-// Response decode caps, matching the router's scatter-gather bounds: a
-// result payload may be large (64 MiB), an error envelope never is
-// (1 MiB). A misbehaving or malicious server cannot OOM the CLI.
-const (
-	maxResponseBytes = 64 << 20
-	maxErrorBytes    = 1 << 20
-)
+// maxResponseBytes caps every response the CLI decodes: a result
+// payload may be large, but a misbehaving or malicious server cannot
+// OOM the CLI.
+const maxResponseBytes = client.MaxResultBytes
 
-// doRetry sends a request and, when the server sheds load (429 or 503)
-// with a usable Retry-After header, sleeps the hinted duration (capped
-// at maxRetryAfter) and retries exactly once. Anything else — including
-// sheds without the header — is returned as-is; one bounded retry
-// rides out a drain or a momentary queue spike without turning the CLI
-// into a retry storm.
-func (c *remoteClient) doRetry(send func() (*http.Response, error)) (*http.Response, error) {
-	resp, err := send()
-	if err != nil {
-		return nil, err
+// call sends one request and decodes the 200 answer into out. When the
+// server sheds load (429 or 503) with a usable Retry-After header, it
+// sleeps the hinted duration (capped at maxRetryAfter) and retries
+// exactly once; the payload bytes are re-sendable, so the retry repeats
+// the identical request. Anything else — including sheds without the
+// header — is returned as-is; one bounded retry rides out a drain or a
+// momentary queue spike without turning the CLI into a retry storm.
+func (c *remoteClient) call(method, path string, payload []byte, out any) error {
+	send := func() error {
+		req, err := client.NewRequest(context.Background(), method, c.base+path, payload)
+		if err != nil {
+			return err
+		}
+		return client.JSON(c.http, req, maxResponseBytes, out)
 	}
-	if resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode != http.StatusServiceUnavailable {
-		return resp, nil
+	err := send()
+	var shed *client.StatusError
+	if !errors.As(err, &shed) ||
+		(shed.Code != http.StatusTooManyRequests && shed.Code != http.StatusServiceUnavailable) {
+		return err
 	}
-	wait, ok := parseRetryAfter(resp.Header.Get("Retry-After"))
+	wait, ok := parseRetryAfter(shed.RetryAfter)
 	if !ok {
-		return resp, nil
+		return err
 	}
-	// Drain the shed response so the connection is reusable.
-	if _, err := io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20)); err != nil {
-		_ = err //mlocvet:ignore uncheckederr -- draining a shed response body is best-effort
-	}
-	resp.Body.Close() //mlocvet:ignore uncheckederr -- close error on a shed response is unactionable
-	fmt.Fprintf(os.Stderr, "mlocctl: server busy (%s), retrying once in %s\n", resp.Status, wait)
+	fmt.Fprintf(os.Stderr, "mlocctl: server busy (%s), retrying once in %s\n", shed.Status, wait)
 	time.Sleep(wait)
 	return send()
 }
@@ -94,54 +91,18 @@ func parseRetryAfter(v string) (time.Duration, bool) {
 
 // getJSON decodes a GET endpoint into out.
 func (c *remoteClient) getJSON(path string, out any) error {
-	resp, err := c.doRetry(func() (*http.Response, error) {
-		return c.http.Get(c.base + path)
-	})
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- close error after the body was read is unactionable
-	if resp.StatusCode != http.StatusOK {
-		return remoteError(resp)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, maxResponseBytes)).Decode(out)
+	return c.call(http.MethodGet, path, nil, out)
 }
 
-// postJSON posts a payload and decodes the response into out, with the
-// same bounded Retry-After handling as getJSON (the payload bytes are
-// re-sendable, so the retry repeats the identical request).
+// postJSON posts a payload and decodes the response into out.
 func (c *remoteClient) postJSON(path string, payload []byte, out any) error {
-	resp, err := c.doRetry(func() (*http.Response, error) {
-		return c.http.Post(c.base+path, "application/json", bytes.NewReader(payload))
-	})
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- close error after the body was read is unactionable
-	if resp.StatusCode != http.StatusOK {
-		return remoteError(resp)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, maxResponseBytes)).Decode(out)
-}
-
-// remoteError surfaces the server's JSON error envelope.
-func remoteError(resp *http.Response) error {
-	var envelope struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxErrorBytes)).Decode(&envelope); err == nil && envelope.Error != "" {
-		return fmt.Errorf("server returned %s: %s", resp.Status, envelope.Error)
-	}
-	return fmt.Errorf("server returned %s", resp.Status)
+	return c.call(http.MethodPost, path, payload, out)
 }
 
 // remoteShape asks /vars for the variable's grid shape so matches can
 // be printed as coordinates, matching `mlocctl run` output.
 func (c *remoteClient) remoteShape(varName string) (grid.Shape, error) {
-	var vars []struct {
-		Var   string `json:"var"`
-		Shape []int  `json:"shape"`
-	}
+	var vars []server.VarWire
 	if err := c.getJSON("/vars", &vars); err != nil {
 		return nil, err
 	}
@@ -176,13 +137,13 @@ func cmdQuery(args []string) error {
 
 	// Assemble the wire request, reusing the local parsers so the CLI
 	// accepts identical constraint syntax for local and remote queries.
-	body := map[string]any{"var": *varName}
+	wire := server.QueryWire{Var: *varName, PLoD: *plod, IndexOnly: *indexOnly, Ranks: *ranks}
 	if *vcStr != "" {
 		vc, err := parseVC(*vcStr)
 		if err != nil {
 			return err
 		}
-		body["vc"] = map[string]float64{"min": vc.Min, "max": vc.Max}
+		wire.VC = &server.VCWire{Min: &vc.Min, Max: &vc.Max}
 	}
 	if *scStr != "" {
 		dims := strings.Count(*scStr, ",") + 1
@@ -190,44 +151,15 @@ func cmdQuery(args []string) error {
 		if err != nil {
 			return err
 		}
-		body["sc"] = map[string][]int{"lo": sc.Lo, "hi": sc.Hi}
+		wire.SC = &server.SCWire{Lo: sc.Lo, Hi: sc.Hi}
 	}
-	if *plod != 0 {
-		body["plod"] = *plod
-	}
-	if *indexOnly {
-		body["index_only"] = true
-	}
-	if *ranks != 0 {
-		body["ranks"] = *ranks
-	}
-	payload, err := json.Marshal(body)
+	payload, err := json.Marshal(&wire)
 	if err != nil {
 		return err
 	}
 
 	var res struct {
-		Matches []struct {
-			Index int64   `json:"index"`
-			Value float64 `json:"value"`
-		} `json:"matches"`
-		MatchesTotal   int   `json:"matches_total"`
-		Truncated      bool  `json:"truncated"`
-		BinsAccessed   int   `json:"bins_accessed"`
-		BlocksRead     int   `json:"blocks_read"`
-		BytesRead      int64 `json:"bytes_read"`
-		CacheHits      int   `json:"cache_hits"`
-		BinsPruned     int   `json:"bins_pruned"`
-		BinsCovered    int   `json:"bins_covered"`
-		IndexNodesRead int   `json:"index_nodes_read"`
-		Time           struct {
-			IO          float64 `json:"io"`
-			Decompress  float64 `json:"decompress"`
-			Reconstruct float64 `json:"reconstruct"`
-			Total       float64 `json:"total"`
-		} `json:"time"`
-		QueuedMS float64 `json:"queued_ms"`
-		TraceID  uint64  `json:"trace_id"`
+		server.ResultWire
 		// Cluster-only fields; absent (zero) on single-node mlocd.
 		Degraded bool `json:"degraded"`
 		Shards   []struct {

@@ -38,8 +38,8 @@
 //
 // Every query (and each startup store build) runs under a trace whose
 // span tree decomposes its virtual latency into fetch, decode,
-// reassemble, and filter work; /query responses carry the trace_id.
-// Queries slower than -slow-query-threshold (wall clock) are logged.
+// reassemble, and filter work; /query responses carry the trace_id,
+// and /debug/querylog?min_latency= finds the slow ones by it.
 //
 // On SIGINT/SIGTERM the daemon stops admitting queries (503 +
 // Retry-After), drains in-flight ones up to -drain-timeout, then exits.
@@ -108,7 +108,6 @@ func run(args []string) error {
 	maxMatches := fs.Int("max-matches", 65536, "matches returned per response")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight queries")
 	pprofOn := fs.Bool("pprof", false, "serve Go runtime profiles under /debug/pprof/")
-	slowQuery := fs.Duration("slow-query-threshold", 0, "log queries slower than this wall-clock duration (0 disables)")
 	traceBuffer := fs.Int("trace-buffer", obs.DefaultTraceCapacity, "query traces retained for /debug/traces")
 	sloStr := fs.String("slo", obs.DefaultSLOObjectives, "comma-separated latency objectives behind the mloc_slo_query_* counters, e.g. 100ms,1s")
 	querylogBuffer := fs.Int("querylog-buffer", obs.DefaultQueryLogCapacity, "query records retained for /debug/querylog")
@@ -187,18 +186,17 @@ func run(args []string) error {
 		}
 	}
 	svc, err := server.New(server.Config{
-		Stores:             stores,
-		Cache:              c,
-		MaxConcurrent:      *maxConcurrent,
-		MaxQueue:           *maxQueue,
-		QueueWait:          *queueWait,
-		DefaultRanks:       *ranks,
-		MaxMatches:         *maxMatches,
-		Registry:           reg,
-		Tracer:             tracer,
-		SlowQueryThreshold: *slowQuery,
-		SLOObjectives:      sloObjectives,
-		QueryLogCapacity:   *querylogBuffer,
+		Stores:           stores,
+		Cache:            c,
+		MaxConcurrent:    *maxConcurrent,
+		MaxQueue:         *maxQueue,
+		QueueWait:        *queueWait,
+		DefaultRanks:     *ranks,
+		MaxMatches:       *maxMatches,
+		Registry:         reg,
+		Tracer:           tracer,
+		SLOObjectives:    sloObjectives,
+		QueryLogCapacity: *querylogBuffer,
 	})
 	if err != nil {
 		return err
@@ -220,14 +218,19 @@ func composeDataHandler(svc http.Handler, inj *fault.Injector, pprofOn bool) htt
 	outer.Handle("/", inj.Wrap(svc))
 	outer.Handle("/cluster/fault", inj.AdminHandler())
 	if pprofOn {
-		outer.HandleFunc("/debug/pprof/", pprof.Index)
-		outer.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		outer.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		outer.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		outer.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		fmt.Println("mlocd: pprof enabled at /debug/pprof/")
+		mountPprof(outer)
 	}
 	return outer
+}
+
+// mountPprof serves the Go runtime profiles under /debug/pprof/.
+func mountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	fmt.Println("mlocd: pprof enabled at /debug/pprof/")
 }
 
 // routerOpts carries the router-role CLI surface into runRouter.
@@ -297,13 +300,8 @@ func runRouter(o routerOpts) error {
 	if o.pprofOn {
 		outer := http.NewServeMux()
 		outer.Handle("/", handler)
-		outer.HandleFunc("/debug/pprof/", pprof.Index)
-		outer.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		outer.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		outer.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		outer.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		mountPprof(outer)
 		handler = outer
-		fmt.Println("mlocd: pprof enabled at /debug/pprof/")
 	}
 	fmt.Printf("mlocd: routing %d vars across %d data nodes\n", len(rt.Vars()), len(o.nodes))
 	return serveAndDrain(o.addr, handler, rt.SetDraining, o.drainTimeout, stopHealth)

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -29,6 +30,7 @@ import (
 	"time"
 
 	"mloc/internal/cache"
+	"mloc/internal/client"
 	"mloc/internal/core"
 	"mloc/internal/datagen"
 	"mloc/internal/obs"
@@ -60,11 +62,7 @@ func run(args []string) error {
 		}
 		return lintExposition(string(payload))
 	case *remote != "":
-		base := *remote
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		return checkServer(strings.TrimSuffix(base, "/"), *probePprof)
+		return checkServer(client.BaseURL(*remote), *probePprof)
 	case *selfcheck:
 		return selfCheck()
 	default:
@@ -154,9 +152,9 @@ func countExposition(payload string) (families, samples int) {
 
 // checkServer validates a live server's /metrics and /debug/traces.
 func checkServer(base string, probePprof bool) error {
-	client := &http.Client{Timeout: 30 * time.Second}
+	hc := &http.Client{Timeout: 30 * time.Second}
 
-	payload, err := fetch(client, base+"/metrics", "text/plain")
+	payload, err := fetch(hc, base+"/metrics", "text/plain")
 	if err != nil {
 		return err
 	}
@@ -164,7 +162,7 @@ func checkServer(base string, probePprof bool) error {
 		return err
 	}
 
-	body, err := fetch(client, base+"/debug/traces", "application/json")
+	body, err := fetch(hc, base+"/debug/traces", "application/json")
 	if err != nil {
 		return err
 	}
@@ -179,7 +177,7 @@ func checkServer(base string, probePprof bool) error {
 	}
 	if len(traces) > 0 {
 		// Round-trip one trace through the ?id= path.
-		one, err := fetch(client, fmt.Sprintf("%s/debug/traces?id=%d", base, traces[0].ID), "application/json")
+		one, err := fetch(hc, fmt.Sprintf("%s/debug/traces?id=%d", base, traces[0].ID), "application/json")
 		if err != nil {
 			return err
 		}
@@ -194,7 +192,7 @@ func checkServer(base string, probePprof bool) error {
 	fmt.Printf("mloclint: traces ok (%d retained)\n", len(traces))
 
 	if probePprof {
-		if _, err := fetch(client, base+"/debug/pprof/cmdline", ""); err != nil {
+		if _, err := fetch(hc, base+"/debug/pprof/cmdline", ""); err != nil {
 			return fmt.Errorf("pprof probe: %w", err)
 		}
 		fmt.Println("mloclint: pprof ok")
@@ -217,24 +215,25 @@ func validTrace(td obs.TraceDump) error {
 }
 
 // fetch GETs a URL, requiring status 200 and (when non-empty) a
-// Content-Type prefix.
-func fetch(client *http.Client, url, wantType string) ([]byte, error) {
-	resp, err := client.Get(url)
+// Content-Type prefix. A metrics or trace payload is bounded in
+// practice; the read is capped so a misbehaving endpoint cannot OOM the
+// linter.
+func fetch(hc *http.Client, url, wantType string) ([]byte, error) {
+	req, err := client.NewRequest(context.Background(), http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- close error after the body was read is unactionable
-	// A metrics or trace payload is bounded in practice; cap the read so
-	// a misbehaving endpoint cannot OOM the linter.
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	var body []byte
+	err = client.Do(hc, req, client.MaxResultBytes, func(h http.Header, r io.Reader) error {
+		if ct := h.Get("Content-Type"); wantType != "" && !strings.HasPrefix(ct, wantType) {
+			return fmt.Errorf("Content-Type %q, want %s", ct, wantType)
+		}
+		var rerr error
+		body, rerr = io.ReadAll(r)
+		return rerr
+	})
 	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s returned %s", url, resp.Status)
-	}
-	if wantType != "" && !strings.HasPrefix(resp.Header.Get("Content-Type"), wantType) {
-		return nil, fmt.Errorf("%s Content-Type %q, want %s", url, resp.Header.Get("Content-Type"), wantType)
+		return nil, fmt.Errorf("%s: %w", url, err)
 	}
 	return body, nil
 }
@@ -274,19 +273,13 @@ func selfCheck() error {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/query", "application/json",
-		strings.NewReader(`{"var":"phi","vc":{"min":-1e30,"max":1e30}}`))
+	req, err := client.NewRequest(context.Background(), http.MethodPost, ts.URL+"/query",
+		[]byte(`{"var":"phi","vc":{"min":-1e30,"max":1e30}}`))
 	if err != nil {
 		return err
 	}
-	if _, cerr := io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<20)); cerr != nil {
-		return cerr
-	}
-	if err := resp.Body.Close(); err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("selfcheck query returned %s", resp.Status)
+	if err := client.Do(http.DefaultClient, req, 0, nil); err != nil {
+		return fmt.Errorf("selfcheck query: %w", err)
 	}
 	return checkServer(ts.URL, false)
 }

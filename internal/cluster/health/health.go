@@ -16,10 +16,10 @@ import (
 	"log"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
+	"mloc/internal/client"
 	"mloc/internal/obs"
 )
 
@@ -179,24 +179,14 @@ func (c *Checker) probe(ctx context.Context, node string) {
 	}
 	pctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, BaseURL(node)+"/healthz", nil)
+	req, err := client.NewRequest(pctx, http.MethodGet, client.BaseURL(node)+"/healthz", nil)
 	if err != nil {
 		c.record(node, 0, err)
 		return
 	}
 	start := time.Now()
-	resp, err := c.cfg.Client.Do(req)
-	elapsed := time.Since(start)
-	if err != nil {
-		c.record(node, elapsed, err)
-		return
-	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- close error after the status was read is unactionable
-	if resp.StatusCode != http.StatusOK {
-		c.record(node, elapsed, fmt.Errorf("health: %s returned %s", node, resp.Status))
-		return
-	}
-	c.record(node, elapsed, nil)
+	err = client.Do(c.cfg.Client, req, 0, nil)
+	c.record(node, time.Since(start), err)
 }
 
 // record applies one observation (probe or reported shard outcome).
@@ -287,13 +277,4 @@ func (c *Checker) Snapshot() []NodeStatus {
 	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
-}
-
-// BaseURL normalizes a node address into a URL prefix without a
-// trailing slash; bare host:port addresses get the http scheme.
-func BaseURL(node string) string {
-	if !strings.Contains(node, "://") {
-		node = "http://" + node
-	}
-	return strings.TrimSuffix(node, "/")
 }

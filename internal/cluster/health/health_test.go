@@ -117,18 +117,6 @@ func TestInstrumentExposesCleanMetrics(t *testing.T) {
 	}
 }
 
-func TestBaseURL(t *testing.T) {
-	for in, want := range map[string]string{
-		"127.0.0.1:8080":         "http://127.0.0.1:8080",
-		"http://127.0.0.1:8080/": "http://127.0.0.1:8080",
-		"https://x.example":      "https://x.example",
-	} {
-		if got := BaseURL(in); got != want {
-			t.Errorf("BaseURL(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestNewErrors(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty node set accepted")

@@ -273,8 +273,8 @@ func TestRouterQueryLogAndSLO(t *testing.T) {
 	if probs := obs.Lint(payload, true); len(probs) != 0 {
 		t.Errorf("router exposition with exemplars fails lint: %v", probs)
 	}
-	if rt.qlog.Len() != 1 {
-		t.Errorf("query log holds %d records, want 1", rt.qlog.Len())
+	if rt.QueryLog().Len() != 1 {
+		t.Errorf("query log holds %d records, want 1", rt.QueryLog().Len())
 	}
 }
 

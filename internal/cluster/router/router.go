@@ -26,16 +26,13 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"log"
 	"net/http"
 	"reflect"
 	"sort"
-	"sync/atomic"
 	"time"
 
+	"mloc/internal/client"
 	"mloc/internal/cluster/health"
 	"mloc/internal/cluster/shardmap"
 	"mloc/internal/obs"
@@ -95,6 +92,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// normalize checks the router's own settings and defaults them; the
+// ones both roles share are defaulted by server.NewFrame.
 func (c *Config) normalize() error {
 	if len(c.Nodes) == 0 {
 		return fmt.Errorf("router: at least one data node is required")
@@ -117,33 +116,11 @@ func (c *Config) normalize() error {
 	if c.HedgeAfter < 0 {
 		c.HedgeAfter = 0
 	}
-	if c.MaxMatches <= 0 {
-		c.MaxMatches = 65536
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.BootstrapWait <= 0 {
 		c.BootstrapWait = 30 * time.Second
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
-	}
-	if c.Registry == nil {
-		c.Registry = obs.NewRegistry()
-	}
-	if c.Tracer == nil {
-		c.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
-	}
-	if c.SLOObjectives == nil {
-		objs, err := obs.ParseSLOObjectives(obs.DefaultSLOObjectives)
-		if err != nil {
-			return fmt.Errorf("router: default slo objectives: %w", err)
-		}
-		c.SLOObjectives = objs
-	}
-	if c.Logf == nil {
-		c.Logf = log.Printf
 	}
 	return nil
 }
@@ -163,9 +140,13 @@ type varInfo struct {
 	slabs []slab
 }
 
-// Router is the cluster's query front end. Create with New, learn the
-// topology with Bootstrap, then mount Handler.
+// Router is the cluster's query front end: the router role over the
+// service frame. It answers a query by planning shard calls, scattering
+// them, and merging what came back; health, shard and graft metrics are
+// its own. Create with New, learn the topology with Bootstrap, then
+// mount Handler.
 type Router struct {
+	*server.Frame
 	cfg  Config
 	smap *shardmap.Map
 
@@ -173,33 +154,16 @@ type Router struct {
 	vars     map[string]*varInfo
 	varNames []string
 
-	draining atomic.Bool
-
-	queries      *obs.Counter
-	outcomes     map[string]*obs.Counter
 	fanout       *obs.Counter
 	hedges       *obs.Counter
 	failovers    *obs.Counter
 	partials     *obs.Counter
 	shardErrors  map[string]*obs.Counter
 	shardLatency map[string]*obs.Histogram
-	requests     map[string]*obs.Counter
-
-	qlog         *obs.QueryLog
-	slo          *obs.SLO
-	queryLatency *obs.Histogram
 	grafts       *obs.Counter
 	graftDrops   *obs.Counter
 	graftErrors  *obs.Counter
 }
-
-// outcome classes of mloc_cluster_query_outcomes_total.
-const (
-	outcomeOK       = "ok"
-	outcomeDegraded = "degraded"
-	outcomeFailed   = "failed"
-	outcomeRejected = "rejected"
-)
 
 // New validates the configuration, builds the shard map, and registers
 // the cluster metrics. Call Bootstrap before serving.
@@ -214,26 +178,36 @@ func New(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Router{
-		cfg:  cfg,
-		smap: smap,
-		vars: make(map[string]*varInfo),
-		qlog: obs.NewQueryLog(cfg.QueryLogCapacity),
+	rt := &Router{cfg: cfg, smap: smap, vars: make(map[string]*varInfo)}
+	// No Limits: the router admits every query (ROADMAP item 3).
+	rt.Frame, err = server.NewFrame(server.Role{
+		Name:             "router",
+		Prefix:           "mloc_cluster",
+		RootSpan:         "route",
+		MaxMatches:       cfg.MaxMatches,
+		MaxBodyBytes:     cfg.MaxBodyBytes,
+		Registry:         cfg.Registry,
+		Tracer:           cfg.Tracer,
+		SLOObjectives:    cfg.SLOObjectives,
+		QueryLogCapacity: cfg.QueryLogCapacity,
+		Logf:             cfg.Logf,
+		Vars:             rt.listVars,
+		Prepare:          rt.prepare,
+		Stats:            rt.stats,
+		Unhealthy:        rt.unhealthy,
+		Routes:           []server.Route{{Path: "/cluster/nodes", Name: "nodes", Handler: rt.handleNodes}},
+	})
+	if err != nil {
+		return nil, err
 	}
 	rt.instrument()
 	return rt, nil
 }
 
-// instrument registers the cluster-level metric families.
+// instrument registers the router's own metric families: fan-out,
+// per-node shard health and latency, and trace grafting.
 func (rt *Router) instrument() {
-	reg := rt.cfg.Registry
-	rt.queries = reg.Counter("mloc_cluster_queries_total",
-		"Routed query requests received (any outcome).")
-	rt.outcomes = make(map[string]*obs.Counter)
-	for _, o := range []string{outcomeOK, outcomeDegraded, outcomeFailed, outcomeRejected} {
-		rt.outcomes[o] = reg.Counter("mloc_cluster_query_outcomes_total",
-			"Routed query outcomes by class.", obs.L("outcome", o))
-	}
+	reg := rt.Registry()
 	rt.fanout = reg.Counter("mloc_cluster_fanout_total",
 		"Shard sub-queries issued (excluding hedges and failover retries).")
 	rt.hedges = reg.Counter("mloc_cluster_hedges_total",
@@ -261,15 +235,6 @@ func (rt *Router) instrument() {
 			"Wall-clock shard call latency by node (successful calls).",
 			obs.DefSecondsBuckets(), obs.L("node", n))
 	}
-	rt.requests = make(map[string]*obs.Counter)
-	for _, ep := range []string{"query", "stats", "vars", "healthz", "metrics", "traces", "querylog", "nodes"} {
-		rt.requests[ep] = reg.Counter("mloc_cluster_requests_total",
-			"Router HTTP requests by endpoint.", obs.L("endpoint", ep))
-	}
-	rt.queryLatency = reg.Histogram("mloc_cluster_query_latency_seconds",
-		"End-to-end routed query wall latency; buckets carry exemplar trace ids.",
-		obs.DefSecondsBuckets())
-	rt.slo = obs.NewSLO(reg, rt.cfg.SLOObjectives)
 	rt.grafts = reg.Counter("mloc_cluster_trace_grafts_total",
 		"Remote span subtrees grafted into router traces.")
 	rt.graftDrops = reg.Counter("mloc_cluster_trace_graft_dropped_spans_total",
@@ -309,7 +274,7 @@ func (rt *Router) Bootstrap(ctx context.Context) error {
 		rt.varNames = append(rt.varNames, v.Var)
 	}
 	sort.Strings(rt.varNames)
-	rt.cfg.Logf("router: bootstrapped %d vars over %d nodes (replication %d, %d slabs/var)",
+	rt.Logf("router: bootstrapped %d vars over %d nodes (replication %d, %d slabs/var)",
 		len(rt.varNames), len(rt.cfg.Nodes), rt.smap.Replication(), rt.cfg.SlabsPerVar)
 	return nil
 }
@@ -343,23 +308,15 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 func (rt *Router) fetchVarsOnce(ctx context.Context, node string) ([]server.VarWire, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, health.BaseURL(node)+"/vars", nil)
+	req, err := client.NewRequest(ctx, http.MethodGet, client.BaseURL(node)+"/vars", nil)
 	if err != nil {
 		return nil, err
-	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- close error after the body was read is unactionable
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("router: %s /vars returned %s", node, resp.Status)
 	}
 	var vars []server.VarWire
-	// A /vars listing is metadata and fits the same 1 MiB cap as error
-	// envelopes; a corrupt or hostile node must not OOM the router.
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&vars); err != nil {
-		return nil, fmt.Errorf("router: decoding %s /vars: %w", node, err)
+	// A /vars listing is metadata; a corrupt or hostile node must not
+	// OOM the router.
+	if err := client.JSON(rt.cfg.Client, req, client.MaxMetaBytes, &vars); err != nil {
+		return nil, fmt.Errorf("router: %s /vars: %w", node, err)
 	}
 	if len(vars) == 0 {
 		return nil, fmt.Errorf("router: %s serves no variables", node)
@@ -399,16 +356,6 @@ func (rt *Router) computeSlabs(name string, shape []int) []slab {
 	}
 	return slabs
 }
-
-// SetDraining flips the draining flag; while set, new queries get 503
-// with Retry-After, matching the data-node shutdown contract.
-func (rt *Router) SetDraining(on bool) { rt.draining.Store(on) }
-
-// Registry returns the metrics registry backing /metrics.
-func (rt *Router) Registry() *obs.Registry { return rt.cfg.Registry }
-
-// QueryLog returns the always-on query log backing /debug/querylog.
-func (rt *Router) QueryLog() *obs.QueryLog { return rt.qlog }
 
 // Vars returns the variable names learned at bootstrap, sorted.
 func (rt *Router) Vars() []string { return append([]string(nil), rt.varNames...) }

@@ -396,7 +396,7 @@ func TestAllNodesDeadFails(t *testing.T) {
 	if code := postJSON(t, rts.URL+"/query", body, nil); code != http.StatusBadGateway {
 		t.Fatalf("all-dead query status %d, want 502", code)
 	}
-	if rt.outcomes[outcomeFailed].Value() == 0 {
+	if rt.Stats()["queries_failed"] == 0 {
 		t.Error("failed outcome not counted")
 	}
 }

@@ -1,15 +1,14 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
 
+	"mloc/internal/client"
 	"mloc/internal/cluster/health"
 	"mloc/internal/obs"
 	"mloc/internal/server"
@@ -191,7 +190,7 @@ func (rt *Router) graftRemote(sp *obs.Span, res *server.ResultWire, node string)
 	tw, err := obs.DecodeTraceWire(res.Trace, obs.DefaultMaxWireBytes)
 	if err != nil {
 		rt.graftErrors.Inc()
-		rt.cfg.Logf("router: dropping span subtree from %s: %v", node, err)
+		rt.Logf("router: dropping span subtree from %s: %v", node, err)
 		return
 	}
 	_, dropped := sp.GraftWire(tw, node)
@@ -294,40 +293,19 @@ func (rt *Router) noteFailure(node string, err error) {
 // Any transport error, non-200 status, or undecodable (corrupt) body
 // is a shard failure the caller handles via failover.
 func (rt *Router) post(ctx context.Context, node string, body []byte, traced bool) (*server.ResultWire, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		health.BaseURL(node)+"/query", bytes.NewReader(body))
+	req, err := client.NewRequest(ctx, http.MethodPost, client.BaseURL(node)+"/query", body)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
 	if traced {
 		// Presence is the signal: any non-empty value asks the node to
 		// attach its completed span subtree to the response envelope.
 		// Trace ids are per-process, so none travels with the request.
 		req.Header.Set(obs.TraceHeader, "1")
 	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
+	var res server.ResultWire
+	if err := client.JSON(rt.cfg.Client, req, client.MaxResultBytes, &res); err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- close error after the body was read is unactionable
-	if resp.StatusCode != http.StatusOK {
-		return nil, nodeError(resp)
-	}
-	var res server.ResultWire
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&res); err != nil {
-		return nil, fmt.Errorf("router: corrupt or undecodable response: %w", err)
-	}
 	return &res, nil
-}
-
-// nodeError surfaces a data node's JSON error envelope.
-func nodeError(resp *http.Response) error {
-	var envelope struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&envelope); err == nil && envelope.Error != "" {
-		return fmt.Errorf("router: node returned %s: %s", resp.Status, envelope.Error)
-	}
-	return fmt.Errorf("router: node returned %s", resp.Status)
 }

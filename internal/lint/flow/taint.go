@@ -13,8 +13,8 @@ package flow
 // parameter. The block solve is the union-meet dual of SolveMust's
 // intersection fixpoint: a fact merged from any predecessor survives,
 // so a bounds check that guards only one path does NOT sanitize the
-// others — the precision the linear source-order walk of the older
-// wiresize analyzer lacks. Within a path, an ordered comparison
+// others — the precision a linear source-order walk lacks. Within a
+// path, an ordered comparison
 // (<, <=, >, >=) mentioning a value clears its taint from that point
 // on: every block the comparison dominates sees the value as bounded,
 // which is exactly the repository's rejection idiom

@@ -64,8 +64,8 @@ func (a *analysis) exprMask(e ast.Expr, st taintState) Mask {
 
 // selectorMask evaluates a field read or method value: data carried by
 // an *http.Request or *http.Response is an untrusted source, a field
-// of a *Wire struct is decoded network payload (matching the wiresize
-// source model), and any other field read propagates its base's mask.
+// of a *Wire struct is decoded network payload, and any other field
+// read propagates its base's mask.
 func (a *analysis) selectorMask(sel *ast.SelectorExpr, st taintState) Mask {
 	if _, ok := a.info.Selections[sel]; !ok {
 		// Package-qualified name (io.Discard, http.MethodPost, ...).
@@ -209,7 +209,7 @@ func (a *analysis) builtinMask(call *ast.CallExpr, st taintState) (Mask, bool) {
 	return 0, true
 }
 
-// sourceNames is the wire-decode source family (shared with wiresize):
+// sourceNames is the wire-decode source family:
 // the first result of these carries an attacker-chosen count.
 var sourceNames = map[string]bool{
 	"uvarint": true, "varint": true, "readuvarint": true, "readvarint": true,

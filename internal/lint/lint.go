@@ -25,8 +25,6 @@
 //
 //   - lockorder: cross-package mutex acquisition-order cycles
 //     (potential deadlocks)
-//   - wiresize: untrusted decoded lengths reaching allocations before
-//     a bounds check
 //   - hotalloc: hoistable allocations, growing appends, and capturing
 //     closures inside hot-path loops
 //   - constshare: re-typed magic literals that must come from the
@@ -202,7 +200,6 @@ func All() []*Analyzer {
 		ExportedDoc,
 		CtxFirst,
 		LockOrder,
-		WireSize,
 		HotAlloc,
 		ConstShare,
 		AtomicMix,

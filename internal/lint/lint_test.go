@@ -100,7 +100,6 @@ func TestAnalyzersGolden(t *testing.T) {
 		{ExportedDoc, "exporteddoc"},
 		{CtxFirst, "ctxfirst"},
 		{LockOrder, "lockorder"},
-		{WireSize, "wiresize"},
 		{HotAlloc, "hotalloc"},
 		{ConstShare, "constshare"},
 		{AtomicMix, "atomicmix"},
@@ -133,7 +132,6 @@ func TestGoldenTruePositives(t *testing.T) {
 		ExportedDoc.Name:   "exporteddoc",
 		CtxFirst.Name:      "ctxfirst",
 		LockOrder.Name:     "lockorder",
-		WireSize.Name:      "wiresize",
 		HotAlloc.Name:      "hotalloc",
 		ConstShare.Name:    "constshare",
 		AtomicMix.Name:     "atomicmix",

@@ -1,13 +1,14 @@
-// Package wiresize is a mlocvet fixture where decoded lengths reach
-// allocations with and without bounds checks.
-package wiresize
+package taintflow
 
 import "encoding/binary"
+
+// Lengths decoded from wire bytes reaching an allocation or a slice
+// bound in the same function, with and without a bounds check.
 
 func unbounded(data []byte) []uint64 {
 	count, n := binary.Uvarint(data)
 	data = data[n:]              // the bytes-consumed result is bounded by construction
-	out := make([]uint64, count) // want `make size count derives from an untrusted decoded length`
+	out := make([]uint64, count) // want `untrusted value count reaches make size without a bounds check`
 	for i := range out {
 		out[i], n = binary.Uvarint(data)
 		data = data[n:]
@@ -18,13 +19,13 @@ func unbounded(data []byte) []uint64 {
 func converted(data []byte) []byte {
 	size, _ := binary.Uvarint(data)
 	c := int(size)
-	return make([]byte, c) // want `make size c derives from an untrusted decoded length`
+	return make([]byte, c) // want `untrusted value c reaches make size without a bounds check`
 }
 
 func sliced(data []byte) []byte {
 	plen, n := binary.Uvarint(data)
 	data = data[n:]
-	return data[:plen] // want `slice bound plen derives from an untrusted decoded length`
+	return data[:plen] // want `untrusted value plen reaches slice bound without a bounds check`
 }
 
 func bounded(data []byte) ([]byte, bool) {
@@ -42,10 +43,4 @@ func boundedMake(data []byte) []float64 {
 		return nil
 	}
 	return make([]float64, count) // sanitized by the cap above
-}
-
-func suppressed(data []byte) []byte {
-	plen, _ := binary.Uvarint(data)
-	// Caller guarantees the payload length out of band.
-	return data[:plen] //mlocvet:ignore wiresize
 }

@@ -413,8 +413,8 @@ func (t *Tracer) Len() int {
 	return t.n
 }
 
-// MarshalJSONIndent renders the dump as indented JSON (used by
-// /debug/traces and the slow-query log).
+// MarshalJSONIndent renders the dump as indented JSON (the form
+// /debug/traces serves).
 func (d TraceDump) MarshalJSONIndent() ([]byte, error) {
 	return json.MarshalIndent(d, "", "  ")
 }

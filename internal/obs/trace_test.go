@@ -258,8 +258,8 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 }
 
-// TestRenderTree pins the human-readable renderer used by mlocctl trace
-// and the slow-query log.
+// TestRenderTree pins the human-readable renderer used by mlocctl
+// trace.
 func TestRenderTree(t *testing.T) {
 	tr := NewTracer(1)
 	ctx, root := tr.StartTrace(context.Background(), "query")

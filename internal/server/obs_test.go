@@ -1,8 +1,8 @@
 package server
 
 // Integration tests for the observability surface: /metrics scraped
-// mid-query, /debug/traces span trees matching reported latency, the
-// legacy /stats key contract, and the slow-query log.
+// mid-query, /debug/traces span trees matching reported latency, and
+// the /stats key contract.
 
 import (
 	"encoding/json"
@@ -261,37 +261,6 @@ func TestStatsLegacyKeys(t *testing.T) {
 	}
 	if stats["queries_total"] != 1 || stats["queries_ok"] != 1 {
 		t.Errorf("stats totals = %d/%d, want 1/1", stats["queries_total"], stats["queries_ok"])
-	}
-}
-
-// TestSlowQueryLog checks that queries over the threshold are logged
-// with their trace id, and that fast queries are not.
-func TestSlowQueryLog(t *testing.T) {
-	st, _, _ := buildStore(t, 14, nil)
-	var mu sync.Mutex
-	var lines []string
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}
-	_, ts := newTestServer(t, Config{
-		Stores:             map[string]*core.Store{"phi": st},
-		SlowQueryThreshold: time.Nanosecond, // everything is slow
-		Logf:               logf,
-	})
-	resp, res := postQuery(t, ts, `{"var":"phi","vc":{"min":-1e30,"max":1e30}}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status %d", resp.StatusCode)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(lines) != 1 {
-		t.Fatalf("slow log lines = %v, want exactly one", lines)
-	}
-	if !strings.Contains(lines[0], "slow query") ||
-		!strings.Contains(lines[0], fmt.Sprintf("trace_id=%d", res.TraceID)) {
-		t.Errorf("slow log line %q missing query identification", lines[0])
 	}
 }
 

@@ -7,7 +7,7 @@
 # and /debug/traces are scraped and validated with mloclint (the
 # promtool-style checker — malformed exposition or trace JSON fails
 # the smoke), pprof answers behind -pprof, the per-query trace renders
-# with rank spans, and the slow-query log fires.
+# with rank spans, and the query log finds the query by its trace id.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,7 +30,7 @@ go build -o "$workdir/mloclint" ./cmd/mloclint
 
 echo "serve-smoke: booting mlocd"
 "$workdir/mlocd" -addr 127.0.0.1:0 -store t=gts:64:1 -bins 16 -ranks 2 \
-    -pprof -slow-query-threshold 1ns \
+    -pprof \
     >"$workdir/mlocd.log" 2>&1 &
 mlocd_pid=$!
 
@@ -111,9 +111,12 @@ if ! grep -q 'rank' "$workdir/trace.out"; then
     exit 1
 fi
 
-if ! grep -q 'slow query' "$workdir/mlocd.log"; then
-    echo "serve-smoke: FAIL — slow-query log never fired at a 1ns threshold" >&2
-    cat "$workdir/mlocd.log" >&2
+# A slow query can be found, with its trace id: every query is at least
+# 1ns slow, so the latency filter must list the first one.
+"$workdir/mlocctl" querylog -remote "$addr" -min-latency 1ns >"$workdir/querylog.out"
+if ! grep -q "trace=$trace_id\b" "$workdir/querylog.out"; then
+    echo "serve-smoke: FAIL — querylog -min-latency 1ns does not list trace $trace_id" >&2
+    cat "$workdir/querylog.out" >&2
     exit 1
 fi
 

@@ -1,6 +1,6 @@
 #!/bin/sh
 # vet_fast.sh — the PR fast path for the mlocvet gate. A pull request
-# rarely touches the analyzer suite, so re-running all twenty analyzers
+# rarely touches the analyzer suite, so re-running all nineteen analyzers
 # over the whole repository on every push to a branch is mostly wasted
 # work. This script diffs against a base ref and picks the cheapest
 # sound pass:
