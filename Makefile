@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 RACE_PKGS = ./internal/client ./internal/mpi ./internal/pfs ./internal/compress ./internal/core ./internal/fastbit ./internal/stage ./internal/cache ./internal/query ./internal/server ./internal/obs \
 	./internal/cluster/shardmap ./internal/cluster/health ./internal/cluster/fault ./internal/cluster/router
 
-.PHONY: build test vet vet-fast mlocvet mlocvet-baseline race bench-json bench-query fuzz-short fuzz-list fuzz-list-check serve-smoke cluster-smoke obslint check
+.PHONY: build test vet mlocvet race bench-json bench-query fuzz-short fuzz-list fuzz-list-check serve-smoke cluster-smoke obslint check
 
 build:
 	$(GO) build ./...
@@ -15,27 +15,15 @@ build:
 test:
 	$(GO) test ./...
 
-## vet: go vet plus the repo's own analyzer suite (cmd/mlocvet),
-## gated on the accepted baseline so only NEW findings fail.
+## vet: go vet plus the repo's own analyzer suite (cmd/mlocvet); any
+## finding fails.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/mlocvet -baseline mlocvet-baseline.json ./...
+	$(GO) run ./cmd/mlocvet ./...
 
-## vet-fast: the PR fast path — diff against BASE_REF (default
-## origin/main) and run only the analyzers or packages the change can
-## affect. `make check` keeps the full suite; this is a latency
-## optimization for pull-request iteration, not the gate of record.
-vet-fast:
-	./scripts/vet_fast.sh
-
-## mlocvet: just the custom analyzer suite (baseline-gated).
+## mlocvet: just the custom analyzer suite.
 mlocvet:
-	$(GO) run ./cmd/mlocvet -baseline mlocvet-baseline.json ./...
-
-## mlocvet-baseline: re-snapshot the accepted mlocvet findings after
-## triaging (fixing or //mlocvet:ignore-ing) everything else.
-mlocvet-baseline:
-	$(GO) run ./cmd/mlocvet -write-baseline mlocvet-baseline.json ./...
+	$(GO) run ./cmd/mlocvet ./...
 
 ## race: race-detector pass over the parallel engine packages.
 race:

@@ -252,7 +252,7 @@ func TestCmdClusterFaultAndNodes(t *testing.T) {
 	var gotFault atomic.Value
 	mux := http.NewServeMux()
 	mux.HandleFunc("/cluster/fault", func(w http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body) //mlocvet:ignore uncheckederr -- stub server; a short read fails the assertion below
+		body, _ := io.ReadAll(r.Body)
 		gotFault.Store(string(body))
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"mode":"delay","delay_ms":100}`)
@@ -297,13 +297,13 @@ func TestOversizedResponseBounded(t *testing.T) {
 	pad := strings.Repeat(" ", 1<<20)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, "{") //mlocvet:ignore uncheckederr -- test server write
+		io.WriteString(w, "{")
 		for written := 0; written <= maxResponseBytes; written += len(pad) {
 			if _, err := io.WriteString(w, pad); err != nil {
 				return // client hung up after its cap; expected
 			}
 		}
-		io.WriteString(w, `"ok":true}`) //mlocvet:ignore uncheckederr -- test server write
+		io.WriteString(w, `"ok":true}`)
 	}))
 	t.Cleanup(ts.Close)
 	client, err := newRemoteClient(strings.TrimPrefix(ts.URL, "http://"))
@@ -325,7 +325,7 @@ func TestOversizedErrorEnvelopeBounded(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
-		io.WriteString(w, `{"error":"`+huge+`"}`) //mlocvet:ignore uncheckederr -- test server write
+		io.WriteString(w, `{"error":"`+huge+`"}`)
 	}))
 	t.Cleanup(ts.Close)
 	client, err := newRemoteClient(strings.TrimPrefix(ts.URL, "http://"))

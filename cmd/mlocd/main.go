@@ -323,7 +323,7 @@ func serveAndDrain(addr string, handler http.Handler, setDraining func(bool), dr
 	errc := make(chan error, 1)
 	// The server loop must not block signal handling; this is daemon
 	// plumbing, not data parallelism.
-	go func() { errc <- httpSrv.Serve(ln) }() //mlocvet:ignore spmd-goroutine -- the serve loop is a daemon lifecycle, not SPMD compute; its exit is joined via errc
+	go func() { errc <- httpSrv.Serve(ln) }() // the serve loop; its exit is joined via errc
 
 	select {
 	case sig := <-sigc:

@@ -141,7 +141,7 @@ func TestBuildStoresAndServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status %d", resp.StatusCode)
 	}
@@ -172,7 +172,7 @@ func TestComposeDataHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("service status %d", resp.StatusCode)
 	}
@@ -188,7 +188,7 @@ func TestComposeDataHandler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fault admin unreachable on a killed node: %v", err)
 	}
-	resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fault admin status %d", resp.StatusCode)
 	}
@@ -196,7 +196,7 @@ func TestComposeDataHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("revived node status %d", resp.StatusCode)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,30 +12,6 @@ import (
 )
 
 const badFixture = "../../internal/lint/testdata/src/floatcmp"
-
-// TestRunJSONOutput checks -json emits a parseable array with the
-// documented fields.
-func TestRunJSONOutput(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-json", badFixture}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-json on bad fixture: exit %d, want 1 (stderr: %s)", code, stderr.String())
-	}
-	var diags []jsonDiag
-	if err := json.Unmarshal(stdout.Bytes(), &diags); err != nil {
-		t.Fatalf("-json output is not valid JSON: %v\n%s", err, stdout.String())
-	}
-	if len(diags) == 0 {
-		t.Fatal("-json produced an empty array on a bad fixture")
-	}
-	for _, d := range diags {
-		if d.File == "" || d.Line <= 0 || d.Analyzer == "" || d.Message == "" {
-			t.Errorf("incomplete diagnostic: %+v", d)
-		}
-		if strings.Contains(d.File, `\`) {
-			t.Errorf("file %q is not slash-separated", d.File)
-		}
-	}
-}
 
 // sarifShape mirrors the parts of SARIF 2.1.0 the gate depends on.
 type sarifShape struct {
@@ -114,72 +89,6 @@ func TestRunSARIFOutput(t *testing.T) {
 	}
 	if !sawFloatcmp {
 		t.Error("no floatcmp result on the floatcmp fixture")
-	}
-}
-
-// TestRunJSONAndSARIFExclusive checks the two formats cannot combine.
-func TestRunJSONAndSARIFExclusive(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-json", "-sarif", "."}, &stdout, &stderr); code != 2 {
-		t.Errorf("-json -sarif: exit %d, want 2", code)
-	}
-}
-
-// TestBaselineRoundTrip drives the write/compare cycle: a snapshot of
-// the current findings makes the same run exit 0, and a run with
-// findings beyond the snapshot exits 1 reporting only the new ones.
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.json")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-write-baseline", full, badFixture}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline: exit %d (stderr: %s)", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "wrote baseline") {
-		t.Errorf("missing write confirmation, stderr: %s", stderr.String())
-	}
-
-	// Same tree, same baseline: every finding is accepted, exit 0.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", full, badFixture}, &stdout, &stderr); code != 0 {
-		t.Fatalf("baseline compare on unchanged tree: exit %d\nstdout: %s", code, stdout.String())
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("unchanged tree reported findings:\n%s", stdout.String())
-	}
-
-	// A baseline that predates the floatcmp findings (written with an
-	// analyzer that fires nothing here) makes them NEW: exit 1, and
-	// only the new findings print.
-	narrow := filepath.Join(dir, "narrow.json")
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-only", "errprefix", "-write-baseline", narrow, badFixture}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline (narrow): exit %d (stderr: %s)", code, stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", narrow, badFixture}, &stdout, &stderr); code != 1 {
-		t.Fatalf("baseline compare with new findings: exit %d, want 1\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "floatcmp:") {
-		t.Errorf("new findings not reported:\n%s", stdout.String())
-	}
-}
-
-// TestBaselineRejectsCorruptFile checks a malformed baseline is a usage
-// error, not a silent all-clear.
-func TestBaselineRejectsCorruptFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-baseline", path, badFixture}, &stdout, &stderr); code != 2 {
-		t.Errorf("corrupt baseline: exit %d, want 2 (stderr: %s)", code, stderr.String())
 	}
 }
 

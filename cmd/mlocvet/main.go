@@ -1,41 +1,34 @@
 // Command mlocvet runs MLOC's custom static-analysis suite over the
 // repository. It is the stdlib-only companion to `go vet`: the
 // analyzers in internal/lint machine-enforce conventions the standard
-// checks do not know about — the syntactic generation (SPMD-only
-// goroutines, rank-local *mpi.Comm, "<pkg>: " error prefixes,
-// tolerance-based float comparison, checked errors, documented
-// exports), the flow-aware generation (lock-order cycles, untrusted
-// wire lengths reaching allocations, hot-loop allocations, shared
-// magic constants, mixed atomic/mutex field disciplines), and the
-// lifecycle generation built on per-function CFGs and a
-// must-happen-on-every-path dataflow solver (goroutines with a bounded
-// exit, forwarded contexts, pooled values released on every path,
-// virtual-clock charges for simulated I/O, reasoned suppressions).
+// checks do not know about — rank-local *mpi.Comm, "<pkg>: " error
+// prefixes, tolerance-based float comparison, checked errors,
+// documented exports, forwarded contexts, hot-loop allocations, shared
+// magic constants, reasoned suppressions — and, on internal/lint/flow's
+// call graph, per-function CFGs and one dataflow solver: lock-order
+// cycles and mixed atomic/mutex field disciplines, goroutines with a
+// bounded exit, pooled values released and virtual-clock charges made
+// on every path, bounded body reads, and untrusted lengths kept away
+// from allocations, loop bounds and metric labels.
 //
 // Usage:
 //
-//	mlocvet [-list] [-only names] [-skip names] [-json|-sarif]
-//	        [-baseline file] [-write-baseline file] [packages]
+//	mlocvet [-list] [-only names] [-sarif] [packages]
 //
 // Packages follow go-tool patterns (directories, with an optional
 // "..." wildcard suffix); the default is "./...". All matched packages
 // load into one program so the cross-package analyzers see every edge.
 // Diagnostics print one per line as "file:line: analyzer: message";
-// -json emits them as a JSON array and -sarif as a SARIF 2.1.0 log for
-// code-scanning upload.
+// -sarif emits them as a SARIF 2.1.0 log for code-scanning upload.
 //
-// -write-baseline snapshots the current findings and exits 0.
-// -baseline compares against a snapshot: previously accepted findings
-// are filtered out and only NEW findings are reported and fail the
-// run. The exit code is 0 when nothing (new) fired, 1 otherwise, and 2
-// on usage or load errors. A finding is suppressed at the source line
-// by a trailing (or immediately preceding) "//mlocvet:ignore
-// <analyzer> -- <reason>" comment; the ignorereason analyzer reports
-// directives whose reason tail is missing.
+// The exit code is 0 when nothing fired, 1 otherwise, and 2 on usage
+// or load errors. A finding is suppressed at the source line by a
+// trailing (or immediately preceding) "//mlocvet:ignore <analyzer> --
+// <reason>" comment; the ignorereason analyzer reports directives
+// whose reason tail is missing.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -58,29 +51,20 @@ func printf(w io.Writer, format string, args ...any) {
 }
 
 // run executes the driver and returns its exit code: 0 clean, 1
-// (new) findings, 2 usage or load failure.
+// findings, 2 usage or load failure.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mlocvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	skip := fs.String("skip", "", "comma-separated analyzer names to exclude from the run")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	sarifOut := fs.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log")
-	baselinePath := fs.String("baseline", "", "report only findings not in this baseline `file`")
-	writeBaseline := fs.String("write-baseline", "", "snapshot current findings to `file` and exit 0")
 	fs.Usage = func() {
-		printf(stderr, "usage: mlocvet [-list] [-only names] [-skip names] [-json|-sarif] [-baseline file] [-write-baseline file] [packages]\n")
+		printf(stderr, "usage: mlocvet [-list] [-only names] [-sarif] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *jsonOut && *sarifOut {
-		printf(stderr, "mlocvet: -json and -sarif are mutually exclusive\n")
-		return 2
-	}
-
 	analyzers := lint.All()
 	if *only != "" {
 		analyzers = nil
@@ -93,28 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			analyzers = append(analyzers, a)
 		}
-	}
-	if *skip != "" {
-		skipped := make(map[string]bool)
-		for _, name := range strings.Split(*skip, ",") {
-			name = strings.TrimSpace(name)
-			if lint.ByName(name) == nil {
-				printf(stderr, "mlocvet: unknown analyzer %q (see mlocvet -list)\n", name)
-				return 2
-			}
-			skipped[name] = true
-		}
-		kept := analyzers[:0:0]
-		for _, a := range analyzers {
-			if !skipped[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		analyzers = kept
-	}
-	if len(analyzers) == 0 {
-		printf(stderr, "mlocvet: -only/-skip left no analyzers to run\n")
-		return 2
 	}
 	if *list {
 		for _, a := range analyzers {
@@ -158,86 +120,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diags[i].Pos.Filename = relPath(diags[i].Pos.Filename)
 	}
 
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
+	if *sarifOut {
+		if err := lint.WriteSARIF(stdout, diags, analyzers); err != nil {
 			printf(stderr, "mlocvet: %v\n", err)
 			return 2
 		}
-		werr := lint.WriteBaseline(f, lint.NewBaseline(diags))
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			printf(stderr, "mlocvet: writing baseline: %v\n", werr)
-			return 2
-		}
-		printf(stderr, "mlocvet: wrote baseline %s (%d findings)\n", *writeBaseline, len(diags))
-		return 0
-	}
-
-	report := diags
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			printf(stderr, "mlocvet: %v\n", err)
-			return 2
-		}
-		base, err := lint.ReadBaseline(f)
-		_ = f.Close() //mlocvet:ignore uncheckederr -- baseline file opened read-only; close cannot lose data
-		if err != nil {
-			printf(stderr, "mlocvet: %v\n", err)
-			return 2
-		}
-		report = base.New(diags)
-	}
-
-	switch {
-	case *sarifOut:
-		if err := lint.WriteSARIF(stdout, report, analyzers); err != nil {
-			printf(stderr, "mlocvet: %v\n", err)
-			return 2
-		}
-	case *jsonOut:
-		if err := writeJSON(stdout, report); err != nil {
-			printf(stderr, "mlocvet: %v\n", err)
-			return 2
-		}
-	default:
-		for _, d := range report {
+	} else {
+		for _, d := range diags {
 			printf(stdout, "%s\n", d)
 		}
 	}
-	if len(report) > 0 {
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0
-}
-
-// jsonDiag is the -json output shape for one diagnostic.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// writeJSON emits diagnostics as an indented JSON array.
-func writeJSON(w io.Writer, diags []lint.Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File:     filepath.ToSlash(d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // relPath shortens an absolute diagnostic path relative to the current

@@ -64,44 +64,13 @@ func TestRunOnlySelectsAnalyzer(t *testing.T) {
 	}
 }
 
-// TestRunSkipExcludesAnalyzer checks -skip filtering: skipping the
-// only analyzer that fires makes the fixture clean, skipping an
-// unknown name is a usage error, and skipping everything -only
-// selected leaves nothing to run.
-func TestRunSkipExcludesAnalyzer(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-only", "floatcmp,errprefix", "-skip", "floatcmp",
-		"../../internal/lint/testdata/src/floatcmp"}, &stdout, &stderr)
-	if code != 0 {
-		t.Errorf("-skip floatcmp on the floatcmp fixture: exit %d, want 0 (output: %s)", code, stdout.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-skip", "bogus", "."}, &stdout, &stderr); code != 2 {
-		t.Errorf("-skip bogus: exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "unknown analyzer") {
-		t.Errorf("missing unknown-analyzer message, stderr: %s", stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-only", "floatcmp", "-skip", "floatcmp", "."}, &stdout, &stderr); code != 2 {
-		t.Errorf("-only floatcmp -skip floatcmp: exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "no analyzers") {
-		t.Errorf("missing empty-set message, stderr: %s", stderr.String())
-	}
-}
-
 // TestRunList checks -list names every analyzer.
 func TestRunList(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list: exit %d, want 0", code)
 	}
-	for _, name := range []string{"spmd-goroutine", "errprefix", "floatcmp", "commescape", "uncheckederr", "exporteddoc"} {
+	for _, name := range []string{"errprefix", "floatcmp", "commescape", "uncheckederr", "exporteddoc"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, stdout.String())
 		}

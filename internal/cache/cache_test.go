@@ -300,7 +300,7 @@ func TestStatsSnapshot(t *testing.T) {
 }
 
 func ExampleCache_GetOrCompute() {
-	c, _ := New(1 << 20) //mlocvet:ignore uncheckederr -- constructor cannot fail for a positive capacity
+	c, _ := New(1 << 20)
 	k := Key{Store: "pfs/var", Bin: 3, Unit: 0, Level: 7}
 	vals, hit, _ := c.GetOrCompute(context.Background(), k, func() ([]float64, error) {
 		return []float64{1.5, 2.5}, nil

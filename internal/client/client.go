@@ -74,7 +74,7 @@ func Do(hc *http.Client, req *http.Request, limit int64, read func(http.Header, 
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- close error after the body was read is unactionable
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		se := &StatusError{Code: resp.StatusCode, Status: resp.Status, RetryAfter: resp.Header.Get("Retry-After")}
 		var envelope struct {

@@ -42,13 +42,13 @@ func TestResultCap(t *testing.T) {
 	pad := strings.Repeat(" ", 1<<20)
 	padded := func(total int64) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			io.WriteString(w, "{") //mlocvet:ignore uncheckederr -- test server write
+			io.WriteString(w, "{")
 			for written := int64(0); written <= total; written += int64(len(pad)) {
 				if _, err := io.WriteString(w, pad); err != nil {
 					return // the client hung up at its cap; expected
 				}
 			}
-			io.WriteString(w, `"ok":true}`) //mlocvet:ignore uncheckederr -- test server write
+			io.WriteString(w, `"ok":true}`)
 		}
 	}
 	var out map[string]any
@@ -70,7 +70,7 @@ func TestStatusError(t *testing.T) {
 	req := serve(t, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "2")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, `{"error":"no query slot within wait budget","status":"503"}`) //mlocvet:ignore uncheckederr -- test server write
+		io.WriteString(w, `{"error":"no query slot within wait budget","status":"503"}`)
 	})
 	err := Do(http.DefaultClient, req, MaxResultBytes, func(http.Header, io.Reader) error {
 		t.Error("read called on a 503")
@@ -95,7 +95,7 @@ func TestEnvelopeCap(t *testing.T) {
 	huge := strings.Repeat("x", 2<<20)
 	req := serve(t, func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
-		io.WriteString(w, `{"error":"`+huge+`"}`) //mlocvet:ignore uncheckederr -- test server write
+		io.WriteString(w, `{"error":"`+huge+`"}`)
 	})
 	err := JSON(http.DefaultClient, req, MaxResultBytes, &struct{}{})
 	var se *StatusError
@@ -112,9 +112,9 @@ func TestEnvelopeCap(t *testing.T) {
 func TestDoWithoutRead(t *testing.T) {
 	var gotType, gotBody string
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b, _ := io.ReadAll(r.Body) //mlocvet:ignore uncheckederr -- stub server; a short read fails the assertion below
+		b, _ := io.ReadAll(r.Body)
 		gotType, gotBody = r.Header.Get("Content-Type"), string(b)
-		io.WriteString(w, "not json") //mlocvet:ignore uncheckederr -- test server write
+		io.WriteString(w, "not json")
 	}))
 	t.Cleanup(ts.Close)
 	req, err := NewRequest(context.Background(), http.MethodPost, ts.URL+"/query", []byte(`{"var":"phi"}`))

@@ -15,7 +15,7 @@ func okHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if _, err := io.WriteString(w, `{"answer":42,"pad":"0123456789abcdef"}`); err != nil {
-			_ = err //mlocvet:ignore uncheckederr -- test handler; a write error fails the client side instead
+			_ = err
 		}
 	})
 }
@@ -27,7 +27,7 @@ func TestOffPassesThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	var out struct {
 		Answer int `json:"answer"`
 	}
@@ -54,7 +54,7 @@ func TestKillDropsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("revived node still failing: %v", err)
 	}
-	resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	resp.Body.Close()
 }
 
 func TestDelayHoldsThenServes(t *testing.T) {
@@ -69,7 +69,7 @@ func TestDelayHoldsThenServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	resp.Body.Close()
 	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
 		t.Fatalf("delayed request returned in %v, want >= 80ms", elapsed)
 	}
@@ -103,7 +103,7 @@ func TestCorruptBreaksDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	var out map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&out); err == nil {
 		t.Fatal("corrupted body decoded cleanly")
@@ -119,7 +119,7 @@ func TestAdminHandlerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("set status %d", resp.StatusCode)
 	}
@@ -132,7 +132,7 @@ func TestAdminHandlerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer get.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer get.Body.Close()
 	var st struct {
 		Mode    string `json:"mode"`
 		DelayMS int64  `json:"delay_ms"`
@@ -149,7 +149,7 @@ func TestAdminHandlerRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad body %q got status %d", bad, resp.StatusCode)
 		}

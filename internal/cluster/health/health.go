@@ -139,7 +139,7 @@ func (c *Checker) Start(ctx context.Context) {
 	c.wg.Add(1)
 	// Daemon lifecycle, not SPMD compute: the loop exits on ctx.Done
 	// and is joined via Wait.
-	go func() { //mlocvet:ignore spmd-goroutine -- health probing is router plumbing on its own cadence, joined via Wait
+	go func() { // the probe loop, on its own cadence; joined via Wait
 		defer c.wg.Done()
 		tick := time.NewTicker(c.cfg.Interval)
 		defer tick.Stop()
@@ -164,7 +164,7 @@ func (c *Checker) probeAll(ctx context.Context) {
 	for _, node := range c.cfg.Nodes {
 		wg.Add(1)
 		n := node
-		go func() { //mlocvet:ignore spmd-goroutine -- bounded per-node probe fan-out joined by wg.Wait below
+		go func() { // bounded per-node probe fan-out joined by wg.Wait below
 			defer wg.Done()
 			c.probe(ctx, n)
 		}()

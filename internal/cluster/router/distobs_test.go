@@ -32,9 +32,9 @@ func postTracedRouted(t *testing.T, url, body string) routedWire {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body) //mlocvet:ignore uncheckederr -- best-effort diagnostic body on an already-failed request
+		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("traced routed query status %d: %s", resp.StatusCode, b)
 	}
 	var out routedWire
@@ -306,7 +306,7 @@ func metricsPayload(t *testing.T, base string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func BenchmarkDistTraceOverhead(b *testing.B) {
 				if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 					b.Fatal(err)
 				}
-				resp.Body.Close() //mlocvet:ignore uncheckederr -- benchmark teardown; a close error cannot fail the measurement
+				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
 					b.Fatalf("query status %d", resp.StatusCode)
 				}

@@ -112,7 +112,7 @@ func postJSON(t *testing.T, url, body string, out any) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusOK && out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			t.Fatalf("decoding response: %v", err)
@@ -127,7 +127,7 @@ func getJSON(t *testing.T, url string, out any) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusOK && out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			t.Fatalf("decoding response: %v", err)
@@ -220,7 +220,7 @@ func TestRoutedTotalExactWhenShardsTruncate(t *testing.T) {
 		valueAt[m.Index] = m.Value
 	}
 	for i, m := range routed.Matches {
-		if v, ok := valueAt[m.Index]; !ok || v != m.Value { //mlocvet:ignore floatcmp -- the same stored value must come back bit-equal
+		if v, ok := valueAt[m.Index]; !ok || v != m.Value {
 			t.Fatalf("routed match %d = %+v is not in the single-node answer", i, m)
 		}
 		if i > 0 && m.Index <= routed.Matches[i-1].Index {
@@ -437,7 +437,7 @@ func TestRouterRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("draining query: status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
@@ -514,7 +514,7 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
@@ -558,9 +558,9 @@ func TestVarsDecodeBounded(t *testing.T) {
 	pad := strings.Repeat(" ", 2<<20)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, "[")                              //mlocvet:ignore uncheckederr -- test server write
-		io.WriteString(w, pad)                              //mlocvet:ignore uncheckederr -- test server write
-		io.WriteString(w, `{"var":"phi","shape":[32,32]}]`) //mlocvet:ignore uncheckederr -- test server write
+		io.WriteString(w, "[")
+		io.WriteString(w, pad)
+		io.WriteString(w, `{"var":"phi","shape":[32,32]}]`)
 	}))
 	t.Cleanup(ts.Close)
 
@@ -576,7 +576,7 @@ func TestVarsDecodeBounded(t *testing.T) {
 	// A listing under the cap still decodes.
 	small := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, `[{"var":"phi","shape":[32,32]}]`) //mlocvet:ignore uncheckederr -- test server write
+		io.WriteString(w, `[{"var":"phi","shape":[32,32]}]`)
 	}))
 	t.Cleanup(small.Close)
 	vars, err := rt.fetchVarsOnce(context.Background(), small.URL)

@@ -136,7 +136,7 @@ func (rt *Router) scatter(ctx context.Context, calls []*shardCall) []shardOutcom
 	for i := range calls {
 		wg.Add(1)
 		idx := i
-		go func() { //mlocvet:ignore spmd-goroutine -- bounded per-shard fan-out joined by wg.Wait below
+		go func() { // bounded per-shard fan-out joined by wg.Wait below
 			defer wg.Done()
 			outcomes[idx] = rt.callShard(ctx, calls[idx])
 		}()
@@ -211,7 +211,7 @@ func (rt *Router) raceReplicas(ctx context.Context, call *shardCall, traced bool
 	// deliver its attempt and exit, even after the race is decided.
 	results := make(chan attempt, len(call.replicas))
 	launch := func(node string) {
-		go func() { //mlocvet:ignore spmd-goroutine -- replica attempt; exits via the buffered results channel even when it loses the race
+		go func() { // replica attempt; exits via the buffered results channel even when it loses the race
 			res, err := rt.post(ctx, node, call.body, traced)
 			results <- attempt{node: node, res: res, err: err}
 		}()

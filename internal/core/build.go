@@ -258,7 +258,7 @@ func runWorkers(n int, fn func(w int)) {
 		// The build worker pool is intra-rank compute fan-out, not an
 		// SPMD rank: it shares one virtual clock and charges aggregated
 		// CPU via AdvanceParallel, so the mpi/stage runtimes don't apply.
-		go work(w) //mlocvet:ignore spmd-goroutine -- intra-rank compute fan-out on one clock (see comment above), not an SPMD rank
+		go work(w)
 	}
 	wg.Wait()
 }

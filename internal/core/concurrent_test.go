@@ -25,7 +25,7 @@ func concurrentRequests(shape grid.Shape) []*query.Request {
 		half[d] = shape[d] / 2
 	}
 	lo := make([]int, shape.Dims())
-	region, _ := grid.NewRegion(lo, half) //mlocvet:ignore uncheckederr -- fixture region is statically valid
+	region, _ := grid.NewRegion(lo, half)
 	return []*query.Request{
 		{SC: &region, IndexOnly: true},
 		{VC: &binning.ValueConstraint{Min: 0.2, Max: 0.8}},

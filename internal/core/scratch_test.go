@@ -57,7 +57,7 @@ func scratchRequests(st *Store) []*query.Request {
 	for d, n := range shape {
 		lo[d], hi[d] = n/8+1, n-n/4-1
 	}
-	box, _ := grid.NewRegion(lo, hi) //mlocvet:ignore uncheckederr -- fixture region is statically valid
+	box, _ := grid.NewRegion(lo, hi)
 	all := binning.ValueConstraint{Min: -1e30, Max: 1e30}
 	return []*query.Request{
 		{SC: &box},

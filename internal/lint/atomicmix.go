@@ -10,22 +10,9 @@ import (
 	"mloc/internal/lint/flow"
 )
 
-// racePkgs are the packages exercised under the race detector (the
-// Makefile's RACE_PKGS) — the concurrent core where a field slipping
-// between synchronization disciplines is a data race, not a style
-// issue. The fixture suffix rides along for the golden tests.
-var racePkgs = []string{
-	"internal/mpi",
-	"internal/core",
-	"internal/stage",
-	"internal/cache",
-	"internal/server",
-	"atomicmix", // golden-test fixture
-}
-
-// AtomicMix cross-references every struct-field access in the
-// race-detector packages against its synchronization discipline and
-// reports two mixes:
+// AtomicMix cross-references every struct-field access in the loaded
+// packages against its synchronization discipline and reports two
+// mixes:
 //
 //   - a field updated through sync/atomic calls in one place and read
 //     or written plainly in another — the plain access races with the
@@ -71,7 +58,7 @@ func runAtomicMix(p *ProgramPass) {
 		return fa
 	}
 	for _, fi := range p.Flow.Funcs {
-		if !raceGated(fi.Pkg.Path) || atomicExempt(fi.Obj.Name()) {
+		if atomicExempt(fi.Obj.Name()) {
 			continue
 		}
 		info := fi.Pkg.Info
@@ -98,7 +85,7 @@ func runAtomicMix(p *ProgramPass) {
 				}
 				for _, arg := range n.Args {
 					if sel := addrOfField(info, arg); sel != nil {
-						if obj := fieldObjOf(info, sel); obj != nil && raceGated(pkgPathOf(obj)) {
+						if obj := fieldObjOf(info, sel); obj != nil {
 							rec(obj).atomic = append(rec(obj).atomic, atomicSite{pos: sel.Pos(), held: held})
 						}
 					}
@@ -108,7 +95,7 @@ func runAtomicMix(p *ProgramPass) {
 					return
 				}
 				obj := fieldObjOf(info, n)
-				if obj == nil || !raceGated(pkgPathOf(obj)) || syncDisciplined(obj.Type()) {
+				if obj == nil || syncDisciplined(obj.Type()) {
 					return
 				}
 				rec(obj).plain = append(rec(obj).plain, atomicSite{pos: n.Pos(), held: held})
@@ -184,17 +171,6 @@ func heldNames(held []*flow.LockClass) string {
 	return strings.Join(names, "+")
 }
 
-// raceGated reports whether the import path is in the race-detector
-// package set.
-func raceGated(path string) bool {
-	for _, suffix := range racePkgs {
-		if pathHasSuffix(path, suffix) {
-			return true
-		}
-	}
-	return false
-}
-
 // atomicExempt reports whether a function is outside the discipline
 // check: constructors and init run before the value is shared, and
 // *Locked helpers run under the caller's mutex by convention.
@@ -253,50 +229,14 @@ func pkgPathOf(obj types.Object) string {
 // syncDisciplined reports whether a field's type already enforces its
 // own synchronization: the sync primitives and the typed atomics.
 func syncDisciplined(t types.Type) bool {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	switch named.Obj().Pkg().Path() {
-	case "sync", "sync/atomic":
-		return true
-	}
-	return false
+	pkg, _ := flow.NamedType(t)
+	return pkg == "sync" || pkg == "sync/atomic"
 }
 
 // fieldDisplayName renders pkg.Type.field for diagnostics.
 func fieldDisplayName(obj types.Object) string {
-	if owner := fieldOwnerName(obj); owner != "" {
+	if owner := flow.FieldOwner(obj); owner != "" {
 		return shortClass(pkgPathOf(obj)+"."+owner) + "." + obj.Name()
 	}
 	return shortClass(pkgPathOf(obj) + "." + obj.Name())
-}
-
-// fieldOwnerName finds the struct type declaring a field by scanning
-// the declaring package's scope (the type checker keeps no back link).
-func fieldOwnerName(obj types.Object) string {
-	v, ok := obj.(*types.Var)
-	if !ok || !v.IsField() || obj.Pkg() == nil {
-		return ""
-	}
-	scope := obj.Pkg().Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == obj {
-				return tn.Name()
-			}
-		}
-	}
-	return ""
 }

@@ -18,8 +18,8 @@ import (
 // internal/cluster/router/scatter.go).
 //
 // Two shapes count as bounded: wrapping inline at the read, and a
-// reassignment `r.Body = http.MaxBytesReader(w, r.Body, n)` that
-// dominates the read on every path (checked over the flow CFG).
+// reassignment `r.Body = http.MaxBytesReader(w, r.Body, n)` that has
+// run on every path to the read (flow's must-happen analysis).
 // Close() is exempt — closing an unread body is how bodies are
 // discarded.
 var BodyLimit = &Analyzer{
@@ -40,75 +40,35 @@ func runBodyLimit(pass *Pass) {
 	}
 }
 
-// bodyNodeLoc is a located CFG node: the statement that contains a
-// wrap or a read, addressable for dominance queries.
-type bodyNodeLoc struct {
-	blk *flow.Block
-	idx int
-}
-
 func checkBodyLimit(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.Pkg.Info
 	aliases := collectBodyAliases(info, fd.Body)
 
-	// Wraps: r.Body = http.MaxBytesReader(...) / io.LimitReader(...),
-	// keyed by the base object (r) they rebind.
-	type wrap struct {
-		base types.Object
-		loc  bodyNodeLoc
-		ok   bool
-	}
-	var (
-		wraps []wrap
-		g     *flow.Graph
-		doms  map[*flow.Block]map[*flow.Block]bool
-	)
-	lazyGraph := func() *flow.Graph {
-		if g == nil {
-			g = flow.BuildCFG(fd.Body)
-			doms = flow.Dominators(g)
-		}
-		return g
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		base, isBody := bodyExprBase(info, as.Lhs[0], aliases)
-		if !isBody || base == nil {
-			return true
-		}
-		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok && isBoundingCall(info, call) {
-			loc, found := locateNode(lazyGraph(), as)
-			wraps = append(wraps, wrap{base: base, loc: loc, ok: found})
-		}
-		return true
-	})
-
-	dominatedByWrap := func(base types.Object, at ast.Node) bool {
-		if base == nil || len(wraps) == 0 {
+	// rebound reports whether a wrap `x.Body = http.MaxBytesReader(...)`
+	// / `io.LimitReader(...)` of base x has run on every path to the
+	// read: the must-happen analysis, with one event per rebound base.
+	var wraps *flow.MustFacts[types.Object]
+	rebound := func(base types.Object, read ast.Node) bool {
+		if base == nil {
 			return false
 		}
-		loc, found := locateNode(lazyGraph(), at)
-		if !found {
-			return false
-		}
-		for _, w := range wraps {
-			if w.base != base || !w.ok {
-				continue
-			}
-			if w.loc.blk == loc.blk {
-				if w.loc.idx < loc.idx {
-					return true
+		if wraps == nil {
+			wraps = flow.SolveMust(flow.BuildCFG(fd.Body), func(n ast.Node) []types.Object {
+				as, ok := n.(*ast.AssignStmt)
+				if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+					return nil
 				}
-				continue
-			}
-			if doms[loc.blk][w.loc.blk] {
-				return true
-			}
+				call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+				if !ok || !isBoundingCall(info, call) {
+					return nil
+				}
+				if wrapped, isBody := bodyExprBase(info, as.Lhs[0], aliases); isBody && wrapped != nil {
+					return []types.Object{wrapped}
+				}
+				return nil
+			})
 		}
-		return false
+		return wraps.OnEveryPathTo(read, base)
 	}
 
 	// Reads: a body expression passed as an argument to any call other
@@ -126,7 +86,7 @@ func checkBodyLimit(pass *Pass, fd *ast.FuncDecl) {
 			if !isBody {
 				continue
 			}
-			if dominatedByWrap(base, call) {
+			if rebound(base, call) {
 				continue
 			}
 			pass.Reportf(arg.Pos(), "unbounded read of %s; wrap it in io.LimitReader or http.MaxBytesReader", renderExpr(pass.Pkg, arg))
@@ -172,13 +132,8 @@ func bodyExprBase(info *types.Info, e ast.Expr, aliases map[types.Object]types.O
 		if e.Sel.Name != "Body" {
 			return nil, false
 		}
-		tv, ok := info.Types[e.X]
-		if !ok || tv.Type == nil {
-			return nil, false
-		}
-		switch namedTypeName(tv.Type) {
-		case "net/http.Request", "net/http.Response":
-		default:
+		t := info.TypeOf(e.X)
+		if !isNamedType(t, "net/http", "Request") && !isNamedType(t, "net/http", "Response") {
 			return nil, false
 		}
 		if id, ok := ast.Unparen(e.X).(*ast.Ident); ok {
@@ -207,32 +162,6 @@ func isBoundingCall(info *types.Info, call *ast.CallExpr) bool {
 		return true
 	}
 	return false
-}
-
-// namedTypeName renders a (possibly pointer) named type as
-// pkgpath.Name, or "".
-func namedTypeName(t types.Type) string {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Path() + "." + named.Obj().Name()
-}
-
-// locateNode finds the CFG node containing n's position.
-func locateNode(g *flow.Graph, n ast.Node) (bodyNodeLoc, bool) {
-	pos := n.Pos()
-	for _, b := range g.Blocks {
-		for i, node := range b.Nodes {
-			if node.Pos() <= pos && pos <= node.End() {
-				return bodyNodeLoc{blk: b, idx: i}, true
-			}
-		}
-	}
-	return bodyNodeLoc{}, false
 }
 
 // renderExpr pretty-prints a short expression for diagnostics.

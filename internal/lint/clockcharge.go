@@ -26,10 +26,6 @@ var ClockCharge = &Analyzer{
 	RunProgram: runClockCharge,
 }
 
-// clockChargeEvent is the single solver event: any clock-advancing
-// call produces it.
-const clockChargeEvent = "charge"
-
 // clockStatsFields are the Stats fields whose mutation demands a
 // clock charge on the same path.
 var clockStatsFields = map[string]bool{
@@ -50,7 +46,7 @@ var clockChargeMethods = map[string]bool{
 }
 
 func runClockCharge(p *ProgramPass) {
-	summaries := make(map[*types.Func]int) // 0 unknown, 1 charges, 2 not
+	charges := flow.NewEveryPath(p.Flow, isClockCharge)
 	for _, pkg := range p.Pkgs {
 		if !pathHasSuffix(pkg.Path, "internal/pfs") && !pathHasSuffix(pkg.Path, "internal/core") {
 			continue
@@ -61,7 +57,7 @@ func runClockCharge(p *ProgramPass) {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				clockChargeBody(p, pkg.Info, fd.Body, summaries)
+				clockChargeBody(p, pkg.Info, fd.Body, charges)
 			}
 		}
 	}
@@ -70,12 +66,12 @@ func runClockCharge(p *ProgramPass) {
 // clockChargeBody checks every stats mutation in one function body;
 // nested function literals run under their own control flow and get
 // their own graph.
-func clockChargeBody(p *ProgramPass, info *types.Info, body *ast.BlockStmt, summaries map[*types.Func]int) {
+func clockChargeBody(p *ProgramPass, info *types.Info, body *ast.BlockStmt, charges *flow.EveryPath) {
 	triggers := statsMutations(info, body)
 	for _, stmt := range body.List {
 		ast.Inspect(stmt, func(n ast.Node) bool {
 			if fl, ok := n.(*ast.FuncLit); ok {
-				clockChargeBody(p, info, fl.Body, summaries)
+				clockChargeBody(p, info, fl.Body, charges)
 				return false
 			}
 			return true
@@ -84,19 +80,9 @@ func clockChargeBody(p *ProgramPass, info *types.Info, body *ast.BlockStmt, summ
 	if len(triggers) == 0 {
 		return
 	}
-	g := flow.BuildCFG(body)
-	facts := flow.SolveMust(g, func(n ast.Node) []string {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return nil
-		}
-		if isClockCharge(info, call) || calleeCharges(p.Flow, info, call, summaries, 0) {
-			return []string{clockChargeEvent}
-		}
-		return nil
-	})
+	facts := charges.Solve(info, body)
 	for _, t := range triggers {
-		if !facts.OnEveryPathFrom(t.node, clockChargeEvent) {
+		if !facts.OnEveryPathFrom(t.node, flow.Done{}) {
 			p.Reportf(t.node.Pos(), "Stats.%s is mutated without charging the Clock on every path before return", t.field)
 		}
 	}
@@ -149,8 +135,13 @@ func trackedStatsField(info *types.Info, e ast.Expr) string {
 }
 
 // isClockCharge matches clock.<method>(...) for the charging methods
-// on a type named Clock.
-func isClockCharge(info *types.Info, call *ast.CallExpr) bool {
+// on a type named Clock; flow.EveryPath adds calls to functions whose
+// own body charges on every path.
+func isClockCharge(info *types.Info, n ast.Node) bool {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !clockChargeMethods[sel.Sel.Name] {
 		return false
@@ -158,57 +149,9 @@ func isClockCharge(info *types.Info, call *ast.CallExpr) bool {
 	return isNamedTypeName(info.TypeOf(sel.X), "Clock")
 }
 
-// calleeCharges consults the one-call-deep summary: a statically
-// resolved callee whose body charges the clock on every path counts as
-// a charge at the call site.
-func calleeCharges(prog *flow.Program, info *types.Info, call *ast.CallExpr, summaries map[*types.Func]int, depth int) bool {
-	if depth >= 2 {
-		return false
-	}
-	callee := flow.CalleeOf(info, call)
-	if callee == nil {
-		return false
-	}
-	if v, ok := summaries[callee]; ok {
-		return v == 1
-	}
-	fi := prog.Funcs[callee]
-	if fi == nil || fi.Decl.Body == nil {
-		return false
-	}
-	summaries[callee] = 2 // recursion guard: assume non-charging while computing
-	g := flow.BuildCFG(fi.Decl.Body)
-	cinfo := fi.Pkg.Info
-	facts := flow.SolveMust(g, func(n ast.Node) []string {
-		c, ok := n.(*ast.CallExpr)
-		if !ok {
-			return nil
-		}
-		if isClockCharge(cinfo, c) || calleeCharges(prog, cinfo, c, summaries, depth+1) {
-			return []string{clockChargeEvent}
-		}
-		return nil
-	})
-	if facts.OnEveryPath(clockChargeEvent) {
-		summaries[callee] = 1
-		return true
-	}
-	return false
-}
-
-// isNamedTypeName reports whether t (after stripping pointers) is a
+// isNamedTypeName reports whether t (behind at most one pointer) is a
 // named type with the given name, whatever its package.
 func isNamedTypeName(t types.Type, name string) bool {
-	if t == nil {
-		return false
-	}
-	for {
-		ptr, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == name
+	_, n := flow.NamedType(t)
+	return n == name
 }

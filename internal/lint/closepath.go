@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 
@@ -30,11 +29,18 @@ var ClosePath = &Analyzer{
 	Run:  runClosePath,
 }
 
-// closeAcq is one tracked acquisition site and the event label that
-// releases it.
+// closeEvent is one kind of release of one object: a Put on that pool,
+// a Stop on that timer variable, a call of that PutX function.
+type closeEvent struct {
+	kind string
+	obj  types.Object
+}
+
+// closeAcq is one tracked acquisition site and the event that releases
+// it.
 type closeAcq struct {
 	node  ast.Node
-	event string
+	event closeEvent
 	what  string
 }
 
@@ -60,8 +66,7 @@ func runClosePath(p *Pass) {
 // by the caller with their own graphs.
 func closePathBody(p *Pass, body *ast.BlockStmt) {
 	info := p.Pkg.Info
-	ids := newObjIDs()
-	acqs := collectAcquisitions(info, body, ids)
+	acqs := collectAcquisitions(info, body)
 	// Recurse into nested literals regardless of whether this body
 	// acquires anything.
 	for _, stmt := range body.List {
@@ -76,13 +81,12 @@ func closePathBody(p *Pass, body *ast.BlockStmt) {
 	if len(acqs) == 0 {
 		return
 	}
-	g := flow.BuildCFG(body)
-	facts := flow.SolveMust(g, func(n ast.Node) []string {
+	facts := flow.SolveMust(flow.BuildCFG(body), func(n ast.Node) []closeEvent {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return nil
 		}
-		return releaseEvents(info, call, ids)
+		return releaseEvents(info, call)
 	})
 	for _, a := range acqs {
 		if !facts.OnEveryPathFrom(a.node, a.event) {
@@ -94,7 +98,7 @@ func closePathBody(p *Pass, body *ast.BlockStmt) {
 // collectAcquisitions finds the tracked acquisition sites in body,
 // skipping nested function literals and return statements (ownership
 // escapes to the caller there).
-func collectAcquisitions(info *types.Info, body *ast.BlockStmt, ids *objIDs) []closeAcq {
+func collectAcquisitions(info *types.Info, body *ast.BlockStmt) []closeAcq {
 	var acqs []closeAcq
 	returnDepth := 0
 	var walk func(n ast.Node)
@@ -120,7 +124,7 @@ func collectAcquisitions(info *types.Info, body *ast.BlockStmt, ids *objIDs) []c
 								if obj := info.ObjectOf(id); obj != nil {
 									acqs = append(acqs, closeAcq{
 										node:  rhs,
-										event: "stop:" + ids.of(obj),
+										event: closeEvent{"stop", obj},
 										what:  kind + " " + id.Name,
 									})
 								}
@@ -135,14 +139,14 @@ func collectAcquisitions(info *types.Info, body *ast.BlockStmt, ids *objIDs) []c
 				if obj := poolCallObj(info, n, "Get"); obj != nil {
 					acqs = append(acqs, closeAcq{
 						node:  n,
-						event: "pool:" + ids.of(obj),
+						event: closeEvent{"pool", obj},
 						what:  "sync.Pool Get on " + obj.Name(),
 					})
 				}
 				if put := ctorPair(info, n); put != nil {
 					acqs = append(acqs, closeAcq{
 						node:  n,
-						event: "ctor:" + ids.of(put),
+						event: closeEvent{"ctor", put},
 						what:  calleeName(n) + " result",
 					})
 				}
@@ -155,19 +159,19 @@ func collectAcquisitions(info *types.Info, body *ast.BlockStmt, ids *objIDs) []c
 }
 
 // releaseEvents classifies one call as the release events it provides.
-func releaseEvents(info *types.Info, call *ast.CallExpr, ids *objIDs) []string {
-	var evs []string
+func releaseEvents(info *types.Info, call *ast.CallExpr) []closeEvent {
+	var evs []closeEvent
 	if obj := poolCallObj(info, call, "Put"); obj != nil {
-		evs = append(evs, "pool:"+ids.of(obj))
+		evs = append(evs, closeEvent{"pool", obj})
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Stop" {
 		if obj := flow.BaseObject(info, sel.X); obj != nil {
-			evs = append(evs, "stop:"+ids.of(obj))
+			evs = append(evs, closeEvent{"stop", obj})
 		}
 	}
 	if callee := flow.CalleeOf(info, call); callee != nil {
 		if _, rest, ok := splitPrefixUpper(callee.Name(), "Put"); ok && rest != "" {
-			evs = append(evs, "ctor:"+ids.of(callee))
+			evs = append(evs, closeEvent{"ctor", callee})
 		}
 	}
 	return evs
@@ -243,25 +247,4 @@ func splitPrefixUpper(name, prefix string) (string, string, bool) {
 		return "", "", false
 	}
 	return prefix, rest, true
-}
-
-// objIDs assigns stable string identities to types.Objects so event
-// labels can be compared.
-type objIDs struct {
-	ids  map[types.Object]string
-	next int
-}
-
-func newObjIDs() *objIDs {
-	return &objIDs{ids: make(map[types.Object]string)}
-}
-
-func (o *objIDs) of(obj types.Object) string {
-	if id, ok := o.ids[obj]; ok {
-		return id
-	}
-	o.next++
-	id := fmt.Sprintf("%s#%d", obj.Name(), o.next)
-	o.ids[obj] = id
-	return id
 }

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 )
 
 // CtxFirst enforces the Go context convention on the repository's
@@ -45,7 +44,7 @@ func checkCtxFirst(p *Pass, fn *ast.FuncDecl) {
 		if names == 0 {
 			names = 1 // unnamed parameter still occupies one position
 		}
-		if firstCtx < 0 && isContextType(p.Pkg, field.Type) {
+		if firstCtx < 0 && isCtxType(p.Pkg.Info.TypeOf(field.Type)) {
 			firstCtx = idx
 			firstCtxField = field
 		}
@@ -56,20 +55,4 @@ func checkCtxFirst(p *Pass, fn *ast.FuncDecl) {
 			"exported %s takes context.Context as parameter %d; contexts go first",
 			fn.Name.Name, firstCtx+1)
 	}
-}
-
-// isContextType reports whether the expression's type is the stdlib
-// context.Context interface.
-func isContextType(pkg *Package, expr ast.Expr) bool {
-	t := pkg.Info.TypeOf(expr)
-	if t == nil {
-		return false
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil &&
-		obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

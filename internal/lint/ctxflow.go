@@ -176,13 +176,13 @@ func checkCtxLoop(p *Pass, pos token.Pos, body *ast.BlockStmt, ctxObjs map[types
 			// Forwarding the context into the loop body counts as a
 			// poll: the callee observes cancellation.
 			for _, arg := range n.Args {
-				if t := info.TypeOf(arg); t != nil && isCtxType(t) {
+				if isCtxType(info.TypeOf(arg)) {
 					polls = true
 				}
 			}
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok &&
 				(sel.Sel.Name == "Err" || sel.Sel.Name == "Done" || sel.Sel.Name == "Deadline") {
-				if t := info.TypeOf(sel.X); t != nil && isCtxType(t) {
+				if isCtxType(info.TypeOf(sel.X)) {
 					polls = true
 				}
 			}
@@ -196,9 +196,5 @@ func checkCtxLoop(p *Pass, pos token.Pos, body *ast.BlockStmt, ctxObjs map[types
 
 // isCtxType reports whether t is context.Context.
 func isCtxType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
+	return isNamedType(t, "context", "Context")
 }

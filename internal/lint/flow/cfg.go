@@ -408,58 +408,3 @@ func isTerminatorCall(call *ast.CallExpr) bool {
 	}
 	return false
 }
-
-// Dominators computes the dominator sets of g with the classic
-// iterative dataflow: a block D dominates B when every path from Entry
-// to B passes through D. Blocks unreachable from Entry keep the full
-// block set (vacuously dominated by everything).
-func Dominators(g *Graph) map[*Block]map[*Block]bool {
-	all := make(map[*Block]bool, len(g.Blocks))
-	for _, blk := range g.Blocks {
-		all[blk] = true
-	}
-	dom := make(map[*Block]map[*Block]bool, len(g.Blocks))
-	for _, blk := range g.Blocks {
-		if blk == g.Entry {
-			dom[blk] = map[*Block]bool{blk: true}
-			continue
-		}
-		set := make(map[*Block]bool, len(all))
-		for b := range all {
-			set[b] = true
-		}
-		dom[blk] = set
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, blk := range g.Blocks {
-			if blk == g.Entry || len(blk.Preds) == 0 {
-				continue
-			}
-			next := intersectAll(dom, blk.Preds)
-			next[blk] = true
-			if len(next) != len(dom[blk]) {
-				dom[blk] = next
-				changed = true
-			}
-		}
-	}
-	return dom
-}
-
-// intersectAll intersects the sets of the given blocks.
-func intersectAll(sets map[*Block]map[*Block]bool, blocks []*Block) map[*Block]bool {
-	out := make(map[*Block]bool, len(sets[blocks[0]]))
-	for b := range sets[blocks[0]] {
-		out[b] = true
-	}
-	for _, blk := range blocks[1:] {
-		s := sets[blk]
-		for b := range out {
-			if !s[b] {
-				delete(out, b)
-			}
-		}
-	}
-	return out
-}

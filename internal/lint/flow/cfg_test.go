@@ -296,37 +296,40 @@ outer:
 	}
 }
 
-func TestDominatorsDiamond(t *testing.T) {
-	g := BuildCFG(parseBody(t, `
+// TestOnEveryPathToDiamond asks the diamond what has happened on every
+// path into a point: what precedes the branch, and what comes earlier
+// in the point's own block, has; what either arm does has not, and one
+// arm's events never precede the other's.
+func TestOnEveryPathToDiamond(t *testing.T) {
+	body := parseBody(t, `
+	mark("a")
 	if c {
 		mark("then")
 	} else {
 		mark("else")
 	}
+	mark("b")
+	defer mark("z")
 	mark("after")
-`))
-	dom := Dominators(g)
-	then := oneBlock(t, g, "if.then")
-	els := oneBlock(t, g, "if.else")
-	join := oneBlock(t, g, "if.join")
-	if !dom[join][g.Entry] {
-		t.Errorf("entry must dominate the join")
-	}
-	if dom[join][then] || dom[join][els] {
-		t.Errorf("neither diamond arm may dominate the join")
-	}
-	if !dom[then][g.Entry] || !dom[els][g.Entry] {
-		t.Errorf("entry must dominate both arms")
-	}
-	if !dom[g.Exit][join] {
-		t.Errorf("the join must dominate exit in a straight-line diamond")
-	}
-	for _, b := range g.Blocks {
-		if len(b.Preds) > 0 || b == g.Entry {
-			if !dom[b][b] {
-				t.Errorf("block %d (%s) does not dominate itself", b.Index, b.Kind)
-			}
+`)
+	m := SolveMust(BuildCFG(body), markClassifier)
+	after := findMark(t, body, "after")
+	for _, ev := range []string{"a", "b"} {
+		if !m.OnEveryPathTo(after, ev) {
+			t.Errorf("%s runs before the join's last node on every path but was not proven", ev)
 		}
+	}
+	for _, ev := range []string{"then", "else", "after", "z"} {
+		if m.OnEveryPathTo(after, ev) {
+			t.Errorf("%s was proven to precede the join's last node", ev)
+		}
+	}
+	then, els := findMark(t, body, "then"), findMark(t, body, "else")
+	if !m.OnEveryPathTo(then, "a") || !m.OnEveryPathTo(els, "a") {
+		t.Errorf("a precedes both arms")
+	}
+	if m.OnEveryPathTo(then, "else") || m.OnEveryPathTo(els, "then") {
+		t.Errorf("one arm's event was proven to precede the other arm")
 	}
 }
 

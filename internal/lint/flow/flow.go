@@ -1,7 +1,19 @@
-// Package flow is the shared flow-analysis infrastructure of mlocvet's
-// second-generation analyzers: a go/types-based static call graph over
-// every loaded package plus a structured per-function statement walk
-// that tracks which mutexes are held at each point.
+// Package flow is the analysis substrate under mlocvet's flow-aware
+// analyzers: a go/types-based static call graph over every loaded
+// package, a basic-block control-flow graph per function body
+// (BuildCFG), and one dataflow solver over that graph (Solve) of which
+// every per-function analysis here is an instance:
+//
+//   - events that must still happen on every path from a point to the
+//     exit (SolveMust: backward, intersection);
+//   - deferred events already registered on every path to a point
+//     (SolveMust: forward, intersection);
+//   - events that already happened on every path to a point
+//     (SolveMust: forward, intersection);
+//   - mutexes held on every path to a point (WalkHeld: forward,
+//     intersection, Unlock killing what Lock generated);
+//   - taint carried along any path to a point (BuildTaint: forward,
+//     union, under interprocedural summaries).
 //
 // The package deliberately mirrors internal/lint's constraints — only
 // the standard library (go/ast, go/token, go/types) — and deliberately
@@ -14,11 +26,10 @@
 //     *types.Func (direct calls, method calls on concrete receivers)
 //     produce edges; calls through interfaces or function values do
 //     not.
-//   - The held-lock walk is a structured must-hold analysis: branches
-//     merge by intersection, branches that terminate (return, panic,
-//     break/continue, or a select/switch whose every arm terminates)
-//     do not merge, and deferred unlocks are treated as keeping the
-//     lock held to the end of the function.
+//   - The CFG is syntactic: return, panic, os.Exit, runtime.Goexit and
+//     log.Fatal* end a path; nothing else is known not to return.
+//   - A deferred unlock keeps its mutex held to the end of the function,
+//     and a function literal is solved as a body of its own.
 package flow
 
 import (
@@ -127,44 +138,6 @@ func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// Reachable returns the set of declared functions transitively callable
-// from `from` (excluding `from` itself unless it is recursive).
-func (p *Program) Reachable(from *types.Func) map[*types.Func]bool {
-	seen := make(map[*types.Func]bool)
-	var visit func(fn *types.Func)
-	visit = func(fn *types.Func) {
-		fi := p.Funcs[fn]
-		if fi == nil {
-			return
-		}
-		for _, c := range fi.Callees {
-			if !seen[c] {
-				seen[c] = true
-				visit(c)
-			}
-		}
-	}
-	visit(from)
-	return seen
-}
-
-// FuncOf returns the enclosing declared function of a node position
-// within pkg, or nil for package-level code.
-func FuncOf(pkg *PackageInfo, pos token.Pos) *ast.FuncDecl {
-	for _, f := range pkg.Files {
-		if pos < f.Pos() || pos > f.End() {
-			continue
-		}
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil &&
-				pos >= fd.Pos() && pos <= fd.End() {
-				return fd
-			}
-		}
-	}
-	return nil
-}
-
 // QualifiedName renders a function as pkg.Recv.Name for diagnostics.
 func QualifiedName(fn *types.Func) string {
 	if fn.Pkg() == nil {
@@ -182,12 +155,54 @@ func recvTypeName(fn *types.Func) string {
 	if !ok || sig.Recv() == nil {
 		return ""
 	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
+	_, name := NamedType(sig.Recv().Type())
+	return name
+}
+
+// NamedType names the defined type behind t, looking through at most
+// one pointer: its package path ("" for a universe type such as error)
+// and its name. Both are "" when t is not a defined type.
+func NamedType(t types.Type) (pkgPath, name string) {
+	if t == nil {
+		return "", ""
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
+	named, ok := t.(*types.Named)
+	if !ok {
+		return "", ""
+	}
+	if pkg := named.Obj().Pkg(); pkg != nil {
+		pkgPath = pkg.Path()
+	}
+	return pkgPath, named.Obj().Name()
+}
+
+// FieldOwner returns the name of the struct type declaring a field
+// object, or "" when obj is not a struct field. The type checker does
+// not link fields back to their named type, so the declaring package's
+// scope is searched.
+func FieldOwner(obj types.Object) string {
+	v, ok := obj.(*types.Var)
+	if !ok || !v.IsField() || obj.Pkg() == nil {
+		return ""
+	}
+	scope := obj.Pkg().Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if st.Field(i) == obj {
+				return tn.Name()
+			}
+		}
 	}
 	return ""
 }

@@ -3,6 +3,7 @@ package flow
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 	"sort"
 )
 
@@ -21,12 +22,8 @@ type LockClass struct {
 type LockOp struct {
 	// Class is the mutex class operated on.
 	Class *LockClass
-	// Call is the Lock/RLock/Unlock/RUnlock call.
-	Call *ast.CallExpr
 	// Acquire is true for Lock/RLock, false for Unlock/RUnlock.
 	Acquire bool
-	// Read is true for RLock/RUnlock.
-	Read bool
 }
 
 // lockClasses canonicalizes LockClass values per object so analyzers
@@ -45,7 +42,7 @@ func (lc *lockClasses) classFor(obj types.Object) *LockClass {
 	}
 	name := obj.Name()
 	if obj.Pkg() != nil {
-		if owner := fieldOwner(obj); owner != "" {
+		if owner := FieldOwner(obj); owner != "" {
 			name = obj.Pkg().Path() + "." + owner + "." + obj.Name()
 		} else {
 			name = obj.Pkg().Path() + "." + obj.Name()
@@ -56,48 +53,11 @@ func (lc *lockClasses) classFor(obj types.Object) *LockClass {
 	return c
 }
 
-// fieldOwner returns the name of the struct type declaring a field
-// object, or "" when obj is not a struct field. The type checker does
-// not link fields back to their named type, so the declaring package's
-// scope is searched.
-func fieldOwner(obj types.Object) string {
-	v, ok := obj.(*types.Var)
-	if !ok || !v.IsField() || obj.Pkg() == nil {
-		return ""
-	}
-	scope := obj.Pkg().Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == obj {
-				return tn.Name()
-			}
-		}
-	}
-	return ""
-}
-
-// isSyncLocker reports whether t (after stripping pointers) is
+// isSyncLocker reports whether t (behind at most one pointer) is
 // sync.Mutex or sync.RWMutex.
 func isSyncLocker(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return false
-	}
-	return named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex"
+	pkg, name := NamedType(t)
+	return pkg == "sync" && (name == "Mutex" || name == "RWMutex")
 }
 
 // lockOpOf recognizes x.mu.Lock() / Unlock() / RLock() / RUnlock()
@@ -107,15 +67,11 @@ func (lc *lockClasses) lockOpOf(info *types.Info, call *ast.CallExpr) *LockOp {
 	if !ok {
 		return nil
 	}
-	var acquire, read bool
+	var acquire bool
 	switch sel.Sel.Name {
-	case "Lock":
+	case "Lock", "RLock":
 		acquire = true
-	case "RLock":
-		acquire, read = true, true
-	case "Unlock":
-	case "RUnlock":
-		read = true
+	case "Unlock", "RUnlock":
 	default:
 		return nil
 	}
@@ -123,25 +79,18 @@ func (lc *lockClasses) lockOpOf(info *types.Info, call *ast.CallExpr) *LockOp {
 	if !isSyncLocker(info.TypeOf(recv)) {
 		return nil
 	}
-	obj := baseObject(info, recv)
+	obj := BaseObject(info, recv)
 	if obj == nil {
 		return nil
 	}
-	return &LockOp{Class: lc.classFor(obj), Call: call, Acquire: acquire, Read: read}
+	return &LockOp{Class: lc.classFor(obj), Acquire: acquire}
 }
 
-// BaseObject resolves an expression to its declaring object the way
-// the lock walk resolves mutexes; the lifecycle analyzers use it to
-// identify sync.Pool instances. See baseObject.
+// BaseObject resolves a mutex- or pool-valued expression to its
+// declaring object: the field for p.mu / s.shard.mu, the variable for a
+// plain mu. Returns nil for expressions with no stable identity (map
+// index, function result).
 func BaseObject(info *types.Info, e ast.Expr) types.Object {
-	return baseObject(info, e)
-}
-
-// baseObject resolves the mutex-valued expression to its declaring
-// object: the field for p.mu / s.shard.mu, the variable for a plain
-// mu. Returns nil for expressions with no stable identity (map index,
-// function result).
-func baseObject(info *types.Info, e ast.Expr) types.Object {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return info.Uses[e]
@@ -151,9 +100,9 @@ func baseObject(info *types.Info, e ast.Expr) types.Object {
 		}
 		return info.Uses[e.Sel]
 	case *ast.StarExpr:
-		return baseObject(info, e.X)
+		return BaseObject(info, e.X)
 	case *ast.IndexExpr:
-		return baseObject(info, e.X)
+		return BaseObject(info, e.X)
 	}
 	return nil
 }
@@ -236,384 +185,136 @@ func (lf *LockFacts) LockOpOf(info *types.Info, call *ast.CallExpr) *LockOp {
 	return lf.classes.lockOpOf(info, call)
 }
 
-// heldState is the walker's running must-hold set.
-type heldState map[*LockClass]bool
+// lockSet is the must-hold fact: the classes held on every path
+// reaching a point. Sets are never modified once built, so states,
+// boundaries and meets can share them.
+type lockSet = set[*LockClass]
 
-func (h heldState) clone() heldState {
-	c := make(heldState, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-// intersect keeps only classes held in both states.
-func (h heldState) intersect(o heldState) heldState {
-	out := make(heldState)
-	for k := range h {
-		if o[k] {
-			out[k] = true
-		}
+// heldAfter returns the set once op has executed.
+func heldAfter(held lockSet, op *LockOp) lockSet {
+	out := held.clone()
+	if op.Acquire {
+		out[op.Class] = true
+	} else {
+		delete(out, op.Class)
 	}
 	return out
 }
 
-func (h heldState) sorted() []*LockClass {
-	out := make([]*LockClass, 0, len(h))
-	for c := range h {
+func sortedClasses(held lockSet) []*LockClass {
+	out := make([]*LockClass, 0, len(held))
+	for c := range held {
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// WalkHeld performs the structured must-hold walk over fn's body,
-// invoking visit on every expression statement's nodes with the lock
-// classes held at that point. Function literals are walked with the
-// held set at their creation point (a sound approximation for the
-// immediately-invoked closures this codebase uses; deferred closures
-// conservatively start empty).
+// WalkHeld solves the must-hold problem over fi's body — forward over
+// its CFG, Lock generating and Unlock killing a class, paths meeting by
+// intersection — and then reports every expression node to visit with
+// the classes held at that point. A deferred x.mu.Unlock() keeps the
+// lock held to function end. Function literals are solved as bodies of
+// their own, starting from the held set at their creation point (a
+// sound approximation for the immediately-invoked closures this
+// codebase uses); deferred and spawned closures run in an unknown lock
+// context and start from empty, as does dead code.
 func (lf *LockFacts) WalkHeld(fi *FuncInfo, visit HeldVisit) {
-	w := &heldWalker{facts: lf, info: fi.Pkg.Info, visit: visit}
-	w.walkStmts(fi.Decl.Body.List, make(heldState))
+	w := &heldWalk{facts: lf, info: fi.Pkg.Info, visit: visit}
+	w.body(fi.Decl.Body, nil)
 }
 
-type heldWalker struct {
+type heldWalk struct {
 	facts *LockFacts
 	info  *types.Info
 	visit HeldVisit
 }
 
-// walkStmts walks a statement list, threading the held set through in
-// source order, and returns the fall-through state.
-func (w *heldWalker) walkStmts(list []ast.Stmt, held heldState) heldState {
-	for _, s := range list {
-		held = w.walkStmt(s, held)
-	}
-	return held
-}
-
-// terminates reports whether a statement list never falls through.
-func terminates(list []ast.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	return stmtTerminates(list[len(list)-1])
-}
-
-func stmtTerminates(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.BlockStmt:
-		return terminates(s.List)
-	case *ast.IfStmt:
-		if s.Else == nil {
-			return false
-		}
-		return terminates(s.Body.List) && stmtTerminates(s.Else)
-	case *ast.SelectStmt:
-		if len(s.Body.List) == 0 {
-			return false
-		}
-		for _, cl := range s.Body.List {
-			if !terminates(cl.(*ast.CommClause).Body) {
-				return false
-			}
-		}
-		return true
-	case *ast.SwitchStmt:
-		return switchTerminates(s.Body, true)
-	case *ast.TypeSwitchStmt:
-		return switchTerminates(s.Body, true)
-	case *ast.ForStmt:
-		// for{} with no break could be non-terminating, but assume
-		// fall-through (safe direction for must-hold).
-		return false
-	}
-	return false
-}
-
-// switchTerminates reports whether every case of a switch terminates
-// and a default case exists (otherwise the zero-match path falls
-// through).
-func switchTerminates(body *ast.BlockStmt, needDefault bool) bool {
-	hasDefault := false
-	for _, cl := range body.List {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			return false
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		if !terminates(cc.Body) {
-			return false
+// lockStmt returns the lock operation a block node performs. Lock and
+// Unlock return nothing, so outside defer and go statements they can
+// only stand as an expression statement of their own.
+func (w *heldWalk) lockStmt(n ast.Node) *LockOp {
+	if es, ok := n.(*ast.ExprStmt); ok {
+		if call, ok := ast.Unparen(es.X).(*ast.CallExpr); ok {
+			return w.facts.classes.lockOpOf(w.info, call)
 		}
 	}
-	return hasDefault || !needDefault
+	return nil
 }
 
-// walkStmt processes one statement and returns the fall-through held
-// state.
-func (w *heldWalker) walkStmt(s ast.Stmt, held heldState) heldState {
-	switch s := s.(type) {
-	case nil:
-		return held
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, held)
-	case *ast.ExprStmt:
-		return w.walkExpr(s.X, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			held = w.walkExpr(e, held)
-		}
-		for _, e := range s.Lhs {
-			held = w.walkExpr(e, held)
-		}
-		return held
-	case *ast.DeclStmt:
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						held = w.walkExpr(v, held)
-					}
+// body solves one function body entered holding boundary, then reports
+// its nodes block by block over the converged states.
+func (w *heldWalk) body(body *ast.BlockStmt, boundary lockSet) {
+	g := BuildCFG(body)
+	in := Solve(g, Problem[lockSet]{
+		Boundary: boundary,
+		Transfer: func(b *Block, held lockSet) lockSet {
+			for _, n := range b.Nodes {
+				if op := w.lockStmt(n); op != nil {
+					held = heldAfter(held, op)
 				}
 			}
-		}
-		return held
-	case *ast.IncDecStmt:
-		return w.walkExpr(s.X, held)
-	case *ast.SendStmt:
-		held = w.walkExpr(s.Value, held)
-		return w.walkExpr(s.Chan, held)
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			held = w.walkExpr(e, held)
-		}
-		return held
-	case *ast.DeferStmt:
-		// A deferred x.mu.Unlock() keeps the lock held to function
-		// end: do not change the held set. Deferred closures run in an
-		// unknown lock context; walk them from empty.
-		if op := w.facts.classes.lockOpOf(w.info, s.Call); op == nil {
-			if fl, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-				w.walkStmts(fl.Body.List, make(heldState))
-			} else {
-				held = w.walkCallArgs(s.Call, held)
-			}
-		}
-		return held
-	case *ast.GoStmt:
-		// A spawned goroutine runs without the spawner's locks.
-		if fl, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			w.walkStmts(fl.Body.List, make(heldState))
-		} else {
-			held = w.walkCallArgs(s.Call, held)
-		}
-		return held
-	case *ast.IfStmt:
-		held = w.walkStmt(s.Init, held)
-		held = w.walkExpr(s.Cond, held)
-		thenOut := w.walkStmts(s.Body.List, held.clone())
-		var elseOut heldState
-		elseTerm := false
-		if s.Else != nil {
-			elseOut = w.walkStmt(s.Else, held.clone())
-			elseTerm = stmtTerminates(s.Else)
-		} else {
-			elseOut = held
-		}
-		thenTerm := terminates(s.Body.List)
-		switch {
-		case thenTerm && elseTerm:
-			return held // unreachable fall-through; keep entry set
-		case thenTerm:
-			return elseOut
-		case elseTerm:
-			return thenOut
-		default:
-			return thenOut.intersect(elseOut)
-		}
-	case *ast.ForStmt:
-		held = w.walkStmt(s.Init, held)
-		if s.Cond != nil {
-			held = w.walkExpr(s.Cond, held)
-		}
-		out := w.walkStmts(s.Body.List, held.clone())
-		w.walkStmt(s.Post, out)
-		// Loops are assumed lock-balanced; fall through with the
-		// intersection of zero and one iteration.
-		return held.intersect(out)
-	case *ast.RangeStmt:
-		held = w.walkExpr(s.X, held)
-		out := w.walkStmts(s.Body.List, held.clone())
-		return held.intersect(out)
-	case *ast.SwitchStmt:
-		held = w.walkStmt(s.Init, held)
-		if s.Tag != nil {
-			held = w.walkExpr(s.Tag, held)
-		}
-		return w.walkClauses(s.Body, held)
-	case *ast.TypeSwitchStmt:
-		held = w.walkStmt(s.Init, held)
-		held = w.walkStmt(s.Assign, held)
-		return w.walkClauses(s.Body, held)
-	case *ast.SelectStmt:
-		merged := heldState(nil)
-		for _, cl := range s.Body.List {
-			cc := cl.(*ast.CommClause)
-			in := held.clone()
-			in = w.walkStmt(cc.Comm, in)
-			out := w.walkStmts(cc.Body, in)
-			if terminates(cc.Body) {
-				continue
-			}
-			if merged == nil {
-				merged = out
-			} else {
-				merged = merged.intersect(out)
-			}
-		}
-		if merged == nil {
 			return held
-		}
-		return merged
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, held)
-	}
-	return held
-}
-
-// walkClauses merges the fall-through states of switch cases.
-func (w *heldWalker) walkClauses(body *ast.BlockStmt, held heldState) heldState {
-	merged := heldState(nil)
-	hasDefault := false
-	for _, cl := range body.List {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		in := held.clone()
-		for _, e := range cc.List {
-			in = w.walkExpr(e, in)
-		}
-		out := w.walkStmts(cc.Body, in)
-		if terminates(cc.Body) {
-			continue
-		}
-		if merged == nil {
-			merged = out
-		} else {
-			merged = merged.intersect(out)
-		}
-	}
-	if merged == nil || !hasDefault {
-		// No case falls through, or the zero-match path skips the
-		// whole switch: the entry state survives.
-		if merged == nil {
-			return held
-		}
-		return merged.intersect(held)
-	}
-	return merged
-}
-
-// walkExpr visits an expression tree in evaluation order, applying
-// lock transitions at Lock/Unlock calls and reporting every node to
-// the visitor with the current held set.
-func (w *heldWalker) walkExpr(e ast.Expr, held heldState) heldState {
-	if e == nil {
-		return held
-	}
-	switch e := e.(type) {
-	case *ast.CallExpr:
-		if op := w.facts.classes.lockOpOf(w.info, e); op != nil {
-			w.visit(e, held.sorted())
-			next := held.clone()
-			if op.Acquire {
-				next[op.Class] = true
-			} else {
-				delete(next, op.Class)
+		},
+		Meet:  intersection[*LockClass],
+		Equal: maps.Equal[lockSet, lockSet],
+	})
+	for _, b := range g.Blocks {
+		held := in[b]
+		for _, n := range b.Nodes {
+			switch n := n.(type) {
+			case *ast.DeferStmt:
+				w.detached(n.Call, held)
+			case *ast.GoStmt:
+				w.detached(n.Call, held)
+			default:
+				w.exprs(n, held)
 			}
-			return next
+			if op := w.lockStmt(n); op != nil {
+				held = heldAfter(held, op)
+			}
 		}
-		held = w.walkCallArgs(e, held)
-		w.visit(e, held.sorted())
-		return held
-	case *ast.FuncLit:
-		// Immediately-created closures inherit the creation-point held
-		// set (see WalkHeld doc).
-		w.walkStmts(e.Body.List, held.clone())
-		return held
-	case *ast.BinaryExpr:
-		held = w.walkExpr(e.X, held)
-		held = w.walkExpr(e.Y, held)
-		w.visit(e, held.sorted())
-		return held
-	case *ast.UnaryExpr:
-		held = w.walkExpr(e.X, held)
-		w.visit(e, held.sorted())
-		return held
-	case *ast.ParenExpr:
-		return w.walkExpr(e.X, held)
-	case *ast.StarExpr:
-		held = w.walkExpr(e.X, held)
-		w.visit(e, held.sorted())
-		return held
-	case *ast.SelectorExpr:
-		held = w.walkExpr(e.X, held)
-		w.visit(e, held.sorted())
-		return held
-	case *ast.IndexExpr:
-		held = w.walkExpr(e.X, held)
-		held = w.walkExpr(e.Index, held)
-		w.visit(e, held.sorted())
-		return held
-	case *ast.SliceExpr:
-		held = w.walkExpr(e.X, held)
-		held = w.walkExpr(e.Low, held)
-		held = w.walkExpr(e.High, held)
-		held = w.walkExpr(e.Max, held)
-		w.visit(e, held.sorted())
-		return held
-	case *ast.TypeAssertExpr:
-		held = w.walkExpr(e.X, held)
-		w.visit(e, held.sorted())
-		return held
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			held = w.walkExpr(el, held)
-		}
-		w.visit(e, held.sorted())
-		return held
-	case *ast.KeyValueExpr:
-		held = w.walkExpr(e.Value, held)
-		return held
-	case *ast.Ident:
-		w.visit(e, held.sorted())
-		return held
 	}
-	w.visit(e, held.sorted())
-	return held
 }
 
-// walkCallArgs walks a non-lock call's function and arguments.
-func (w *heldWalker) walkCallArgs(call *ast.CallExpr, held heldState) heldState {
-	held = w.walkExpr(call.Fun, held)
-	for _, a := range call.Args {
-		held = w.walkExpr(a, held)
+// detached reports a deferred or spawned call. Its function and
+// argument expressions are evaluated here, under held; the call itself
+// runs later, so it is not reported, a deferred lock operation changes
+// nothing now, and a closure body starts from empty.
+func (w *heldWalk) detached(call *ast.CallExpr, held lockSet) {
+	if w.facts.classes.lockOpOf(w.info, call) != nil {
+		return
 	}
-	return held
+	if fl, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+		w.body(fl.Body, nil)
+		return
+	}
+	w.exprs(call.Fun, held)
+	for _, arg := range call.Args {
+		w.exprs(arg, held)
+	}
+}
+
+// exprs reports every expression under n with the held set, which no
+// expression inside a single block node can change.
+func (w *heldWalk) exprs(n ast.Node, held lockSet) {
+	sorted := sortedClasses(held)
+	ast.Inspect(n, func(sub ast.Node) bool {
+		switch sub := sub.(type) {
+		case *ast.BlockStmt:
+			// A range statement's body: its statements are further blocks.
+			return false
+		case *ast.FuncLit:
+			w.body(sub.Body, held)
+			return false
+		case *ast.CallExpr:
+			w.visit(sub, sorted)
+			// The receiver of a lock operation is the mutex itself, not
+			// an access made under it.
+			return w.facts.classes.lockOpOf(w.info, sub) == nil
+		case ast.Expr:
+			w.visit(sub, sorted)
+		}
+		return true
+	})
 }

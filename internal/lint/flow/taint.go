@@ -10,11 +10,11 @@ package flow
 // The lattice per value is a small bit mask: one bit for "derived from
 // an untrusted source" (HTTP request data, JSON decoded from peer
 // responses, varint-decoded wire bytes) and one bit per function
-// parameter. The block solve is the union-meet dual of SolveMust's
-// intersection fixpoint: a fact merged from any predecessor survives,
-// so a bounds check that guards only one path does NOT sanitize the
-// others — the precision a linear source-order walk lacks. Within a
-// path, an ordered comparison
+// parameter. The block solve is the union-meet instance of Solve, the
+// dual of SolveMust's intersection: a fact merged from any predecessor
+// survives, so a bounds check that guards only one path does NOT
+// sanitize the others — the precision a linear source-order walk
+// lacks. Within a path, an ordered comparison
 // (<, <=, >, >=) mentioning a value clears its taint from that point
 // on: every block the comparison dominates sees the value as bounded,
 // which is exactly the repository's rejection idiom
@@ -40,6 +40,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"sort"
 )
 
@@ -195,7 +196,7 @@ func BuildTaint(p *Program) *Taint {
 		changed := false
 		for _, fi := range order {
 			sum, _ := t.analyzeFunc(fi, false)
-			if !summariesEqual(t.sums[fi.Obj], sum) {
+			if !reflect.DeepEqual(t.sums[fi.Obj], sum) {
 				t.sums[fi.Obj] = sum
 				changed = true
 			}
@@ -268,40 +269,6 @@ func (t *Taint) cfgOf(fi *FuncInfo) *Graph {
 	return g
 }
 
-// summariesEqual compares two summaries field by field.
-func summariesEqual(a, b *Summary) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.NumParams != b.NumParams ||
-		len(a.Results) != len(b.Results) ||
-		len(a.ParamOut) != len(b.ParamOut) ||
-		len(a.ParamSinks) != len(b.ParamSinks) {
-		return false
-	}
-	for i := range a.Results {
-		if a.Results[i] != b.Results[i] {
-			return false
-		}
-	}
-	for i := range a.ParamOut {
-		if a.ParamOut[i] != b.ParamOut[i] {
-			return false
-		}
-	}
-	for i := range a.ParamSinks {
-		if len(a.ParamSinks[i]) != len(b.ParamSinks[i]) {
-			return false
-		}
-		for j := range a.ParamSinks[i] {
-			if a.ParamSinks[i][j] != b.ParamSinks[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // taintState maps in-scope objects to their taint masks.
 type taintState map[types.Object]Mask
 
@@ -313,16 +280,30 @@ func cloneState(s taintState) taintState {
 	return out
 }
 
-// mergeInto unions src into dst, reporting whether dst changed.
-func mergeInto(dst, src taintState) bool {
-	changed := false
-	for k, v := range src {
-		if dst[k]|v != dst[k] {
-			dst[k] |= v
-			changed = true
+// unionStates is the meet of the taint problem: a fact from either
+// edge survives the join.
+func unionStates(a, b taintState) taintState {
+	out := cloneState(a)
+	for k, v := range b {
+		out[k] |= v
+	}
+	return out
+}
+
+// equalStates compares two states as facts: an object mapped to the
+// empty mask carries no more taint than one not mapped at all.
+func equalStates(a, b taintState) bool {
+	for k, v := range a {
+		if b[k] != v {
+			return false
 		}
 	}
-	return changed
+	for k, v := range b {
+		if a[k] != v {
+			return false
+		}
+	}
+	return true
 }
 
 // analysis is the per-function transfer state shared by the summary
@@ -361,42 +342,29 @@ func (t *Taint) analyzeFunc(fi *FuncInfo, collect bool) (*Summary, []Finding) {
 		ParamSinks: make([][]SinkRef, a.numParamSlots()),
 	}
 
-	// Forward union-meet fixpoint over the CFG: in[b] only grows, the
-	// transfer is a deterministic function of it, so the solve
+	// Forward union-meet instance of Solve: a block's input only grows
+	// and the transfer is a deterministic function of it, so the solve
 	// terminates at the least fixpoint.
-	in := make(map[*Block]taintState, len(a.g.Blocks))
-	for _, b := range a.g.Blocks {
-		in[b] = make(taintState)
-	}
+	entry := make(taintState, len(a.params))
 	for obj, idx := range a.params {
-		in[a.g.Entry][obj] = ParamBit(idx)
+		entry[obj] = ParamBit(idx)
 	}
-	work := make([]*Block, 0, len(a.g.Blocks))
-	inWork := make(map[*Block]bool, len(a.g.Blocks))
-	push := func(b *Block) {
-		if !inWork[b] {
-			inWork[b] = true
-			work = append(work, b)
-		}
-	}
-	push(a.g.Entry)
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		inWork[b] = false
-		st := cloneState(in[b])
-		for _, n := range b.Nodes {
-			a.transfer(n, b, st, false)
-		}
-		for _, s := range b.Succs {
-			if mergeInto(in[s], st) {
-				push(s)
+	in := Solve(a.g, Problem[taintState]{
+		Boundary: entry,
+		Transfer: func(b *Block, in taintState) taintState {
+			st := cloneState(in)
+			for _, n := range b.Nodes {
+				a.transfer(n, b, st, false)
 			}
-		}
-	}
+			return st
+		},
+		Meet:  unionStates,
+		Equal: equalStates,
+	})
 
 	// Deterministic final pass over the converged states: summary
-	// outputs and findings are recorded exactly once per node.
+	// outputs and findings are recorded exactly once per node. Dead code
+	// is recorded too, from the empty state.
 	for _, b := range a.g.Blocks {
 		st := cloneState(in[b])
 		for _, n := range b.Nodes {

@@ -12,6 +12,7 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -94,14 +95,14 @@ var httpResponseFields = map[string]bool{
 // isHTTPDataField reports whether sel reads attacker-controlled data
 // off an http.Request or http.Response value.
 func (a *analysis) isHTTPDataField(sel *ast.SelectorExpr) bool {
-	tv, ok := a.info.Types[sel.X]
-	if !ok {
+	pkg, name := NamedType(a.info.TypeOf(sel.X))
+	if pkg != "net/http" {
 		return false
 	}
-	switch httpTypeName(tv.Type) {
-	case "net/http.Request":
+	switch name {
+	case "Request":
 		return httpRequestFields[sel.Sel.Name]
-	case "net/http.Response":
+	case "Response":
 		return httpResponseFields[sel.Sel.Name]
 	}
 	return false
@@ -114,25 +115,8 @@ func (a *analysis) isWireField(sel *ast.SelectorExpr) bool {
 	if !ok || s.Kind() != types.FieldVal {
 		return false
 	}
-	t := s.Recv()
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && strings.HasSuffix(named.Obj().Name(), "Wire")
-}
-
-// httpTypeName renders t as pkgpath.Name after stripping pointers and
-// aliases, or "" for non-named types.
-func httpTypeName(t types.Type) string {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Path() + "." + named.Obj().Name()
+	_, name := NamedType(s.Recv())
+	return strings.HasSuffix(name, "Wire")
 }
 
 // resultMasks evaluates a call's result masks (n slots). Precedence:
@@ -247,8 +231,7 @@ func (a *analysis) namedRuleMask(call *ast.CallExpr, callee *types.Func, st tain
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if _, isSel := a.info.Selections[sel]; isSel {
 			recvMask = a.exprMask(sel.X, st)
-			if tv, ok := a.info.Types[sel.X]; ok && tv.Type != nil &&
-				httpTypeName(tv.Type) == "net/http.Request" && requestMethods[name] {
+			if p, n := NamedType(a.info.TypeOf(sel.X)); p == "net/http" && n == "Request" && requestMethods[name] {
 				return SourceBit
 			}
 		}
@@ -604,18 +587,18 @@ func (a *analysis) recordSink(kind SinkKind, pos token.Pos, expr string, m Mask,
 			continue
 		}
 		// Dedupe on the ultimate sink (kind + position): recursion and
-		// diamond call shapes reach the same sink along several paths,
-		// and the first-recorded (shortest) path is the useful one.
+		// diamond call shapes reach the same sink along several paths.
+		// The shortest path is the useful one, and keeping it (rather
+		// than whichever a pass happened to record first) is what lets
+		// summaries on a call cycle stop changing.
 		ref := SinkRef{Kind: kind, Pos: pos, Expr: expr, Path: path}
-		dup := false
-		for _, have := range a.sum.ParamSinks[p] {
-			if have.Kind == ref.Kind && have.Pos == ref.Pos {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			a.sum.ParamSinks[p] = append(a.sum.ParamSinks[p], ref)
+		sinks := a.sum.ParamSinks[p]
+		i := slices.IndexFunc(sinks, func(have SinkRef) bool { return have.Kind == kind && have.Pos == pos })
+		switch {
+		case i < 0:
+			a.sum.ParamSinks[p] = append(sinks, ref)
+		case len(path) < len(sinks[i].Path) || len(path) == len(sinks[i].Path) && path < sinks[i].Path:
+			sinks[i] = ref
 		}
 	}
 }

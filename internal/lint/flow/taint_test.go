@@ -73,6 +73,31 @@ func f(b []byte) []byte {
 	wantFindings(t, BuildTaint(p), "make size|n|")
 }
 
+// TestSourceBelowEmptyStateReachesLaterBlock: a function with no
+// parameters enters with the empty state, and the source sits in a
+// block whose own input is empty too. The taint must still cross the
+// next join — a block is solved because an edge reaches it, not because
+// the state on that edge is non-empty.
+func TestSourceBelowEmptyStateReachesLaterBlock(t *testing.T) {
+	p := taintProgram(t, `package p
+`+sourceDecl+`
+var wire []byte
+
+func ready() bool
+
+func f() []byte {
+	if !ready() {
+		return nil
+	}
+	n, _ := uvarint(wire)
+	if ready() {
+		return nil
+	}
+	return make([]byte, n)
+}`)
+	wantFindings(t, BuildTaint(p), "make size|n|")
+}
+
 func TestComparisonSanitizes(t *testing.T) {
 	p := taintProgram(t, `package p
 `+sourceDecl+`

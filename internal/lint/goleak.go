@@ -25,15 +25,8 @@ var GoLeak = &Analyzer{
 	RunProgram: runGoLeak,
 }
 
-// goleakBound is the single event label the must-solver tracks: any
-// bounding construct produces it, so "some bound on every path" is one
-// solver query.
-const goleakBound = "bound"
-
 func runGoLeak(p *ProgramPass) {
-	// summaries memoizes whether a named function's body provides a
-	// bound on every path (the one-call-deep interprocedural view).
-	summaries := make(map[*types.Func]int) // 0 unknown, 1 bounded, 2 not
+	bounds := flow.NewEveryPath(p.Flow, isBoundingNode)
 	for _, pkg := range p.Pkgs {
 		for _, f := range pkg.Files {
 			info := pkg.Info
@@ -46,7 +39,7 @@ func runGoLeak(p *ProgramPass) {
 				if body == nil {
 					return true
 				}
-				if !bodyBounded(p.Flow, binfo, body, summaries, 0) {
+				if !bounds.Solve(binfo, body).OnEveryPath(flow.Done{}) {
 					p.Reportf(gs.Pos(), "goroutine has no bounded exit on every path (no WaitGroup join, channel operation, close, or ctx.Done receive)")
 				}
 				return true
@@ -66,28 +59,17 @@ func spawnedBody(prog *flow.Program, info *types.Info, gs *ast.GoStmt) (*ast.Blo
 		return nil, nil
 	}
 	fi := prog.Funcs[callee]
-	if fi == nil || fi.Decl.Body == nil {
+	if fi == nil {
 		return nil, nil
 	}
 	return fi.Decl.Body, fi.Pkg.Info
 }
 
-// bodyBounded reports whether a bound event occurs on every path
-// through body. depth limits the interprocedural summary recursion.
-func bodyBounded(prog *flow.Program, info *types.Info, body *ast.BlockStmt, summaries map[*types.Func]int, depth int) bool {
-	g := flow.BuildCFG(body)
-	facts := flow.SolveMust(g, func(n ast.Node) []string {
-		if isBoundingNode(prog, info, n, summaries, depth) {
-			return []string{goleakBound}
-		}
-		return nil
-	})
-	return facts.OnEveryPath(goleakBound)
-}
-
 // isBoundingNode recognizes the constructs that bound a goroutine's
-// lifetime.
-func isBoundingNode(prog *flow.Program, info *types.Info, n ast.Node, summaries map[*types.Func]int, depth int) bool {
+// lifetime by themselves; flow.EveryPath adds calls to functions whose
+// own body provides one on every path (the worker that does
+// `defer wg.Done()`).
+func isBoundingNode(info *types.Info, n ast.Node) bool {
 	switch n := n.(type) {
 	case *ast.SendStmt:
 		return true
@@ -104,10 +86,7 @@ func isBoundingNode(prog *flow.Program, info *types.Info, n ast.Node, summaries 
 				return true
 			}
 		}
-		if isWaitGroupJoin(info, n) {
-			return true
-		}
-		return calleeBounds(prog, info, n, summaries, depth)
+		return isWaitGroupJoin(info, n)
 	}
 	return false
 }
@@ -119,49 +98,4 @@ func isWaitGroupJoin(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	return isNamedType(info.TypeOf(sel.X), "sync", "WaitGroup")
-}
-
-// calleeBounds consults the one-call-deep summary: a call to a declared
-// function whose own body provides a bound on every path is itself a
-// bound (the worker that does `defer wg.Done()` pattern).
-func calleeBounds(prog *flow.Program, info *types.Info, call *ast.CallExpr, summaries map[*types.Func]int, depth int) bool {
-	if depth >= 2 {
-		return false
-	}
-	callee := flow.CalleeOf(info, call)
-	if callee == nil {
-		return false
-	}
-	if v, ok := summaries[callee]; ok {
-		return v == 1
-	}
-	fi := prog.Funcs[callee]
-	if fi == nil || fi.Decl.Body == nil {
-		return false
-	}
-	summaries[callee] = 2 // recursion guard: assume unbounded while computing
-	if bodyBounded(prog, fi.Pkg.Info, fi.Decl.Body, summaries, depth+1) {
-		summaries[callee] = 1
-		return true
-	}
-	return false
-}
-
-// isNamedType reports whether t (after stripping one pointer) is the
-// named type pkgPath.name.
-func isNamedType(t types.Type, pkgPath, name string) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == pkgPath && named.Obj().Name() == name
 }

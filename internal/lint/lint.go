@@ -4,10 +4,9 @@
 // machinery shared by the analyzers in this package.
 //
 // The analyzers machine-enforce repository conventions that ordinary
-// `go vet` does not know about:
+// `go vet` does not know about. The syntactic ones read one package's
+// AST and types:
 //
-//   - spmd-goroutine: bare go statements outside internal/mpi and
-//     internal/stage (all parallelism flows through the SPMD runtime)
 //   - errprefix: error strings must carry the owning package's
 //     "<pkg>: " prefix
 //   - floatcmp: no == / != on floating-point operands outside tests
@@ -19,42 +18,44 @@
 //     comments
 //   - ctxfirst: exported functions accepting a context.Context must
 //     take it as their first parameter
-//
-// The flow-aware generation (built on internal/lint/flow's call graph
-// and held-lock walk) adds:
-//
-//   - lockorder: cross-package mutex acquisition-order cycles
-//     (potential deadlocks)
+//   - ctxflow: held contexts must be forwarded, not replaced, and
+//     I/O loops must poll cancellation
 //   - hotalloc: hoistable allocations, growing appends, and capturing
 //     closures inside hot-path loops
 //   - constshare: re-typed magic literals that must come from the
 //     shared named constant
+//   - ignorereason: //mlocvet:ignore directives must carry a
+//     "-- reason" explaining the suppression
+//
+// The others are built on internal/lint/flow: a static call graph over every
+// loaded package, a per-function control-flow graph, and one dataflow
+// solver (flow.Solve) of which every per-function analysis is an
+// instance. Mutexes held at each point (forward, intersection):
+//
+//   - lockorder: cross-package mutex acquisition-order cycles
+//     (potential deadlocks)
 //   - atomicmix: fields accessed both atomically and plainly, or with
 //     inconsistent mutex protection
 //
-// The lifecycle generation (built on internal/lint/flow's per-function
-// CFG and must-happen-on-every-path dataflow solver) adds:
+// Events that must still happen, deferred events already registered,
+// and events that already happened, on every path (flow.SolveMust:
+// backward and forward, intersection):
 //
 //   - goleak: go statements need a bounded exit on every path
-//   - ctxflow: held contexts must be forwarded, not replaced, and
-//     I/O loops must poll cancellation
 //   - closepath: pooled and constructed values need a release on every
 //     path, error returns and panics included
 //   - clockcharge: simulated I/O recorded in Stats must charge the
 //     virtual Clock before returning
-//   - ignorereason: //mlocvet:ignore directives must carry a
-//     "-- reason" explaining the suppression
+//   - bodylimit: every network body read must be length-bounded by
+//     io.LimitReader or http.MaxBytesReader
 //
-// The taint generation (built on internal/lint/flow's interprocedural
-// taint summaries over the call graph and CFG) guards the cluster
-// trust boundary — HTTP request data, JSON decoded from peer nodes,
-// and wire bytes are all attacker-controlled:
+// Taint (forward, union) under interprocedural summaries guards the
+// cluster trust boundary — HTTP request data, JSON decoded from peer
+// nodes, and wire bytes are all attacker-controlled:
 //
 //   - taintflow: untrusted values must not reach allocation sizes,
 //     loop bounds, indexes, or sleep durations — across function
-//     calls — without a dominating bounds check
-//   - bodylimit: every network body read must be length-bounded by
-//     io.LimitReader or http.MaxBytesReader
+//     calls — without a bounds check on every path
 //   - labelcard: metric label values and metric names must come from
 //     a finite set, never from untrusted strings
 //
@@ -66,6 +67,7 @@ package lint
 import (
 	"fmt"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 
@@ -192,7 +194,6 @@ func FlowPackage(pkg *Package) *flow.PackageInfo {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		SPMDGoroutine,
 		ErrPrefix,
 		FloatCmp,
 		CommEscape,
@@ -394,4 +395,11 @@ func anyEntryMatches(entries []ignoreEntry, analyzer string) bool {
 // slash-separated suffix (e.g. "internal/mpi").
 func pathHasSuffix(p, suffix string) bool {
 	return p == suffix || strings.HasSuffix(p, "/"+suffix)
+}
+
+// isNamedType reports whether t (behind at most one pointer) is the
+// named type pkgPath.name.
+func isNamedType(t types.Type, pkgPath, name string) bool {
+	p, n := flow.NamedType(t)
+	return p == pkgPath && n == name
 }

@@ -91,8 +91,6 @@ func TestAnalyzersGolden(t *testing.T) {
 		analyzer *Analyzer
 		fixture  string
 	}{
-		{SPMDGoroutine, "spmd"},
-		{SPMDGoroutine, "internal/stage"}, // exemption: runtime packages may spawn goroutines
 		{ErrPrefix, "errprefix"},
 		{FloatCmp, "floatcmp"},
 		{CommEscape, "commescape"},
@@ -124,25 +122,24 @@ func TestAnalyzersGolden(t *testing.T) {
 // analyzer demonstrates at least one real diagnostic on its fixture.
 func TestGoldenTruePositives(t *testing.T) {
 	fixtures := map[string]string{
-		SPMDGoroutine.Name: "spmd",
-		ErrPrefix.Name:     "errprefix",
-		FloatCmp.Name:      "floatcmp",
-		CommEscape.Name:    "commescape",
-		UncheckedErr.Name:  "uncheckederr",
-		ExportedDoc.Name:   "exporteddoc",
-		CtxFirst.Name:      "ctxfirst",
-		LockOrder.Name:     "lockorder",
-		HotAlloc.Name:      "hotalloc",
-		ConstShare.Name:    "constshare",
-		AtomicMix.Name:     "atomicmix",
-		GoLeak.Name:        "goleak",
-		CtxFlow.Name:       "ctxflow",
-		ClosePath.Name:     "closepath",
-		ClockCharge.Name:   "clockcharge/internal/pfs",
-		IgnoreReason.Name:  "ignorereason",
-		TaintFlow.Name:     "taintflow",
-		BodyLimit.Name:     "bodylimit",
-		LabelCard.Name:     "labelcard",
+		ErrPrefix.Name:    "errprefix",
+		FloatCmp.Name:     "floatcmp",
+		CommEscape.Name:   "commescape",
+		UncheckedErr.Name: "uncheckederr",
+		ExportedDoc.Name:  "exporteddoc",
+		CtxFirst.Name:     "ctxfirst",
+		LockOrder.Name:    "lockorder",
+		HotAlloc.Name:     "hotalloc",
+		ConstShare.Name:   "constshare",
+		AtomicMix.Name:    "atomicmix",
+		GoLeak.Name:       "goleak",
+		CtxFlow.Name:      "ctxflow",
+		ClosePath.Name:    "closepath",
+		ClockCharge.Name:  "clockcharge/internal/pfs",
+		IgnoreReason.Name: "ignorereason",
+		TaintFlow.Name:    "taintflow",
+		BodyLimit.Name:    "bodylimit",
+		LabelCard.Name:    "labelcard",
 	}
 	if len(fixtures) != len(All()) {
 		t.Fatalf("fixture map covers %d analyzers, suite has %d", len(fixtures), len(All()))

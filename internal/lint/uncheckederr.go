@@ -153,21 +153,8 @@ func isStdStream(e ast.Expr) bool {
 // isSafeWriter reports whether t is a writer whose Write methods never
 // return a meaningful error.
 func isSafeWriter(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	switch named.Obj().Pkg().Path() + "." + named.Obj().Name() {
-	case "bytes.Buffer", "strings.Builder", "text/tabwriter.Writer":
-		return true
-	}
-	return false
+	return isNamedType(t, "bytes", "Buffer") || isNamedType(t, "strings", "Builder") ||
+		isNamedType(t, "text/tabwriter", "Writer")
 }
 
 // calleeName renders the called function for a diagnostic.

@@ -30,9 +30,9 @@ func postTracedQuery(t *testing.T, url, body string) ResultWire {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body) //mlocvet:ignore uncheckederr -- best-effort diagnostic body on an already-failed request
+		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("traced query status %d: %s", resp.StatusCode, b)
 	}
 	var out ResultWire

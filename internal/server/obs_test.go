@@ -28,7 +28,7 @@ func getBody(t *testing.T, ts *httptest.Server, path string) (*http.Response, st
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestStatsLegacyKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("/stats Content-Type = %q", ct)
 	}

@@ -58,7 +58,7 @@ func postQuery(t *testing.T, ts *httptest.Server, body string) (*http.Response, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { resp.Body.Close() }) //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	t.Cleanup(func() { resp.Body.Close() })
 	var res ResultWire
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
@@ -74,7 +74,7 @@ func getStats(t *testing.T, ts *httptest.Server) map[string]int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/stats status %d", resp.StatusCode)
 	}
@@ -369,7 +369,7 @@ func TestMethodsAndAuxEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /query status %d, want 405", resp.StatusCode)
 	}
@@ -377,7 +377,7 @@ func TestMethodsAndAuxEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /stats status %d, want 405", resp.StatusCode)
 	}
@@ -386,7 +386,7 @@ func TestMethodsAndAuxEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion -- test teardown; a close error cannot fail the assertion
+	defer resp.Body.Close()
 	var vars []VarWire
 	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
 		t.Fatal(err)
@@ -399,7 +399,7 @@ func TestMethodsAndAuxEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hresp.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion -- test teardown; a close error cannot fail the assertion
+	hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz status %d, want 200", hresp.StatusCode)
 	}
@@ -416,7 +416,7 @@ func TestMethodsAndAuxEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hresp2.Body.Close() //mlocvet:ignore uncheckederr -- test teardown; a close error cannot fail the assertion
+	hresp2.Body.Close()
 	if hresp2.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining /healthz status %d, want 503", hresp2.StatusCode)
 	}
