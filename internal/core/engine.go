@@ -19,20 +19,42 @@ import (
 	"mloc/internal/query"
 )
 
-// rankOut accumulates one rank's results. reassemble and filter split
-// the Reconstruct component for span attribution (index/offset decoding
-// vs. the match-filter loop); their sum always equals time.Reconstruct.
+// rankOut accumulates one rank's results and the totals its trace
+// reports. reassemble and filter split the Reconstruct component for
+// span attribution (index/offset decoding vs. the match-filter loop);
+// their sum always equals time.Reconstruct. fetchWall is the host time
+// of the rank's PFS reads, the one stage whose wall time is kept apart.
 type rankOut struct {
-	matches    []query.Match
-	time       query.Components
-	bytes      int64
-	blocks     int
-	cacheHits  int
-	nodesRead  int
-	reassemble float64
-	filter     float64
+	matches     []query.Match
+	time        query.Components
+	bytes       int64
+	blocks      int
+	cacheHits   int
+	nodesRead   int
+	bins, units int
+	reassemble  float64
+	filter      float64
+	fetchWall   time.Duration
 
 	sc *rankScratch
+}
+
+// trace records the rank's work under its rank span as one event per
+// stage — fetch, decode, reassemble, filter — whose virtual seconds sum
+// to the rank's total, each carrying its own stage's counts. A rank is
+// traced per stage, not per bin, so a query's trace is O(ranks) spans
+// whatever the store's bin count.
+func (o *rankOut) trace(rs *obs.Span) {
+	rs.SetFloat("virt_total_s", o.time.Total())
+	fetch := rs.Event("fetch", o.fetchWall, o.time.IO)
+	fetch.SetInt("bins", int64(o.bins))
+	fetch.SetInt("bytes", o.bytes)
+	decode := rs.Event("decode", 0, o.time.Decompress)
+	decode.SetInt("blocks", int64(o.blocks))
+	decode.SetInt("cache_hits", int64(o.cacheHits))
+	decode.SetInt("index_nodes", int64(o.nodesRead))
+	rs.Event("reassemble", 0, o.reassemble).SetInt("units", int64(o.units))
+	rs.Event("filter", 0, o.filter).SetInt("matches", int64(len(o.matches)))
 }
 
 // rankScratch is everything a rank needs only until gatherRanks has
@@ -183,7 +205,8 @@ func (s *Store) QueryContext(ctx context.Context, req *query.Request, ranks int)
 
 // execute is the one frame every access runs in: compile the plan and
 // assign it to ranks (the "plan" span), run each rank's bins and vindex
-// nodes on its own clock with pooled scratch, gather.
+// nodes on its own clock with pooled scratch (a "rank" span with the
+// rank's stage events), gather.
 func (s *Store) execute(ctx context.Context, ranks int, compile func() (*plan, error)) (*query.Result, error) {
 	if ranks < 1 {
 		return nil, fmt.Errorf("core: ranks %d < 1", ranks)
@@ -215,17 +238,14 @@ func (s *Store) execute(ctx context.Context, ranks int, compile func() (*plan, e
 	defer qs.end() // runs before the Put, after the gather
 	clks := s.fs.NewClocks(ranks)
 	err = mpi.Run(ranks, func(c *mpi.Comm) error {
-		rctx, rs := obs.StartSpan(ctx, "rank")
-		rs.SetInt("rank", int64(c.Rank()))
-		rerr := s.runRank(rctx, clks[c.Rank()], p, perRank[c.Rank()], &outs[c.Rank()])
+		r := c.Rank()
+		_, rs := obs.StartSpan(ctx, "rank")
+		rs.SetInt("rank", int64(r))
+		rerr := s.runRank(ctx, clks[r], p, perRank[r], &outs[r])
 		if rerr == nil && perRankNodes != nil {
-			rerr = s.runNodes(rctx, clks[c.Rank()], p, perRankNodes[c.Rank()], &outs[c.Rank()])
+			rerr = s.runNodes(ctx, clks[r], p, perRankNodes[r], &outs[r])
 		}
-		o := &outs[c.Rank()]
-		rs.SetFloat("virt_total_s", o.time.Total())
-		rs.SetInt("matches", int64(len(o.matches)))
-		rs.SetInt("bytes", o.bytes)
-		rs.SetInt("cache_hits", int64(o.cacheHits))
+		outs[r].trace(rs)
 		rs.End()
 		return rerr
 	})
@@ -250,10 +270,9 @@ func (s *Store) execute(ctx context.Context, ranks int, compile func() (*plan, e
 // the vindex: all node bitmaps are fetched in a single coalesced read
 // batch from the vindex subfile (one open, extents sorted and
 // gap-merged across tree levels), then decoded and their set bits
-// emitted as matches (filtered by SC per point). Decode and filter
-// cost is charged per tree level — the span carries one virtual-clock
-// event per level, mirroring the per-level charging the build passes
-// report.
+// emitted as matches (filtered by SC per point). The read, each node's
+// bitmap decode and its filter loop add to the rank's fetch, decode and
+// filter totals, the same stages the bins report.
 func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []binning.NodeRef, out *rankOut) error {
 	if len(nodes) == 0 {
 		return nil
@@ -261,9 +280,6 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []b
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: query canceled before vindex nodes: %w", err)
 	}
-	_, vs := obs.StartSpan(ctx, "vindex")
-	defer vs.End()
-	vs.SetInt("nodes", int64(len(nodes)))
 	if err := s.fs.Open(clk, s.vidx.path); err != nil {
 		return err
 	}
@@ -272,6 +288,7 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []b
 	// subfile in level order, so sorting and gap-merging the extents
 	// costs at most a seek per disjoint run, not one per level.
 	t0 := clk.Now()
+	wall0 := time.Now()
 	sc := out.sc
 	sc.idxExtents = sc.idxExtents[:0]
 	for _, n := range nodes {
@@ -284,7 +301,7 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []b
 	}
 	out.bytes += ioBytes
 	out.time.IO += clk.Now() - t0
-	vs.Event("read", 0, clk.Now()-t0).SetInt("bytes", ioBytes)
+	out.fetchWall += time.Since(wall0)
 
 	// The plan sizes the nodes' share of the match buffer before any is
 	// decoded: a node's set bits are the points of the leaf bins under
@@ -302,14 +319,9 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []b
 	points = min(points, p.limit-int64(len(out.matches)))
 	out.matches = slices.Grow(out.matches, int(max(points, 0)))
 
-	// Walk the nodes by level (ascending); Select emits them in leaf
-	// order, so a stable sort keeps each level's nodes sorted.
-	refs := slices.Clone(nodes)
-	slices.SortStableFunc(refs, func(a, b binning.NodeRef) int { return a.Level - b.Level })
 	sc.setGrid(s.meta.shape)
 	coords := sc.global
-	l0 := clk.Now()
-	for i, n := range refs {
+	for _, n := range nodes {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: query canceled at vindex node %d/%d: %w", n.Level, n.Index, err)
 		}
@@ -344,10 +356,6 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []b
 		out.filter += filter
 		out.time.Reconstruct += filter
 		out.nodesRead++
-		if i+1 == len(refs) || refs[i+1].Level != n.Level {
-			vs.Event("level", 0, clk.Now()-l0).SetInt("level", int64(n.Level))
-			l0 = clk.Now()
-		}
 	}
 	return nil
 }
@@ -392,7 +400,9 @@ func (s *Store) runRank(ctx context.Context, clk *pfs.Clock, p *plan, tasks []ta
 // pieces of the units still unresolved (resident and dropped units'
 // extents are never read); resolve the values unit by unit (misses go
 // through the cache's single-flight path so concurrent queries
-// decompress each unit once); then filter and emit the whole bin.
+// decompress each unit once); then filter and emit the whole bin. Each
+// stage adds to the rank's totals, which execute traces once per rank:
+// a bin opens no span of its own.
 func (s *Store) runBin(ctx context.Context, clk *pfs.Clock, p *plan, tasks []task, out *rankOut) error {
 	bin := tasks[0].bin
 	if s.hookBeforeBin != nil {
@@ -401,14 +411,8 @@ func (s *Store) runBin(ctx context.Context, clk *pfs.Clock, p *plan, tasks []tas
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: query canceled at bin %d: %w", bin, err)
 	}
-	ctx, bs := obs.StartSpan(ctx, "bin")
-	defer bs.End()
-	bs.SetInt("bin", int64(bin))
-	bs.SetInt("units", int64(len(tasks)))
-	// Component snapshots: the deltas across this bin become the
-	// fetch/decode/reassemble/filter child spans, recorded as completed
-	// Events carrying virtual-clock seconds (wall time is not split).
-	before := *out
+	out.bins++
+	out.units += len(tasks)
 	sc := out.sc
 	bm := &s.meta.bins[bin]
 	idxPath := binIndexPath(s.prefix, bin)
@@ -431,7 +435,7 @@ func (s *Store) runBin(ctx context.Context, clk *pfs.Clock, p *plan, tasks []tas
 	}
 	out.bytes += ioBytes
 	out.time.IO += clk.Now() - t0
-	fetchWall := time.Since(wall0)
+	out.fetchWall += time.Since(wall0)
 
 	// Reassemble: every unit's offsets into the bin's arena.
 	if err := s.decodeBinOffsets(clk, p, tasks, idxMap, out); err != nil {
@@ -471,10 +475,8 @@ func (s *Store) runBin(ctx context.Context, clk *pfs.Clock, p *plan, tasks []tas
 		}
 		out.bytes += ioBytes
 		out.time.IO += clk.Now() - t1
-		fetchWall += time.Since(wall1)
+		out.fetchWall += time.Since(wall1)
 	}
-	bs.Event("fetch", fetchWall, out.time.IO-before.time.IO).
-		SetInt("bytes", out.bytes-before.bytes)
 
 	// Decode: the values of every unit the probe did not resolve.
 	for i, t := range tasks {
@@ -495,13 +497,6 @@ func (s *Store) runBin(ctx context.Context, clk *pfs.Clock, p *plan, tasks []tas
 	})
 	out.filter += filter
 	out.time.Reconstruct += filter
-
-	bs.Event("decode", 0, out.time.Decompress-before.time.Decompress).
-		SetInt("blocks", int64(out.blocks-before.blocks))
-	bs.Event("reassemble", 0, out.reassemble-before.reassemble)
-	bs.Event("filter", 0, out.filter-before.filter).
-		SetInt("matches", int64(len(out.matches)-len(before.matches)))
-	bs.SetInt("cache_hits", int64(out.cacheHits-before.cacheHits))
 	return nil
 }
 

@@ -1,9 +1,10 @@
 package core
 
-// Tracing acceptance tests for the instrumented engine: the per-rank
-// fetch/decode/reassemble/filter span events must sum to the rank's
-// virtual total, and the slowest rank must equal the reported query
-// latency — the span tree is the latency, decomposed.
+// Tracing acceptance tests for the instrumented engine: each rank's
+// fetch/decode/reassemble/filter events must sum to the rank's virtual
+// total, the slowest rank must equal the reported query latency — the
+// span tree is the latency, decomposed — and a trace's span count must
+// not grow with the store's bin count.
 
 import (
 	"context"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"mloc/internal/binning"
+	"mloc/internal/bitmap"
 	"mloc/internal/datagen"
 	"mloc/internal/grid"
 	"mloc/internal/obs"
@@ -58,87 +60,229 @@ func attrFloat(d *obs.SpanDump, key string) (float64, bool) {
 	return 0, false
 }
 
-// componentEvent selects the leaf cost events the engine emits per bin.
-func componentEvent(d *obs.SpanDump) bool {
-	switch d.Name {
-	case "fetch", "decode", "reassemble", "filter":
-		return true
-	}
-	return false
-}
+// stageEvents are the events a rank span holds, one per stage.
+var stageEvents = []string{"fetch", "decode", "reassemble", "filter"}
 
-func TestQuerySpanTreeSumsToLatency(t *testing.T) {
-	data, shape := obsTestData(t)
-	cfg := DefaultConfig([]int{16, 16})
-	cfg.NumBins = 16
-	fs := pfs.New(pfs.DefaultConfig())
-	clk := fs.NewClock()
-	st, err := Build(fs, clk, "q/phi", shape, data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tr := obs.NewTracer(4)
-	ctx, root := tr.StartTrace(context.Background(), "query")
-	req := &query.Request{VC: obsTestVC(data)}
-	res, err := st.QueryContext(ctx, req, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) == 0 {
-		t.Fatal("query matched nothing; test data or VC is broken")
-	}
-	root.End()
-
-	dumps := tr.Dump()
-	if len(dumps) != 1 {
-		t.Fatalf("retained %d traces, want 1", len(dumps))
-	}
-	td := dumps[0]
-	if td.Root.Find("plan") == nil {
-		t.Error("trace has no plan span")
-	}
-
-	var ranks int
-	var slowest float64
-	for _, child := range td.Root.Children {
-		if child.Name != "rank" {
+// checkRanks asserts the trace shape under parent: each rank span among
+// its children holds exactly the four stage events, ended, whose virtual
+// seconds sum to the rank's virt_total_s. It returns the number of rank
+// spans and the slowest rank's total.
+func checkRanks(t *testing.T, parent *obs.SpanDump) (ranks int, slowest float64) {
+	t.Helper()
+	for _, rank := range parent.Children {
+		if rank.Name != "rank" {
 			continue
 		}
 		ranks++
-		if !child.Ended {
-			t.Errorf("rank span not ended: %+v", child)
+		if !rank.Ended {
+			t.Errorf("rank span not ended: %+v", rank.Attrs)
 		}
-		total, ok := attrFloat(child, "virt_total_s")
+		total, ok := attrFloat(rank, "virt_total_s")
 		if !ok {
-			t.Fatalf("rank span missing virt_total_s attr: %+v", child.Attrs)
+			t.Fatalf("rank span missing virt_total_s attr: %+v", rank.Attrs)
 		}
-		evSum := child.SumVirt(componentEvent)
-		if math.Abs(evSum-total) > 1e-9 {
-			t.Errorf("rank events sum to %v, rank virtual total is %v", evSum, total)
+		if len(rank.Children) != len(stageEvents) {
+			t.Fatalf("rank span has %d children, want the %d stage events", len(rank.Children), len(stageEvents))
 		}
-		if total > slowest {
-			slowest = total
+		var sum float64
+		for i, ev := range rank.Children {
+			if ev.Name != stageEvents[i] || !ev.Ended || len(ev.Children) != 0 {
+				t.Errorf("rank child %d is %q (ended %v, %d children), want an ended %s event",
+					i, ev.Name, ev.Ended, len(ev.Children), stageEvents[i])
+			}
+			sum += ev.VirtS
 		}
-		for _, bin := range child.Children {
-			if bin.Name != "bin" {
-				continue
-			}
-			if !bin.Ended {
-				t.Errorf("bin span not ended")
-			}
-			if _, ok := attrFloat(bin, "bin"); !ok {
-				t.Errorf("bin span missing bin attr: %+v", bin.Attrs)
-			}
+		if math.Abs(sum-total) > 1e-9 {
+			t.Errorf("rank stage events sum to %v, rank virtual total is %v", sum, total)
+		}
+		slowest = max(slowest, total)
+	}
+	return ranks, slowest
+}
+
+// sumSlowestRanks walks the tree and adds up, over every span that
+// parents ranks (one per rank-parallel phase of the access), its
+// slowest rank's total — what the access reports as its latency. It
+// fails on any span named bin or vindex: the query path traces per
+// stage, not per bin or node.
+func sumSlowestRanks(t *testing.T, d *obs.SpanDump) float64 {
+	t.Helper()
+	if d.Name == "bin" || d.Name == "vindex" {
+		t.Errorf("trace has a %s span", d.Name)
+	}
+	_, latency := checkRanks(t, d)
+	for _, c := range d.Children {
+		if c.Name != "rank" {
+			latency += sumSlowestRanks(t, c)
 		}
 	}
-	if ranks == 0 {
-		t.Fatal("trace has no rank spans")
+	return latency
+}
+
+// traced runs fn under a fresh tracer, at the default per-trace span
+// cap, and returns the retained trace, failing if any span was dropped.
+func traced(t *testing.T, fn func(ctx context.Context)) obs.TraceDump {
+	t.Helper()
+	tr := obs.NewTracer(1)
+	ctx, root := tr.StartTrace(context.Background(), "query")
+	fn(ctx)
+	root.End()
+	td, ok := tr.DumpByID(root.TraceID())
+	if !ok {
+		t.Fatal("trace not retained")
 	}
-	// The acceptance criterion: the slowest rank's span events account
-	// for the reported query latency.
+	if td.Dropped != 0 {
+		t.Errorf("trace dropped %d spans at the cap", td.Dropped)
+	}
+	return td
+}
+
+// TestQuerySpanTreeSumsToLatency: on every plan shape the executor runs
+// — flat value query, spatial-only query, hierarchical index-only query
+// answered partly from vindex nodes, position fetch, and the two-phase
+// multi-variable access — each rank's four stage events sum to the
+// rank's virtual total, and the slowest rank of each phase accounts for
+// the reported latency: the span tree is the latency, decomposed.
+func TestQuerySpanTreeSumsToLatency(t *testing.T) {
+	data, shape := obsTestData(t)
+	fs := pfs.New(pfs.DefaultConfig())
+	build := func(prefix string, hier bool) *Store {
+		cfg := DefaultConfig([]int{16, 16})
+		cfg.NumBins = 16
+		cfg.HierarchicalIndex = hier
+		st, err := Build(fs, fs.NewClock(), prefix, shape, data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	flat, hier, other := build("q/flat", false), build("q/hier", true), build("q/other", false)
+	vc := obsTestVC(data)
+	positions := bitmap.New(shape.Elems())
+	for i := int64(0); i < shape.Elems(); i += 7 {
+		positions.Set(i)
+	}
+
+	for _, tc := range []struct {
+		name string
+		// nodes: the row must answer part of the query from vindex nodes.
+		nodes bool
+		run   func(ctx context.Context) (*query.Result, error)
+	}{
+		{"flat VC", false, func(ctx context.Context) (*query.Result, error) {
+			return flat.QueryContext(ctx, &query.Request{VC: vc}, 4)
+		}},
+		{"SC only", false, func(ctx context.Context) (*query.Result, error) {
+			sc := &grid.Region{Lo: []int{5, 9}, Hi: []int{41, 60}}
+			return flat.QueryContext(ctx, &query.Request{SC: sc}, 4)
+		}},
+		{"hierarchical index-only", true, func(ctx context.Context) (*query.Result, error) {
+			return hier.QueryContext(ctx, &query.Request{VC: vc, IndexOnly: true}, 4)
+		}},
+		{"FetchAt", false, func(ctx context.Context) (*query.Result, error) {
+			return flat.FetchAtContext(ctx, positions, 4)
+		}},
+		{"MultiVarQuery", false, func(ctx context.Context) (*query.Result, error) {
+			req := MultiVarRequest{Select: query.Request{VC: vc}, FetchVars: []string{"b"}}
+			mv, err := MultiVarQueryContext(ctx, map[string]*Store{"a": flat, "b": other}, "a", req, 2)
+			if err != nil {
+				return nil, err
+			}
+			return &query.Result{Matches: mv.Values["b"], Time: mv.Time}, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var res *query.Result
+			td := traced(t, func(ctx context.Context) {
+				var err error
+				if res, err = tc.run(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if len(res.Matches) == 0 {
+				t.Fatal("access matched nothing; test data or predicate is broken")
+			}
+			if tc.nodes && res.IndexNodesRead == 0 {
+				t.Fatal("query read no vindex nodes; the row does not cover the node path")
+			}
+			if td.Root.Find("plan") == nil {
+				t.Error("trace has no plan span")
+			}
+			if td.Root.Find("rank") == nil {
+				t.Fatal("trace has no rank spans")
+			}
+			if got, want := sumSlowestRanks(t, td.Root), res.Time.Total(); math.Abs(got-want) > 1e-9 {
+				t.Errorf("slowest ranks' totals sum to %v, reported latency is %v", got, want)
+			}
+		})
+	}
+}
+
+// binsStore builds the obs test variable at 128² into a store of the
+// given bin count.
+func binsStore(t *testing.T, bins int) *Store {
+	t.Helper()
+	d := datagen.GTSLike(128, 128, 1)
+	v, err := d.Var("phi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig([]int{16, 16})
+	cfg.NumBins = bins
+	fs := pfs.New(pfs.DefaultConfig())
+	st, err := Build(fs, fs.NewClock(), "cap/phi", d.Shape, v.Data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestTraceFitsSpanCapAt1024Bins: an unconstrained query over a
+// 1024-bin store visits every bin, and its trace still records every
+// span and adds up. A span per bin would overflow obs.DefaultMaxSpans
+// here, and the dropped spans' time would be missing from the ranks.
+func TestTraceFitsSpanCapAt1024Bins(t *testing.T) {
+	st := binsStore(t, 1024)
+	const ranks = 4
+	var res *query.Result
+	td := traced(t, func(ctx context.Context) {
+		var err error
+		if res, err = st.QueryContext(ctx, &query.Request{}, ranks); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.BinsAccessed < obs.DefaultMaxSpans/5 {
+		t.Fatalf("query visited %d bins; too few to have overflowed a span per bin", res.BinsAccessed)
+	}
+	n, slowest := checkRanks(t, td.Root)
+	if n != ranks {
+		t.Errorf("trace has %d rank spans, want %d", n, ranks)
+	}
 	if math.Abs(slowest-res.Time.Total()) > 1e-9 {
-		t.Errorf("slowest rank span total %v != reported latency %v", slowest, res.Time.Total())
+		t.Errorf("slowest rank total %v != reported latency %v", slowest, res.Time.Total())
+	}
+}
+
+// TestSpanCountIndependentOfBins: a query's trace costs O(ranks) spans —
+// the root, the plan, and per rank its span plus four stage events —
+// whatever the store's bin count.
+func TestSpanCountIndependentOfBins(t *testing.T) {
+	const ranks = 4
+	var counts []int64
+	for _, bins := range []int{16, 1024} {
+		st := binsStore(t, bins)
+		td := traced(t, func(ctx context.Context) {
+			if _, err := st.QueryContext(ctx, &query.Request{}, ranks); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if td.Spans > 2+5*ranks {
+			t.Errorf("%d bins: trace has %d spans, want at most %d", bins, td.Spans, 2+5*ranks)
+		}
+		counts = append(counts, td.Spans)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("span count %d at 16 bins, %d at 1024: it must not depend on the bin count", counts[0], counts[1])
 	}
 }
 
@@ -157,24 +301,19 @@ func TestMultiVarSpans(t *testing.T) {
 		stores[name] = st
 	}
 
-	tr := obs.NewTracer(4)
-	ctx, root := tr.StartTrace(context.Background(), "multivar")
 	req := MultiVarRequest{
 		Select:    query.Request{VC: obsTestVC(data)},
 		FetchVars: []string{"b"},
 	}
-	res, err := MultiVarQueryContext(ctx, stores, "a", req, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var res *MultiVarResult
+	td := traced(t, func(ctx context.Context) {
+		var err error
+		if res, err = MultiVarQueryContext(ctx, stores, "a", req, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if res.Positions.Count() == 0 {
 		t.Fatal("selection matched nothing")
-	}
-	root.End()
-
-	td, ok := tr.DumpByID(1)
-	if !ok {
-		t.Fatal("trace not retained")
 	}
 	sel := td.Root.Find("select")
 	if sel == nil {
@@ -187,12 +326,13 @@ func TestMultiVarSpans(t *testing.T) {
 	if fv == nil {
 		t.Fatal("no fetch_var span")
 	}
-	if fv.Find("rank") == nil {
-		t.Error("fetch_var span has no rank children")
+	// A position fetch is the query pipeline: planned, then run per rank
+	// with its stage events.
+	if fv.Find("plan") == nil {
+		t.Error("fetch_var span has no plan span")
 	}
-	// A position fetch is the query pipeline: planned, then run per bin.
-	if fv.Find("plan") == nil || fv.Find("bin") == nil {
-		t.Error("fetch_var span has no plan or bin span")
+	if n, _ := checkRanks(t, fv); n != 2 {
+		t.Errorf("fetch_var span has %d rank children, want 2", n)
 	}
 }
 

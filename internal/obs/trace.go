@@ -14,8 +14,10 @@ import (
 // Tracing model
 //
 // A Trace is one end-to-end operation (a query, a build); its Spans
-// form a tree mirroring the engine's structure (plan → per-rank →
-// per-bin → fetch/decode/filter). Each span records wall time
+// form a tree mirroring the engine's structure (plan → per-rank, each
+// rank holding one fetch/decode/reassemble/filter event per stage, so a
+// query's trace is O(ranks) spans whatever the store's bin count). Each
+// span records wall time
 // (time.Since its start) and, separately, virtual-clock seconds
 // accumulated via AddVirt — the pfs.Clock hook: the engine feeds clock
 // deltas in, so a span tree explains where the *simulated* cost model
@@ -171,7 +173,7 @@ func (s *Span) newChild(name string) *Span {
 
 // Event records an already-completed child span with explicit wall and
 // virtual durations — for aggregate sections whose pieces interleave
-// (per-unit decode/filter inside a bin) and for after-the-fact
+// (a rank's decode/filter work across its bins) and for after-the-fact
 // accounting (per-worker build compute). The returned span accepts
 // attrs; Event on a nil span returns nil.
 func (s *Span) Event(name string, wall time.Duration, virt float64) *Span {

@@ -7,7 +7,8 @@
 # and /debug/traces are scraped and validated with mloclint (the
 # promtool-style checker — malformed exposition or trace JSON fails
 # the smoke), pprof answers behind -pprof, the per-query trace renders
-# with rank spans, and the query log finds the query by its trace id.
+# one fetch/decode/reassemble/filter quartet per rank span and no bin
+# span, and the query log finds the query by its trace id.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -107,6 +108,20 @@ fi
 "$workdir/mlocctl" trace -remote "$addr" -id "$trace_id" >"$workdir/trace.out"
 if ! grep -q 'rank' "$workdir/trace.out"; then
     echo "serve-smoke: FAIL — rendered trace $trace_id has no rank spans" >&2
+    cat "$workdir/trace.out" >&2
+    exit 1
+fi
+# Each rank is traced per stage, not per bin: the four stage events sit
+# directly under a rank span, and no bin span is rendered.
+if ! awk '
+    { match($0, /^ */); depth = RLENGTH; name = $1 }
+    name == "bin" { bin = 1 }
+    name == "rank" { rank = depth; next }
+    rank && depth == rank + 2 && name ~ /^(fetch|decode|reassemble|filter)$/ { seen[name] = 1 }
+    depth <= rank { rank = 0 }
+    END { exit bin || !(("fetch" in seen) && ("decode" in seen) && ("reassemble" in seen) && ("filter" in seen)) }
+' "$workdir/trace.out"; then
+    echo "serve-smoke: FAIL — rendered trace $trace_id is not one fetch/decode/reassemble/filter quartet per rank" >&2
     cat "$workdir/trace.out" >&2
     exit 1
 fi
