@@ -1,12 +1,10 @@
 package mloc
 
-// Benchmark harness: one benchmark per paper table/figure plus the
-// DESIGN.md §5 ablations. Each benchmark regenerates its experiment via
-// internal/experiments and reports the headline numbers as custom
-// metrics, so `go test -bench=.` reproduces the paper's evaluation
-// end-to-end. Wall-clock per op is the harness cost (building stores +
-// running queries on scaled data); the scientific results are the
-// reported metrics and the tables printed by cmd/benchtables.
+// Query-path benchmarks behind BENCH_query.json: scripts/bench_json.sh
+// runs BenchmarkQueryLatency, BenchmarkResultPath and BenchmarkValuePath
+// and distills them into the committed checkpoint, which each one also
+// gates itself against. The paper's tables and figures are regenerated
+// by cmd/benchtables and gated by internal/experiments' claim tests.
 
 import (
 	"encoding/json"
@@ -15,262 +13,17 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"strings"
 	"testing"
 
 	"mloc/internal/binning"
 	"mloc/internal/cache"
 	"mloc/internal/core"
 	"mloc/internal/datagen"
-	"mloc/internal/experiments"
 	"mloc/internal/grid"
 	"mloc/internal/pfs"
 	"mloc/internal/query"
 	"mloc/internal/server"
 )
-
-// benchParams keeps per-iteration cost bounded: 2 random queries per
-// cell, 8 ranks (the paper's small-scale rank count).
-func benchParams() experiments.Params {
-	return experiments.Params{Queries: 2, Ranks: 8, Seed: 1}
-}
-
-// metric extracts the leading float from a table cell (e.g. "0.53" or
-// "6.50 MB" or "1.234%").
-func metric(tab *experiments.TableResult, rowPrefix, col string) (float64, bool) {
-	ci := -1
-	for i, h := range tab.Header {
-		if h == col {
-			ci = i
-		}
-	}
-	if ci < 0 {
-		return 0, false
-	}
-	for _, row := range tab.Rows {
-		if strings.HasPrefix(row[0], rowPrefix) {
-			f := strings.Fields(row[ci])
-			if len(f) == 0 {
-				return 0, false
-			}
-			v, err := strconv.ParseFloat(strings.TrimSuffix(f[0], "%"), 64)
-			if err != nil {
-				return 0, false
-			}
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-func report(b *testing.B, tab *experiments.TableResult, rowPrefix, col, unit string) {
-	b.Helper()
-	if v, ok := metric(tab, rowPrefix, col); ok {
-		name := strings.ReplaceAll(rowPrefix, " ", "_") + "_" + strings.ReplaceAll(col, " ", "_") + "_" + unit
-		b.ReportMetric(v, name)
-	}
-}
-
-func BenchmarkTable1Storage(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table1(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "MLOC-COL", "Total/raw", "ratio")
-		report(b, tab, "MLOC-ISA", "Total/raw", "ratio")
-		report(b, tab, "FastBit", "Total/raw", "ratio")
-	}
-}
-
-func BenchmarkTable2RegionQuery(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table2(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "MLOC-COL", "1% GTS", "sec")
-		report(b, tab, "Seq. Scan", "1% GTS", "sec")
-		report(b, tab, "FastBit", "1% GTS", "sec")
-		report(b, tab, "SciDB", "1% GTS", "sec")
-	}
-}
-
-func BenchmarkTable3ValueQuery(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table3(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "MLOC-ISA", "0.1% GTS", "sec")
-		report(b, tab, "Seq. Scan", "0.1% GTS", "sec")
-		report(b, tab, "FastBit", "0.1% GTS", "sec")
-	}
-}
-
-func BenchmarkTable4RegionQueryLarge(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table4(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "MLOC-COL", "1% GTS", "sec")
-		report(b, tab, "Seq. Scan", "1% GTS", "sec")
-	}
-}
-
-func BenchmarkTable5ValueQueryLarge(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table5(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "MLOC-ISO", "0.1% GTS", "sec")
-		report(b, tab, "Seq. Scan", "0.1% GTS", "sec")
-	}
-}
-
-func BenchmarkTable6Accuracy(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table6(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "2", "Hist vu", "pct")
-		report(b, tab, "3", "Hist vu", "pct")
-		report(b, tab, "4", "Hist vu", "pct")
-	}
-}
-
-func BenchmarkTable7Orders(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Table7(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "V-M-S", "3-byte PLoD access", "sec")
-		report(b, tab, "V-S-M", "3-byte PLoD access", "sec")
-		report(b, tab, "V-M-S", "Full-precision access", "sec")
-		report(b, tab, "V-S-M", "Full-precision access", "sec")
-	}
-}
-
-func BenchmarkFigure6Components(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Figure6(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "MLOC-ISA", "I/O", "sec")
-		report(b, tab, "MLOC-ISA", "Decompress", "sec")
-		report(b, tab, "Seq. Scan", "I/O", "sec")
-	}
-}
-
-func BenchmarkFigure7Scalability(b *testing.B) {
-	p := benchParams()
-	p.Queries = 1
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Figure7(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "8", "Total", "sec")
-		report(b, tab, "128", "Total", "sec")
-	}
-}
-
-func BenchmarkFigure8PLoD(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Figure8(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "level 2", "Total", "sec")
-		report(b, tab, "full", "Total", "sec")
-	}
-}
-
-func BenchmarkAblationBinningStrategy(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationBinning(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "equal-frequency", "Max/mean bin size", "ratio")
-		report(b, tab, "equal-width", "Max/mean bin size", "ratio")
-	}
-}
-
-func BenchmarkAblationCurve(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationCurve(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "hilbert", "Query time (s)", "sec")
-		report(b, tab, "rowmajor", "Query time (s)", "sec")
-	}
-}
-
-func BenchmarkAblationAssignment(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationAssignment(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "column", "Query time (s)", "sec")
-		report(b, tab, "roundrobin", "Query time (s)", "sec")
-	}
-}
-
-func BenchmarkAblationPLoDFill(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationPLoDFill(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "3", "Centered 0x7F/0xFF", "pct")
-		report(b, tab, "3", "Zero fill", "pct")
-	}
-}
-
-func BenchmarkExtensionMultires(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.ExtensionMultires(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "PLoD", "Fraction", "frac")
-		report(b, tab, "Subset", "Fraction", "frac")
-	}
-}
-
-func BenchmarkAblationFileOrg(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.AblationFileOrg(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, tab, "100 bins", "Opens/query", "opens")
-		report(b, tab, "1 bin", "Opens/query", "opens")
-	}
-}
 
 // benchQueryDoc is the part of the committed BENCH_query.json
 // checkpoint the benchmarks gate themselves on. Empty when the file is

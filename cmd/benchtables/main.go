@@ -1,7 +1,7 @@
 // Command benchtables regenerates the MLOC paper's tables and figures
 // on the simulated substrate (see DESIGN.md §4 for the experiment
-// index). With no flags it runs everything; -table/-figure/-ablation
-// select individual experiments.
+// index). With no flags it runs everything; -table/-figure/-ablation/
+// -extension select one experiment from experiments.Experiments.
 //
 // Usage:
 //
@@ -20,108 +20,57 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"mloc/internal/experiments"
 )
 
 func main() {
+	d := experiments.DefaultParams()
 	table := flag.Int("table", 0, "run only this table (1-7; 6=accuracy, 7=order)")
 	figure := flag.Int("figure", 0, "run only this figure (6-8)")
 	ablation := flag.String("ablation", "", "run only this ablation (binning|curve|assignment|plodfill|fileorg)")
 	extension := flag.String("extension", "", "run only this extension experiment (multires)")
-	queries := flag.Int("queries", 5, "random queries averaged per cell")
-	ranks := flag.Int("ranks", 8, "parallel ranks per query")
-	seed := flag.Int64("seed", 1, "workload seed")
+	queries := flag.Int("queries", d.Queries, "random queries averaged per cell")
+	ranks := flag.Int("ranks", d.Ranks, "parallel ranks per query")
+	seed := flag.Int64("seed", d.Seed, "workload seed")
 	flag.Parse()
+	p := experiments.Params{Queries: *queries, Ranks: *ranks, Seed: *seed}
 
-	p := experiments.DefaultParams()
-	p.Queries = *queries
-	p.Ranks = *ranks
-	p.Seed = *seed
-
-	type exp struct {
-		name string
-		run  func(experiments.Params) (*experiments.TableResult, error)
+	// With no selector every experiment runs; otherwise the first set
+	// selector picks one, and missing is its error when none matches.
+	kind, id, missing := "", "", ""
+	switch {
+	case *table != 0:
+		kind, id, missing = "table", strconv.Itoa(*table), fmt.Sprintf("no table %d", *table)
+	case *figure != 0:
+		kind, id, missing = "figure", strconv.Itoa(*figure), fmt.Sprintf("no figure %d", *figure)
+	case *extension != "":
+		kind, id, missing = "extension", *extension, fmt.Sprintf("no extension %q", *extension)
+	case *ablation != "":
+		kind, id, missing = "ablation", *ablation, fmt.Sprintf("no ablation %q", *ablation)
 	}
-	tables := map[int]exp{
-		1: {"Table I", experiments.Table1},
-		2: {"Table II", experiments.Table2},
-		3: {"Table III", experiments.Table3},
-		4: {"Table IV", experiments.Table4},
-		5: {"Table V", experiments.Table5},
-		6: {"Table VI", experiments.Table6},
-		7: {"Table VII", experiments.Table7},
-	}
-	figures := map[int]exp{
-		6: {"Figure 6", experiments.Figure6},
-		7: {"Figure 7", experiments.Figure7},
-		8: {"Figure 8", experiments.Figure8},
-	}
-	extensions := map[string]exp{
-		"multires": {"Extension: multires comparison", experiments.ExtensionMultires},
-	}
-	ablations := map[string]exp{
-		"binning":    {"Ablation: binning", experiments.AblationBinning},
-		"curve":      {"Ablation: curve", experiments.AblationCurve},
-		"assignment": {"Ablation: assignment", experiments.AblationAssignment},
-		"plodfill":   {"Ablation: PLoD fill", experiments.AblationPLoDFill},
-		"fileorg":    {"Ablation: file organization", experiments.AblationFileOrg},
-	}
-
-	runOne := func(e exp) {
+	ran := false
+	for _, e := range experiments.Experiments {
+		if kind != "" && (e.Kind != kind || e.ID != id) {
+			continue
+		}
+		ran = true
 		start := time.Now()
-		res, err := e.run(p)
+		res, err := e.Run(p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 		if err := res.Render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: rendering %s: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "benchtables: rendering %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("  (%s regenerated in %.1fs wall)\n\n", e.name, time.Since(start).Seconds())
+		fmt.Printf("  (%s regenerated in %.1fs wall)\n\n", e.Name, time.Since(start).Seconds())
 	}
-
-	switch {
-	case *table != 0:
-		e, ok := tables[*table]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchtables: no table %d\n", *table)
-			os.Exit(2)
-		}
-		runOne(e)
-	case *figure != 0:
-		e, ok := figures[*figure]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchtables: no figure %d\n", *figure)
-			os.Exit(2)
-		}
-		runOne(e)
-	case *extension != "":
-		e, ok := extensions[*extension]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchtables: no extension %q\n", *extension)
-			os.Exit(2)
-		}
-		runOne(e)
-	case *ablation != "":
-		e, ok := ablations[*ablation]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchtables: no ablation %q\n", *ablation)
-			os.Exit(2)
-		}
-		runOne(e)
-	default:
-		for i := 1; i <= 7; i++ {
-			runOne(tables[i])
-		}
-		for _, i := range []int{6, 7, 8} {
-			runOne(figures[i])
-		}
-		for _, name := range []string{"binning", "curve", "assignment", "plodfill", "fileorg"} {
-			runOne(ablations[name])
-		}
-		runOne(extensions["multires"])
+	if !ran {
+		fmt.Fprintf(os.Stderr, "benchtables: %s\n", missing)
+		os.Exit(2)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -8,7 +9,6 @@ import (
 	"mloc/internal/binning"
 	"mloc/internal/core"
 	"mloc/internal/datagen"
-	"mloc/internal/grid"
 	"mloc/internal/pfs"
 	"mloc/internal/plod"
 	"mloc/internal/sfc"
@@ -35,9 +35,7 @@ func AblationBinning(p Params) (*TableResult, error) {
 		}
 		imbalance := scheme.ImbalanceRatio(data)
 
-		fs := newScaledFS(&w)
-		cfg := core.DefaultConfig(w.chunk)
-		st, err := buildWithScheme(fs, w.ds.Shape, data, cfg, strat, p.Seed)
+		st, fs, err := binnedStore(w, strat)
 		if err != nil {
 			return nil, err
 		}
@@ -63,17 +61,17 @@ func AblationBinning(p Params) (*TableResult, error) {
 	return t, nil
 }
 
-// buildWithScheme builds an MLOC store using an explicit binning
-// strategy (core always uses equal-frequency; the ablation needs
-// equal-width, so it pre-bins by transplanting boundaries through a
-// custom sample).
-func buildWithScheme(fs *pfs.Sim, shape grid.Shape, data []float64, cfg core.Config, strat binning.Strategy, seed int64) (*core.Store, error) {
+// binnedStore returns an MLOC-COL store binned by strat. core always
+// bins equal-frequency, so that is the fixture's store; for equal-width
+// a private store is built from a synthetic "sample" whose
+// equal-frequency quantiles coincide with equal-width boundaries — a
+// uniformly spaced ramp over the data range.
+func binnedStore(w *workload, strat binning.Strategy) (*core.Store, *pfs.Sim, error) {
 	if strat == binning.EqualFrequency {
-		return core.Build(fs, pfs.NewClock(), "mloc", shape, data, cfg)
+		return mlocStore(w, VariantCOL)
 	}
-	// Equal-width: feed the builder a synthetic "sample" whose
-	// equal-frequency quantiles coincide with equal-width boundaries —
-	// i.e. a uniformly spaced ramp over the data range.
+	data := w.data()
+	cfg := core.DefaultConfig(w.chunk)
 	lo, hi := data[0], data[0]
 	for _, v := range data {
 		if v < lo {
@@ -88,7 +86,9 @@ func buildWithScheme(fs *pfs.Sim, shape grid.Shape, data []float64, cfg core.Con
 		ramp[i] = lo + (hi-lo)*float64(i)/float64(len(ramp)-1)
 	}
 	cfg.SampleSize = len(ramp)
-	return core.BuildWithSample(fs, pfs.NewClock(), "mloc", shape, data, ramp, cfg)
+	fs := newScaledFS(w)
+	st, err := core.BuildWithSample(fs, pfs.NewClock(), "mloc", w.ds.Shape, data, ramp, cfg)
+	return st, fs, err
 }
 
 // AblationCurve compares Hilbert, Z-order and row-major chunk
@@ -102,10 +102,11 @@ func AblationCurve(p Params) (*TableResult, error) {
 		Notes:  []string{"Hilbert's locality should minimize seeks for spatial sub-regions"},
 	}
 	for _, curve := range []sfc.CurveKind{sfc.CurveHilbert, sfc.CurveZOrder, sfc.CurveRowMajor} {
-		fs := newScaledFS(&w)
-		cfg := core.DefaultConfig(w.chunk)
-		cfg.Curve = curve
-		st, err := core.Build(fs, pfs.NewClock(), "mloc", w.ds.Shape, w.data(), cfg)
+		var edit func(*core.Config) // Hilbert, the default curve, reads the fixture
+		if curve != sfc.CurveHilbert {
+			edit = func(c *core.Config) { c.Curve = curve }
+		}
+		st, fs, err := colStore(w, edit)
 		if err != nil {
 			return nil, err
 		}
@@ -125,13 +126,15 @@ func AblationCurve(p Params) (*TableResult, error) {
 
 // AblationAssignment compares column-order against round-robin block
 // assignment (DESIGN.md §5.3): column order minimizes files per rank.
-func AblationAssignment(p Params) (*TableResult, error) {
+func AblationAssignment(p Params) (_ *TableResult, err error) {
 	p.normalize()
 	w := gtsWorkload(false, p.Seed)
-	st, fs, err := buildMLOC(&w, VariantCOL)
+	st, fs, err := mlocStore(w, VariantCOL)
 	if err != nil {
 		return nil, err
 	}
+	// The store is the fixture's: leave it column-ordered on every path.
+	defer func() { err = errors.Join(err, st.SetAssignment(core.AssignColumn)) }()
 	t := &TableResult{
 		Title:  "Ablation: block-to-rank assignment (GTS, 10% region queries)",
 		Header: []string{"Assignment", "Query time (s)", "I/O (s)"},
@@ -152,9 +155,6 @@ func AblationAssignment(p Params) (*TableResult, error) {
 			fmtSec(comps.IO),
 		})
 	}
-	if err := st.SetAssignment(core.AssignColumn); err != nil {
-		return nil, err
-	}
 	return t, nil
 }
 
@@ -172,15 +172,10 @@ func AblationPLoDFill(p Params) (*TableResult, error) {
 		Title:  "Ablation: PLoD dummy-fill policy (S3D vu, mean |relative error|)",
 		Header: []string{"Bytes", "Centered 0x7F/0xFF", "Zero fill"},
 	}
-	planes := plod.Split(data)
-	ps := make([][]byte, plod.NumPlanes)
-	for i := range planes {
-		ps[i] = planes[i]
-	}
 	for _, nbytes := range []int{2, 3, 4} {
 		level := plodLevelForBytes(nbytes)
-		centered := plod.Assemble(ps, level, len(data), plod.FillCentered, nil)
-		zero := plod.Assemble(ps, level, len(data), plod.FillZero, nil)
+		centered := degrade(data, level, plod.FillCentered)
+		zero := degrade(data, level, plod.FillZero)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", nbytes),
 			fmtPct(meanRelError(data, centered)),
@@ -220,10 +215,11 @@ func AblationFileOrg(p Params) (*TableResult, error) {
 		Notes:  []string{"one bin disables value selectivity: every region query scans the whole store"},
 	}
 	for _, bins := range []int{100, 1} {
-		fs := newScaledFS(&w)
-		cfg := core.DefaultConfig(w.chunk)
-		cfg.NumBins = bins
-		st, err := core.Build(fs, pfs.NewClock(), "mloc", w.ds.Shape, w.data(), cfg)
+		var edit func(*core.Config) // 100 bins, the default, reads the fixture
+		if bins != 100 {
+			edit = func(c *core.Config) { c.NumBins = bins }
+		}
+		st, fs, err := colStore(w, edit)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"mloc/internal/analysis"
 	"mloc/internal/plod"
@@ -39,20 +41,6 @@ func Table6(p Params) (*TableResult, error) {
 		hists[name] = h
 	}
 
-	// Reference K-means on original (vv, vw).
-	origPts, err := analysis.Columns(orig["vv"], orig["vw"])
-	if err != nil {
-		return nil, err
-	}
-	// Both clusterings below use the same seed, so the original and
-	// degraded runs initialize from the same point indices — the
-	// degraded copies of those points differ only by the PLoD rounding,
-	// which keeps cluster identities in correspondence across runs.
-	refKM, err := analysis.KMeans(origPts, kClusters, kIters, p.Seed, nil)
-	if err != nil {
-		return nil, err
-	}
-
 	t := &TableResult{
 		Title:  "Table VI: error rates of data analysis on different PLoDs (S3D)",
 		Header: []string{"Num Bytes", "Hist vu", "Hist vv", "Hist vw", "K-means vv+vw"},
@@ -62,29 +50,54 @@ func Table6(p Params) (*TableResult, error) {
 		},
 	}
 
-	for _, nbytes := range []int{2, 3, 4} {
-		level := plodLevelForBytes(nbytes)
-		degraded := make(map[string][]float64, len(vars))
+	numBytes := []int{2, 3, 4}
+	degraded := make([]map[string][]float64, len(numBytes))
+	for i, nbytes := range numBytes {
+		degraded[i] = make(map[string][]float64, len(vars))
 		for _, name := range vars {
-			degraded[name] = degrade(orig[name], level)
+			degraded[i][name] = degrade(orig[name], plodLevelForBytes(nbytes), plod.FillCentered)
 		}
+	}
+
+	// K-means on the original (vv, vw) and on each degraded copy. The
+	// four clusterings are independent, so they run concurrently. All
+	// use the same seed, so the original and degraded runs initialize
+	// from the same point indices — the degraded copies of those points
+	// differ only by the PLoD rounding, which keeps cluster identities
+	// in correspondence across runs.
+	clusters := make([]*analysis.KMeansResult, 1+len(numBytes))
+	errs := make([]error, len(clusters))
+	var wg sync.WaitGroup
+	for i := range clusters {
+		cols := orig
+		if i > 0 {
+			cols = degraded[i-1]
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pts, err := analysis.Columns(cols["vv"], cols["vw"])
+			if err == nil {
+				clusters[i], err = analysis.KMeans(pts, kClusters, kIters, p.Seed, nil)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+
+	for i, nbytes := range numBytes {
 		row := []string{fmt.Sprintf("%d", nbytes)}
 		for _, name := range vars {
-			rate, err := hists[name].DisagreementRate(orig[name], degraded[name])
+			rate, err := hists[name].DisagreementRate(orig[name], degraded[i][name])
 			if err != nil {
 				return nil, err
 			}
 			row = append(row, fmtPct(rate))
 		}
-		degPts, err := analysis.Columns(degraded["vv"], degraded["vw"])
-		if err != nil {
-			return nil, err
-		}
-		degKM, err := analysis.KMeans(degPts, kClusters, kIters, p.Seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		rate, err := analysis.MisclassificationRate(refKM, degKM)
+		rate, err := analysis.MisclassificationRate(clusters[0], clusters[i+1])
 		if err != nil {
 			return nil, err
 		}
@@ -94,14 +107,14 @@ func Table6(p Params) (*TableResult, error) {
 	return t, nil
 }
 
-// degrade round-trips values through a PLoD level with centered fill.
-func degrade(values []float64, level int) []float64 {
+// degrade round-trips values through a PLoD level with the given fill.
+func degrade(values []float64, level int, fill plod.FillPolicy) []float64 {
 	planes := plod.Split(values)
 	ps := make([][]byte, plod.NumPlanes)
 	for i := range planes {
 		ps[i] = planes[i]
 	}
-	return plod.Assemble(ps, level, len(values), plod.FillCentered, make([]float64, 0, len(values)))
+	return plod.Assemble(ps, level, len(values), fill, make([]float64, 0, len(values)))
 }
 
 // fmtPct renders a fraction as a percentage with adaptive precision,
@@ -113,8 +126,6 @@ func fmtPct(f float64) string {
 		return "0%" // exact: only a true zero prints as "0%"
 	case pct < 0.001:
 		return fmt.Sprintf("%.1E%%", pct)
-	case pct < 1:
-		return fmt.Sprintf("%.3f%%", pct)
 	default:
 		return fmt.Sprintf("%.3f%%", pct)
 	}

@@ -37,8 +37,6 @@ type Params struct {
 	Ranks int
 	// Seed drives all random workload generation.
 	Seed int64
-	// Large selects the 512 GB-class scaled geometry.
-	Large bool
 }
 
 // DefaultParams mirrors the paper's setup at reduced query counts.
@@ -46,16 +44,50 @@ func DefaultParams() Params {
 	return Params{Queries: 5, Ranks: 8, Seed: 1}
 }
 
+// normalize fills unset fields from DefaultParams.
 func (p *Params) normalize() {
+	d := DefaultParams()
 	if p.Queries < 1 {
-		p.Queries = 5
+		p.Queries = d.Queries
 	}
 	if p.Ranks < 1 {
-		p.Ranks = 8
+		p.Ranks = d.Ranks
 	}
 	if p.Seed == 0 {
-		p.Seed = 1
+		p.Seed = d.Seed
 	}
+}
+
+// Experiment is one table, figure, ablation or extension of the
+// evaluation.
+type Experiment struct {
+	// Kind is "table", "figure", "ablation" or "extension"; ID selects
+	// within it ("2" for Table II, "curve" for the curve ablation), as
+	// cmd/benchtables' flag of the same name does.
+	Kind, ID string
+	Name     string
+	Run      func(Params) (*TableResult, error)
+}
+
+// Experiments is the whole evaluation in the order cmd/benchtables runs
+// it.
+var Experiments = []Experiment{
+	{"table", "1", "Table I", Table1},
+	{"table", "2", "Table II", Table2},
+	{"table", "3", "Table III", Table3},
+	{"table", "4", "Table IV", Table4},
+	{"table", "5", "Table V", Table5},
+	{"table", "6", "Table VI", Table6},
+	{"table", "7", "Table VII", Table7},
+	{"figure", "6", "Figure 6", Figure6},
+	{"figure", "7", "Figure 7", Figure7},
+	{"figure", "8", "Figure 8", Figure8},
+	{"ablation", "binning", "Ablation: binning", AblationBinning},
+	{"ablation", "curve", "Ablation: curve", AblationCurve},
+	{"ablation", "assignment", "Ablation: assignment", AblationAssignment},
+	{"ablation", "plodfill", "Ablation: PLoD fill", AblationPLoDFill},
+	{"ablation", "fileorg", "Ablation: file organization", AblationFileOrg},
+	{"extension", "multires", "Extension: multires comparison", ExtensionMultires},
 }
 
 // TableResult is a rendered experiment: header, rows, notes.
@@ -120,6 +152,7 @@ func pad(s string, w int) string {
 // workload couples a scaled dataset with its chunking and the byte
 // scale factor to the paper's geometry.
 type workload struct {
+	key    workloadKey // its name in the fixture
 	name   string
 	ds     *datagen.Dataset
 	varr   string // variable queried
@@ -137,53 +170,6 @@ func (w *workload) data() []float64 {
 		panic(err)
 	}
 	return v.Data
-}
-
-// gtsWorkload builds the GTS-like workload. Small mirrors the 8 GB
-// dataset (32768², chunk 2048² → 16×16 chunk grid) at 1024² with chunk
-// 64²; large mirrors the 512 GB dataset (262144², 128×128 chunk grid)
-// at 2048² with chunk 64² (32×32 grid).
-func gtsWorkload(large bool, seed int64) workload {
-	if large {
-		return workload{
-			name:   "GTS",
-			ds:     datagen.GTSLike(2048, 2048, seed),
-			varr:   "phi",
-			chunk:  []int{64, 64},
-			factor: 512e9 / float64(8*2048*2048*8/8), // bytes ratio
-		}
-	}
-	return workload{
-		name:   "GTS",
-		ds:     datagen.GTSLike(1024, 1024, seed),
-		varr:   "phi",
-		chunk:  []int{64, 64},
-		factor: 8e9 / float64(1024*1024*8),
-	}
-}
-
-// s3dWorkload builds the S3D-like workload (paper: 1024³ chunk 128³ for
-// 8 GB; 4096³ for 512 GB). Small: 128³ chunk 16³ (8³ chunk grid);
-// large: 192³ chunk 24³.
-func s3dWorkload(large bool, seed int64) workload {
-	if large {
-		n := 192
-		return workload{
-			name:   "S3D",
-			ds:     datagen.S3DLike(n, seed),
-			varr:   "temp",
-			chunk:  []int{24, 24, 24},
-			factor: 512e9 / float64(int64(n)*int64(n)*int64(n)*8),
-		}
-	}
-	n := 128
-	return workload{
-		name:   "S3D",
-		ds:     datagen.S3DLike(n, seed),
-		varr:   "temp",
-		chunk:  []int{16, 16, 16},
-		factor: 8e9 / float64(int64(n)*int64(n)*int64(n)*8),
-	}
 }
 
 // mlocVariant names the three MLOC configurations the paper compares.
@@ -217,17 +203,6 @@ func newScaledFS(w *workload) *pfs.Sim {
 	cfg.ByteScale = w.factor
 	cfg.CPUScale = w.factor
 	return pfs.New(cfg)
-}
-
-// buildMLOC builds one MLOC variant on a fresh scale-aware PFS.
-func buildMLOC(w *workload, v mlocVariant) (*core.Store, *pfs.Sim, error) {
-	fs := newScaledFS(w)
-	cfg := mlocConfig(v, w.chunk)
-	st, err := core.Build(fs, pfs.NewClock(), "mloc", w.ds.Shape, w.data(), cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: build %s on %s: %w", v, w.name, err)
-	}
-	return st, fs, nil
 }
 
 // queryable abstracts the four systems for the timing loops.

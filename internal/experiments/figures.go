@@ -13,10 +13,6 @@ import (
 func Figure6(p Params) (*TableResult, error) {
 	p.normalize()
 	w := s3dWorkload(true, p.Seed)
-	systems, err := buildMLOCAndSeq(&w)
-	if err != nil {
-		return nil, err
-	}
 	t := &TableResult{
 		Title:  "Figure 6: component times, value retrieval 0.1% on S3D (projected sec)",
 		Header: []string{"System", "I/O", "Decompress", "Reconstruct", "Total"},
@@ -25,17 +21,17 @@ func Figure6(p Params) (*TableResult, error) {
 		},
 	}
 	gen := scGen(w.ds.Shape, 0.001, p.Seed+60)
-	for _, ts := range systems {
-		ranks := p.Ranks
-		if ts.ranks != 0 {
-			ranks = ts.ranks
-		}
-		_, comps, err := avgQueryTime(ts.sys, ts.fs, gen, p.Queries, ranks)
+	for _, name := range mlocAndSeq {
+		s, err := fixtureSystem(w, name)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", ts.name, err)
+			return nil, err
+		}
+		_, comps, err := s.queryTime(gen, p)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", name, err)
 		}
 		t.Rows = append(t.Rows, []string{
-			ts.name,
+			name,
 			fmtSec(comps.IO),
 			fmtSec(comps.Decompress),
 			fmtSec(comps.Reconstruct),
@@ -53,7 +49,7 @@ func Figure6(p Params) (*TableResult, error) {
 func Figure7(p Params) (*TableResult, error) {
 	p.normalize()
 	w := gtsWorkload(true, p.Seed)
-	st, fs, err := buildMLOC(&w, VariantCOL)
+	st, fs, err := mlocStore(w, VariantCOL)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +101,7 @@ func Figure7(p Params) (*TableResult, error) {
 func Figure8(p Params) (*TableResult, error) {
 	p.normalize()
 	w := gtsWorkload(true, p.Seed)
-	st, fs, err := buildMLOC(&w, VariantCOL)
+	st, fs, err := mlocStore(w, VariantCOL)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +130,7 @@ func Figure8(p Params) (*TableResult, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			label,
-			fmt.Sprintf("%d", levelBytes(level)),
+			fmt.Sprintf("%d", plod.BytesPerValue(level)),
 			fmtSec(comps.IO),
 			fmtSec(comps.Decompress),
 			fmtSec(comps.Reconstruct),

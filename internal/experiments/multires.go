@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mloc/internal/analysis"
 	"mloc/internal/core"
 	"mloc/internal/pfs"
 	"mloc/internal/plod"
@@ -25,7 +26,7 @@ func ExtensionMultires(p Params) (*TableResult, error) {
 	data := w.data()
 	shape := w.ds.Shape
 
-	exact := mean(data)
+	exact := analysis.Mean(data)
 
 	t := &TableResult{
 		Title:  "Extension: precision-based (PLoD) vs subset-based multiresolution (S3D temp, full-domain mean)",
@@ -36,8 +37,8 @@ func ExtensionMultires(p Params) (*TableResult, error) {
 		},
 	}
 
-	// PLoD side: build a COL store, read the full domain at levels.
-	st, fs, err := buildMLOC(&w, VariantCOL)
+	// PLoD side: the fixture's COL store, read over the full domain at levels.
+	st, fs, err := mlocStore(w, VariantCOL)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +66,7 @@ func ExtensionMultires(p Params) (*TableResult, error) {
 	}
 
 	// Subset side: hierarchical Hilbert store over the same data.
-	subFS := newScaledFS(&w)
+	subFS := newScaledFS(w)
 	sub, err := core.BuildSubset(subFS, subFS.NewClock(), "sub", shape, data, nil)
 	if err != nil {
 		return nil, err
@@ -83,7 +84,7 @@ func ExtensionMultires(p Params) (*TableResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := mean(res.Values)
+		m := analysis.Mean(res.Values)
 		t.Rows = append(t.Rows, []string{
 			"Subset",
 			fmt.Sprintf("level %d (stride %d)", level, res.Stride),
@@ -107,12 +108,4 @@ func relErr(got, want float64) float64 {
 		return math.Abs(got) // exact: relative error is undefined at a zero reference
 	}
 	return math.Abs(got-want) / math.Abs(want)
-}
-
-func mean(values []float64) float64 {
-	var s float64
-	for _, v := range values {
-		s += v
-	}
-	return s / float64(len(values))
 }

@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"mloc/internal/core"
-	"mloc/internal/fastbit"
-	"mloc/internal/pfs"
-	"mloc/internal/plod"
 	"mloc/internal/query"
-	"mloc/internal/scidb"
-	"mloc/internal/seqscan"
 )
 
 // Table1 reproduces "Space requirements of data and DBMS index for 8 GB
@@ -17,7 +13,7 @@ import (
 // sequential scan, FastBit, and SciDB, on the scaled GTS workload.
 func Table1(p Params) (*TableResult, error) {
 	p.normalize()
-	w := gtsWorkload(p.Large, p.Seed)
+	w := gtsWorkload(false, p.Seed)
 	raw := w.rawBytes()
 
 	t := &TableResult{
@@ -28,248 +24,114 @@ func Table1(p Params) (*TableResult, error) {
 			"SciDB replicates data along chunk boundaries (overlap halo), like the paper's asterisk",
 		},
 	}
-	addRow := func(name string, data, index int64) {
-		total := data + index
-		idxStr := "N/A"
-		if index >= 0 {
-			idxStr = fmtMB(index)
-		} else {
-			total = data
+	for _, name := range allSystems {
+		s, err := fixtureSystem(w, name)
+		if err != nil {
+			return nil, err
+		}
+		label, idx, total := name, "N/A", s.data
+		if name == sysSciDB {
+			label += "*"
+		}
+		if s.index >= 0 {
+			idx = fmtMB(s.index)
+			total += s.index
 		}
 		t.Rows = append(t.Rows, []string{
-			name, fmtMB(data), idxStr, fmtMB(total),
+			label, fmtMB(s.data), idx, fmtMB(total),
 			fmt.Sprintf("%.2f", float64(total)/float64(raw)),
 		})
-	}
-
-	for _, v := range []mlocVariant{VariantCOL, VariantISO, VariantISA} {
-		st, _, err := buildMLOC(&w, v)
-		if err != nil {
-			return nil, err
-		}
-		addRow(string(v), st.DataBytes(), st.IndexBytes())
-	}
-
-	{
-		fs := newScaledFS(&w)
-		st, err := seqscan.Build(fs, fs.NewClock(), "seq", w.ds.Shape, w.data())
-		if err != nil {
-			return nil, err
-		}
-		sz, err := st.StorageBytes()
-		if err != nil {
-			return nil, err
-		}
-		addRow("Seq. Scan", sz, -1)
-	}
-	{
-		fs := newScaledFS(&w)
-		st, err := fastbit.Build(fs, fs.NewClock(), "fb", w.ds.Shape, w.data(), fastbit.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		addRow("FastBit", st.DataBytes(), st.IndexBytes())
-	}
-	{
-		fs := newScaledFS(&w)
-		st, err := scidb.Build(fs, fs.NewClock(), "sci", w.ds.Shape, w.data(), scidb.DefaultConfig(w.chunk))
-		if err != nil {
-			return nil, err
-		}
-		addRow("SciDB*", st.StorageBytes(), -1)
 	}
 	return t, nil
 }
 
-// timedSystem pairs a queryable with its PFS for stat resets. A
-// non-zero ranks field overrides the experiment's rank count — the
-// paper's "sequential scan" is a single process, while MLOC and
-// FastBit use 8.
-type timedSystem struct {
-	name  string
-	sys   queryable
-	fs    *pfs.Sim
-	ranks int
+// cell is one column of a query-time table: a workload and its queries.
+type cell struct {
+	w   *workload
+	gen func(i int) *query.Request
+	lbl string
 }
 
-// buildAllSystems builds every comparator for a workload, each on a
-// fresh simulated PFS.
-func buildAllSystems(w *workload) ([]timedSystem, error) {
-	var out []timedSystem
-	for _, v := range []mlocVariant{VariantCOL, VariantISO, VariantISA} {
-		st, fs, err := buildMLOC(w, v)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, timedSystem{string(v), st, fs, 0})
-	}
-	{
-		fs := newScaledFS(w)
-		st, err := seqscan.Build(fs, fs.NewClock(), "seq", w.ds.Shape, w.data())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, timedSystem{"Seq. Scan", st, fs, 1})
-	}
-	{
-		fs := newScaledFS(w)
-		st, err := fastbit.Build(fs, fs.NewClock(), "fb", w.ds.Shape, w.data(), fastbit.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, timedSystem{"FastBit", st, fs, 0})
-	}
-	{
-		fs := newScaledFS(w)
-		st, err := scidb.Build(fs, fs.NewClock(), "sci", w.ds.Shape, w.data(), scidb.DefaultConfig(w.chunk))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, timedSystem{"SciDB", st, fs, 0})
-	}
-	return out, nil
-}
-
-// buildMLOCAndSeq builds only MLOC variants and seq-scan (the 512 GB
-// tables compare only these, "as the other approaches already show poor
-// performances on smaller datasets").
-func buildMLOCAndSeq(w *workload) ([]timedSystem, error) {
-	var out []timedSystem
-	for _, v := range []mlocVariant{VariantCOL, VariantISO, VariantISA} {
-		st, fs, err := buildMLOC(w, v)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, timedSystem{string(v), st, fs, 0})
-	}
-	fs := newScaledFS(w)
-	st, err := seqscan.Build(fs, fs.NewClock(), "seq", w.ds.Shape, w.data())
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, timedSystem{"Seq. Scan", st, fs, 1})
-	return out, nil
-}
-
-// queryTimeTable runs a grid of (system × workload-cell) timings.
-func queryTimeTable(title string, systems func(w *workload) ([]timedSystem, error),
-	cells []struct {
-		w   *workload
-		gen func(i int) *query.Request
-		lbl string
-	}, p Params, projected bool) (*TableResult, error) {
-
+// queryTimeTable times every named system on every cell.
+func queryTimeTable(title string, names []string, cells []cell, p Params) (*TableResult, error) {
 	t := &TableResult{Title: title, Header: []string{"System"}}
 	for _, c := range cells {
 		t.Header = append(t.Header, c.lbl)
 	}
-	// Build systems per distinct workload once.
-	built := map[*workload][]timedSystem{}
-	for _, c := range cells {
-		if _, ok := built[c.w]; !ok {
-			sys, err := systems(c.w)
+	for _, name := range names {
+		row := []string{name}
+		for _, c := range cells {
+			s, err := fixtureSystem(c.w, name)
 			if err != nil {
 				return nil, err
 			}
-			built[c.w] = sys
-		}
-	}
-	// All cell lists have the same system order; walk by system index.
-	nSys := len(built[cells[0].w])
-	for si := 0; si < nSys; si++ {
-		row := []string{built[cells[0].w][si].name}
-		for _, c := range cells {
-			ts := built[c.w][si]
-			ranks := p.Ranks
-			if ts.ranks != 0 {
-				ranks = ts.ranks
-			}
-			mean, _, err := avgQueryTime(ts.sys, ts.fs, c.gen, p.Queries, ranks)
+			mean, _, err := s.queryTime(c.gen, p)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: %s / %s: %w", ts.name, c.lbl, err)
+				return nil, fmt.Errorf("experiments: %s / %s: %w", name, c.lbl, err)
 			}
 			row = append(row, fmtSec(mean))
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	if projected {
-		t.Notes = append(t.Notes, "scale-aware simulation: transfer+CPU at paper-scale bytes, constant seek costs (DESIGN.md §6)")
-	} else {
-		t.Notes = append(t.Notes, "virtual seconds at scaled geometry (see DESIGN.md §6)")
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("mean of %d random queries, %d ranks", p.Queries, p.Ranks))
+	t.Notes = append(t.Notes,
+		"scale-aware simulation: transfer+CPU at paper-scale bytes, constant seek costs (DESIGN.md §6)",
+		fmt.Sprintf("mean of %d random queries, %d ranks", p.Queries, p.Ranks))
 	return t, nil
 }
 
-type cell = struct {
-	w   *workload
-	gen func(i int) *query.Request
-	lbl string
+// regionCells are Tables II and IV's columns: value selectivity 1 % and
+// 10 %, no SC, on GTS and S3D.
+func regionCells(large bool, seed int64) []cell {
+	gts, s3d := gtsWorkload(large, seed), s3dWorkload(large, seed)
+	return []cell{
+		{gts, vcGen(gts.data(), 0.01, seed+10, true), "1% GTS"},
+		{gts, vcGen(gts.data(), 0.10, seed+20, true), "10% GTS"},
+		{s3d, vcGen(s3d.data(), 0.01, seed+30, true), "1% S3D"},
+		{s3d, vcGen(s3d.data(), 0.10, seed+40, true), "10% S3D"},
+	}
+}
+
+// valueCells are Tables III and V's columns: region selectivity 0.1 %
+// and 1 %, no VC, on GTS and S3D.
+func valueCells(large bool, seed int64) []cell {
+	gts, s3d := gtsWorkload(large, seed), s3dWorkload(large, seed)
+	return []cell{
+		{gts, scGen(gts.ds.Shape, 0.001, seed+10), "0.1% GTS"},
+		{gts, scGen(gts.ds.Shape, 0.01, seed+20), "1% GTS"},
+		{s3d, scGen(s3d.ds.Shape, 0.001, seed+30), "0.1% S3D"},
+		{s3d, scGen(s3d.ds.Shape, 0.01, seed+40), "1% S3D"},
+	}
 }
 
 // Table2 reproduces "Region query response time on 8 GB datasets":
 // value selectivity 1 % and 10 %, no SC, on GTS and S3D.
 func Table2(p Params) (*TableResult, error) {
 	p.normalize()
-	gts := gtsWorkload(false, p.Seed)
-	s3d := s3dWorkload(false, p.Seed)
-	cells := []cell{
-		{&gts, vcGen(gts.data(), 0.01, p.Seed+10, true), "1% GTS"},
-		{&gts, vcGen(gts.data(), 0.10, p.Seed+20, true), "10% GTS"},
-		{&s3d, vcGen(s3d.data(), 0.01, p.Seed+30, true), "1% S3D"},
-		{&s3d, vcGen(s3d.data(), 0.10, p.Seed+40, true), "10% S3D"},
-	}
 	return queryTimeTable("Table II: region query response time (8 GB-class, projected sec)",
-		buildAllSystems, cells, p, true)
+		allSystems, regionCells(false, p.Seed), p)
 }
 
 // Table3 reproduces "Value query response time on 8 GB datasets":
 // region selectivity 0.1 % and 1 %, no VC.
 func Table3(p Params) (*TableResult, error) {
 	p.normalize()
-	gts := gtsWorkload(false, p.Seed)
-	s3d := s3dWorkload(false, p.Seed)
-	cells := []cell{
-		{&gts, scGen(gts.ds.Shape, 0.001, p.Seed+10), "0.1% GTS"},
-		{&gts, scGen(gts.ds.Shape, 0.01, p.Seed+20), "1% GTS"},
-		{&s3d, scGen(s3d.ds.Shape, 0.001, p.Seed+30), "0.1% S3D"},
-		{&s3d, scGen(s3d.ds.Shape, 0.01, p.Seed+40), "1% S3D"},
-	}
 	return queryTimeTable("Table III: value query response time (8 GB-class, projected sec)",
-		buildAllSystems, cells, p, true)
+		allSystems, valueCells(false, p.Seed), p)
 }
 
 // Table4 reproduces the 512 GB region-query comparison (MLOC vs
 // sequential scan only).
 func Table4(p Params) (*TableResult, error) {
 	p.normalize()
-	p.Large = true
-	gts := gtsWorkload(true, p.Seed)
-	s3d := s3dWorkload(true, p.Seed)
-	cells := []cell{
-		{&gts, vcGen(gts.data(), 0.01, p.Seed+10, true), "1% GTS"},
-		{&gts, vcGen(gts.data(), 0.10, p.Seed+20, true), "10% GTS"},
-		{&s3d, vcGen(s3d.data(), 0.01, p.Seed+30, true), "1% S3D"},
-		{&s3d, vcGen(s3d.data(), 0.10, p.Seed+40, true), "10% S3D"},
-	}
 	return queryTimeTable("Table IV: region query response time (512 GB-class, projected sec)",
-		buildMLOCAndSeq, cells, p, true)
+		mlocAndSeq, regionCells(true, p.Seed), p)
 }
 
 // Table5 reproduces the 512 GB value-query comparison.
 func Table5(p Params) (*TableResult, error) {
 	p.normalize()
-	p.Large = true
-	gts := gtsWorkload(true, p.Seed)
-	s3d := s3dWorkload(true, p.Seed)
-	cells := []cell{
-		{&gts, scGen(gts.ds.Shape, 0.001, p.Seed+10), "0.1% GTS"},
-		{&gts, scGen(gts.ds.Shape, 0.01, p.Seed+20), "1% GTS"},
-		{&s3d, scGen(s3d.ds.Shape, 0.001, p.Seed+30), "0.1% S3D"},
-		{&s3d, scGen(s3d.ds.Shape, 0.01, p.Seed+40), "1% S3D"},
-	}
 	return queryTimeTable("Table V: value query response time (512 GB-class, projected sec)",
-		buildMLOCAndSeq, cells, p, true)
+		mlocAndSeq, valueCells(true, p.Seed), p)
 }
 
 // Table7 reproduces the optimization-order comparison: V-M-S vs V-S-M
@@ -277,7 +139,7 @@ func Table5(p Params) (*TableResult, error) {
 // access, on the S3D workload (paper uses 512 GB S3D).
 func Table7(p Params) (*TableResult, error) {
 	p.normalize()
-	w := s3dWorkload(p.Large, p.Seed)
+	w := s3dWorkload(false, p.Seed)
 
 	t := &TableResult{
 		Title:  "Table VII: query response time by optimization order (S3D, projected sec)",
@@ -288,10 +150,11 @@ func Table7(p Params) (*TableResult, error) {
 		},
 	}
 	for _, ord := range []core.Order{core.OrderVMS, core.OrderVSM} {
-		fs := newScaledFS(&w)
-		cfg := core.DefaultConfig(w.chunk)
-		cfg.Order = ord
-		st, err := core.Build(fs, fs.NewClock(), "mloc", w.ds.Shape, w.data(), cfg)
+		var edit func(*core.Config) // V-M-S, the default order, reads the fixture
+		if !slices.Equal(ord, core.OrderVMS) {
+			edit = func(c *core.Config) { c.Order = ord }
+		}
+		st, fs, err := colStore(w, edit)
 		if err != nil {
 			return nil, err
 		}
@@ -322,6 +185,3 @@ func Table7(p Params) (*TableResult, error) {
 func plodLevelForBytes(bytes int) int {
 	return bytes - 1 // level 1 = 2 bytes ... level 7 = 8 bytes
 }
-
-// levelBytes sanity-checks against the plod package.
-func levelBytes(level int) int { return plod.BytesPerValue(level) }
