@@ -53,6 +53,18 @@ func (e *StatusError) Error() string {
 	return "server returned " + e.Status + ": " + e.Message
 }
 
+// NewPool returns a client for calls to a fixed set of peers: one
+// transport, cloned from http.DefaultTransport, whose idle pool keeps
+// perHost connections to each of them (DefaultTransport keeps two), so
+// up to perHost concurrent calls to a peer reuse their connections
+// instead of dialling new ones.
+func NewPool(peers, perHost int) *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = perHost
+	t.MaxIdleConns = peers * perHost
+	return &http.Client{Transport: t}
+}
+
 // NewRequest builds a request to an mlocd endpoint; a non-nil body is
 // sent as JSON.
 func NewRequest(ctx context.Context, method, url string, body []byte) (*http.Request, error) {
@@ -68,13 +80,20 @@ func NewRequest(ctx context.Context, method, url string, body []byte) (*http.Req
 
 // Do sends req and hands a 200 response's header and body — the body
 // cut off after limit bytes — to read; a nil read ignores the body.
-// Any other status is returned as a *StatusError.
+// Any other status is returned as a *StatusError. What the reader
+// leaves of the body, up to MaxMetaBytes, is read and discarded before
+// the body is closed: a decoder stops after its value, before the
+// chunked body's end, and the transport reuses a connection only once
+// its body has been read to the end.
 func Do(hc *http.Client, req *http.Request, limit int64, read func(http.Header, io.Reader) error) error {
 	resp, err := hc.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
+	// Deferred after Close, so it runs first. A failed drain only costs
+	// the connection.
+	defer io.Copy(io.Discard, io.LimitReader(resp.Body, MaxMetaBytes))
 	if resp.StatusCode != http.StatusOK {
 		se := &StatusError{Code: resp.StatusCode, Status: resp.Status, RetryAfter: resp.Header.Get("Retry-After")}
 		var envelope struct {

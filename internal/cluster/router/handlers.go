@@ -16,7 +16,8 @@ type shardDetail struct {
 	// Node is the data node that answered (or the primary owner when
 	// every replica failed).
 	Node string `json:"node"`
-	// Rows is the half-open dimension-0 row range the shard covered.
+	// Rows lists the half-open dimension-0 row ranges the node call
+	// covered, as "[lo,hi)" runs.
 	Rows string `json:"rows"`
 	OK   bool   `json:"ok"`
 	// Hedged reports that a replica was raced against the primary.
@@ -47,6 +48,9 @@ type routedWire struct {
 // prepare plans the request's shard calls; the returned Run scatters
 // them and merges what came back.
 func (rt *Router) prepare(wire *server.QueryWire) (server.Prepared, int, error) {
+	if wire.Rows != nil {
+		return server.Prepared{}, http.StatusBadRequest, fmt.Errorf("router: rows is set by the router on node calls, not by clients")
+	}
 	vi, ok := rt.vars[wire.Var]
 	if !ok {
 		return server.Prepared{}, http.StatusNotFound, fmt.Errorf("router: unknown variable %q", wire.Var)
@@ -74,7 +78,7 @@ func (rt *Router) gather(ctx context.Context, root *obs.Span, name string, calls
 	for _, o := range outcomes {
 		d := shardDetail{
 			Node:      o.node,
-			Rows:      fmt.Sprintf("[%d,%d)", o.call.lo, o.call.hi),
+			Rows:      o.call.rowsString(),
 			OK:        o.err == nil,
 			Hedged:    o.hedged,
 			Failovers: o.failovers,

@@ -2,7 +2,9 @@ package router
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -12,6 +14,91 @@ import (
 	"mloc/internal/core"
 	"mloc/internal/server"
 )
+
+// answerBytes is what a routed answer must reproduce of a single
+// node's, byte for byte: the match list as the node encoded it, the
+// exact total and the truncation flag.
+type answerBytes struct {
+	Matches      json.RawMessage `json:"matches"`
+	MatchesTotal int             `json:"matches_total"`
+	Truncated    bool            `json:"truncated"`
+	Shards       []shardDetail   `json:"shards"`
+}
+
+// TestRoutedParityMatrix: over three data nodes serving a flat and a
+// hierarchical-index store, routers at replication 1 and 2 with 3, 8
+// and 12 slabs per variable answer random boxes, VC windows, index-only
+// and PLoD-2 requests byte for byte as one node does, with an exact
+// matches_total, in at most one call per node.
+func TestRoutedParityMatrix(t *testing.T) {
+	nodes := make([]*dataNode, 3)
+	for i := range nodes {
+		nodes[i] = startDataNode(t, map[string]*core.Store{
+			"flat": buildStoreCfg(t, 1, false),
+			"hier": buildStoreCfg(t, 1, true),
+		})
+	}
+	r := rand.New(rand.NewSource(13))
+	box := func() string {
+		lo0, lo1 := r.Intn(24), r.Intn(24)
+		return fmt.Sprintf(`,"sc":{"lo":[%d,%d],"hi":[%d,%d]}`, lo0, lo1, lo0+1+r.Intn(32-lo0), lo1+1+r.Intn(32-lo1))
+	}
+	window := func() string {
+		lo := 9.6 + 0.6*r.Float64()
+		return fmt.Sprintf(`,"vc":{"min":%.4f,"max":%.4f}`, lo, lo+0.05+0.5*r.Float64())
+	}
+	matched := 0
+	for _, replication := range []int{1, 2} {
+		for _, slabs := range []int{3, 8, 12} {
+			rt, rts := startRouter(t, nodes, func(c *Config) {
+				c.Replication = replication
+				c.SlabsPerVar = slabs
+			})
+			for i := 0; i < 16; i++ {
+				body := `{"var":"` + []string{"flat", "hier"}[i%2] + `"`
+				switch i / 2 % 4 { // four kinds, each twice on both stores
+				case 0:
+					body += box()
+				case 1:
+					body += window() + `,"index_only":true`
+				case 2:
+					body += window() + `,"plod":2`
+				case 3:
+					body += window()
+				}
+				if r.Intn(2) == 0 && !strings.Contains(body, `"sc"`) {
+					body += box()
+				}
+				body += fmt.Sprintf(`,"ranks":%d}`, 1+r.Intn(3))
+				label := fmt.Sprintf("replication %d, %d slabs: %s", replication, slabs, body)
+
+				var direct, routed answerBytes
+				if code := postJSON(t, nodes[r.Intn(len(nodes))].ts.URL+"/query", body, &direct); code != http.StatusOK {
+					t.Fatalf("%s: direct status %d", label, code)
+				}
+				before := rt.fanout.Value()
+				if code := postJSON(t, rts.URL+"/query", body, &routed); code != http.StatusOK {
+					t.Fatalf("%s: routed status %d", label, code)
+				}
+				if string(routed.Matches) != string(direct.Matches) {
+					t.Fatalf("%s: routed matches differ from a single node's", label)
+				}
+				if routed.MatchesTotal != direct.MatchesTotal || routed.Truncated != direct.Truncated {
+					t.Fatalf("%s: routed total %d/%v, single node %d/%v",
+						label, routed.MatchesTotal, routed.Truncated, direct.MatchesTotal, direct.Truncated)
+				}
+				calls := rt.fanout.Value() - before
+				if calls != int64(len(routed.Shards)) || calls > int64(len(nodes)) {
+					t.Fatalf("%s: %d node calls (%d shard reports) for %d nodes", label, calls, len(routed.Shards), len(nodes))
+				}
+				matched += direct.MatchesTotal
+			}
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no request of the matrix matched anything; the test is vacuous")
+	}
+}
 
 // frameRole is one daemon role under TestRolesAnswerAlike.
 type frameRole struct {

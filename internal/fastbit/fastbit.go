@@ -256,6 +256,9 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 	if err := req.Validate(s.shape); err != nil {
 		return nil, err
 	}
+	if req.Rows != nil {
+		return nil, fmt.Errorf("fastbit: row ranges are not supported")
+	}
 	if ranks < 1 {
 		return nil, fmt.Errorf("fastbit: ranks %d < 1", ranks)
 	}

@@ -170,6 +170,9 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := st.Query(&query.Request{VC: &bad}, 1); err == nil {
 		t.Error("inverted VC accepted")
 	}
+	if _, err := st.Query(&query.Request{Rows: query.Rows{{Lo: 0, Hi: 1}}}, 1); err == nil {
+		t.Error("row ranges accepted")
+	}
 }
 
 func TestIndexOnly(t *testing.T) {

@@ -173,6 +173,9 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := st.Query(&query.Request{VC: &badVC}, 1); err == nil {
 		t.Error("inverted VC accepted")
 	}
+	if _, err := st.Query(&query.Request{Rows: query.Rows{{Lo: 0, Hi: 1}}}, 1); err == nil {
+		t.Error("row ranges accepted")
+	}
 }
 
 func TestStorageBytes(t *testing.T) {
