@@ -15,9 +15,11 @@
 //
 //	mlocvet [-list] [-only names] [-sarif] [packages]
 //
-// Packages follow go-tool patterns (directories, with an optional
-// "..." wildcard suffix); the default is "./...". All matched packages
-// load into one program so the cross-package analyzers see every edge.
+// Packages are go-tool patterns, resolved by `go list` inside the
+// enclosing module; the default is "./...". All matched packages load
+// into one program so the cross-package analyzers see every edge: they
+// are type-checked from source, and everything they import comes from
+// the compiler's export data in the build cache.
 // Diagnostics print one per line as "file:line: analyzer: message";
 // -sarif emits them as a SARIF 2.1.0 log for code-scanning upload.
 //
@@ -89,31 +91,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		printf(stderr, "mlocvet: %v\n", err)
-		return 2
-	}
-	dirs, err := loader.Expand(patterns)
-	if err != nil {
-		printf(stderr, "mlocvet: %v\n", err)
-		return 2
-	}
-	if len(dirs) == 0 {
-		printf(stderr, "mlocvet: no packages matched\n")
-		return 2
-	}
-
 	// Load every matched package into one program: the cross-package
 	// analyzers (lockorder, atomicmix) need the whole graph at once.
-	pkgs := make([]*lint.Package, 0, len(dirs))
-	for _, dir := range dirs {
-		pkg, err := loader.Load(dir)
-		if err != nil {
-			printf(stderr, "mlocvet: %v\n", err)
-			return 2
-		}
-		pkgs = append(pkgs, pkg)
+	pkgs, err := lint.Load(".", patterns...)
+	if err != nil {
+		printf(stderr, "mlocvet: %v\n", err)
+		return 2
 	}
 	diags := lint.RunAll(pkgs, analyzers)
 	for i := range diags {

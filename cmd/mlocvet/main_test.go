@@ -76,3 +76,21 @@ func TestRunList(t *testing.T) {
 		}
 	}
 }
+
+// TestRunLoadFailures checks that a pattern matching nothing, a
+// missing directory and a package that does not type-check each exit
+// 2 with the loader's message.
+func TestRunLoadFailures(t *testing.T) {
+	for _, pattern := range []string{"mloc/nosuch/...", "./nosuch", "./testdata/typeerr"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{pattern}, &stdout, &stderr); code != 2 {
+			t.Errorf("run %s: exit %d, want 2 (stderr: %s)", pattern, code, stderr.String())
+		}
+		if !strings.HasPrefix(stderr.String(), "mlocvet: lint: ") {
+			t.Errorf("run %s: stderr %q lacks the \"mlocvet: lint: \" prefix", pattern, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("run %s printed diagnostics:\n%s", pattern, stdout.String())
+		}
+	}
+}

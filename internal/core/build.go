@@ -132,7 +132,7 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 		order:      cfg.Order,
 		curve:      string(cfg.Curve),
 		mode:       cfg.Mode,
-		compPlanes: cfg.CompressPlanes,
+		compPlanes: compressPlanes,
 		binBounds:  append([]float64(nil), scheme.Bounds()...),
 		bins:       make([]binMeta, nbins),
 	}
@@ -191,7 +191,7 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 	// stays byte-identical across worker counts.
 	var vidx *vindex
 	if cfg.HierarchicalIndex {
-		tree, terr := binning.NewTree(scheme, cfg.IndexFanout)
+		tree, terr := binning.NewTree(scheme, indexFanout)
 		if terr != nil {
 			return nil, terr
 		}
@@ -428,7 +428,7 @@ func encodePlanesBin(bm *binMeta, units []rawUnit, cfg Config, sc *encodeScratch
 		planes := sc.split.Split(u.values)
 		for p := 0; p < plod.NumPlanes; p++ {
 			mark := len(arena)
-			if p < cfg.CompressPlanes {
+			if p < compressPlanes {
 				var err error
 				arena, err = compress.AppendBytes(cfg.ByteCodec, arena, planes[p])
 				if err != nil {

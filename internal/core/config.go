@@ -123,6 +123,20 @@ const (
 	AssignRoundRobin Assignment = "roundrobin"
 )
 
+// Fixed build parameters. Every store records both (compressPlanes in
+// its metadata, indexFanout in its vindex header), and Open serves the
+// values a store records.
+const (
+	// compressPlanes is how many leading byte planes run through the
+	// byte codec in planes mode; the rest are stored raw. The paper
+	// treats bytes 3..8 as incompressible: one compressed plane, plane
+	// 0 = bytes 1-2.
+	compressPlanes = 1
+	// indexFanout is the arity of the super-bin tree behind
+	// HierarchicalIndex.
+	indexFanout = 4
+)
+
 // Config parameterizes an MLOC store build.
 type Config struct {
 	// ChunkSize is the block extent per dimension (paper's "chunks").
@@ -136,12 +150,9 @@ type Config struct {
 	Curve sfc.CurveKind
 	// Mode selects planes (COL) or floats (ISO/ISA) storage.
 	Mode Mode
-	// ByteCodec compresses byte planes in planes mode (default Zlib).
+	// ByteCodec compresses the leading compressPlanes byte planes in
+	// planes mode (default Zlib).
 	ByteCodec compress.ByteCodec
-	// CompressPlanes is how many leading planes run through ByteCodec;
-	// the rest are stored raw. The paper treats bytes 3..8 as
-	// incompressible, i.e. CompressPlanes=1 (plane 0 = bytes 1-2).
-	CompressPlanes int
 	// FloatCodec encodes unit values in floats mode.
 	FloatCodec compress.FloatCodec
 	// SampleSize bounds the sample used for bin-boundary estimation.
@@ -159,9 +170,6 @@ type Config struct {
 	// default: the vindex replicates each position once per tree level,
 	// so it trades index footprint for query latency.
 	HierarchicalIndex bool
-	// IndexFanout is the super-bin tree arity (default 4; min 2). Only
-	// meaningful with HierarchicalIndex.
-	IndexFanout int
 	// AdaptiveBins re-balances the sampled bin boundaries before the
 	// build commits them: hot leaves split at in-bin quantiles and cold
 	// adjacent leaves merge (binning.Adapt), keeping the super-bin tree
@@ -173,14 +181,13 @@ type Config struct {
 // chunk size.
 func DefaultConfig(chunkSize []int) Config {
 	return Config{
-		ChunkSize:      chunkSize,
-		NumBins:        100,
-		Order:          OrderVMS,
-		Curve:          sfc.CurveHilbert,
-		Mode:           ModePlanes,
-		ByteCodec:      compress.NewZlib(compress.DefaultZlibLevel),
-		CompressPlanes: 1,
-		SampleSize:     1 << 20,
+		ChunkSize:  chunkSize,
+		NumBins:    100,
+		Order:      OrderVMS,
+		Curve:      sfc.CurveHilbert,
+		Mode:       ModePlanes,
+		ByteCodec:  compress.NewZlib(compress.DefaultZlibLevel),
+		SampleSize: 1 << 20,
 	}
 }
 
@@ -230,9 +237,6 @@ func (c *Config) normalize() error {
 		if c.ByteCodec == nil {
 			c.ByteCodec = compress.NewZlib(compress.DefaultZlibLevel)
 		}
-		if c.CompressPlanes < 0 || c.CompressPlanes > 7 {
-			return fmt.Errorf("core: CompressPlanes %d out of [0,7]", c.CompressPlanes)
-		}
 	case ModeFloats:
 		if c.FloatCodec == nil {
 			return fmt.Errorf("core: floats mode requires a FloatCodec")
@@ -245,12 +249,6 @@ func (c *Config) normalize() error {
 	}
 	if c.BuildWorkers < 0 {
 		return fmt.Errorf("core: BuildWorkers %d < 0", c.BuildWorkers)
-	}
-	if c.IndexFanout == 0 {
-		c.IndexFanout = 4
-	}
-	if c.IndexFanout < 2 {
-		return fmt.Errorf("core: IndexFanout %d < 2", c.IndexFanout)
 	}
 	return nil
 }

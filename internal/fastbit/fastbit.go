@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"mloc/internal/binning"
 	"mloc/internal/bitmap"
@@ -29,14 +28,6 @@ type Config struct {
 	NumBins int
 	// SampleSize bounds the values sampled for bin-boundary estimation.
 	SampleSize int
-	// Hierarchical appends OR-aggregated super-bin bitmaps above the
-	// leaf bins (the same tree core builds into its vindex) so
-	// value-constrained queries read only the inside-subtree node
-	// payloads and boundary-leaf bitmaps instead of the full index.
-	Hierarchical bool
-	// Fanout is the super-bin tree arity (default 4; ignored unless
-	// Hierarchical).
-	Fanout int
 }
 
 // DefaultConfig mirrors the paper's FastBit setup.
@@ -54,23 +45,6 @@ type Store struct {
 	// index file (kept in memory as catalog metadata, as FastBit does).
 	bitmapOffsets []int64
 	indexSize     int64
-	// tree, nodeOffs, and nodeLens carry the hierarchical super-bin
-	// section: node payloads appended after the leaf bitmaps, located by
-	// nodeID (level 0 first; level-0 entries alias the leaf bitmaps).
-	// All nil/empty on flat stores.
-	tree     *binning.Tree
-	nodeOffs []int64
-	nodeLens []int64
-}
-
-// nodeID maps a tree node to its slot in nodeOffs/nodeLens: nodes are
-// numbered level by level from the leaves up.
-func (s *Store) nodeID(n binning.NodeRef) int {
-	id := n.Index
-	for l := 0; l < n.Level; l++ {
-		id += s.tree.LevelWidth(l)
-	}
-	return id
 }
 
 // Build constructs the index and base data on the PFS under prefix,
@@ -139,12 +113,9 @@ func Build(fs *pfs.Sim, clk *pfs.Clock, prefix string, shape grid.Shape, data []
 
 	var index []byte
 	offsets := make([]int64, scheme.NumBins()+1)
-	wahs := make([]*bitmap.WAH, len(plains))
 	for i, pb := range plains {
 		offsets[i] = int64(len(index))
-		w := bitmap.Compress(pb)
-		wahs[i] = w
-		enc, err := w.MarshalBinary()
+		enc, err := bitmap.Compress(pb).MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
@@ -152,67 +123,18 @@ func Build(fs *pfs.Sim, clk *pfs.Clock, prefix string, shape grid.Shape, data []
 	}
 	offsets[len(plains)] = int64(len(index))
 
-	st := &Store{
+	if err := fs.WriteFile(clk, prefix+"/index", index); err != nil {
+		return nil, err
+	}
+	return &Store{
 		fs:            fs,
 		prefix:        prefix,
 		shape:         shape,
 		scheme:        scheme,
 		bitmapOffsets: offsets,
-	}
-
-	if cfg.Hierarchical {
-		fanout := cfg.Fanout
-		if fanout == 0 {
-			fanout = 4
-		}
-		tree, err := binning.NewTree(scheme, fanout)
-		if err != nil {
-			return nil, err
-		}
-		st.tree = tree
-		st.nodeOffs = make([]int64, tree.NumNodes())
-		st.nodeLens = make([]int64, tree.NumNodes())
-		// Level 0 aliases the leaf bitmaps already serialized above.
-		for i := 0; i < tree.LevelWidth(0); i++ {
-			st.nodeOffs[i] = offsets[i]
-			st.nodeLens[i] = offsets[i+1] - offsets[i]
-		}
-		// Upper levels OR-aggregate their children; payloads append
-		// after the leaf section, level by level.
-		level := wahs
-		id := tree.LevelWidth(0)
-		for l := 1; l < tree.NumLevels(); l++ {
-			next := make([]*bitmap.WAH, tree.LevelWidth(l))
-			for i := range next {
-				lo, hi := tree.Children(binning.NodeRef{Level: l, Index: i})
-				agg := level[lo]
-				for c := lo + 1; c < hi; c++ {
-					agg = agg.Or(level[c])
-				}
-				next[i] = agg
-				enc, err := agg.MarshalBinary()
-				if err != nil {
-					return nil, err
-				}
-				st.nodeOffs[id] = int64(len(index))
-				st.nodeLens[id] = int64(len(enc))
-				index = append(index, enc...)
-				id++
-			}
-			level = next
-		}
-	}
-
-	if err := fs.WriteFile(clk, prefix+"/index", index); err != nil {
-		return nil, err
-	}
-	st.indexSize = int64(len(index))
-	return st, nil
+		indexSize:     int64(len(index)),
+	}, nil
 }
-
-// Hierarchical reports whether the store carries the super-bin tree
-// section.
-func (s *Store) Hierarchical() bool { return s.tree != nil }
 
 // DataBytes returns the base-data footprint.
 func (s *Store) DataBytes() int64 { return 8 * s.shape.Elems() }
@@ -229,10 +151,9 @@ func (s *Store) NumBins() int { return s.scheme.NumBins() }
 
 // rankOut accumulates one rank's results.
 type rankOut struct {
-	matches   []query.Match
-	time      query.Components
-	bytes     int64
-	nodesRead int
+	matches []query.Match
+	time    query.Components
+	bytes   int64
 }
 
 // binExtent locates a leaf bin's serialized bitmap in the index file.
@@ -241,17 +162,13 @@ func (s *Store) binExtent(bin int) pfs.Extent {
 }
 
 // Query answers a request with the given rank count. The request is
-// resolved to two lists of bitmaps in the index file: those whose every
-// set bit satisfies the VC by construction (aligned bins, or the
-// inside-subtree nodes of a hierarchical store) and those whose
-// candidates' values must be checked (edge bins). What differs between
-// the two kinds of store is only how a rank pays for the index: per the
-// paper's observed behavior a flat query first loads the entire index
-// from the PFS (rank-partitioned), while a value-constrained query on a
-// hierarchical store reads just its own bitmaps' extents, coalesced —
-// fully-outside subtrees cost nothing. Either way the rank then
-// evaluates its share of both lists and fetches candidate values from
-// the base data where needed.
+// resolved to two lists of leaf bitmaps in the index file: those whose
+// every set bit satisfies the VC by construction (aligned bins) and
+// those whose candidates' values must be checked (edge bins). Per the
+// paper's observed behavior every query first loads the entire index
+// from the PFS, rank-partitioned; each rank then evaluates its share of
+// both lists and fetches candidate values from the base data where
+// needed.
 func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 	if err := req.Validate(s.shape); err != nil {
 		return nil, err
@@ -263,39 +180,23 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 		return nil, fmt.Errorf("fastbit: ranks %d < 1", ranks)
 	}
 
-	var sure, check []pfs.Extent
-	res := &query.Result{}
-	hier := s.tree != nil && req.VC != nil
-	if hier {
-		sel := s.tree.Select(*req.VC)
-		for _, n := range sel.Inside {
-			id := s.nodeID(n)
-			sure = append(sure, pfs.Extent{Off: s.nodeOffs[id], Len: s.nodeLens[id]})
-		}
-		for _, b := range sel.Boundary {
-			check = append(check, s.binExtent(b))
-		}
-		res.BinsAccessed = len(sel.Boundary) + sel.CoveredLeaves
-		res.BinsPruned = sel.PrunedLeaves
-		res.BinsCovered = sel.CoveredLeaves
+	// Bins relevant to the VC (everything when unconstrained).
+	var aligned, edge []int
+	if req.VC != nil {
+		aligned, edge = s.scheme.SelectBins(*req.VC)
 	} else {
-		// Bins relevant to the VC (everything when unconstrained).
-		var aligned, edge []int
-		if req.VC != nil {
-			aligned, edge = s.scheme.SelectBins(*req.VC)
-		} else {
-			for b := 0; b < s.scheme.NumBins(); b++ {
-				aligned = append(aligned, b)
-			}
+		for b := 0; b < s.scheme.NumBins(); b++ {
+			aligned = append(aligned, b)
 		}
-		for _, b := range aligned {
-			sure = append(sure, s.binExtent(b))
-		}
-		for _, b := range edge {
-			check = append(check, s.binExtent(b))
-		}
-		res.BinsAccessed = len(aligned) + len(edge)
 	}
+	var sure, check []pfs.Extent
+	for _, b := range aligned {
+		sure = append(sure, s.binExtent(b))
+	}
+	for _, b := range edge {
+		check = append(check, s.binExtent(b))
+	}
+	res := &query.Result{BinsAccessed: len(aligned) + len(edge)}
 
 	outs := make([]rankOut, ranks)
 	clks := s.fs.NewClocks(ranks)
@@ -311,49 +212,32 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 			}
 			return share
 		}
-		mySure, myCheck := mine(sure), mine(check)
-
-		if hier && len(mySure)+len(myCheck) == 0 {
-			return nil
-		}
 		if err := s.fs.Open(clk, indexPath); err != nil {
 			return err
 		}
-		if hier {
+		// Load the FULL index (the paper's dominating cost): ranks read
+		// disjoint partitions concurrently.
+		per := (s.indexSize + int64(c.Size()) - 1) / int64(c.Size())
+		lo := per * int64(c.Rank())
+		hi := min(lo+per, s.indexSize)
+		if lo < hi {
 			t0 := clk.Now()
-			// The reader reorders its list; the shares keep theirs.
-			_, n, err := s.fs.ReadExtents(clk, indexPath, slices.Concat(mySure, myCheck))
-			if err != nil {
+			if _, err := s.fs.ReadAt(clk, indexPath, lo, hi-lo); err != nil {
 				return err
 			}
 			out.time.IO += clk.Now() - t0
-			out.bytes += n
-			out.nodesRead = len(mySure)
-		} else {
-			// Load the FULL index (the paper's dominating cost): ranks read
-			// disjoint partitions concurrently.
-			per := (s.indexSize + int64(c.Size()) - 1) / int64(c.Size())
-			lo := per * int64(c.Rank())
-			hi := min(lo+per, s.indexSize)
-			if lo < hi {
-				t0 := clk.Now()
-				if _, err := s.fs.ReadAt(clk, indexPath, lo, hi-lo); err != nil {
-					return err
-				}
-				out.time.IO += clk.Now() - t0
-				out.bytes += hi - lo
-			}
-			if err := c.Barrier(); err != nil {
-				return err
-			}
+			out.bytes += hi - lo
+		}
+		if err := c.Barrier(); err != nil {
+			return err
 		}
 
-		for _, e := range mySure {
+		for _, e := range mine(sure) {
 			if err := s.evalBitmap(clk, out, e, req, false); err != nil {
 				return err
 			}
 		}
-		for _, e := range myCheck {
+		for _, e := range mine(check) {
 			if err := s.evalBitmap(clk, out, e, req, true); err != nil {
 				return err
 			}
@@ -368,7 +252,6 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 	for i := range outs {
 		res.Matches = append(res.Matches, outs[i].matches...)
 		res.BytesRead += outs[i].bytes
-		res.IndexNodesRead += outs[i].nodesRead
 		if t := outs[i].time.Total(); t >= slowest {
 			slowest = t
 			res.Time = outs[i].time
@@ -382,9 +265,9 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 // bits inside the SC become matches — directly for an index-only request
 // when the bitmap satisfies the VC by construction, otherwise after
 // their values are fetched from the base data (and, with check, tested
-// against the VC). The index bytes were already paid for by the rank's
-// index load — on a flat store possibly by another rank's partition of
-// it — so Peek re-slices them without double-charging the cost model.
+// against the VC). The index bytes were already paid for by the ranks'
+// full index load — possibly by another rank's partition of it — so
+// Peek re-slices them without double-charging the cost model.
 func (s *Store) evalBitmap(clk *pfs.Clock, out *rankOut, e pfs.Extent, req *query.Request, check bool) error {
 	raw, err := s.fs.Peek(s.prefix+"/index", e.Off, e.Len)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"mloc/internal/binning"
 	"mloc/internal/datagen"
 	"mloc/internal/grid"
+	"mloc/internal/pfs"
 	"mloc/internal/query"
 )
 
@@ -24,9 +25,8 @@ type ioShape struct {
 	ioSeconds                 float64
 }
 
-// wantIOShapes was recorded at commit 8b4a03b, when flat and
-// hierarchical requests still ran through Query and queryHier; the one
-// Query that replaced them must reproduce every row.
+// wantIOShapes was recorded at commit 8b4a03b; Query must reproduce
+// every row.
 var wantIOShapes = map[string]ioShape{
 	// name: {matches, bytes, reads, seeks, opens, accessed, pruned, covered, nodes, ioSeconds}
 	"flat/index/sel0.01/r1":  {40, 28316, 63, 63, 3, 2, 0, 0, 0, 0.31556631999999984},
@@ -49,69 +49,59 @@ var wantIOShapes = map[string]ioShape{
 	"flat/vcsc/sel0.1/r3":    {118, 28860, 129, 129, 17, 14, 0, 0, 0, 0},
 	"flat/vcsc/sel0.5/r1":    {653, 33116, 660, 660, 66, 65, 0, 0, 0, 3.3006623199999585},
 	"flat/vcsc/sel0.5/r3":    {653, 33116, 662, 662, 68, 65, 0, 0, 0, 0},
-	"hier/index/sel0.01/r1":  {40, 952, 63, 63, 3, 2, 126, 0, 0, 0.3150190399999998},
-	"hier/index/sel0.01/r3":  {40, 952, 64, 64, 4, 2, 126, 0, 0, 0},
-	"hier/index/sel0.1/r1":   {409, 29064, 64, 64, 3, 14, 114, 12, 6, 0.32058127999999975},
-	"hier/index/sel0.1/r3":   {409, 57128, 66, 66, 5, 14, 114, 12, 6, 0},
-	"hier/index/sel0.5/r1":   {2048, 38716, 65, 65, 3, 65, 63, 63, 9, 0.3257743199999998},
-	"hier/index/sel0.5/r3":   {2048, 86240, 67, 67, 5, 65, 63, 63, 9, 0},
-	"hier/sc/sel0.01/r1":     {1280, 58244, 1248, 1248, 129, 128, 0, 0, 0, 6.241164879999845},
-	"hier/sc/sel0.01/r3":     {1280, 58244, 1250, 1250, 131, 128, 0, 0, 0, 0},
-	"hier/values/sel0.01/r1": {40, 952, 63, 63, 3, 2, 126, 0, 0, 0.31501903999999975},
-	"hier/values/sel0.01/r3": {40, 952, 64, 64, 4, 2, 126, 0, 0, 0},
-	"hier/values/sel0.1/r1":  {409, 32136, 405, 405, 9, 14, 114, 12, 6, 2.025642720000005},
-	"hier/values/sel0.1/r3":  {409, 60200, 407, 407, 11, 14, 114, 12, 6, 0},
-	"hier/values/sel0.5/r1":  {2048, 54844, 1681, 1681, 12, 65, 63, 63, 9, 8.406096879999776},
-	"hier/values/sel0.5/r3":  {2048, 102368, 1683, 1683, 14, 65, 63, 63, 9, 0},
-	"hier/vcsc/sel0.01/r1":   {11, 600, 21, 21, 3, 2, 126, 0, 0, 0.10501200000000002},
-	"hier/vcsc/sel0.01/r3":   {11, 600, 22, 22, 4, 2, 126, 0, 0, 0},
-	"hier/vcsc/sel0.1/r1":    {118, 29608, 123, 123, 9, 14, 114, 12, 6, 0.6155921599999996},
-	"hier/vcsc/sel0.1/r3":    {118, 57672, 125, 125, 11, 14, 114, 12, 6, 0},
-	"hier/vcsc/sel0.5/r1":    {653, 43516, 544, 544, 12, 65, 63, 63, 9, 2.720870319999985},
-	"hier/vcsc/sel0.5/r3":    {653, 91040, 546, 546, 14, 65, 63, 63, 9, 0},
+}
+
+// buildFlat builds a store with the given bin count over a 64×64
+// GTS-like field.
+func buildFlat(t *testing.T, bins int) (*Store, []float64) {
+	t.Helper()
+	d := datagen.GTSLike(64, 64, 7)
+	v, _ := d.Var("phi")
+	cfg := DefaultConfig()
+	cfg.NumBins = bins
+	st, err := Build(pfs.New(pfs.DefaultConfig()), pfs.NewClock(), "fbh/flat", d.Shape, v.Data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, v.Data
 }
 
 func TestQueryIOShapePinned(t *testing.T) {
-	flat, hier, data, _ := buildPair(t, 128)
+	st, data := buildFlat(t, 128)
 	region := &grid.Region{Lo: []int{8, 16}, Hi: []int{40, 56}}
 	got := map[string]ioShape{}
-	for _, st := range []struct {
-		name string
-		s    *Store
-	}{{"flat", flat}, {"hier", hier}} {
-		for _, frac := range []float64{0.01, 0.10, 0.50} {
-			lo, hi := datagen.Selectivity(data, frac, 3, 4096)
-			vc := &binning.ValueConstraint{Min: lo, Max: hi}
-			for _, q := range []struct {
-				name string
-				req  query.Request
-			}{
-				{"index", query.Request{VC: vc, IndexOnly: true}},
-				{"values", query.Request{VC: vc}},
-				{"vcsc", query.Request{VC: vc, SC: region}},
-				{"sc", query.Request{SC: region}},
-			} {
-				if q.name == "sc" && frac != 0.01 {
-					continue // no VC: one row per store and rank count
+	for _, frac := range []float64{0.01, 0.10, 0.50} {
+		lo, hi := datagen.Selectivity(data, frac, 3, 4096)
+		vc := &binning.ValueConstraint{Min: lo, Max: hi}
+		for _, q := range []struct {
+			name string
+			req  query.Request
+		}{
+			{"index", query.Request{VC: vc, IndexOnly: true}},
+			{"values", query.Request{VC: vc}},
+			{"vcsc", query.Request{VC: vc, SC: region}},
+			{"sc", query.Request{SC: region}},
+		} {
+			if q.name == "sc" && frac != 0.01 {
+				continue // no VC: one row per rank count
+			}
+			for _, ranks := range []int{1, 3} {
+				st.fs.ResetStats()
+				res, err := st.Query(&q.req, ranks)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, ranks := range []int{1, 3} {
-					st.s.fs.ResetStats()
-					res, err := st.s.Query(&q.req, ranks)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fsStats := st.s.fs.Stats()
-					s := ioShape{
-						matches: len(res.Matches), bytes: res.BytesRead,
-						reads: fsStats.Reads, seeks: fsStats.Seeks, opens: fsStats.Opens,
-						accessed: res.BinsAccessed, pruned: res.BinsPruned, covered: res.BinsCovered,
-						nodes: res.IndexNodesRead,
-					}
-					if ranks == 1 {
-						s.ioSeconds = res.Time.IO
-					}
-					got[fmt.Sprintf("%s/%s/sel%g/r%d", st.name, q.name, frac, ranks)] = s
+				fsStats := st.fs.Stats()
+				s := ioShape{
+					matches: len(res.Matches), bytes: res.BytesRead,
+					reads: fsStats.Reads, seeks: fsStats.Seeks, opens: fsStats.Opens,
+					accessed: res.BinsAccessed, pruned: res.BinsPruned, covered: res.BinsCovered,
+					nodes: res.IndexNodesRead,
 				}
+				if ranks == 1 {
+					s.ioSeconds = res.Time.IO
+				}
+				got[fmt.Sprintf("flat/%s/sel%g/r%d", q.name, frac, ranks)] = s
 			}
 		}
 	}

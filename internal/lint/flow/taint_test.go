@@ -29,7 +29,7 @@ func taintProgram(t *testing.T, src string) *Program {
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", nil)}
 	pkg, err := conf.Check("tainttest", fset, []*ast.File{f}, info)
 	if err != nil {
 		t.Fatalf("typecheck: %v", err)

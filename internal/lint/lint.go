@@ -1,7 +1,10 @@
 // Package lint implements mlocvet's stdlib-only static-analysis
-// framework: a module-aware package loader built on go/parser and
-// go/types, a small analyzer API, and the //mlocvet:ignore suppression
-// machinery shared by the analyzers in this package.
+// framework: a package loader, a small analyzer API, and the
+// //mlocvet:ignore suppression machinery shared by the analyzers in
+// this package. The loader (Load) asks the go tool for the package
+// graph with one `go list -deps -export` run, parses and type-checks
+// the matched packages from source, and imports everything else —
+// the standard library included — from compiler export data.
 //
 // The analyzers machine-enforce repository conventions that ordinary
 // `go vet` does not know about. The syntactic ones read one package's
@@ -60,8 +63,8 @@
 //     a finite set, never from untrusted strings
 //
 // The package deliberately depends only on the standard library
-// (go/ast, go/parser, go/token, go/types) so the module keeps its
-// zero-dependency go.mod.
+// (go/ast, go/importer, go/parser, go/token, go/types) and the go
+// command so the module keeps its zero-dependency go.mod.
 package lint
 
 import (

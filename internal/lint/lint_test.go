@@ -6,24 +6,42 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// sharedLoader caches one loader (and thus one type-checked stdlib)
-// across all golden tests.
-var sharedLoader *Loader
-
-func loader(t *testing.T) *Loader {
-	t.Helper()
-	if sharedLoader == nil {
-		l, err := NewLoader(".")
-		if err != nil {
-			t.Fatalf("NewLoader: %v", err)
-		}
-		sharedLoader = l
+// loadAll loads this package and every fixture in one program, once
+// for all tests, keyed by absolute directory.
+var loadAll = sync.OnceValues(func() (map[string]*Package, error) {
+	pkgs, err := Load(".", ".", "./testdata/src/...")
+	if err != nil {
+		return nil, err
 	}
-	return sharedLoader
+	byDir := make(map[string]*Package, len(pkgs))
+	for _, pkg := range pkgs {
+		byDir[pkg.Dir] = pkg
+	}
+	return byDir, nil
+})
+
+// load returns the loaded package in dir, relative to this package.
+func load(t *testing.T, dir string) *Package {
+	t.Helper()
+	byDir, err := loadAll()
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		t.Fatalf("resolving %s: %v", dir, err)
+	}
+	pkg := byDir[abs]
+	if pkg == nil {
+		t.Fatalf("package %s was not loaded", dir)
+	}
+	return pkg
 }
 
 // expectation is one "// want `regexp`" annotation in a fixture.
@@ -63,10 +81,7 @@ func parseWants(t *testing.T, pkg *Package) []*expectation {
 // diagnostics against the fixture's want annotations.
 func runGolden(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()
-	pkg, err := loader(t).Load(filepath.Join("testdata", "src", filepath.FromSlash(fixture)))
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", fixture, err)
-	}
+	pkg := load(t, filepath.Join("testdata", "src", filepath.FromSlash(fixture)))
 	diags := Run(pkg, []*Analyzer{a})
 	wants := parseWants(t, pkg)
 diag:
@@ -145,10 +160,7 @@ func TestGoldenTruePositives(t *testing.T) {
 		t.Fatalf("fixture map covers %d analyzers, suite has %d", len(fixtures), len(All()))
 	}
 	for _, a := range All() {
-		pkg, err := loader(t).Load(filepath.Join("testdata", "src", fixtures[a.Name]))
-		if err != nil {
-			t.Fatalf("loading fixture for %s: %v", a.Name, err)
-		}
+		pkg := load(t, filepath.Join("testdata", "src", fixtures[a.Name]))
 		if diags := Run(pkg, []*Analyzer{a}); len(diags) == 0 {
 			t.Errorf("analyzer %s produced no diagnostics on its fixture", a.Name)
 		}
@@ -183,33 +195,52 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestExpandSkipsTestdata(t *testing.T) {
-	dirs, err := loader(t).Expand([]string{"./..."})
+func TestLoadSkipsTestdata(t *testing.T) {
+	pkgs, err := Load(".", "./...")
 	if err != nil {
-		t.Fatalf("Expand: %v", err)
+		t.Fatalf("Load: %v", err)
+	}
+	self, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatalf("resolving .: %v", err)
 	}
 	found := false
-	for _, d := range dirs {
-		if strings.Contains(d, "testdata") {
-			t.Errorf("Expand included testdata dir %s", d)
+	for _, pkg := range pkgs {
+		if strings.Contains(pkg.Dir, "testdata") {
+			t.Errorf("Load included testdata dir %s", pkg.Dir)
 		}
-		if filepath.Clean(d) == "." {
+		if pkg.Dir == self {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("Expand(./...) from the lint dir did not include the lint package itself: %v", dirs)
+		t.Fatalf("Load(./...) from the lint dir did not include the lint package itself")
+	}
+}
+
+// TestLoadKeepsIdentityThroughDependency loads two packages joined
+// only through one the patterns do not match (cmd/mlocd reaches
+// internal/core's types through internal/server): the middle package
+// must be checked from source too, or its export data brings a second
+// copy of core.Store and cmd/mlocd fails to type-check.
+func TestLoadKeepsIdentityThroughDependency(t *testing.T) {
+	pkgs, err := Load(".", "../../cmd/mlocd", "../core")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	var paths []string
+	for _, pkg := range pkgs {
+		paths = append(paths, pkg.Path)
+	}
+	if want := []string{"mloc/internal/core", "mloc/cmd/mlocd"}; !slices.Equal(paths, want) {
+		t.Errorf("Load returned %v, want %v", paths, want)
 	}
 }
 
 // TestSuiteCleanOnSelf runs the full suite over this package: the lint
 // implementation must satisfy its own conventions.
 func TestSuiteCleanOnSelf(t *testing.T) {
-	pkg, err := loader(t).Load(".")
-	if err != nil {
-		t.Fatalf("loading internal/lint: %v", err)
-	}
-	for _, d := range Run(pkg, All()) {
+	for _, d := range Run(load(t, "."), All()) {
 		t.Errorf("self-check: %s", d)
 	}
 }
@@ -217,11 +248,7 @@ func TestSuiteCleanOnSelf(t *testing.T) {
 // TestIgnoreDirectiveOnPrecedingLine verifies that a directive on its
 // own line suppresses a finding on the next line.
 func TestIgnoreDirectiveOnPrecedingLine(t *testing.T) {
-	pkg, err := loader(t).Load(filepath.Join("testdata", "src", "errprefix"))
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	for _, d := range Run(pkg, []*Analyzer{ErrPrefix}) {
+	for _, d := range Run(load(t, filepath.Join("testdata", "src", "errprefix")), []*Analyzer{ErrPrefix}) {
 		if strings.Contains(d.Message, "wrapped later") {
 			t.Errorf("preceding-line ignore directive did not suppress: %s", d)
 		}

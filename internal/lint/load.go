@@ -1,15 +1,18 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -18,10 +21,9 @@ import (
 // conventions govern production code, and tests legitimately compare
 // floats exactly, spin goroutines, and discard errors.
 type Package struct {
-	// Fset is the loader's shared file set.
+	// Fset is the file set shared by every package of one Load.
 	Fset *token.FileSet
-	// Path is the package's import path (directory-derived when the
-	// package sits outside the module, e.g. testdata fixtures).
+	// Path is the package's import path.
 	Path string
 	// Name is the package name from the source files.
 	Name string
@@ -35,132 +37,112 @@ type Package struct {
 	Info *types.Info
 }
 
-// Loader loads and type-checks packages of the enclosing module using
-// only the standard library: module-internal imports are resolved by
-// recursively loading their directories, and standard-library imports
-// are type-checked from GOROOT source via go/importer's source
-// importer. Loaders are not safe for concurrent use.
-type Loader struct {
-	// Fset is shared by every package this loader touches.
-	Fset *token.FileSet
-	// ModRoot is the absolute path of the module root (the directory
-	// holding go.mod).
-	ModRoot string
-	// ModPath is the module path declared in go.mod.
-	ModPath string
-
-	std     types.Importer
-	pkgs    map[string]*Package
-	loading map[string]bool
+// listed is the part of one `go list -json` record Load reads.
+type listed struct {
+	ImportPath string
+	Name       string
+	Dir        string
+	GoFiles    []string
+	Imports    []string
+	Export     string
+	DepOnly    bool
+	Error      *struct{ Err string }
 }
 
-// NewLoader locates the module enclosing dir (walking up to the
-// nearest go.mod) and returns a loader rooted there.
-func NewLoader(dir string) (*Loader, error) {
-	abs, err := filepath.Abs(dir)
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+// Import implements types.Importer.
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// Load resolves go-tool package patterns with one `go list -deps
+// -export` run in dir and returns the matched packages that hold
+// non-test Go files, in dependency order. The matched packages are
+// parsed and type-checked from source, each importing the
+// source-checked packages it depends on, so objects keep one identity
+// across the program. Every other package — the standard library
+// included — is imported from the compiler export data that the same
+// run leaves in the build cache. A dependency that itself imports a
+// source-checked package is checked from source too: its export data
+// would otherwise carry a second copy of that package's types.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	args := append([]string{"list", "-e", "-deps", "-export",
+		"-json=ImportPath,Name,Dir,GoFiles,Imports,Export,DepOnly,Error", "--"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("lint: resolving %s: %w", dir, err)
+		return nil, fmt.Errorf("lint: go list: %v: %s", err, strings.TrimSpace(stderr.String()))
 	}
-	root := abs
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return nil, fmt.Errorf("lint: no go.mod found above %s", abs)
-		}
-		root = parent
-	}
-	modPath, err := readModulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
+
 	fset := token.NewFileSet()
-	return &Loader{
-		Fset:    fset,
-		ModRoot: root,
-		ModPath: modPath,
-		std:     importer.ForCompiler(fset, "source", nil),
-		pkgs:    make(map[string]*Package),
-		loading: make(map[string]bool),
-	}, nil
-}
-
-// readModulePath extracts the module path from a go.mod file.
-func readModulePath(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", fmt.Errorf("lint: reading %s: %w", path, err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
+	exports := make(map[string]string)
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("lint: no export data for %s", path)
 		}
-	}
-	return "", fmt.Errorf("lint: no module directive in %s", path)
-}
+		return os.Open(file)
+	})
+	checked := make(map[string]*types.Package)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if tpkg, ok := checked[path]; ok {
+			return tpkg, nil
+		}
+		return gc.Import(path)
+	})
 
-// importPath maps an absolute directory to its import path within the
-// module, falling back to the slash-cleaned directory itself for
-// out-of-module directories (testdata fixtures).
-func (l *Loader) importPath(dir string) string {
-	rel, err := filepath.Rel(l.ModRoot, dir)
-	if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
-		return filepath.ToSlash(dir)
-	}
-	if rel == "." {
-		return l.ModPath
-	}
-	return l.ModPath + "/" + filepath.ToSlash(rel)
-}
-
-// Load parses and type-checks the package in dir.
-func (l *Loader) Load(dir string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: resolving %s: %w", dir, err)
-	}
-	return l.loadDir(abs, l.importPath(abs))
-}
-
-// Import resolves an import path for the type checker: module-internal
-// paths load recursively from source, everything else goes to the
-// standard-library source importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
-		dir := filepath.Join(l.ModRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModPath)))
-		pkg, err := l.loadDir(dir, path)
+	var pkgs []*Package
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp listed
+		if err := dec.Decode(&lp); err != nil {
+			return nil, fmt.Errorf("lint: decoding go list output: %w", err)
+		}
+		if lp.Error != nil {
+			return nil, fmt.Errorf("lint: %s: %s", lp.ImportPath, strings.TrimSpace(lp.Error.Err))
+		}
+		if lp.Export != "" {
+			exports[lp.ImportPath] = lp.Export
+		}
+		if len(lp.GoFiles) == 0 || lp.DepOnly && !importsAny(lp.Imports, checked) {
+			continue
+		}
+		pkg, err := check(fset, imp, &lp)
 		if err != nil {
 			return nil, err
 		}
-		return pkg.Types, nil
+		checked[pkg.Path] = pkg.Types
+		if !lp.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
-	return l.std.Import(path)
+	if len(pkgs) == 0 {
+		return nil, fmt.Errorf("lint: no packages with non-test Go files match %s", strings.Join(patterns, " "))
+	}
+	return pkgs, nil
 }
 
-// loadDir does the parse + type-check work for one directory, caching
-// by import path.
-func (l *Loader) loadDir(dir, path string) (*Package, error) {
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg, nil
-	}
-	if l.loading[path] {
-		return nil, fmt.Errorf("lint: import cycle through %s", path)
-	}
-	l.loading[path] = true
-	defer delete(l.loading, path)
-
-	files, err := l.parseDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	name := files[0].Name.Name
-	for _, f := range files[1:] {
-		if f.Name.Name != name {
-			return nil, fmt.Errorf("lint: %s: multiple packages %s and %s", dir, name, f.Name.Name)
+// importsAny reports whether one of imports is a source-checked package.
+func importsAny(imports []string, checked map[string]*types.Package) bool {
+	for _, path := range imports {
+		if checked[path] != nil {
+			return true
 		}
+	}
+	return false
+}
+
+// check parses and type-checks one listed package from source.
+func check(fset *token.FileSet, imp types.Importer, lp *listed) (*Package, error) {
+	files := make([]*ast.File, 0, len(lp.GoFiles))
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("lint: parsing %s: %w", name, err)
+		}
+		files = append(files, f)
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -170,133 +152,27 @@ func (l *Loader) loadDir(dir, path string) (*Package, error) {
 	}
 	var typeErr error
 	cfg := types.Config{
-		Importer: l,
+		Importer: imp,
 		Error: func(err error) {
 			if typeErr == nil {
 				typeErr = err
 			}
 		},
 	}
-	tpkg, err := cfg.Check(path, l.Fset, files, info)
+	tpkg, err := cfg.Check(lp.ImportPath, fset, files, info)
 	if typeErr != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", dir, typeErr)
+		err = typeErr
 	}
 	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", dir, err)
+		return nil, fmt.Errorf("lint: type-checking %s: %w", lp.Dir, err)
 	}
-	pkg := &Package{
-		Fset:  l.Fset,
-		Path:  path,
-		Name:  name,
-		Dir:   dir,
+	return &Package{
+		Fset:  fset,
+		Path:  lp.ImportPath,
+		Name:  lp.Name,
+		Dir:   lp.Dir,
 		Files: files,
 		Types: tpkg,
 		Info:  info,
-	}
-	l.pkgs[path] = pkg
-	return pkg, nil
-}
-
-// parseDir parses the non-test Go files of dir in name order.
-func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: reading %s: %w", dir, err)
-	}
-	var names []string
-	for _, e := range entries {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") ||
-			strings.HasSuffix(n, "_test.go") ||
-			strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
-			continue
-		}
-		names = append(names, n)
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("lint: no non-test Go files in %s", dir)
-	}
-	sort.Strings(names)
-	files := make([]*ast.File, 0, len(names))
-	for _, n := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, n), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: parsing %s: %w", n, err)
-		}
-		files = append(files, f)
-	}
-	return files, nil
-}
-
-// Expand resolves go-tool-style package patterns — a directory or a
-// "..." wildcard suffix — to the list of package directories holding at
-// least one non-test Go file. Wildcard walks skip testdata, vendor, and
-// dot- or underscore-prefixed directories, matching the go tool.
-func (l *Loader) Expand(patterns []string) ([]string, error) {
-	var out []string
-	seen := make(map[string]bool)
-	add := func(dir string) {
-		if !seen[dir] {
-			seen[dir] = true
-			out = append(out, dir)
-		}
-	}
-	for _, pat := range patterns {
-		recursive := false
-		base := pat
-		if strings.HasSuffix(base, "...") {
-			recursive = true
-			base = strings.TrimSuffix(base, "...")
-			base = strings.TrimSuffix(base, "/")
-		}
-		if base == "" {
-			base = "."
-		}
-		base = filepath.Clean(base)
-		if !recursive {
-			if !hasGoFiles(base) {
-				return nil, fmt.Errorf("lint: no non-test Go files in %s", base)
-			}
-			add(base)
-			continue
-		}
-		err := filepath.WalkDir(base, func(p string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if p != base && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			if hasGoFiles(p) {
-				add(p)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("lint: walking %s: %w", base, err)
-		}
-	}
-	return out, nil
-}
-
-// hasGoFiles reports whether dir directly contains a non-test Go file.
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		n := e.Name()
-		if !e.IsDir() && strings.HasSuffix(n, ".go") &&
-			!strings.HasSuffix(n, "_test.go") &&
-			!strings.HasPrefix(n, ".") && !strings.HasPrefix(n, "_") {
-			return true
-		}
-	}
-	return false
+	}, nil
 }
