@@ -190,6 +190,9 @@ func (b *Bitmap) Equal(o *Bitmap) bool {
 	return true
 }
 
+// Reset clears every bit, keeping the length and the storage.
+func (b *Bitmap) Reset() { clear(b.words) }
+
 // Words exposes the raw word slice for serialization; callers must not
 // mutate it.
 func (b *Bitmap) Words() []uint64 { return b.words }

@@ -135,3 +135,18 @@ func FuzzZlibDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzZlibFloor: ZlibFloor never exceeds the length of the stream any
+// level emits. The floor's proof reads compress/flate's framing, so this
+// is its guard against a Go upgrade that changes it.
+func FuzzZlibFloor(f *testing.F) {
+	codecs := zlibFloorCodecs()
+	f.Add([]byte{})
+	f.Add([]byte{'x'})
+	f.Add([]byte("a plane of a storage unit, ten values or so"))
+	f.Add(bytes.Repeat([]byte{0x40, 0x24}, 10))
+	f.Add(bytes.Repeat([]byte{1, 2, 3}, 60))
+	f.Fuzz(func(t *testing.T, src []byte) {
+		checkZlibFloor(t, codecs, src)
+	})
+}

@@ -54,7 +54,8 @@ func (c *Isobar) EncodeFloats(values []float64) ([]byte, error) {
 
 // AppendFloats implements FloatAppender with pooled scratch: the plane
 // split and the trial/full compression buffers are reused across calls,
-// and every plane payload is appended straight into dst.
+// and every plane payload is appended straight into dst. A plane that
+// fits the sample is deflated at most once.
 func (c *Isobar) AppendFloats(dst []byte, values []float64) ([]byte, error) {
 	sc, _ := c.scratch.Get().(*isobarScratch)
 	if sc == nil {
@@ -68,11 +69,16 @@ func (c *Isobar) AppendFloats(dst []byte, values []float64) ([]byte, error) {
 		var payload []byte
 		flag := byte(0)
 		if c.compressible(plane, sc) {
-			enc, err := c.zl.AppendBytes(sc.enc[:0], plane)
-			if err != nil {
-				return nil, err
+			// A plane no longer than the sample was compressed whole by
+			// the trial; only a longer one needs a second deflate.
+			enc := sc.enc
+			if len(plane) > c.sampleLen {
+				var err error
+				if enc, err = c.zl.AppendBytes(sc.enc[:0], plane); err != nil {
+					return nil, err
+				}
+				sc.enc = enc
 			}
-			sc.enc = enc
 			// Keep the compressed form only when it actually wins on
 			// the full plane, not just the sample.
 			if float64(len(enc)) < float64(len(plane))*(1-c.minGain) {
@@ -91,22 +97,24 @@ func (c *Isobar) AppendFloats(dst []byte, values []float64) ([]byte, error) {
 }
 
 // compressible runs the ISOBAR-style analysis: trial-compress a sample
-// of the plane and require a minimum gain. The trial reuses the
-// scratch's encode buffer.
+// of the plane and require a minimum gain. A sample whose ZlibFloor
+// already misses the gain fails without the trial; otherwise the trial's
+// output is left in the scratch's encode buffer.
 func (c *Isobar) compressible(plane []byte, sc *isobarScratch) bool {
-	if len(plane) == 0 {
-		return false
-	}
 	sample := plane
 	if len(sample) > c.sampleLen {
 		sample = sample[:c.sampleLen]
+	}
+	limit := float64(len(sample)) * (1 - c.minGain)
+	if float64(ZlibFloor(sample)) >= limit {
+		return false
 	}
 	enc, err := c.zl.AppendBytes(sc.enc[:0], sample)
 	if err != nil {
 		return false
 	}
 	sc.enc = enc
-	return float64(len(enc)) < float64(len(sample))*(1-c.minGain)
+	return float64(len(enc)) < limit
 }
 
 // DecodeFloats implements FloatCodec.

@@ -3,8 +3,10 @@ package compress
 import (
 	"bytes"
 	"compress/zlib"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 )
 
@@ -79,6 +81,105 @@ func (z *Zlib) AppendBytes(dst, src []byte) ([]byte, error) {
 	}
 	z.writers.Put(w)
 	return sink.b, nil
+}
+
+// zlibShortMax is the longest input ZlibFloor analyses symbol by
+// symbol. AppendBytes makes one Write and one Close, and for inputs this
+// short every level then emits exactly one data block: levels 2-9 end a
+// block at 16 384 tokens or a full 64 KiB window, and HuffmanOnly, 0 and
+// 1 at 65 535 bytes.
+const zlibShortMax = 128
+
+// ZlibFloor returns a lower bound on len(z.AppendBytes(nil, src)) that
+// holds at every level NewZlib accepts (HuffmanOnly, 0 and 1-9), so a
+// caller that keeps deflate's output only when it is shorter than some
+// limit can skip the deflate whenever the floor already reaches it.
+//
+// The bound follows from how compress/zlib and compress/flate (Go 1.24)
+// frame a stream: a 2-byte header, the deflate blocks, and a 4-byte
+// Adler-32. Close always ends the deflate stream with an empty final
+// stored block: 3 header bits, padding to a byte, and 4 bytes of
+// LEN/NLEN. A non-empty input first gets at least one data block: 3
+// header bits, a first symbol that can only be a literal, and the
+// end-of-block code. Fixed Huffman codes spend at least 8 bits on a
+// literal and 7 on end-of-block; a dynamic block's header alone is at
+// least 26 bits and a stored block at least 40. So any non-empty input
+// costs at least 2 + ⌈(18+3)/8⌉ + 4 + 4 = 13 bytes.
+//
+// A short input (see zlibShortMax) with no repeated 4-byte substring
+// does better. Go's encoders emit no match shorter than 4 bytes, so its
+// one data block holds literals only, and it costs at least 3 header
+// bits plus the cheapest of:
+//   - fixed: 8 bits per literal and 7 for end-of-block, 8n+7;
+//   - dynamic: 14 bits of HLIT/HDIST/HCLEN, at least four 3-bit
+//     code-length-code lengths, at least 1 bit of end-of-block, and the
+//     literal codes, which by Gibbs' inequality total at least n·H₀
+//     bits for any prefix code (H₀ the zeroth-order entropy of src in
+//     bits per byte): 27 + n·H₀;
+//   - stored: 5 padding bits, 32 of LEN/NLEN and 8n of data, above the
+//     fixed cost.
+//
+// With the final block's 3 header bits, the 10 bytes of header, LEN/NLEN
+// and checksum, and the padding, the floor is
+// 10 + ⌈(6 + min(8n+7, 27 + n·H₀))/8⌉. n·H₀ is computed in floating
+// point and rounded down after subtracting a margin far above its
+// rounding error, so float error can only weaken the bound.
+//
+// The argument rests on compress/flate's framing, not on the DEFLATE
+// format alone (another encoder may skip the empty final block or emit
+// 3-byte matches). FuzzZlibFloor and TestZlibFloor check the bound
+// against the encoder linked in, and fail after a Go upgrade that
+// changes it.
+func ZlibFloor(src []byte) int {
+	n := len(src)
+	switch {
+	case n == 0:
+		return 0
+	case n > zlibShortMax || hasRepeat4(src):
+		return 13
+	}
+	var counts [256]uint8
+	for _, c := range src {
+		counts[c]++
+	}
+	nH0 := xlog2x[n]
+	for _, c := range counts {
+		nH0 -= xlog2x[c]
+	}
+	bits := 8*n + 7
+	if dyn := 27 + int(math.Max(nH0-1e-6, 0)); dyn < bits {
+		bits = dyn
+	}
+	return 10 + (6+bits+7)/8
+}
+
+// xlog2x[c] is c·log₂c, for the entropy sums of ZlibFloor.
+var xlog2x = func() (t [zlibShortMax + 1]float64) {
+	for c := 2; c <= zlibShortMax; c++ {
+		t[c] = float64(c) * math.Log2(float64(c))
+	}
+	return t
+}()
+
+// hasRepeat4 reports whether some 4-byte substring occurs twice in src
+// (overlaps included), i.e. whether a deflate match of Go's minimum
+// length 4 exists. src is at most zlibShortMax bytes, so its at most
+// 125 substrings fit an open-addressed table of 256 slots.
+func hasRepeat4(src []byte) bool {
+	var keys [256]uint32
+	var used [256]bool
+	for i := 0; i+4 <= len(src); i++ {
+		k := binary.LittleEndian.Uint32(src[i:])
+		h := uint8((k * 0x9E3779B1) >> 24)
+		for used[h] {
+			if keys[h] == k {
+				return true
+			}
+			h++
+		}
+		used[h], keys[h] = true, k
+	}
+	return false
 }
 
 // DecodeBytes implements ByteCodec.

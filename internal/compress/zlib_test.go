@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -178,4 +179,78 @@ func TestZlibDecodeConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// zlibFloorLevels is every level NewZlib accepts unclamped that behaves
+// differently: Huffman-only, stored, the fast matcher, and the lazy
+// matcher at its default and best settings.
+var zlibFloorLevels = []int{-2, 0, 1, DefaultZlibLevel, 9}
+
+// checkZlibFloor fails when ZlibFloor(src) exceeds what some level
+// actually emits for src.
+func checkZlibFloor(t *testing.T, codecs []*Zlib, src []byte) {
+	t.Helper()
+	floor := ZlibFloor(src)
+	for i, z := range codecs {
+		enc, err := z.AppendBytes(nil, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if floor > len(enc) {
+			t.Fatalf("level %d, %d-byte input %x: floor %d above the %d-byte stream",
+				zlibFloorLevels[i], len(src), src, floor, len(enc))
+		}
+	}
+}
+
+func zlibFloorCodecs() []*Zlib {
+	codecs := make([]*Zlib, len(zlibFloorLevels))
+	for i, level := range zlibFloorLevels {
+		codecs[i] = NewZlib(level)
+	}
+	return codecs
+}
+
+// TestZlibFloor: the floor is a lower bound at every level for every
+// length up to past the short-input limit, on inputs from the cheapest
+// to deflate to the dearest and on a periodic one, whose byte entropy is
+// high but whose matches make it cheap. It is exact where the structural
+// argument is tight, and it proves incompressible the short high-entropy
+// pieces the builders skip deflate for.
+func TestZlibFloor(t *testing.T) {
+	codecs := zlibFloorCodecs()
+	r := rand.New(rand.NewSource(1))
+	for n := 0; n <= 300; n++ {
+		constant := bytes.Repeat([]byte{7}, n)
+		twoSymbol := make([]byte, n)
+		distinct := make([]byte, n)
+		periodic := make([]byte, n) // high entropy, but matches shrink it
+		random := make([]byte, n)
+		for i := 0; i < n; i++ {
+			twoSymbol[i] = "ab"[r.Intn(2)]
+			distinct[i] = byte(i)
+			periodic[i] = byte(i % 16)
+		}
+		r.Read(random)
+		for _, src := range [][]byte{constant, twoSymbol, distinct, periodic, random} {
+			checkZlibFloor(t, codecs, src)
+		}
+	}
+
+	// One literal costs 18 bits at the default level, as the argument
+	// counts it: the floor is the stream's length.
+	if enc, _ := NewZlib(DefaultZlibLevel).AppendBytes(nil, []byte{'x'}); ZlibFloor([]byte{'x'}) != len(enc) {
+		t.Errorf("1-byte input: floor %d, stream %d bytes", ZlibFloor([]byte{'x'}), len(enc))
+	}
+	// Distinct bytes have no match and the most entropy: deflate can
+	// never shorten them, and the floor proves it.
+	for _, n := range []int{1, 10, 20, 32, 40} {
+		src := make([]byte, n)
+		for i := range src {
+			src[i] = byte(i)
+		}
+		if f := ZlibFloor(src); f < n {
+			t.Errorf("%d distinct bytes: floor %d below the input length", n, f)
+		}
+	}
 }

@@ -423,20 +423,27 @@ func encodePlanesBin(bm *binMeta, units []rawUnit, cfg Config, sc *encodeScratch
 	defer func() {
 		sc.arena, sc.exts = arena, exts
 	}()
+	_, isZlib := cfg.ByteCodec.(*compress.Zlib)
 	slab := make([]int64, 2*len(units)*plod.NumPlanes)
 	for j, u := range units {
 		planes := sc.split.Split(u.values)
 		for p := 0; p < plod.NumPlanes; p++ {
 			mark := len(arena)
 			if p < compressPlanes {
-				var err error
-				arena, err = compress.AppendBytes(cfg.ByteCodec, arena, planes[p])
-				if err != nil {
-					return nil, err
-				}
 				// Store whichever form is smaller; tiny or
-				// incompressible pieces would otherwise inflate.
-				if len(arena)-mark >= len(planes[p]) {
+				// incompressible pieces would otherwise inflate. A piece
+				// whose compress.ZlibFloor reaches its length is stored
+				// without trying: zlib could only lose.
+				won := false
+				if !isZlib || compress.ZlibFloor(planes[p]) < len(planes[p]) {
+					var err error
+					arena, err = compress.AppendBytes(cfg.ByteCodec, arena, planes[p])
+					if err != nil {
+						return nil, err
+					}
+					won = len(arena)-mark < len(planes[p])
+				}
+				if !won {
 					arena = append(arena[:mark], planes[p]...)
 					bm.units[j].rawPlanes |= 1 << uint(p)
 				}

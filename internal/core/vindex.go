@@ -86,8 +86,9 @@ func buildVindex(fs *pfs.Sim, clk *pfs.Clock, prefix string, tree *binning.Tree,
 			strides[d] = strides[d+1] * int64(shape[d+1])
 		}
 		widths := make([]int64, dims)
+		bm := bitmap.New(bitLen) // one scratch bitmap, cleared per bin
 		for b := 0; b < nbins; b++ {
-			bm := bitmap.New(bitLen)
+			bm.Reset()
 			for _, u := range perBin[b] {
 				reg := chunks.ChunkRegionByID(u.chunkID)
 				var base int64
