@@ -154,7 +154,6 @@ func cmdRun(args []string) error {
 	plod := fs.Int("plod", 0, "PLoD level 1-7 (0 = full precision)")
 	indexOnly := fs.Bool("index-only", false, "return positions only")
 	hindex := fs.Bool("hindex", true, "build the hierarchical super-bin index")
-	adaptive := fs.Bool("adaptive", false, "adaptively re-split bins from the sample")
 	explain := fs.Bool("explain", false, "print the query plan before executing")
 	ranks := fs.Int("ranks", 8, "parallel ranks")
 	maxPrint := fs.Int("print", 5, "matches to print")
@@ -227,7 +226,6 @@ func cmdRun(args []string) error {
 	}
 	cfg.NumBins = *bins
 	cfg.HierarchicalIndex = *hindex
-	cfg.AdaptiveBins = *adaptive
 	order, err := core.ParseOrder(*orderStr)
 	if err != nil {
 		return err

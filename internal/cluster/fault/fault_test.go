@@ -156,6 +156,28 @@ func TestAdminHandlerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAdminHandlerBoundsBody: a POST body past the 4 KiB cap is
+// refused with 400 and leaves the fault state as it was, even when the
+// whole body would decode to a valid state.
+func TestAdminHandlerBoundsBody(t *testing.T) {
+	in := New()
+	ts := httptest.NewServer(in.AdminHandler())
+	defer ts.Close()
+
+	body := `{` + strings.Repeat(" ", 5000) + `"mode":"kill"}`
+	resp, err := http.Post(ts.URL, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%d-byte body got status %d, want %d", len(body), resp.StatusCode, http.StatusBadRequest)
+	}
+	if mode, _ := in.State(); mode != Off {
+		t.Fatalf("oversized body changed the mode to %v", mode)
+	}
+}
+
 func TestParseModeAndSetErrors(t *testing.T) {
 	if _, err := ParseMode("boom"); err == nil {
 		t.Error("unknown mode parsed")

@@ -35,6 +35,7 @@ import (
 	"mloc/internal/client"
 	"mloc/internal/cluster/health"
 	"mloc/internal/cluster/shardmap"
+	"mloc/internal/grid"
 	"mloc/internal/obs"
 	"mloc/internal/server"
 )
@@ -342,6 +343,13 @@ func (rt *Router) fetchVarsOnce(ctx context.Context, node string) ([]server.VarW
 	}
 	if len(vars) == 0 {
 		return nil, fmt.Errorf("router: %s serves no variables", node)
+	}
+	// computeSlabs cuts dimension 0 into row ranges, so a shape must
+	// be checked whole before a slab is sized from it.
+	for _, v := range vars {
+		if err := grid.Shape(v.Shape).Validate(); err != nil {
+			return nil, fmt.Errorf("router: %s /vars: %s: %w", node, v.Var, err)
+		}
 	}
 	return vars, nil
 }

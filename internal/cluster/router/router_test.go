@@ -718,3 +718,28 @@ func TestVarsDecodeBounded(t *testing.T) {
 		t.Fatalf("fetchVarsOnce = %+v, want one phi entry", vars)
 	}
 }
+
+// TestBootstrapRejectsInvalidShapes: a /vars listing whose shape no
+// store could have (no dimensions, a negative or a zero extent) fails
+// bootstrap with an error naming the node, instead of panicking in
+// computeSlabs or bootstrapping a variable with no slabs.
+func TestBootstrapRejectsInvalidShapes(t *testing.T) {
+	for _, shape := range []string{`[]`, `[-5,16]`, `[0,16]`} {
+		t.Run(shape, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				io.WriteString(w, `[{"var":"phi","shape":`+shape+`,"bins":8,"mode":"col"}]`)
+			}))
+			t.Cleanup(ts.Close)
+			node := strings.TrimPrefix(ts.URL, "http://")
+			rt, err := New(Config{Nodes: []string{node}, BootstrapWait: 300 * time.Millisecond, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = rt.Bootstrap(context.Background())
+			if want := "router: " + node + " /vars: phi: grid: "; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("bootstrap error = %v, want it to contain %q", err, want)
+			}
+		})
+	}
+}

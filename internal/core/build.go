@@ -88,17 +88,6 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 	if err != nil {
 		return nil, err
 	}
-	if cfg.AdaptiveBins {
-		// Re-balance against the same sample before committing: the
-		// equal-frequency quantiles can leave hot leaves under heavy
-		// ties or skew, and a balanced leaf level keeps the super-bin
-		// tree's pruning effective.
-		adapted, _, aerr := scheme.Adapt(sample, binning.AdaptOptions{MaxBins: 2 * cfg.NumBins})
-		if aerr != nil {
-			return nil, aerr
-		}
-		scheme = adapted
-	}
 	// The sampled boundaries need not cover the full data range, and
 	// BinOf clamps out-of-range values into the edge bins — which would
 	// let a constraint covering bin 0's (or the last bin's) nominal

@@ -170,11 +170,6 @@ type Config struct {
 	// default: the vindex replicates each position once per tree level,
 	// so it trades index footprint for query latency.
 	HierarchicalIndex bool
-	// AdaptiveBins re-balances the sampled bin boundaries before the
-	// build commits them: hot leaves split at in-bin quantiles and cold
-	// adjacent leaves merge (binning.Adapt), keeping the super-bin tree
-	// balanced under skewed data.
-	AdaptiveBins bool
 }
 
 // DefaultConfig returns the paper's MLOC-COL configuration for a given

@@ -60,9 +60,9 @@ func TestHierarchicalBuildAndOpen(t *testing.T) {
 }
 
 // The satellite property test: hierarchical and flat scans must return
-// identical query.Result match sets across VC/SC/PLoD/index-only modes,
-// including stores whose bins were adaptively re-split. Run under -race
-// via the race Make target (internal/core is in RACE_PKGS).
+// identical query.Result match sets across VC/SC/PLoD/index-only modes.
+// Run under -race via the race Make target (internal/core is in
+// RACE_PKGS).
 func TestHierarchicalFlatEquivalenceProperty(t *testing.T) {
 	d := datagen.GTSLike(48, 48, 3)
 	v, _ := d.Var("phi")
@@ -80,12 +80,6 @@ func TestHierarchicalFlatEquivalenceProperty(t *testing.T) {
 	hcfg := cfg
 	hcfg.HierarchicalIndex = true
 	hierSt, err := Build(fs, pfs.NewClock(), "eq/hier", shape, data, hcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acfg := hcfg
-	acfg.AdaptiveBins = true
-	adaptSt, err := Build(fs, pfs.NewClock(), "eq/adapt", shape, data, acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,21 +111,19 @@ func TestHierarchicalFlatEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range []*Store{hierSt, adaptSt} {
-			got, err := st.Query(req, ranks)
-			if err != nil {
-				t.Fatal(err)
+		got, err := hierSt.Query(req, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchesEqual(t, got.Matches, want.Matches, "trial")
+		if req.VC != nil && req.IndexOnly {
+			sel := hierSt.vidx.tree.Select(*req.VC)
+			if got.BinsPruned != sel.PrunedLeaves || got.BinsCovered != sel.CoveredLeaves {
+				t.Fatalf("trial %d: result pruning (%d,%d) != planner (%d,%d)",
+					trial, got.BinsPruned, got.BinsCovered, sel.PrunedLeaves, sel.CoveredLeaves)
 			}
-			matchesEqual(t, got.Matches, want.Matches, "trial")
-			if req.VC != nil && req.IndexOnly && st.Hierarchical() {
-				sel := st.vidx.tree.Select(*req.VC)
-				if got.BinsPruned != sel.PrunedLeaves || got.BinsCovered != sel.CoveredLeaves {
-					t.Fatalf("trial %d: result pruning (%d,%d) != planner (%d,%d)",
-						trial, got.BinsPruned, got.BinsCovered, sel.PrunedLeaves, sel.CoveredLeaves)
-				}
-			} else if got.BinsPruned != 0 || got.BinsCovered != 0 || got.IndexNodesRead != 0 {
-				t.Fatalf("trial %d: flat-path query reported pruning %+v", trial, got)
-			}
+		} else if got.BinsPruned != 0 || got.BinsCovered != 0 || got.IndexNodesRead != 0 {
+			t.Fatalf("trial %d: flat-path query reported pruning %+v", trial, got)
 		}
 	}
 }

@@ -23,8 +23,6 @@
 //     take it as their first parameter
 //   - ctxflow: held contexts must be forwarded, not replaced, and
 //     I/O loops must poll cancellation
-//   - hotalloc: hoistable allocations, growing appends, and capturing
-//     closures inside hot-path loops
 //   - constshare: re-typed magic literals that must come from the
 //     shared named constant
 //   - ignorereason: //mlocvet:ignore directives must carry a
@@ -47,8 +45,6 @@
 //   - goleak: go statements need a bounded exit on every path
 //   - closepath: pooled and constructed values need a release on every
 //     path, error returns and panics included
-//   - clockcharge: simulated I/O recorded in Stats must charge the
-//     virtual Clock before returning
 //   - bodylimit: every network body read must be length-bounded by
 //     io.LimitReader or http.MaxBytesReader
 //
@@ -58,9 +54,8 @@
 //
 //   - taintflow: untrusted values must not reach allocation sizes,
 //     loop bounds, indexes, or sleep durations — across function
-//     calls — without a bounds check on every path
-//   - labelcard: metric label values and metric names must come from
-//     a finite set, never from untrusted strings
+//     calls — without a bounds check on every path, and metric label
+//     values and metric names must come from a finite set
 //
 // The package deliberately depends only on the standard library
 // (go/ast, go/importer, go/parser, go/token, go/types) and the go
@@ -149,10 +144,9 @@ type ProgramPass struct {
 	// Flow is the shared call graph and lock facts over Pkgs.
 	Flow *flow.Program
 	fset *token.FileSet
-	// lockFacts and taintFacts are built lazily, once, on first use.
-	lockFacts  *flow.LockFacts
-	taintFacts *flow.Taint
-	diags      *[]Diagnostic
+	// lockFacts is built lazily, once, on first use.
+	lockFacts *flow.LockFacts
+	diags     *[]Diagnostic
 }
 
 // Reportf records a finding at pos.
@@ -171,16 +165,6 @@ func (p *ProgramPass) LockFacts() *flow.LockFacts {
 		p.lockFacts = flow.BuildLockFacts(p.Flow)
 	}
 	return p.lockFacts
-}
-
-// TaintFacts returns the program's interprocedural taint summaries,
-// building them on first use and sharing them between the taint
-// analyzers of one run.
-func (p *ProgramPass) TaintFacts() *flow.Taint {
-	if p.taintFacts == nil {
-		p.taintFacts = flow.BuildTaint(p.Flow)
-	}
-	return p.taintFacts
 }
 
 // FlowPackage adapts a loaded package to flow's package view.
@@ -204,17 +188,14 @@ func All() []*Analyzer {
 		ExportedDoc,
 		CtxFirst,
 		LockOrder,
-		HotAlloc,
 		ConstShare,
 		AtomicMix,
 		GoLeak,
 		CtxFlow,
 		ClosePath,
-		ClockCharge,
 		IgnoreReason,
 		TaintFlow,
 		BodyLimit,
-		LabelCard,
 	}
 }
 
@@ -251,7 +232,6 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	}
 	var prog *flow.Program
 	var facts *flow.LockFacts
-	var taint *flow.Taint
 	for _, a := range analyzers {
 		if a.RunProgram == nil {
 			continue
@@ -264,17 +244,15 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			prog = flow.BuildProgram(infos)
 		}
 		pp := &ProgramPass{
-			Analyzer:   a,
-			Pkgs:       pkgs,
-			Flow:       prog,
-			fset:       fsetOf(pkgs),
-			lockFacts:  facts,
-			taintFacts: taint,
-			diags:      &diags,
+			Analyzer:  a,
+			Pkgs:      pkgs,
+			Flow:      prog,
+			fset:      fsetOf(pkgs),
+			lockFacts: facts,
+			diags:     &diags,
 		}
 		a.RunProgram(pp)
 		facts = pp.lockFacts // share across program analyzers
-		taint = pp.taintFacts
 	}
 	for _, pkg := range pkgs {
 		diags = filterIgnored(pkg, diags)

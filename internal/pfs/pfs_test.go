@@ -305,6 +305,60 @@ func TestOpenChargesLatency(t *testing.T) {
 	}
 }
 
+// TestIOChargesClock: every Sim method that records I/O in Stats also
+// advances the caller's clock by the modelled cost, so no simulated
+// byte or open is free. One OST and round bandwidths make each cost
+// exact: an open is OpenLatency, a non-contiguous transfer pays one
+// seek, and bytes move at WriteBW or ReadBW.
+func TestIOChargesClock(t *testing.T) {
+	cfg := Config{NumOSTs: 1, StripeSize: 1 << 20, SeekLatency: 0.01, OpenLatency: 0.001, ReadBW: 100, WriteBW: 50}
+	s := New(cfg)
+	clk := NewClock()
+	data := make([]byte, 100)
+	type counters struct{ bytesRead, bytesWritten, seeks, opens, reads int64 }
+	count := func() counters {
+		st := s.Stats()
+		return counters{st.BytesRead, st.BytesWritten, st.Seeks, st.Opens, st.Reads}
+	}
+	steps := []struct {
+		name string
+		op   func() error
+		dt   float64
+		want counters // deltas
+	}{
+		{"WriteFile", func() error { return s.WriteFile(clk, "f", data) },
+			cfg.OpenLatency + cfg.SeekLatency + 100/cfg.WriteBW, counters{bytesWritten: 100, seeks: 1, opens: 1}},
+		{"AppendFile", func() error { return s.AppendFile(clk, "f", data[:50]) },
+			50 / cfg.WriteBW, counters{bytesWritten: 50}},
+		{"AppendFile/new", func() error { return s.AppendFile(clk, "g", data[:50]) },
+			cfg.SeekLatency + 50/cfg.WriteBW, counters{bytesWritten: 50, seeks: 1, opens: 1}},
+		{"Open", func() error { return s.Open(clk, "f") },
+			cfg.OpenLatency, counters{opens: 1}},
+		{"ReadAt", func() error { _, err := s.ReadAt(clk, "f", 0, 100); return err },
+			cfg.SeekLatency + 100/cfg.ReadBW, counters{bytesRead: 100, seeks: 1, reads: 1}},
+	}
+	for _, st := range steps {
+		before, t0 := count(), clk.Now()
+		if err := st.op(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		after := count()
+		got := counters{
+			after.bytesRead - before.bytesRead,
+			after.bytesWritten - before.bytesWritten,
+			after.seeks - before.seeks,
+			after.opens - before.opens,
+			after.reads - before.reads,
+		}
+		if got != st.want {
+			t.Errorf("%s: stats moved by %+v, want %+v", st.name, got, st.want)
+		}
+		if dt := clk.Now() - t0; math.Abs(dt-st.dt) > 1e-9 {
+			t.Errorf("%s: clock moved by %v s, want %v s", st.name, dt, st.dt)
+		}
+	}
+}
+
 func TestListTotalSizeDelete(t *testing.T) {
 	s := New(testConfig())
 	clk := NewClock()
