@@ -116,14 +116,13 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 	// the bin files per the configured order, and commit them to the
 	// PFS in bin order.
 	meta := &storeMeta{
-		shape:      shape.Clone(),
-		chunkSize:  append([]int(nil), cfg.ChunkSize...),
-		order:      cfg.Order,
-		curve:      string(cfg.Curve),
-		mode:       cfg.Mode,
-		compPlanes: compressPlanes,
-		binBounds:  append([]float64(nil), scheme.Bounds()...),
-		bins:       make([]binMeta, nbins),
+		shape:     shape.Clone(),
+		chunkSize: append([]int(nil), cfg.ChunkSize...),
+		order:     cfg.Order,
+		curve:     string(cfg.Curve),
+		mode:      cfg.Mode,
+		binBounds: append([]float64(nil), scheme.Bounds()...),
+		bins:      make([]binMeta, nbins),
 	}
 	if cfg.Mode == ModePlanes {
 		meta.codecName = cfg.ByteCodec.Name()
@@ -158,8 +157,6 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 		}
 		clk.AdvanceParallel(e.cpu, nw)
 		bm := &meta.bins[b]
-		bm.dataSize = int64(len(e.data))
-		bm.indexSize = int64(len(e.index))
 		if err := fs.WriteFile(clk, binDataPath(prefix, b), e.data); err != nil {
 			encSpan.End()
 			return nil, err
@@ -389,37 +386,28 @@ func encodeBins(fs *pfs.Sim, meta *storeMeta, perBin [][]rawUnit, cfg Config, nw
 type encodeScratch struct {
 	split plod.SplitScratch
 	arena []byte
-	exts  []pieceExtent
-}
-
-// pieceExtent locates one staged piece inside the scratch arena.
-type pieceExtent struct {
-	off, n int
 }
 
 var encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
 
 // encodePlanesBin encodes the units' values as PLoD byte planes and
-// lays them out plane-major (V-M-S) or chunk-major (V-S-M), recording
-// piece locations into the unit metadata. Pieces are staged into the
-// scratch arena in (unit, plane) order — compressed pieces are encoded
-// straight into it, and the split planes never escape the scratch — so
-// the only allocations left are the exactly-sized output buffer and the
-// per-bin piece-extent slab.
+// lays them out as bm.place assigns. Pieces are staged into the scratch
+// arena back to back in (unit, plane) order — compressed pieces are
+// encoded straight into it, and the split planes never escape the
+// scratch — so the only allocations left are the exactly-sized output
+// buffer and the per-bin piece-extent slab.
 func encodePlanesBin(bm *binMeta, units []rawUnit, cfg Config, sc *encodeScratch) ([]byte, error) {
 	arena := sc.arena[:0]
-	exts := sc.exts[:0]
-	defer func() {
-		sc.arena, sc.exts = arena, exts
-	}()
+	defer func() { sc.arena = arena }()
 	_, isZlib := cfg.ByteCodec.(*compress.Zlib)
-	slab := make([]int64, 2*len(units)*plod.NumPlanes)
+	bm.setPieces(plod.NumPlanes)
 	for j, u := range units {
 		planes := sc.split.Split(u.values)
 		for p := 0; p < plod.NumPlanes; p++ {
 			mark := len(arena)
 			if p < compressPlanes {
-				// Store whichever form is smaller; tiny or
+				// Store whichever form is strictly smaller (the reader
+				// tells the forms apart by length); tiny or
 				// incompressible pieces would otherwise inflate. A piece
 				// whose compress.ZlibFloor reaches its length is stored
 				// without trying: zlib could only lose.
@@ -434,40 +422,21 @@ func encodePlanesBin(bm *binMeta, units []rawUnit, cfg Config, sc *encodeScratch
 				}
 				if !won {
 					arena = append(arena[:mark], planes[p]...)
-					bm.units[j].rawPlanes |= 1 << uint(p)
 				}
 			} else {
 				arena = append(arena, planes[p]...)
 			}
-			exts = append(exts, pieceExtent{off: mark, n: len(arena) - mark})
+			bm.units[j].pieceLen[p] = int64(len(arena) - mark)
 		}
-		lo := 2 * j * plod.NumPlanes
-		bm.units[j].pieceOff = slab[lo : lo+plod.NumPlanes : lo+plod.NumPlanes]
-		bm.units[j].pieceLen = slab[lo+plod.NumPlanes : lo+2*plod.NumPlanes : lo+2*plod.NumPlanes]
 	}
-
-	dataBuf := make([]byte, 0, len(arena))
-	if cfg.Order.PlanesBeforeChunks() {
-		// V-M-S: all plane-0 pieces (chunks in curve order), then all
-		// plane-1 pieces, ... — PLoD-level reads are contiguous.
-		for p := 0; p < plod.NumPlanes; p++ {
-			for j := range units {
-				e := exts[j*plod.NumPlanes+p]
-				bm.units[j].pieceOff[p] = int64(len(dataBuf))
-				bm.units[j].pieceLen[p] = int64(e.n)
-				dataBuf = append(dataBuf, arena[e.off:e.off+e.n]...)
-			}
-		}
-	} else {
-		// V-S-M: each chunk's planes together — full-precision chunk
-		// reads are contiguous.
-		for j := range units {
-			for p := 0; p < plod.NumPlanes; p++ {
-				e := exts[j*plod.NumPlanes+p]
-				bm.units[j].pieceOff[p] = int64(len(dataBuf))
-				bm.units[j].pieceLen[p] = int64(e.n)
-				dataBuf = append(dataBuf, arena[e.off:e.off+e.n]...)
-			}
+	bm.place(cfg.Order.PlanesBeforeChunks())
+	dataBuf := make([]byte, bm.dataSize)
+	var from int64
+	for j := range bm.units {
+		u := &bm.units[j]
+		for p, n := range u.pieceLen {
+			copy(dataBuf[u.pieceOff[p]:], arena[from:from+n])
+			from += n
 		}
 	}
 	return dataBuf, nil
@@ -475,10 +444,11 @@ func encodePlanesBin(bm *binMeta, units []rawUnit, cfg Config, sc *encodeScratch
 
 // encodeFloatsBin encodes units with the float codec, one piece each,
 // in chunk curve order, appending every piece directly into the bin's
-// data buffer.
+// data buffer: with one piece per unit, that order is the layout
+// bm.place assigns under either level order.
 func encodeFloatsBin(bm *binMeta, units []rawUnit, cfg Config) ([]byte, error) {
 	var dataBuf []byte
-	slab := make([]int64, 2*len(units))
+	bm.setPieces(1)
 	for j, u := range units {
 		mark := len(dataBuf)
 		var err error
@@ -486,11 +456,9 @@ func encodeFloatsBin(bm *binMeta, units []rawUnit, cfg Config) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		bm.units[j].pieceOff = slab[2*j : 2*j+1 : 2*j+1]
-		bm.units[j].pieceLen = slab[2*j+1 : 2*j+2 : 2*j+2]
-		bm.units[j].pieceOff[0] = int64(mark)
 		bm.units[j].pieceLen[0] = int64(len(dataBuf) - mark)
 	}
+	bm.place(cfg.Order.PlanesBeforeChunks())
 	return dataBuf, nil
 }
 

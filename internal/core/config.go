@@ -123,9 +123,10 @@ const (
 	AssignRoundRobin Assignment = "roundrobin"
 )
 
-// Fixed build parameters. Every store records both (compressPlanes in
-// its metadata, indexFanout in its vindex header), and Open serves the
-// values a store records.
+// Fixed build parameters. The meta format version fixes compressPlanes
+// (the meta stores only plane 0's length, so changing it is a format
+// change); every store records indexFanout in its vindex header, and
+// Open serves the value a store records.
 const (
 	// compressPlanes is how many leading byte planes run through the
 	// byte codec in planes mode; the rest are stored raw. The paper

@@ -731,7 +731,8 @@ func (s *Store) decodeUnitValues(u *unitMeta, level int, dataMap *pfs.ExtentMap,
 			return nil, err
 		}
 		want := count * plod.PlaneWidth(p)
-		if p < s.meta.compPlanes && u.rawPlanes&(1<<uint(p)) == 0 {
+		// A compressed piece is strictly shorter than its raw form.
+		if p < compressPlanes && len(raw) != want {
 			from := len(sc.inflate)
 			sc.inflate, err = compress.DecodeBytesMax(s.byteCodec, raw, sc.inflate, int64(want))
 			if err != nil {

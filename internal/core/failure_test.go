@@ -4,6 +4,8 @@ package core
 // surface as errors, never as wrong answers or panics.
 
 import (
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -171,4 +173,132 @@ func TestQueryAfterOtherBinCorruptionStillWorksWhenUntouched(t *testing.T) {
 	// And an SC-only probe that avoids bin 5 entirely is impossible to
 	// guarantee, so no assertion there — the point is isolation above.
 	_ = grid.Shape{}
+}
+
+// TestOpenRejectsCorruptStore: the meta stores lengths and Open derives
+// every offset from them, so a store whose subfiles disagree with the
+// layout, whose units name chunks outside the grid, or whose meta is of
+// another format version must fail at Open — naming the bin or the
+// version — and never reach a query.
+func TestOpenRejectsCorruptStore(t *testing.T) {
+	d := datagen.GTSLike(64, 64, 1)
+	v, _ := d.Var("phi")
+	cfg := DefaultConfig([]int{16, 16})
+	cfg.NumBins = 8
+	cfg.SampleSize = 1024
+	const prefix = "oc/phi"
+	// build returns a fresh store's PFS and its meta.
+	build := func(t *testing.T) (*pfs.Sim, *storeMeta) {
+		fs := pfs.New(pfs.DefaultConfig())
+		st, err := Build(fs, fs.NewClock(), prefix, d.Shape, v.Data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := st.chunks.NumChunks(); n != 16 {
+			t.Fatalf("%d chunks, want 16", n)
+		}
+		return fs, st.meta
+	}
+	write := func(t *testing.T, fs *pfs.Sim, path string, data []byte) {
+		if err := fs.WriteFile(fs.NewClock(), path, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(t *testing.T, fs *pfs.Sim, path string) []byte {
+		raw, err := fs.ReadFile(fs.NewClock(), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	const bin = 3
+	chunkID := func(id int64) func(*testing.T, *pfs.Sim, *storeMeta) []string {
+		return func(t *testing.T, fs *pfs.Sim, m *storeMeta) []string {
+			m.bins[bin].units[0].chunkID = id
+			write(t, fs, metaPath(prefix), m.marshal())
+			return []string{fmt.Sprintf("bin %d ", bin), fmt.Sprintf("chunk %d ", id)}
+		}
+	}
+	resize := func(delta int) func(*testing.T, *pfs.Sim, *storeMeta) []string {
+		return func(t *testing.T, fs *pfs.Sim, m *storeMeta) []string {
+			path := binDataPath(prefix, bin)
+			raw := read(t, fs, path)
+			if delta < 0 {
+				raw = raw[:len(raw)+delta]
+			} else {
+				raw = append(raw, make([]byte, delta)...)
+			}
+			write(t, fs, path, raw)
+			return []string{fmt.Sprintf("bin %d ", bin), path}
+		}
+	}
+	cases := []struct {
+		name string
+		// tamper corrupts the store and returns the fragments Open's
+		// error must carry.
+		tamper func(*testing.T, *pfs.Sim, *storeMeta) []string
+		// absent are fragments the error must not carry.
+		absent []string
+	}{
+		{"chunk id past the grid", chunkID(16 + 3), nil},
+		{"negative chunk id", chunkID(-2), nil},
+		{"data subfile one byte short", resize(-1), nil},
+		{"data subfile one byte long", resize(1), nil},
+		{"index subfiles swapped", func(t *testing.T, fs *pfs.Sim, m *storeMeta) []string {
+			other := -1
+			for b := range m.bins {
+				if b != bin && m.bins[b].indexSize != m.bins[bin].indexSize {
+					other = b
+					break
+				}
+			}
+			if other < 0 {
+				t.Fatal("every bin's index subfile has the same size")
+			}
+			a, b := binIndexPath(prefix, bin), binIndexPath(prefix, other)
+			rawA, rawB := read(t, fs, a), read(t, fs, b)
+			write(t, fs, a, rawB)
+			write(t, fs, b, rawA)
+			return []string{fmt.Sprintf("bin %d ", min(bin, other)), "index"}
+		}, nil},
+		{"version 3", func(t *testing.T, fs *pfs.Sim, m *storeMeta) []string {
+			raw := m.marshal()
+			binary.LittleEndian.PutUint32(raw[4:], 3)
+			write(t, fs, metaPath(prefix), raw)
+			return []string{"version 3,", fmt.Sprintf("version %d", metaVersion)}
+		}, nil},
+		{"parent-format meta", func(t *testing.T, fs *pfs.Sim, m *storeMeta) []string {
+			// The format before versioning: the magic, then the dims
+			// uvarint 2 and the rest of the header.
+			raw := m.marshal()
+			if raw[8] != 2 {
+				t.Fatalf("dims byte %d, want 2", raw[8])
+			}
+			write(t, fs, metaPath(prefix), append(raw[:4:4], raw[8:]...))
+			return []string{"meta format version"}
+		}, []string{"dims"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, m := build(t)
+			if _, err := Open(fs, fs.NewClock(), prefix); err != nil {
+				t.Fatalf("untouched store: %v", err)
+			}
+			fragments := tc.tamper(t, fs, m)
+			_, err := Open(fs, fs.NewClock(), prefix)
+			if err == nil {
+				t.Fatal("Open accepted the corrupt store")
+			}
+			for _, f := range fragments {
+				if !strings.Contains(err.Error(), f) {
+					t.Errorf("error %q does not mention %q", err, f)
+				}
+			}
+			for _, f := range tc.absent {
+				if strings.Contains(err.Error(), f) {
+					t.Errorf("error %q mentions %q", err, f)
+				}
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -27,9 +28,9 @@ func FuzzMetaUnmarshal(f *testing.F) {
 	f.Add(full)
 	f.Add([]byte{})
 	f.Add([]byte{0x43, 0x4f, 0x4c, 0x4d}) // magic only
-	// Truncated PLoD byte-plane tables: cutting the catalog mid-way
-	// leaves unit plane offset/length entries running past the buffer,
-	// which the decoder must reject without panicking.
+	// Truncated unit tables: cutting the catalog mid-way leaves a
+	// unit's lengths running past the buffer, which the decoder must
+	// reject without panicking.
 	f.Add(full[:len(full)/2])
 	f.Add(full[:3*len(full)/4])
 	f.Add(full[:len(full)-1])
@@ -50,10 +51,31 @@ func FuzzMetaUnmarshal(f *testing.F) {
 	flatMeta := stFlat.meta.marshal()
 	f.Add(flatMeta)
 	f.Add(flatMeta[:len(flatMeta)-2]) // zero-length bins, truncated tail
+	// The version word cut short, and the header alone.
+	f.Add(full[:6])
+	f.Add(full[:8])
+	// A V-S-M floats meta: one stored piece per unit, laid out
+	// unit-major, full and cut inside its unit table.
+	cfgFloats := ISOConfig([]int{8, 8})
+	cfgFloats.Order = OrderVSM
+	cfgFloats.NumBins = 4
+	cfgFloats.SampleSize = 64
+	stFloats, err := Build(fs, fs.NewClock(), "fz/iso", d.Shape, v.Data, cfgFloats)
+	if err != nil {
+		f.Fatal(err)
+	}
+	floatsMeta := stFloats.meta.marshal()
+	f.Add(floatsMeta)
+	f.Add(floatsMeta[:len(floatsMeta)-3])
+	// The committed corpus keeps a meta in the unversioned format
+	// before v2: it must be rejected at the version word.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := unmarshalStoreMeta(data)
 		if err == nil && m == nil {
 			t.Fatal("nil meta without error")
+		}
+		if err == nil && binary.LittleEndian.Uint32(data[4:8]) != metaVersion {
+			t.Fatalf("accepted a meta of format version %d", binary.LittleEndian.Uint32(data[4:8]))
 		}
 	})
 }

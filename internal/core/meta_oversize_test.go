@@ -2,30 +2,36 @@ package core
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 )
 
-// metaBytes builds the common header of a serialized store meta up
-// through compPlanes, so each case below only appends the section it
-// wants to corrupt.
-func metaBytes() []byte {
+// metaHead is the magic and format version every v2 meta opens with.
+func metaHead() []byte {
 	out := binary.LittleEndian.AppendUint32(nil, metaMagic)
-	out = appendUvarint(out, 1) // dims
-	out = appendUvarint(out, 4) // shape[0]
-	out = appendUvarint(out, 2) // chunkSize[0]
+	return binary.LittleEndian.AppendUint32(out, metaVersion)
+}
+
+// metaBytes builds the common header of a serialized v2 store meta up
+// through the codec name, so each case below only appends the section
+// it wants to corrupt.
+func metaBytes() []byte {
+	out := appendUvarint(metaHead(), 1) // dims
+	out = appendUvarint(out, 4)         // shape[0]
+	out = appendUvarint(out, 2)         // chunkSize[0]
 	out = appendString(out, "V-M-S")
 	out = appendString(out, "hilbert")
 	out = appendString(out, string(ModePlanes))
 	out = appendString(out, "zlib")
-	out = appendUvarint(out, 7) // compPlanes
 	return out
 }
 
 // TestMetaRejectsOversizedDeclarations feeds the meta decoder streams
 // whose declared counts vastly exceed what the remaining bytes could
-// encode. Every count in the format sizes an allocation, so each must
-// fail cleanly instead of allocating by the declared size or wrapping
-// an int conversion negative.
+// encode. Every count in the format sizes an allocation, and every
+// length feeds binMeta.place's sums, so each must fail cleanly — with
+// the error of the check that guards it — instead of allocating by the
+// declared size or wrapping an int conversion negative.
 func TestMetaRejectsOversizedDeclarations(t *testing.T) {
 	huge := uint64(1) << 60
 	// unitPrefix declares one bin with one unit and stops right before
@@ -38,30 +44,36 @@ func TestMetaRejectsOversizedDeclarations(t *testing.T) {
 		return out
 	}
 	cases := []struct {
-		name string
-		data []byte
+		name     string
+		data     []byte
+		fragment string
 	}{
-		{"dims bomb", appendUvarint(binary.LittleEndian.AppendUint32(nil, metaMagic), huge)},
-		{"string length wrap", appendUvarint(appendUvarint(appendUvarint(binary.LittleEndian.AppendUint32(nil, metaMagic), 1), 4), 1<<63)},
-		{"bin bounds bomb", appendUvarint(metaBytes(), huge)},
-		{"bin count bomb", appendUvarint(appendUvarint(metaBytes(), 0), huge)},
-		{"unit count bomb", appendUvarint(appendUvarint(appendUvarint(metaBytes(), 0), 1), huge)},
-		{"point count wrap", appendUvarint(unitPrefix(), 1<<40)},
-		{"index offset wrap", appendUvarint(appendUvarint(unitPrefix(), 1), 1<<63)},
-		{"piece count bomb",
-			appendUvarint(
-				append(appendUvarint(appendUvarint(appendUvarint(unitPrefix(),
-					1), // count
-					0), // indexOff
-					0), // indexLen
-					0), // rawPlanes
-				huge)},
+		{"dims bomb", appendUvarint(metaHead(), huge), "implausible dims"},
+		{"string length wrap", appendUvarint(appendUvarint(appendUvarint(appendUvarint(metaHead(), 1), 4), 2), 1<<63), "meta order"},
+		{"bin bounds bomb", appendUvarint(metaBytes(), huge), "bin bounds with"},
+		{"bin count bomb", appendUvarint(appendUvarint(metaBytes(), 0), huge), "bins with"},
+		{"unit count bomb", appendUvarint(appendUvarint(appendUvarint(metaBytes(), 0), 1), huge), "units with"},
+		{"point count wrap", appendUvarint(unitPrefix(), 1<<40), "varint 1099511627776 exceeds limit"},
+		{"index length wrap",
+			appendUvarint(appendUvarint(unitPrefix(),
+				1), // count
+				1<<31), // indexLen
+			"varint 2147483648 exceeds limit"},
+		{"piece length wrap",
+			appendUvarint(appendUvarint(appendUvarint(unitPrefix(),
+				1), // count
+				1), // indexLen
+				1<<32), // piece-0 length
+			"varint 4294967296 exceeds limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := unmarshalStoreMeta(tc.data)
 			if err == nil {
 				t.Fatalf("decoder accepted oversized declaration: %+v", m)
+			}
+			if !strings.Contains(err.Error(), tc.fragment) {
+				t.Fatalf("error %q does not mention %q", err, tc.fragment)
 			}
 		})
 	}

@@ -80,13 +80,10 @@ func Open(fs *pfs.Sim, clk *pfs.Clock, prefix string) (*Store, error) {
 	}
 	var bc compress.ByteCodec
 	var fc compress.FloatCodec
-	switch meta.mode {
-	case ModePlanes:
+	if meta.mode == ModePlanes {
 		bc, err = compress.NewByteCodec(meta.codecName)
-	case ModeFloats:
+	} else {
 		fc, err = compress.NewFloatCodec(meta.codecName)
-	default:
-		return nil, fmt.Errorf("core: meta has unknown mode %q", meta.mode)
 	}
 	if err != nil {
 		return nil, err
@@ -94,6 +91,31 @@ func Open(fs *pfs.Sim, clk *pfs.Clock, prefix string) (*Store, error) {
 	st, err := newStore(fs, prefix, meta, bc, fc)
 	if err != nil {
 		return nil, err
+	}
+	// The meta stores lengths and place derives the offsets, so a wrong
+	// length would shift every later piece without an error: the layout
+	// must fill each bin's subfiles exactly, and every unit must name a
+	// chunk of the grid.
+	nchunks := st.chunks.NumChunks()
+	for b := range meta.bins {
+		bm := &meta.bins[b]
+		for _, u := range bm.units {
+			if u.chunkID < 0 || u.chunkID >= nchunks {
+				return nil, fmt.Errorf("core: meta bin %d names chunk %d outside [0,%d)", b, u.chunkID, nchunks)
+			}
+		}
+		for _, f := range [2]struct {
+			path string
+			size int64
+		}{{binDataPath(prefix, b), bm.dataSize}, {binIndexPath(prefix, b), bm.indexSize}} {
+			size, err := fs.Size(f.path)
+			if err != nil {
+				return nil, fmt.Errorf("core: meta bin %d: %w", b, err)
+			}
+			if size != f.size {
+				return nil, fmt.Errorf("core: meta bin %d lays out %d bytes for %s, which holds %d", b, f.size, f.path, size)
+			}
+		}
 	}
 	// Probe for the hierarchical index subfile; only its header and
 	// offset table are read here, node payloads are fetched per query.
