@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestBaseURL(t *testing.T) {
@@ -126,5 +127,52 @@ func TestDoWithoutRead(t *testing.T) {
 	}
 	if gotType != "application/json" || gotBody != `{"var":"phi"}` {
 		t.Errorf("server saw Content-Type %q body %q", gotType, gotBody)
+	}
+}
+
+// TestDoBoundsDrain: a peer that streams a 200 body without end must not
+// hold Do. What read leaves of the body is drained only up to
+// MaxMetaBytes before the body is closed, with no read and with a read
+// that stops after one byte.
+func TestDoBoundsDrain(t *testing.T) {
+	reads := map[string]func(http.Header, io.Reader) error{
+		"nil read": nil,
+		"one byte": func(_ http.Header, body io.Reader) error {
+			_, err := io.ReadFull(body, make([]byte, 1))
+			return err
+		},
+	}
+	for name, read := range reads {
+		t.Run(name, func(t *testing.T) {
+			stop := make(chan struct{})
+			req := serve(t, func(w http.ResponseWriter, r *http.Request) {
+				chunk := []byte(strings.Repeat("x", 32<<10))
+				for {
+					select {
+					case <-stop:
+						return
+					case <-r.Context().Done():
+						return
+					default:
+					}
+					if _, err := w.Write(chunk); err != nil {
+						return // the client closed the body
+					}
+				}
+			})
+			// Registered after serve's, so it runs first and lets the
+			// server's Close finish even when Do never returns.
+			t.Cleanup(func() { close(stop) })
+			done := make(chan error, 1)
+			go func() { done <- Do(http.DefaultClient, req, MaxResultBytes, read) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("Do: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Do still draining an endless body after 5 s")
+			}
+		})
 	}
 }
