@@ -4,10 +4,10 @@ FUZZTIME ?= 10s
 # Packages exercising the goroutine-based SPMD runtime and the
 # concurrent query service — the ones where a data race would actually
 # bite.
-RACE_PKGS = ./internal/client ./internal/mpi ./internal/pfs ./internal/compress ./internal/core ./internal/fastbit ./internal/stage ./internal/cache ./internal/query ./internal/server ./internal/obs \
+RACE_PKGS = ./internal/client ./internal/mpi ./internal/pfs ./internal/compress ./internal/core ./internal/fastbit ./internal/cache ./internal/query ./internal/server ./internal/obs \
 	./internal/cluster/shardmap ./internal/cluster/health ./internal/cluster/fault ./internal/cluster/router
 
-.PHONY: build test vet mlocvet race bench-json bench-query fuzz-short fuzz-list fuzz-list-check serve-smoke cluster-smoke obslint check
+.PHONY: build test vet mlocvet race bench-json bench-query fuzz-short fuzz-list fuzz-list-check serve-smoke cluster-smoke obslint examples check
 
 build:
 	$(GO) build ./...
@@ -79,5 +79,14 @@ cluster-smoke:
 obslint:
 	$(GO) run ./cmd/mloclint -selfcheck
 
+## examples: run every examples/* program end to end; a non-zero exit
+## fails. Each prints its own report, so only the failing one's stderr
+## shows.
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$${d%/}"; \
+		$(GO) run "./$${d%/}" >/dev/null || exit 1; \
+	done
+
 ## check: everything CI runs (minus the fuzzing).
-check: build test vet fuzz-list-check race obslint serve-smoke cluster-smoke
+check: build test vet fuzz-list-check race obslint serve-smoke cluster-smoke examples

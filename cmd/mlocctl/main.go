@@ -153,7 +153,6 @@ func cmdRun(args []string) error {
 	scStr := fs.String("sc", "", "spatial constraint a:b,c:d per dimension (half-open)")
 	plod := fs.Int("plod", 0, "PLoD level 1-7 (0 = full precision)")
 	indexOnly := fs.Bool("index-only", false, "return positions only")
-	hindex := fs.Bool("hindex", true, "build the hierarchical super-bin index")
 	explain := fs.Bool("explain", false, "print the query plan before executing")
 	ranks := fs.Int("ranks", 8, "parallel ranks")
 	maxPrint := fs.Int("print", 5, "matches to print")
@@ -170,20 +169,13 @@ func cmdRun(args []string) error {
 			return fmt.Errorf("run: -shape is required with -in")
 		}
 		var err error
-		shape, err = parseShape(*shapeStr)
+		shape, err = grid.ParseShape(*shapeStr)
 		if err != nil {
 			return err
 		}
-		raw, err := os.ReadFile(*in)
+		data, err = datagen.ReadRaw(*in, shape)
 		if err != nil {
 			return err
-		}
-		if int64(len(raw)) != 8*shape.Elems() {
-			return fmt.Errorf("run: %s has %d bytes, shape %s needs %d", *in, len(raw), shape, 8*shape.Elems())
-		}
-		data = make([]float64, shape.Elems())
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 	case *dataset != "":
 		ds, err := makeDataset(*dataset, *side, *seed)
@@ -197,35 +189,20 @@ func cmdRun(args []string) error {
 	}
 
 	// Configuration.
-	var chunk []int
+	chunk := core.DefaultChunk(shape)
 	if *chunkStr != "" {
-		cs, err := parseShape(*chunkStr)
+		cs, err := grid.ParseShape(*chunkStr)
 		if err != nil {
 			return err
 		}
 		chunk = cs
-	} else {
-		chunk = make([]int, shape.Dims())
-		for d := range chunk {
-			chunk[d] = shape[d] / 16
-			if chunk[d] < 1 {
-				chunk[d] = 1
-			}
-		}
 	}
-	var cfg core.Config
-	switch *mode {
-	case "col":
-		cfg = core.DefaultConfig(chunk)
-	case "iso":
-		cfg = core.ISOConfig(chunk)
-	case "isa":
-		cfg = core.ISAConfig(chunk)
-	default:
-		return fmt.Errorf("run: unknown mode %q", *mode)
+	cfg, err := core.ModeConfig(*mode, chunk)
+	if err != nil {
+		return fmt.Errorf("run: %w", err)
 	}
 	cfg.NumBins = *bins
-	cfg.HierarchicalIndex = *hindex
+	cfg.HierarchicalIndex = true
 	order, err := core.ParseOrder(*orderStr)
 	if err != nil {
 		return err
@@ -303,22 +280,6 @@ func cmdRun(args []string) error {
 		}
 	}
 	return nil
-}
-
-func parseShape(s string) (grid.Shape, error) {
-	parts := strings.FieldsFunc(s, func(r rune) bool { return r == 'x' || r == 'X' || r == ',' })
-	shape := make(grid.Shape, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad shape component %q", p)
-		}
-		shape = append(shape, n)
-	}
-	if err := shape.Validate(); err != nil {
-		return nil, err
-	}
-	return shape, nil
 }
 
 func parseVC(s string) (binning.ValueConstraint, error) {

@@ -2,34 +2,6 @@ package main
 
 import "testing"
 
-func TestParseShape(t *testing.T) {
-	good := map[string][]int{
-		"1024x1024": {1024, 1024},
-		"4X4":       {4, 4},
-		"2,3,4":     {2, 3, 4},
-		"16":        {16},
-	}
-	for in, want := range good {
-		got, err := parseShape(in)
-		if err != nil {
-			t.Fatalf("parseShape(%q): %v", in, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("parseShape(%q) = %v", in, got)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("parseShape(%q) = %v, want %v", in, got, want)
-			}
-		}
-	}
-	for _, in := range []string{"", "axb", "4x0", "-1x4"} {
-		if _, err := parseShape(in); err == nil {
-			t.Errorf("parseShape(%q) accepted", in)
-		}
-	}
-}
-
 func TestParseVC(t *testing.T) {
 	vc, err := parseVC("0.5:2.5")
 	if err != nil || vc.Min != 0.5 || vc.Max != 2.5 {

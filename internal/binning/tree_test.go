@@ -110,7 +110,7 @@ func TestTreeSelectMatchesFlat(t *testing.T) {
 		sel := tr.Select(vc)
 		aligned, mis := s.SelectBins(vc)
 
-		if got := tr.InsideLeaves(sel); !equalInts(got, aligned) {
+		if got := insideLeaves(tr, sel); !equalInts(got, aligned) {
 			t.Fatalf("trial %d (bins=%d fanout=%d vc=%+v): inside leaves %v != aligned %v",
 				trial, nbins, fanout, vc, got, aligned)
 		}
@@ -181,4 +181,18 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// insideLeaves expands the selection's Inside subtree roots to their
+// leaf bins in ascending order — the hierarchical counterpart of
+// SelectBins' aligned list.
+func insideLeaves(t *Tree, sel Selection) []int {
+	out := make([]int, 0, sel.CoveredLeaves)
+	for _, n := range sel.Inside {
+		lo, hi := t.Leaves(n)
+		for b := lo; b < hi; b++ {
+			out = append(out, b)
+		}
+	}
+	return out
 }

@@ -34,72 +34,6 @@ func mixedBitmap(n int64, seed int64) *Bitmap {
 	return b
 }
 
-func TestBitmapAndOrCountEquivalence(t *testing.T) {
-	for trial := int64(0); trial < 50; trial++ {
-		n := 1 + rand.New(rand.NewSource(trial)).Int63n(4000)
-		a := mixedBitmap(n, trial*2+1)
-		b := mixedBitmap(n, trial*2+2)
-
-		want := a.Clone()
-		want.And(b)
-		if got := a.AndCount(b); got != want.Count() {
-			t.Fatalf("trial %d: AndCount = %d, And+Count = %d", trial, got, want.Count())
-		}
-		want = a.Clone()
-		want.Or(b)
-		if got := a.OrCount(b); got != want.Count() {
-			t.Fatalf("trial %d: OrCount = %d, Or+Count = %d", trial, got, want.Count())
-		}
-	}
-}
-
-func TestBitmapNextSetEquivalence(t *testing.T) {
-	for trial := int64(0); trial < 30; trial++ {
-		n := 1 + rand.New(rand.NewSource(100+trial)).Int63n(3000)
-		b := mixedBitmap(n, 300+trial)
-		var got []int64
-		for i := b.NextSet(0); i >= 0; i = b.NextSet(i + 1) {
-			got = append(got, i)
-		}
-		want := b.Indices()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: NextSet walked %d bits, Indices has %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: position %d: NextSet %d != Indices %d", trial, i, got[i], want[i])
-			}
-		}
-	}
-	// Edge cases.
-	b := New(10)
-	if b.NextSet(0) != -1 {
-		t.Error("empty bitmap returned a set bit")
-	}
-	b.Set(9)
-	if b.NextSet(0) != 9 || b.NextSet(9) != 9 {
-		t.Error("single tail bit not found")
-	}
-	if b.NextSet(10) != -1 || b.NextSet(-5) != 9 {
-		t.Error("out-of-range start mishandled")
-	}
-}
-
-func TestWAHAndOrCountEquivalence(t *testing.T) {
-	for trial := int64(0); trial < 50; trial++ {
-		n := 1 + rand.New(rand.NewSource(500+trial)).Int63n(5000)
-		a := Compress(mixedBitmap(n, 700+trial))
-		b := Compress(mixedBitmap(n, 900+trial))
-
-		if got, want := a.AndCount(b), a.And(b).Count(); got != want {
-			t.Fatalf("trial %d: WAH AndCount = %d, And+Count = %d", trial, got, want)
-		}
-		if got, want := a.OrCount(b), a.Or(b).Count(); got != want {
-			t.Fatalf("trial %d: WAH OrCount = %d, Or+Count = %d", trial, got, want)
-		}
-	}
-}
-
 func TestWAHBitsEquivalence(t *testing.T) {
 	lengths := []int64{1, 30, 31, 32, 62, 63, 100, 3100}
 	for trial := int64(0); trial < 30; trial++ {
@@ -136,39 +70,5 @@ func TestWAHBitsEquivalence(t *testing.T) {
 	}
 	if _, ok := it.Next(); ok {
 		t.Fatal("ones: iterator overran")
-	}
-}
-
-func BenchmarkWAHAndCount(b *testing.B) {
-	n := int64(1 << 20)
-	x := Compress(mixedBitmap(n, 1))
-	y := Compress(mixedBitmap(n, 2))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = x.AndCount(y)
-	}
-}
-
-func BenchmarkWAHAndPlusCount(b *testing.B) {
-	n := int64(1 << 20)
-	x := Compress(mixedBitmap(n, 1))
-	y := Compress(mixedBitmap(n, 2))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = x.And(y).Count()
-	}
-}
-
-func BenchmarkBitmapNextSet(b *testing.B) {
-	bm := mixedBitmap(1<<20, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var c int64
-		for j := bm.NextSet(0); j >= 0; j = bm.NextSet(j + 1) {
-			c++
-		}
 	}
 }

@@ -136,42 +136,11 @@ func (w *WAH) Decompress() *Bitmap {
 	return b
 }
 
-// Count returns the number of set bits without full decompression.
-func (w *WAH) Count() int64 {
-	var c, pos int64
-	for _, word := range w.words {
-		if word&wahFillFlag != 0 {
-			count := int64(word&wahMaxCount) * wahGroupBits
-			if pos+count > w.n {
-				count = w.n - pos
-			}
-			if word&wahFillValue != 0 {
-				c += count
-			}
-			pos += count
-			continue
-		}
-		lit := word
-		groupEnd := pos + wahGroupBits
-		if groupEnd > w.n {
-			lit &= (1 << uint(w.n-pos)) - 1
-		}
-		c += int64(bits.OnesCount32(lit))
-		pos += wahGroupBits
-	}
-	return c
-}
-
 // Or returns the union of two WAH bitmaps of identical length. The
 // operation decompresses group-at-a-time without materializing full
 // bitmaps, mirroring how FastBit evaluates multi-bin range predicates.
 func (w *WAH) Or(o *WAH) *WAH {
 	return w.binop(o, func(a, b uint32) uint32 { return a | b })
-}
-
-// And returns the intersection of two WAH bitmaps of identical length.
-func (w *WAH) And(o *WAH) *WAH {
-	return w.binop(o, func(a, b uint32) uint32 { return a & b })
 }
 
 func (w *WAH) binop(o *WAH, op func(a, b uint32) uint32) *WAH {
@@ -186,42 +155,6 @@ func (w *WAH) binop(o *WAH, op func(a, b uint32) uint32) *WAH {
 		bi.next()
 	}
 	return out
-}
-
-// OrCount returns Count(w OR o) without materializing the union.
-func (w *WAH) OrCount(o *WAH) int64 {
-	return w.binopCount(o, func(a, b uint32) uint32 { return a | b })
-}
-
-// AndCount returns Count(w AND o) without materializing the
-// intersection. The planner's cardinality probes use this to rank
-// candidate bins, so the group stream is consumed in place with no
-// output WAH allocated.
-func (w *WAH) AndCount(o *WAH) int64 {
-	return w.binopCount(o, func(a, b uint32) uint32 { return a & b })
-}
-
-func (w *WAH) binopCount(o *WAH, op func(a, b uint32) uint32) int64 {
-	if w.n != o.n {
-		panic(fmt.Sprintf("bitmap: WAH length mismatch %d vs %d", w.n, o.n))
-	}
-	var c, pos int64
-	var ai, bi wahIter
-	ai.words, bi.words = w.words, o.words
-	ai.load()
-	bi.load()
-	for ai.valid() && bi.valid() {
-		g := op(ai.group(), bi.group())
-		if pos+wahGroupBits > w.n {
-			// Final partial group: padding bits past n must not count.
-			g &= (1 << uint(w.n-pos)) - 1
-		}
-		c += int64(bits.OnesCount32(g))
-		pos += wahGroupBits
-		ai.next()
-		bi.next()
-	}
-	return c
 }
 
 // WAHBits walks the set bits of a WAH bitmap in ascending order without

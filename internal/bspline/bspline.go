@@ -19,9 +19,6 @@ type Spline struct {
 	knots []float64
 }
 
-// NumCoefs returns the number of control coefficients.
-func (s *Spline) NumCoefs() int { return len(s.coefs) }
-
 // Coefs returns the coefficient slice; callers must not mutate it.
 func (s *Spline) Coefs() []float64 { return s.coefs }
 

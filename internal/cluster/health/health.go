@@ -5,7 +5,7 @@
 // like a failed probe, so a crash is noticed at the next query, not
 // the next tick).
 //
-// A node starts optimistic (up) and goes down after FailThreshold
+// A node starts optimistic (up) and goes down after failThreshold
 // consecutive failures, so one dropped probe does not flap the
 // topology; any success resets it to up immediately.
 package health
@@ -23,6 +23,13 @@ import (
 	"mloc/internal/obs"
 )
 
+const (
+	// probeTimeout bounds one /healthz probe.
+	probeTimeout = 500 * time.Millisecond
+	// failThreshold is the consecutive failures that mark a node down.
+	failThreshold = 2
+)
+
 // Config parameterizes the checker.
 type Config struct {
 	// Nodes are the data-node addresses to probe (host:port or URL).
@@ -30,13 +37,8 @@ type Config struct {
 	Nodes []string
 	// Interval between probe rounds (default 1s).
 	Interval time.Duration
-	// Timeout per probe (default 500ms).
-	Timeout time.Duration
-	// FailThreshold is the consecutive failures that mark a node down
-	// (default 2).
-	FailThreshold int
 	// Client issues the probes (default: a plain http.Client; the
-	// per-probe context enforces Timeout).
+	// per-probe context enforces probeTimeout).
 	Client *http.Client
 	// Logf receives up/down transition lines (default log.Printf).
 	Logf func(format string, args ...any)
@@ -48,12 +50,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Interval <= 0 {
 		c.Interval = time.Second
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 500 * time.Millisecond
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
@@ -158,7 +154,7 @@ func (c *Checker) Start(ctx context.Context) {
 func (c *Checker) Wait() { c.wg.Wait() }
 
 // probeAll probes every node concurrently and waits for the round to
-// finish; a dead node costs one Timeout, not Interval x nodes.
+// finish; a dead node costs one probeTimeout, not Interval x nodes.
 func (c *Checker) probeAll(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, node := range c.cfg.Nodes {
@@ -177,7 +173,7 @@ func (c *Checker) probe(ctx context.Context, node string) {
 	if c.probes != nil {
 		c.probes.Inc()
 	}
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := client.NewRequest(pctx, http.MethodGet, client.BaseURL(node)+"/healthz", nil)
 	if err != nil {
@@ -215,7 +211,7 @@ func (c *Checker) record(node string, elapsed time.Duration, err error) {
 		}
 		st.failures++
 		st.lastError = err.Error()
-		if st.up && st.failures >= c.cfg.FailThreshold {
+		if st.up && st.failures >= failThreshold {
 			st.up = false
 			st.transitions++
 			transitioned = "down"

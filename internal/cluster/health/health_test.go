@@ -27,11 +27,9 @@ func TestProbeLoopMarksDownAndUp(t *testing.T) {
 	ts := healthzServer(t)
 	node := strings.TrimPrefix(ts.URL, "http://")
 	c, err := New(Config{
-		Nodes:         []string{node},
-		Interval:      20 * time.Millisecond,
-		Timeout:       200 * time.Millisecond,
-		FailThreshold: 2,
-		Logf:          t.Logf,
+		Nodes:    []string{node},
+		Interval: 20 * time.Millisecond,
+		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +60,7 @@ func TestProbeLoopMarksDownAndUp(t *testing.T) {
 }
 
 func TestReportFailureFastPath(t *testing.T) {
-	c, err := New(Config{Nodes: []string{"n1", "n2"}, FailThreshold: 2, Logf: t.Logf})
+	c, err := New(Config{Nodes: []string{"n1", "n2"}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

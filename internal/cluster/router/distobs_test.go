@@ -216,7 +216,7 @@ func TestRouterQueryLogAndSLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, rts := startRouter(t, nodes, func(c *Config) { c.SLOObjectives = objs })
+	_, rts := startRouter(t, nodes, func(c *Config) { c.SLOObjectives = objs })
 
 	out := postTracedRouted(t, rts.URL, `{"var":"phi","vc":{"min":-1e30,"max":1e30},"ranks":1}`)
 
@@ -273,8 +273,12 @@ func TestRouterQueryLogAndSLO(t *testing.T) {
 	if probs := obs.Lint(payload, true); len(probs) != 0 {
 		t.Errorf("router exposition with exemplars fails lint: %v", probs)
 	}
-	if rt.QueryLog().Len() != 1 {
-		t.Errorf("query log holds %d records, want 1", rt.QueryLog().Len())
+	recs = nil
+	if code := getJSON(t, rts.URL+"/debug/querylog", &recs); code != http.StatusOK {
+		t.Fatalf("querylog status %d", code)
+	}
+	if len(recs) != 1 {
+		t.Errorf("query log holds %d records, want 1", len(recs))
 	}
 }
 

@@ -172,10 +172,8 @@ func (fr frameRole) observe(t *testing.T, method, path, endpoint, body string) r
 // headers, error-envelope shape, outcome class and the endpoint error
 // counter must agree case by case.
 func TestRolesAnswerAlike(t *testing.T) {
-	const maxBody = 512
 	srv, err := server.New(server.Config{
-		Stores:       map[string]*core.Store{"phi": buildStore(t, 1)},
-		MaxBodyBytes: maxBody,
+		Stores: map[string]*core.Store{"phi": buildStore(t, 1)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +181,7 @@ func TestRolesAnswerAlike(t *testing.T) {
 	nts := httptest.NewServer(srv.Handler())
 	t.Cleanup(nts.Close)
 	node := &dataNode{ts: nts, addr: strings.TrimPrefix(nts.URL, "http://")}
-	rt, rts := startRouter(t, []*dataNode{node}, func(c *Config) { c.MaxBodyBytes = maxBody })
+	rt, rts := startRouter(t, []*dataNode{node}, nil)
 	roles := []frameRole{
 		{"data node", nts.URL, "mloc_server", srv.SetDraining},
 		{"router", rts.URL, "mloc_cluster", rt.SetDraining},
@@ -201,7 +199,7 @@ func TestRolesAnswerAlike(t *testing.T) {
 		{name: "unknown field", method: http.MethodPost, path: "/query", endpoint: "query", body: `{"var":"phi","selectivity":3}`,
 			want: refusal{status: 400, outcome: "failed"}},
 		{name: "oversized body", method: http.MethodPost, path: "/query", endpoint: "query",
-			body: `{"var":"phi"` + strings.Repeat(" ", 2*maxBody) + `}`,
+			body: `{"var":"phi"` + strings.Repeat(" ", server.MaxBodyBytes) + `}`,
 			want: refusal{status: 400, outcome: "failed"}},
 		{name: "unknown variable", method: http.MethodPost, path: "/query", endpoint: "query", body: `{"var":"ghost"}`,
 			want: refusal{status: 404, outcome: "failed"}},

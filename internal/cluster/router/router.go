@@ -61,11 +61,6 @@ type Config struct {
 	HedgeAfter time.Duration
 	// MaxMatches caps matches in merged responses (default 65536).
 	MaxMatches int
-	// MaxBodyBytes caps request bodies (default 1 MiB).
-	MaxBodyBytes int64
-	// BootstrapWait bounds how long Bootstrap retries unreachable nodes
-	// (default 30s).
-	BootstrapWait time.Duration
 	// Client issues node requests (default: NewNodeClient's pool; the
 	// per-call context enforces ShardTimeout).
 	Client *http.Client
@@ -82,9 +77,6 @@ type Config struct {
 	// SLOObjectives are the latency objectives behind the
 	// mloc_slo_query_* counters (default obs.DefaultSLOObjectives).
 	SLOObjectives []time.Duration
-	// QueryLogCapacity bounds the /debug/querylog ring (default
-	// obs.DefaultQueryLogCapacity).
-	QueryLogCapacity int
 	// DisableTracePropagation stops the router from asking data nodes
 	// for their span subtrees; shard spans then stay leaf-only. The
 	// zero value propagates, matching the always-on tracing posture.
@@ -120,9 +112,6 @@ func (c *Config) normalize() error {
 	}
 	if c.HedgeAfter < 0 {
 		c.HedgeAfter = 0
-	}
-	if c.BootstrapWait <= 0 {
-		c.BootstrapWait = 30 * time.Second
 	}
 	if c.Client == nil {
 		c.Client = NewNodeClient(len(c.Nodes))
@@ -204,21 +193,19 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{cfg: cfg, smap: smap, vars: make(map[string]*varInfo)}
 	// No Limits: the router admits every query (ROADMAP item 3).
 	rt.Frame, err = server.NewFrame(server.Role{
-		Name:             "router",
-		Prefix:           "mloc_cluster",
-		RootSpan:         "route",
-		MaxMatches:       cfg.MaxMatches,
-		MaxBodyBytes:     cfg.MaxBodyBytes,
-		Registry:         cfg.Registry,
-		Tracer:           cfg.Tracer,
-		SLOObjectives:    cfg.SLOObjectives,
-		QueryLogCapacity: cfg.QueryLogCapacity,
-		Logf:             cfg.Logf,
-		Vars:             rt.listVars,
-		Prepare:          rt.prepare,
-		Stats:            rt.stats,
-		Unhealthy:        rt.unhealthy,
-		Routes:           []server.Route{{Path: "/cluster/nodes", Name: "nodes", Handler: rt.handleNodes}},
+		Name:          "router",
+		Prefix:        "mloc_cluster",
+		RootSpan:      "route",
+		MaxMatches:    cfg.MaxMatches,
+		Registry:      cfg.Registry,
+		Tracer:        cfg.Tracer,
+		SLOObjectives: cfg.SLOObjectives,
+		Logf:          cfg.Logf,
+		Vars:          rt.listVars,
+		Prepare:       rt.prepare,
+		Stats:         rt.stats,
+		Unhealthy:     rt.unhealthy,
+		Routes:        []server.Route{{Path: "/cluster/nodes", Name: "nodes", Handler: rt.handleNodes}},
 	})
 	if err != nil {
 		return nil, err
@@ -266,11 +253,16 @@ func (rt *Router) instrument() {
 		"Remote trace payloads rejected as oversized or undecodable.")
 }
 
+// bootstrapWait bounds how long Bootstrap retries unreachable nodes; a
+// caller that needs a shorter bound passes a context carrying it.
+const bootstrapWait = 30 * time.Second
+
 // Bootstrap learns the topology: it fetches /vars from every data node
-// (retrying unreachable ones until BootstrapWait expires), verifies all
-// nodes serve an identical variable set, and builds the slab table.
+// (retrying unreachable ones until bootstrapWait or ctx expires),
+// verifies all nodes serve an identical variable set, and builds the
+// slab table.
 func (rt *Router) Bootstrap(ctx context.Context) error {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.BootstrapWait)
+	ctx, cancel := context.WithTimeout(ctx, bootstrapWait)
 	defer cancel()
 	var reference []server.VarWire
 	for i, node := range rt.cfg.Nodes {

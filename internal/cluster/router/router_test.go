@@ -96,11 +96,10 @@ func startRouter(t testing.TB, nodes []*dataNode, mutate func(*Config)) (*Router
 		addrs[i] = n.addr
 	}
 	cfg := Config{
-		Nodes:         addrs,
-		SlabsPerVar:   16,
-		ShardTimeout:  5 * time.Second,
-		BootstrapWait: 5 * time.Second,
-		Logf:          t.Logf,
+		Nodes:        addrs,
+		SlabsPerVar:  16,
+		ShardTimeout: 5 * time.Second,
+		Logf:         t.Logf,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -109,12 +108,19 @@ func startRouter(t testing.TB, nodes []*dataNode, mutate func(*Config)) (*Router
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Bootstrap(context.Background()); err != nil {
+	if err := bootstrapWithin(rt, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(rt.Handler())
 	t.Cleanup(ts.Close)
 	return rt, ts
+}
+
+// bootstrapWithin runs Bootstrap bounded by d.
+func bootstrapWithin(rt *Router, d time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return rt.Bootstrap(ctx)
 }
 
 func postJSON(t *testing.T, url, body string, out any) int {
@@ -600,7 +606,7 @@ func runConcurrently(t *testing.T, hc *http.Client, url, body string, n, workers
 func TestNodeCallsReuseConnections(t *testing.T) {
 	nodes := startCluster(t, 2)
 	addrs := []string{nodes[0].addr, nodes[1].addr}
-	rt, err := New(Config{Nodes: addrs, Replication: 1, BootstrapWait: 5 * time.Second, Logf: t.Logf})
+	rt, err := New(Config{Nodes: addrs, Replication: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +628,7 @@ func TestNodeCallsReuseConnections(t *testing.T) {
 		mu.Unlock()
 		return dial(ctx, network, addr)
 	}
-	if err := rt.Bootstrap(context.Background()); err != nil {
+	if err := bootstrapWithin(rt, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	rts := httptest.NewServer(rt.Handler())
@@ -670,11 +676,11 @@ func TestRoutedQueriesLeaveNoGoroutines(t *testing.T) {
 func TestBootstrapRejectsMismatchedNodes(t *testing.T) {
 	a := startDataNode(t, map[string]*core.Store{"phi": buildStore(t, 1)})
 	b := startDataNode(t, map[string]*core.Store{"phi": buildStore(t, 1), "rho": buildStore(t, 2)})
-	rt, err := New(Config{Nodes: []string{a.addr, b.addr}, BootstrapWait: 3 * time.Second, Logf: t.Logf})
+	rt, err := New(Config{Nodes: []string{a.addr, b.addr}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = rt.Bootstrap(context.Background())
+	err = bootstrapWithin(rt, 3*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "identical store specs") {
 		t.Fatalf("bootstrap error = %v, want store-spec mismatch", err)
 	}
@@ -732,11 +738,11 @@ func TestBootstrapRejectsInvalidShapes(t *testing.T) {
 			}))
 			t.Cleanup(ts.Close)
 			node := strings.TrimPrefix(ts.URL, "http://")
-			rt, err := New(Config{Nodes: []string{node}, BootstrapWait: 300 * time.Millisecond, Logf: t.Logf})
+			rt, err := New(Config{Nodes: []string{node}, Logf: t.Logf})
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = rt.Bootstrap(context.Background())
+			err = bootstrapWithin(rt, 300*time.Millisecond)
 			if want := "router: " + node + " /vars: phi: grid: "; err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("bootstrap error = %v, want it to contain %q", err, want)
 			}

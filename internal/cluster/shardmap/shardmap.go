@@ -33,10 +33,11 @@ type Config struct {
 	// Replication is how many distinct nodes own each key (primary
 	// first). Values above the node count are clamped. Default 2.
 	Replication int
-	// VirtualNodes is the ring points per node; more points smooth the
-	// load split at the cost of a larger ring. Default 64.
-	VirtualNodes int
 }
+
+// virtualNodes is the ring points per node; more points smooth the load
+// split at the cost of a larger ring.
+const virtualNodes = 64
 
 func (c *Config) normalize(nodes int) {
 	if c.Seed == 0 {
@@ -47,9 +48,6 @@ func (c *Config) normalize(nodes int) {
 	}
 	if c.Replication > nodes {
 		c.Replication = nodes
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
 	}
 }
 
@@ -85,9 +83,9 @@ func New(cfg Config, nodes []string) (*Map, error) {
 	}
 	cfg.normalize(len(sorted))
 	m := &Map{cfg: cfg, nodes: sorted}
-	m.ring = make([]point, 0, len(sorted)*cfg.VirtualNodes)
+	m.ring = make([]point, 0, len(sorted)*virtualNodes)
 	for ni, n := range sorted {
-		for v := 0; v < cfg.VirtualNodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			m.ring = append(m.ring, point{hash: m.hash(fmt.Sprintf("%s#%d", n, v)), node: ni})
 		}
 	}
@@ -153,6 +151,3 @@ func (m *Map) Owners(key string) []string {
 	}
 	return owners
 }
-
-// Primary returns the first owner of key.
-func (m *Map) Primary(key string) string { return m.Owners(key)[0] }

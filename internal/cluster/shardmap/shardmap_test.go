@@ -58,7 +58,7 @@ func TestSeedChangesPlacement(t *testing.T) {
 	}
 	moved := 0
 	for _, k := range keys(1000) {
-		if m1.Primary(k) != m2.Primary(k) {
+		if m1.Owners(k)[0] != m2.Owners(k)[0] {
 			moved++
 		}
 	}
@@ -98,7 +98,7 @@ func TestEveryNodeOwnsSomething(t *testing.T) {
 	}
 	load := map[string]int{}
 	for _, k := range keys(5000) {
-		load[m.Primary(k)]++
+		load[m.Owners(k)[0]]++
 	}
 	for _, n := range nodes {
 		if load[n] == 0 {
@@ -124,7 +124,7 @@ func TestRebalanceBoundedOnJoin(t *testing.T) {
 	ks := keys(6000)
 	moved := 0
 	for _, k := range ks {
-		p0, p1 := before.Primary(k), after.Primary(k)
+		p0, p1 := before.Owners(k)[0], after.Owners(k)[0]
 		if p0 == p1 {
 			continue
 		}
@@ -158,7 +158,7 @@ func TestRebalanceBoundedOnLeave(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range keys(6000) {
-		p0, p1 := before.Primary(k), after.Primary(k)
+		p0, p1 := before.Owners(k)[0], after.Owners(k)[0]
 		if p0 == "d" {
 			if p1 == "d" {
 				t.Fatalf("key %q still on removed node", k)
@@ -196,7 +196,7 @@ func TestBalanceWithSimilarNodeNames(t *testing.T) {
 	counts := make(map[string]int, len(nodes))
 	const total = 3000
 	for _, k := range keys(total) {
-		counts[m.Primary(k)]++
+		counts[m.Owners(k)[0]]++
 	}
 	for _, n := range nodes {
 		share := float64(counts[n]) / total

@@ -7,7 +7,7 @@
 //     planes raw).
 //   - FloatCodec compresses windows of float64 values directly. The
 //     ISOBAR-style lossless codec and the ISABELA-style lossy codec are
-//     float codecs, as is the FPC-style predictive codec.
+//     float codecs.
 //
 // Every codec produces self-contained buffers: decoding needs only the
 // encoded bytes.
@@ -33,8 +33,6 @@ type ByteCodec interface {
 type FloatCodec interface {
 	// Name identifies the codec in configs and file metadata.
 	Name() string
-	// Lossless reports whether decoding reproduces inputs bit-exactly.
-	Lossless() bool
 	// EncodeFloats compresses values into a self-contained buffer.
 	EncodeFloats(values []float64) ([]byte, error)
 	// DecodeFloats decompresses data, appending into dst.
@@ -129,9 +127,6 @@ type RawFloats struct{}
 // Name implements FloatCodec.
 func (RawFloats) Name() string { return "raw" }
 
-// Lossless implements FloatCodec.
-func (RawFloats) Lossless() bool { return true }
-
 // EncodeFloats implements FloatCodec.
 func (RawFloats) EncodeFloats(values []float64) ([]byte, error) {
 	return RawFloats{}.AppendFloats(make([]byte, 0, 8*len(values)), values)
@@ -157,7 +152,7 @@ func (RawFloats) DecodeFloats(data []byte, dst []float64) ([]float64, error) {
 }
 
 // NewFloatCodec builds a float codec by name with default parameters.
-// Recognized names: "raw", "isobar", "isabela", "fpc".
+// Recognized names: "raw", "isobar", "isabela".
 func NewFloatCodec(name string) (FloatCodec, error) {
 	switch name {
 	case "raw":
@@ -166,8 +161,6 @@ func NewFloatCodec(name string) (FloatCodec, error) {
 		return NewIsobar(DefaultZlibLevel), nil
 	case "isabela":
 		return NewIsabela(DefaultIsabelaConfig()), nil
-	case "fpc":
-		return NewFPC(), nil
 	default:
 		return nil, fmt.Errorf("compress: unknown float codec %q", name)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // smoothField mimics simulation data: a slowly varying signal with
-// small correlated noise, the regime ISABELA/ISOBAR/FPC are built for.
+// small correlated noise, the regime ISABELA/ISOBAR are built for.
 func smoothField(n int, seed int64) []float64 {
 	r := rand.New(rand.NewSource(seed))
 	out := make([]float64, n)
@@ -30,7 +30,7 @@ func noisyField(n int, seed int64) []float64 {
 }
 
 func losslessCodecs() []FloatCodec {
-	return []FloatCodec{RawFloats{}, NewIsobar(DefaultZlibLevel), NewFPC()}
+	return []FloatCodec{RawFloats{}, NewIsobar(DefaultZlibLevel)}
 }
 
 func TestLosslessRoundtripSmooth(t *testing.T) {
@@ -51,9 +51,6 @@ func TestLosslessRoundtripSmooth(t *testing.T) {
 			if math.Float64bits(dec[i]) != math.Float64bits(values[i]) {
 				t.Fatalf("%s: value %d: %v != %v", c.Name(), i, dec[i], values[i])
 			}
-		}
-		if !c.Lossless() {
-			t.Errorf("%s: Lossless() = false", c.Name())
 		}
 	}
 }
@@ -121,18 +118,6 @@ func TestIsobarDoesNotBlowUpOnNoise(t *testing.T) {
 	}
 }
 
-func TestFPCCompressesSmoothData(t *testing.T) {
-	values := smoothField(1<<15, 4)
-	raw, _ := RawFloats{}.EncodeFloats(values)
-	enc, err := NewFPC().EncodeFloats(values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc) >= len(raw) {
-		t.Fatalf("fpc did not compress smooth data: %d >= %d", len(enc), len(raw))
-	}
-}
-
 func TestIsabelaErrorBound(t *testing.T) {
 	cfg := DefaultIsabelaConfig()
 	cfg.RelError = 0.01
@@ -163,9 +148,6 @@ func TestIsabelaErrorBound(t *testing.T) {
 		if rel > cfg.RelError*1.05 {
 			t.Fatalf("value %d: %v -> %v, scaled error %v > ε", i, values[i], dec[i], rel)
 		}
-	}
-	if c.Lossless() {
-		t.Error("isabela claims lossless")
 	}
 }
 
@@ -236,7 +218,7 @@ func TestIsabelaRejectsNonFinite(t *testing.T) {
 
 func TestDecodeErrorsOnTruncation(t *testing.T) {
 	values := smoothField(4096, 8)
-	codecs := []FloatCodec{NewIsobar(DefaultZlibLevel), NewFPC(), NewIsabela(DefaultIsabelaConfig())}
+	codecs := []FloatCodec{NewIsobar(DefaultZlibLevel), NewIsabela(DefaultIsabelaConfig())}
 	for _, c := range codecs {
 		enc, err := c.EncodeFloats(values)
 		if err != nil {
@@ -299,7 +281,7 @@ func TestRawBytesRoundtrip(t *testing.T) {
 }
 
 func TestCodecRegistry(t *testing.T) {
-	for _, name := range []string{"raw", "isobar", "isabela", "fpc"} {
+	for _, name := range []string{"raw", "isobar", "isabela"} {
 		c, err := NewFloatCodec(name)
 		if err != nil {
 			t.Fatalf("NewFloatCodec(%s): %v", name, err)
@@ -347,33 +329,6 @@ func TestBitPackRoundtripQuick(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFPCRoundtripQuick(t *testing.T) {
-	c := NewFPC()
-	f := func(raw []uint64) bool {
-		values := make([]float64, len(raw))
-		for i, b := range raw {
-			values[i] = math.Float64frombits(b)
-		}
-		enc, err := c.EncodeFloats(values)
-		if err != nil {
-			return false
-		}
-		dec, err := c.DecodeFloats(enc, nil)
-		if err != nil || len(dec) != len(values) {
-			return false
-		}
-		for i := range values {
-			if math.Float64bits(dec[i]) != math.Float64bits(values[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -440,18 +395,6 @@ func BenchmarkIsabelaDecode(b *testing.B) {
 		var err error
 		dst, err = c.DecodeFloats(enc, dst[:0])
 		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFPCEncode(b *testing.B) {
-	values := smoothField(1<<16, 1)
-	c := NewFPC()
-	b.SetBytes(int64(len(values) * 8))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.EncodeFloats(values); err != nil {
 			b.Fatal(err)
 		}
 	}

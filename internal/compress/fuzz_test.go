@@ -38,60 +38,6 @@ func FuzzIsabelaDecode(f *testing.F) {
 	})
 }
 
-func FuzzFPCDecode(f *testing.F) {
-	c := NewFPC()
-	seed, _ := c.EncodeFloats([]float64{0, 1e300, -42.5})
-	f.Add(seed)
-	f.Add([]byte{})
-	f.Add([]byte{0x03, 0x00})
-	// Truncated streams: a long predictable-then-noisy encoding cut at
-	// the header boundary, mid-record, and one byte short, so the
-	// decoder's count/payload bounds checks all get exercised.
-	vals := make([]float64, 64)
-	for i := range vals {
-		vals[i] = float64(i%7) * 1.25e8
-	}
-	long, _ := c.EncodeFloats(vals)
-	f.Add(long[:1])
-	f.Add(long[:len(long)/2])
-	f.Add(long[:len(long)-1])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = c.DecodeFloats(data, nil)
-	})
-}
-
-func FuzzFPCRoundtrip(f *testing.F) {
-	c := NewFPC()
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		n := len(raw) / 8
-		values := make([]float64, n)
-		for i := 0; i < n; i++ {
-			var bits uint64
-			for b := 0; b < 8; b++ {
-				bits = bits<<8 | uint64(raw[i*8+b])
-			}
-			values[i] = math.Float64frombits(bits)
-		}
-		enc, err := c.EncodeFloats(values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := c.DecodeFloats(enc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dec) != n {
-			t.Fatalf("decoded %d values, want %d", len(dec), n)
-		}
-		for i := range values {
-			if math.Float64bits(dec[i]) != math.Float64bits(values[i]) {
-				t.Fatalf("value %d mismatch", i)
-			}
-		}
-	})
-}
-
 func FuzzBitUnpack(f *testing.F) {
 	f.Add([]byte{0xAB, 0xCD}, 3, uint8(5))
 	f.Fuzz(func(t *testing.T, data []byte, count int, bitsRaw uint8) {

@@ -87,12 +87,6 @@ func NewIsabela(cfg IsabelaConfig) *Isabela {
 // Name implements FloatCodec.
 func (c *Isabela) Name() string { return "isabela" }
 
-// Lossless implements FloatCodec.
-func (c *Isabela) Lossless() bool { return false }
-
-// Config returns the codec parameters.
-func (c *Isabela) Config() IsabelaConfig { return c.cfg }
-
 // Window flags in the encoded stream.
 const (
 	isaWindowSpline = 0

@@ -41,9 +41,6 @@ func NewIsobar(level int) *Isobar {
 // Name implements FloatCodec.
 func (c *Isobar) Name() string { return "isobar" }
 
-// Lossless implements FloatCodec.
-func (c *Isobar) Lossless() bool { return true }
-
 // EncodeFloats implements FloatCodec. Layout:
 //
 //	uvarint count

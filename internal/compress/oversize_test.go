@@ -27,11 +27,6 @@ func TestDecodeRejectsOversizedDeclarations(t *testing.T) {
 		data  []byte
 	}{
 		{
-			name:  "fpc count bomb",
-			codec: NewFPC(),
-			data:  append(putUvarint(nil, oversizeHuge), 0x11, 0x22),
-		},
-		{
 			name:  "isobar count bomb",
 			codec: NewIsobar(DefaultZlibLevel),
 			data:  append(putUvarint(nil, oversizeHuge), 0, 0),

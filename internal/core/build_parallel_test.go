@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mloc/internal/binning"
-	"mloc/internal/compress"
 	"mloc/internal/datagen"
 	"mloc/internal/grid"
 	"mloc/internal/pfs"
@@ -112,35 +111,6 @@ func TestBuildWorkersDeterministic(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBuildWorkersDeterministicFPC covers the remaining float codec.
-func TestBuildWorkersDeterministicFPC(t *testing.T) {
-	data, shape := testData(t)
-	cfg := DefaultConfig([]int{8, 8})
-	cfg.Mode = ModeFloats
-	cfg.FloatCodec = compress.NewFPC()
-	cfg.NumBins = 10
-	cfg.SampleSize = 512
-
-	fsRef := pfs.New(pfs.DefaultConfig())
-	cfg.BuildWorkers = 1
-	if _, err := Build(fsRef, fsRef.NewClock(), "det/phi", shape, data, cfg); err != nil {
-		t.Fatal(err)
-	}
-	want := storeFiles(t, fsRef, "det/phi")
-
-	cfg.BuildWorkers = 4
-	fsN := pfs.New(pfs.DefaultConfig())
-	if _, err := Build(fsN, fsN.NewClock(), "det/phi", shape, data, cfg); err != nil {
-		t.Fatal(err)
-	}
-	got := storeFiles(t, fsN, "det/phi")
-	for path, wantBytes := range want {
-		if string(got[path]) != string(wantBytes) {
-			t.Errorf("fpc workers=4: %s differs from serial build", path)
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,7 +62,7 @@ func TestConcurrentQueriesRace(t *testing.T) {
 	for _, m := range baselines[0] {
 		positions.Set(m.Index)
 	}
-	fetchBase, err := st.FetchAt(positions, 1)
+	fetchBase, err := st.FetchAtContext(context.Background(), positions, 1)
 	if err != nil {
 		t.Fatalf("baseline fetch: %v", err)
 	}
@@ -99,7 +100,7 @@ func TestConcurrentQueriesRace(t *testing.T) {
 					}
 				}
 				if it%2 == 1 {
-					fres, err := st.FetchAt(positions, ranks)
+					fres, err := st.FetchAtContext(context.Background(), positions, ranks)
 					if err != nil {
 						t.Errorf("goroutine %d fetch: %v", g, err)
 						return
@@ -156,6 +157,27 @@ func TestQueryContextPreCanceled(t *testing.T) {
 	req := &query.Request{VC: &binning.ValueConstraint{Min: 0, Max: 1}}
 	if _, err := st.QueryContext(ctx, req, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QueryContext with pre-canceled ctx = %v, want context.Canceled", err)
+	}
+}
+
+// TestBuildContextPreCanceled checks that a build under an expired
+// context stops at the commit loop's first poll: the error wraps
+// context.Canceled and names bin 0, and nothing — no bin subfile, no
+// vindex, no meta — lands under the prefix.
+func TestBuildContextPreCanceled(t *testing.T) {
+	data, shape := testData(t)
+	fs := pfs.New(pfs.DefaultConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := BuildContext(ctx, fs, fs.NewClock(), "canceled/phi", shape, data, hierTestConfig())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("BuildContext with pre-canceled ctx = %v, want context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), "bin 0") {
+		t.Errorf("error %q does not name bin 0", err)
+	}
+	if files := fs.List("canceled/"); len(files) != 0 {
+		t.Errorf("canceled build left %d files under the prefix: %v", len(files), files)
 	}
 }
 
@@ -247,7 +269,7 @@ func TestDecodeCachePreventsRedecompression(t *testing.T) {
 	for i := int64(0); i < shape.Elems(); i += 5 {
 		positions.Set(i)
 	}
-	fres, err := st.FetchAt(positions, 1)
+	fres, err := st.FetchAtContext(context.Background(), positions, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

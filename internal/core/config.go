@@ -11,6 +11,7 @@ import (
 	"runtime"
 
 	"mloc/internal/compress"
+	"mloc/internal/grid"
 	"mloc/internal/sfc"
 )
 
@@ -201,6 +202,32 @@ func ISAConfig(chunkSize []int) Config {
 	c.Mode = ModeFloats
 	c.FloatCodec = compress.NewIsabela(compress.DefaultIsabelaConfig())
 	return c
+}
+
+// ModeConfig returns the configuration of the named MLOC variant — col
+// (DefaultConfig), iso (ISOConfig) or isa (ISAConfig) — for a chunk
+// size; it is the -mode switch of both CLIs.
+func ModeConfig(mode string, chunkSize []int) (Config, error) {
+	switch mode {
+	case "col":
+		return DefaultConfig(chunkSize), nil
+	case "iso":
+		return ISOConfig(chunkSize), nil
+	case "isa":
+		return ISAConfig(chunkSize), nil
+	default:
+		return Config{}, fmt.Errorf("core: unknown mode %q (want col, iso, or isa)", mode)
+	}
+}
+
+// DefaultChunk is the chunk size the CLIs use when none is given: a
+// sixteenth of the grid per dimension, at least 1.
+func DefaultChunk(shape grid.Shape) []int {
+	chunk := make([]int, shape.Dims())
+	for d := range chunk {
+		chunk[d] = max(shape[d]/16, 1)
+	}
+	return chunk
 }
 
 // normalize fills defaults and validates.

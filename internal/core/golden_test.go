@@ -7,7 +7,6 @@ import (
 	"hash"
 	"testing"
 
-	"mloc/internal/compress"
 	"mloc/internal/datagen"
 	"mloc/internal/pfs"
 )
@@ -23,8 +22,6 @@ var goldenStoreDigests = map[string][2]string{
 	"col-vms-hier": {"9d66aec2c48503ddfb9296ca444fe3b31a1dc070a293a68dcdd95ecbef6e54a9", "a1b5b8f6f655382cfb0998a1f97814119a1fae17234e434a16495ebb6b113765"},
 	"col-vsm":      {"940c77bf1510c8da342a95a0c1d6df3614a73db6f32458a32074c6813641b7c7", "85e62c57f9cbd85da6ad9b4be4bce2473576105411afd8e60b1385a6e1325396"},
 	"col-vsm-hier": {"bca72f5da79188afcd57bbc2ea69e22950403cfb938ab8420b598f1d39f2b4a2", "85e62c57f9cbd85da6ad9b4be4bce2473576105411afd8e60b1385a6e1325396"},
-	"fpc":          {"43e79507ee525ff315584b293b31c8f43c29e3b13a61ea312a4864d13af3958b", "b554481cedbdb8af6d0450641548bd1bf0e53aca5b2adb41ec1de5be73fb6bcc"},
-	"fpc-hier":     {"5bda7a4548206e272f12b65bcbc7f8257dc427408f6e6debdf47ba236e1a82cf", "b554481cedbdb8af6d0450641548bd1bf0e53aca5b2adb41ec1de5be73fb6bcc"},
 	"isa":          {"b56c4ad21fbcea12ec298cef953e3a81e20905a2b639832ec1cb10d1e614d3fc", "86b8f10a813c132af37092e9c8979258ed5e84cc8d3504af98843e9942d1a1cf"},
 	"isa-hier":     {"e4c77ae3fffeb6e9d23b7aec91bb2342fed8eb24bd121d8e7489068c6cb7f79d", "86b8f10a813c132af37092e9c8979258ed5e84cc8d3504af98843e9942d1a1cf"},
 	"iso":          {"a26d987722dc883df90a13c17e0d5207ebfb5cfff33a48f72a9846d37708d13b", "55b93c9fb59721500f27837ccfdd3559f4bbb145058d12cf5b37a0eae3dfd994"},
@@ -39,15 +36,11 @@ var goldenStoreDigests = map[string][2]string{
 func goldenStoreConfigs() map[string]Config {
 	colVSM := DefaultConfig([]int{16, 16})
 	colVSM.Order = OrderVSM
-	fpc := DefaultConfig([]int{16, 16})
-	fpc.Mode = ModeFloats
-	fpc.FloatCodec = compress.NewFPC()
 	base := map[string]Config{
 		"col-vms": DefaultConfig([]int{16, 16}),
 		"col-vsm": colVSM,
 		"iso":     ISOConfig([]int{16, 16}),
 		"isa":     ISAConfig([]int{16, 16}),
-		"fpc":     fpc,
 	}
 	out := make(map[string]Config, 2*len(base))
 	for name, cfg := range base {

@@ -26,7 +26,7 @@ func TestHierarchicalBuildAndOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Hierarchical() {
+	if st.vidx == nil {
 		t.Fatal("built store has no vindex")
 	}
 	// The vindex is part of the index footprint.
@@ -43,7 +43,7 @@ func TestHierarchicalBuildAndOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opened.Hierarchical() {
+	if opened.vidx == nil {
 		t.Fatal("opened store lost the vindex")
 	}
 	if opened.vidx.size != st.vidx.size || len(opened.vidx.offs) != len(st.vidx.offs) {
@@ -54,7 +54,7 @@ func TestHierarchicalBuildAndOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if openedFlat.Hierarchical() {
+	if openedFlat.vidx != nil {
 		t.Fatal("flat store grew a vindex on open")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -130,7 +131,7 @@ func TestPositionFetchIOShapePinned(t *testing.T) {
 			pos := positionsOf(t, st, query.Request{VC: &binning.ValueConstraint{Min: lo, Max: hi}})
 			for _, ranks := range []int{1, 3} {
 				fetch := func() ioShape {
-					res, err := st.FetchAt(pos, ranks)
+					res, err := st.FetchAtContext(context.Background(), pos, ranks)
 					if err != nil {
 						t.Fatal(err)
 					}

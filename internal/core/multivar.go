@@ -38,9 +38,8 @@ type MultiVarResult struct {
 
 // MultiVarQuery runs the two-phase multi-variable access across the
 // named stores: phase 1 answers the selection as a region-only query on
-// selectVar and synchronizes the resulting position bitmap (the paper's
-// light-weight bitmap index exchange); phase 2 retrieves each fetch
-// variable's values at those positions.
+// selectVar and sets the position bitmap from its matches; phase 2
+// retrieves each fetch variable's values at those positions.
 //
 // All stores must share one grid shape. It is MultiVarQueryContext
 // with a background context.
@@ -67,9 +66,10 @@ func MultiVarQueryContext(ctx context.Context, stores map[string]*Store, selectV
 		}
 	}
 
-	// Phase 1: region-only selection. Ranks each produce a partial
-	// bitmap; an all-reduce OR synchronizes them (paper: "bitmaps
-	// derived by region queries from all processes are synchronized").
+	// Phase 1: region-only selection. The paper synchronizes one
+	// partial bitmap per process; here the query already gathers every
+	// rank's matches, so one bitmap is set from them and nothing is
+	// reduced.
 	phase1 := req.Select
 	phase1.IndexOnly = true
 	sctx, ss := obs.StartSpan(ctx, "select")
@@ -121,18 +121,12 @@ func MultiVarQueryContext(ctx context.Context, stores map[string]*Store, selectV
 	return out, nil
 }
 
-// FetchAt retrieves the variable's values at the positions set in the
-// bitmap, reading only the storage units that contain selected points.
-// It is FetchAtContext with a background context.
-func (s *Store) FetchAt(positions *bitmap.Bitmap, ranks int) (*query.Result, error) {
-	return s.FetchAtContext(context.Background(), positions, ranks)
-}
-
-// FetchAtContext is FetchAt under a context. It is the query pipeline
-// with the bitmap as the point predicate: the chunks holding a selected
-// position are planned in every bin, a unit's data is read only once its
-// decoded index shows a selected point, and cancellation is honored at
-// every bin boundary.
+// FetchAtContext retrieves the variable's values at the positions set
+// in the bitmap, reading only the storage units that contain selected
+// points. It is the query pipeline with the bitmap as the point
+// predicate: the chunks holding a selected position are planned in
+// every bin, a unit's data is read only once its decoded index shows a
+// selected point, and cancellation is honored at every bin boundary.
 func (s *Store) FetchAtContext(ctx context.Context, positions *bitmap.Bitmap, ranks int) (*query.Result, error) {
 	return s.execute(ctx, ranks, func() (*plan, error) { return s.planFetch(positions) })
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mloc/internal/bitmap"
@@ -123,14 +124,14 @@ func TestFetchAtValidation(t *testing.T) {
 	stores, _ := buildMultiVarStores(t)
 	st := stores["temp"]
 	short := newBitmapOfLen(10)
-	if _, err := st.FetchAt(short, 1); err == nil {
+	if _, err := st.FetchAtContext(context.Background(), short, 1); err == nil {
 		t.Error("wrong-length bitmap accepted")
 	}
 	ok := newBitmapOfLen(st.Shape().Elems())
-	if _, err := st.FetchAt(ok, 0); err == nil {
+	if _, err := st.FetchAtContext(context.Background(), ok, 0); err == nil {
 		t.Error("ranks=0 accepted")
 	}
-	res, err := st.FetchAt(ok, 2)
+	res, err := st.FetchAtContext(context.Background(), ok, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestFetchAtReadsOnlyHitChunks(t *testing.T) {
 	bm := newBitmapOfLen(st.Shape().Elems())
 	// One position -> one chunk's units at most (per bin).
 	bm.Set(0)
-	res, err := st.FetchAt(bm, 1)
+	res, err := st.FetchAtContext(context.Background(), bm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

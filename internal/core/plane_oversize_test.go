@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -86,7 +87,7 @@ func TestInflateBoundedByMetadata(t *testing.T) {
 				positions.Set(i)
 			}
 			return func() error {
-				_, err := st.FetchAt(positions, 2)
+				_, err := st.FetchAtContext(context.Background(), positions, 2)
 				return err
 			}, []string{fmt.Sprintf("exceeds %d-byte limit", want)}
 		}},

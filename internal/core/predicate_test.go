@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -72,7 +73,7 @@ func TestEmptyPredicatesAreEmptyPlans(t *testing.T) {
 				}
 			}
 			fs.ResetStats()
-			res, err := st.FetchAt(bitmap.New(shape.Elems()), ranks)
+			res, err := st.FetchAtContext(context.Background(), bitmap.New(shape.Elems()), ranks)
 			untouched(fmt.Sprintf("zero bitmap ranks %d", ranks), res, err)
 		}
 	}
@@ -248,7 +249,7 @@ func TestPositionFetchEqualsValueQuery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := st.FetchAt(positionsOf(t, st, req), 1+r.Intn(4))
+				got, err := st.FetchAtContext(context.Background(), positionsOf(t, st, req), 1+r.Intn(4))
 				if err != nil {
 					t.Fatal(err)
 				}

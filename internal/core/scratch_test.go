@@ -224,7 +224,7 @@ func TestRankMatchBufferBoundedBySC(t *testing.T) {
 	}
 	// One match per point of the touched chunks, which is what the plan
 	// alone would reserve.
-	touched := int64(len(st.chunks.OverlappingChunks(sc))) * st.chunks.ChunkElems() * 16
+	touched := int64(len(st.chunks.OverlappingChunks(sc))) * st.chunks.ChunkRegionByID(0).Elems() * 16
 	lo, hi := datagen.Selectivity(v.Data, 0.5, 11, 1024)
 	for name, req := range map[string]*query.Request{
 		"region":       {SC: &sc, IndexOnly: true},

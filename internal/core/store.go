@@ -185,9 +185,6 @@ func (s *Store) IndexBytes() int64 {
 	return total
 }
 
-// Hierarchical reports whether the store carries a super-bin tree index.
-func (s *Store) Hierarchical() bool { return s.vidx != nil }
-
 // TotalBytes returns data + index footprint.
 func (s *Store) TotalBytes() int64 { return s.DataBytes() + s.IndexBytes() }
 

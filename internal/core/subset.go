@@ -158,21 +158,6 @@ func subsetLevelPath(prefix string, lvl int) string {
 // Levels returns the number of resolution levels.
 func (s *SubsetStore) Levels() int { return s.hier.Levels() }
 
-// Shape returns the full-resolution grid shape.
-func (s *SubsetStore) Shape() grid.Shape { return s.shape }
-
-// LevelBytes returns each level's stored size — the I/O a reader at
-// resolution ℓ pays is the prefix sum through ℓ.
-func (s *SubsetStore) LevelBytes() []int64 {
-	out := make([]int64, len(s.levels))
-	for lvl := range s.levels {
-		for _, b := range s.levels[lvl].blocks {
-			out[lvl] += b.length
-		}
-	}
-	return out
-}
-
 // SubsetResult is a resolution-ℓ read: the dense stride-subsampled grid
 // and accounting.
 type SubsetResult struct {

@@ -100,21 +100,6 @@ func TestSubsetBytesGrowWithLevel(t *testing.T) {
 	}
 }
 
-func TestSubsetLevelBytesMatchesFiles(t *testing.T) {
-	st, _, _ := buildSubsetStore(t, 32)
-	sizes := st.LevelBytes()
-	if len(sizes) != st.Levels() {
-		t.Fatalf("LevelBytes has %d entries", len(sizes))
-	}
-	var total int64
-	for _, s := range sizes {
-		total += s
-	}
-	if fsTotal := st.fs.TotalSize("sub/phi/"); fsTotal != total {
-		t.Fatalf("LevelBytes total %d != files total %d", total, fsTotal)
-	}
-}
-
 func TestSubsetReadLevelValidation(t *testing.T) {
 	st, _, _ := buildSubsetStore(t, 16)
 	if _, err := st.ReadLevel(-1, 1); err == nil {

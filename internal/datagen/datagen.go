@@ -14,9 +14,11 @@
 package datagen
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
 
 	"mloc/internal/grid"
@@ -184,33 +186,21 @@ func S3DLike(n int, seed int64) *Dataset {
 	}
 }
 
-// Replicate tiles a dataset t times along dimension 0, emulating the
-// paper's replication of one time step up to 8 GB / 512 GB scales. The
-// replicas receive a tiny deterministic perturbation so compression is
-// not artificially aided by exact repetition.
-func Replicate(d *Dataset, t int) (*Dataset, error) {
-	if t < 1 {
-		return nil, fmt.Errorf("datagen: replication factor %d < 1", t)
+// ReadRaw reads a file of little-endian float64 values — what `mlocctl
+// gen` writes — that must hold exactly the points of shape.
+func ReadRaw(path string, shape grid.Shape) ([]float64, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	if t == 1 {
-		return d, nil
+	if int64(len(raw)) != 8*shape.Elems() {
+		return nil, fmt.Errorf("datagen: %s has %d bytes, shape %s needs %d", path, len(raw), shape, 8*shape.Elems())
 	}
-	shape := d.Shape.Clone()
-	shape[0] *= t
-	out := &Dataset{Name: d.Name, Shape: shape}
-	step := d.Shape.Elems()
-	for _, v := range d.Vars {
-		data := make([]float64, step*int64(t))
-		for rep := 0; rep < t; rep++ {
-			r := rand.New(rand.NewSource(int64(rep) * 7919))
-			base := step * int64(rep)
-			for i, x := range v.Data {
-				data[base+int64(i)] = x * (1 + r.NormFloat64()*1e-6)
-			}
-		}
-		out.Vars = append(out.Vars, Variable{Name: v.Name, Data: data})
+	data := make([]float64, shape.Elems())
+	for i := range data {
+		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
-	return out, nil
+	return data, nil
 }
 
 // Selectivity returns a value constraint [lo,hi] covering approximately

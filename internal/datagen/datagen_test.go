@@ -1,7 +1,6 @@
 package datagen
 
 import (
-	"math"
 	"testing"
 
 	"mloc/internal/compress"
@@ -88,44 +87,6 @@ func TestFieldsAreCompressible(t *testing.T) {
 	}
 	if float64(len(enc)) > 0.95*float64(len(v.Data)*8) {
 		t.Fatalf("GTS-like field incompressible: %d of %d bytes", len(enc), len(v.Data)*8)
-	}
-}
-
-func TestReplicate(t *testing.T) {
-	d := GTSLike(8, 8, 2)
-	r, err := Replicate(d, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Shape.Equal(grid.Shape{32, 8}) {
-		t.Fatalf("replicated shape = %v", r.Shape)
-	}
-	v, _ := r.Var("phi")
-	if len(v.Data) != 32*8 {
-		t.Fatalf("replicated len = %d", len(v.Data))
-	}
-	orig, _ := d.Var("phi")
-	// Replicas are near but not exactly equal to the original.
-	base := 2 * 64
-	var exact int
-	for i := 0; i < 64; i++ {
-		if v.Data[base+i] == orig.Data[i] {
-			exact++
-		}
-		rel := math.Abs(v.Data[base+i]-orig.Data[i]) / math.Max(math.Abs(orig.Data[i]), 1e-12)
-		if rel > 1e-4 {
-			t.Fatalf("replica diverged at %d: rel %v", i, rel)
-		}
-	}
-	if exact == 64 {
-		t.Fatal("replica is bit-exact; perturbation missing")
-	}
-	if _, err := Replicate(d, 0); err == nil {
-		t.Fatal("replication factor 0 accepted")
-	}
-	same, err := Replicate(d, 1)
-	if err != nil || same != d {
-		t.Fatal("factor 1 should return the original dataset")
 	}
 }
 

@@ -143,12 +143,6 @@ func (s *Store) DataBytes() int64 { return 8 * s.shape.Elems() }
 // column).
 func (s *Store) IndexBytes() int64 { return s.indexSize }
 
-// Shape returns the grid shape.
-func (s *Store) Shape() grid.Shape { return s.shape }
-
-// NumBins returns the effective bin count.
-func (s *Store) NumBins() int { return s.scheme.NumBins() }
-
 // rankOut accumulates one rank's results.
 type rankOut struct {
 	matches []query.Match

@@ -37,44 +37,11 @@ func NewChunking(shape Shape, chunkSize []int) (*Chunking, error) {
 	}, nil
 }
 
-// Shape returns the underlying grid shape.
-func (c *Chunking) Shape() Shape { return c.shape }
-
-// ChunkSize returns the nominal chunk extent per dimension.
-func (c *Chunking) ChunkSize() []int { return c.size }
-
 // GridShape returns the number of chunks along each dimension.
 func (c *Chunking) GridShape() Shape { return c.grid }
 
 // NumChunks returns the total chunk count.
 func (c *Chunking) NumChunks() int64 { return c.grid.Elems() }
-
-// ChunkElems returns the nominal number of elements per full chunk.
-func (c *Chunking) ChunkElems() int64 {
-	n := int64(1)
-	for _, s := range c.size {
-		n *= int64(s)
-	}
-	return n
-}
-
-// ChunkRegion returns the grid region covered by the chunk with the
-// given chunk coordinates (clipped to the shape for edge chunks).
-func (c *Chunking) ChunkRegion(chunkCoords []int) Region {
-	lo := make([]int, len(c.shape))
-	hi := make([]int, len(c.shape))
-	for d, cc := range chunkCoords {
-		if cc < 0 || cc >= c.grid[d] {
-			panic(fmt.Sprintf("grid: chunk coordinate %d = %d out of [0,%d)", d, cc, c.grid[d]))
-		}
-		lo[d] = cc * c.size[d]
-		hi[d] = lo[d] + c.size[d]
-		if hi[d] > c.shape[d] {
-			hi[d] = c.shape[d]
-		}
-	}
-	return Region{Lo: lo, Hi: hi}
-}
 
 // ChunkRegionByID returns the region of the chunk with the given linear
 // (row-major) chunk id.
@@ -138,25 +105,6 @@ func (c *Chunking) OverlappingChunks(r Region) []int64 {
 		out = append(out, c.grid.Linear(coords))
 	})
 	return out
-}
-
-// OffsetInChunk returns the row-major offset of a grid point inside its
-// chunk, along with the chunk's region. This is the intra-block index
-// MLOC's light-weight index records.
-func (c *Chunking) OffsetInChunk(coords []int) (int64, Region) {
-	cc := c.ChunkOf(coords, make([]int, 0, len(coords)))
-	reg := c.ChunkRegion(cc)
-	var off int64
-	for d := range coords {
-		off = off*int64(reg.Hi[d]-reg.Lo[d]) + int64(coords[d]-reg.Lo[d])
-	}
-	return off, reg
-}
-
-// ElemsInChunk returns the actual element count of the chunk with the
-// given linear id (smaller than ChunkElems for edge chunks).
-func (c *Chunking) ElemsInChunk(id int64) int64 {
-	return c.ChunkRegionByID(id).Elems()
 }
 
 // ExtractChunk copies the chunk's elements out of a row-major flat

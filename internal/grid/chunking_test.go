@@ -28,34 +28,35 @@ func TestChunkingGridShape(t *testing.T) {
 	if c.NumChunks() != 6 {
 		t.Errorf("NumChunks = %d, want 6", c.NumChunks())
 	}
-	if c.ChunkElems() != 16 {
-		t.Errorf("ChunkElems = %d, want 16", c.ChunkElems())
+	if n := c.ChunkRegionByID(0).Elems(); n != 16 {
+		t.Errorf("full chunk has %d elements, want 16", n)
 	}
 }
 
 func TestChunkRegionEdges(t *testing.T) {
 	c, _ := NewChunking(Shape{10, 8}, []int{4, 4})
 	// Chunk (2,1) covers rows [8,10), cols [4,8): an edge chunk.
-	r := c.ChunkRegion([]int{2, 1})
+	r := c.ChunkRegionByID(c.GridShape().Linear([]int{2, 1}))
 	if r.Lo[0] != 8 || r.Hi[0] != 10 || r.Lo[1] != 4 || r.Hi[1] != 8 {
 		t.Errorf("edge chunk region = %v", r)
 	}
-	if c.ElemsInChunk(c.GridShape().Linear([]int{2, 1})) != 8 {
+	if c.ChunkRegionByID(c.GridShape().Linear([]int{2, 1})).Elems() != 8 {
 		t.Error("edge chunk should have 8 elements")
 	}
 }
 
 func TestChunkRegionsPartition(t *testing.T) {
 	// Every grid point must be in exactly one chunk region.
-	c, _ := NewChunking(Shape{7, 5, 3}, []int{3, 2, 2})
+	shape := Shape{7, 5, 3}
+	c, _ := NewChunking(shape, []int{3, 2, 2})
 	count := make(map[int64]int)
 	for id := int64(0); id < c.NumChunks(); id++ {
 		c.ChunkRegionByID(id).Each(func(coords []int) {
-			count[c.Shape().Linear(coords)]++
+			count[shape.Linear(coords)]++
 		})
 	}
-	if int64(len(count)) != c.Shape().Elems() {
-		t.Fatalf("chunks cover %d points, want %d", len(count), c.Shape().Elems())
+	if int64(len(count)) != shape.Elems() {
+		t.Fatalf("chunks cover %d points, want %d", len(count), shape.Elems())
 	}
 	for lin, n := range count {
 		if n != 1 {
@@ -65,8 +66,9 @@ func TestChunkRegionsPartition(t *testing.T) {
 }
 
 func TestChunkIDOfMatchesRegion(t *testing.T) {
-	c, _ := NewChunking(Shape{9, 9}, []int{4, 4})
-	FullRegion(c.Shape()).Each(func(coords []int) {
+	shape := Shape{9, 9}
+	c, _ := NewChunking(shape, []int{4, 4})
+	FullRegion(shape).Each(func(coords []int) {
 		id := c.ChunkIDOf(coords)
 		if !c.ChunkRegionByID(id).Contains(coords) {
 			t.Fatalf("point %v assigned to chunk %d whose region %v excludes it",
@@ -109,29 +111,18 @@ func TestOverlappingChunksExact(t *testing.T) {
 	}
 }
 
-func TestOffsetInChunk(t *testing.T) {
-	c, _ := NewChunking(Shape{8, 8}, []int{4, 4})
-	off, reg := c.OffsetInChunk([]int{5, 6})
-	// Chunk (1,1) spans [4,8)x[4,8); point (5,6) -> local (1,2) -> 1*4+2=6.
-	if off != 6 {
-		t.Errorf("OffsetInChunk = %d, want 6", off)
-	}
-	if reg.Lo[0] != 4 || reg.Lo[1] != 4 {
-		t.Errorf("chunk region = %v", reg)
-	}
-}
-
 func TestExtractScatterChunkRoundtrip(t *testing.T) {
-	c, _ := NewChunking(Shape{6, 5}, []int{4, 3})
-	data := make([]float64, c.Shape().Elems())
+	shape := Shape{6, 5}
+	c, _ := NewChunking(shape, []int{4, 3})
+	data := make([]float64, shape.Elems())
 	for i := range data {
 		data[i] = float64(i) * 1.5
 	}
 	out := make([]float64, len(data))
 	for id := int64(0); id < c.NumChunks(); id++ {
 		chunk := c.ExtractChunk(data, id, nil)
-		if int64(len(chunk)) != c.ElemsInChunk(id) {
-			t.Fatalf("chunk %d has %d elems, want %d", id, len(chunk), c.ElemsInChunk(id))
+		if int64(len(chunk)) != c.ChunkRegionByID(id).Elems() {
+			t.Fatalf("chunk %d has %d elems, want %d", id, len(chunk), c.ChunkRegionByID(id).Elems())
 		}
 		c.ScatterChunk(out, id, chunk)
 	}
@@ -146,7 +137,7 @@ func TestExtractChunkPanicsOnBadData(t *testing.T) {
 	c, _ := NewChunking(Shape{4, 4}, []int{2, 2})
 	assertPanics(t, func() { c.ExtractChunk(make([]float64, 3), 0, nil) })
 	assertPanics(t, func() { c.ScatterChunk(make([]float64, 16), 0, make([]float64, 3)) })
-	assertPanics(t, func() { c.ChunkRegion([]int{9, 0}) })
+	assertPanics(t, func() { c.ChunkRegionByID(c.NumChunks()) })
 	assertPanics(t, func() { c.ChunkOf([]int{4, 0}, nil) })
 }
 
@@ -156,9 +147,7 @@ func TestChunkingQuickPointMembership(t *testing.T) {
 		x := int(a) % 31
 		y := int(b) % 17
 		id := c.ChunkIDOf([]int{x, y})
-		off, reg := c.OffsetInChunk([]int{x, y})
-		return reg.Contains([]int{x, y}) && off >= 0 && off < reg.Elems() &&
-			id >= 0 && id < c.NumChunks()
+		return id >= 0 && id < c.NumChunks() && c.ChunkRegionByID(id).Contains([]int{x, y})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)

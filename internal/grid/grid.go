@@ -7,6 +7,7 @@ package grid
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -30,6 +31,24 @@ func (s Shape) Validate() error {
 		}
 	}
 	return nil
+}
+
+// ParseShape parses a "64x64"-style dimension list (x, X or a comma
+// separates extents) into a valid shape.
+func ParseShape(s string) (Shape, error) {
+	parts := strings.FieldsFunc(s, func(r rune) bool { return r == 'x' || r == 'X' || r == ',' })
+	shape := make(Shape, 0, len(parts))
+	for _, p := range parts {
+		n, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("grid: bad shape component %q", p)
+		}
+		shape = append(shape, n)
+	}
+	if err := shape.Validate(); err != nil {
+		return nil, err
+	}
+	return shape, nil
 }
 
 // Dims returns the number of dimensions.

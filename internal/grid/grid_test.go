@@ -187,3 +187,31 @@ func (s Shape) Contains(c []int) bool {
 	}
 	return true
 }
+
+func TestParseShape(t *testing.T) {
+	good := map[string][]int{
+		"1024x1024": {1024, 1024},
+		"4X4":       {4, 4},
+		"2,3,4":     {2, 3, 4},
+		"16":        {16},
+	}
+	for in, want := range good {
+		got, err := ParseShape(in)
+		if err != nil {
+			t.Fatalf("ParseShape(%q): %v", in, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("ParseShape(%q) = %v", in, got)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("ParseShape(%q) = %v, want %v", in, got, want)
+			}
+		}
+	}
+	for _, in := range []string{"", "axb", "4x0", "-1x4"} {
+		if _, err := ParseShape(in); err == nil {
+			t.Errorf("ParseShape(%q) accepted", in)
+		}
+	}
+}

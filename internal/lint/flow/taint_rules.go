@@ -446,7 +446,7 @@ func (a *analysis) checkNamedSinks(call *ast.CallExpr, callee *types.Func, st ta
 			switch name {
 			case "L":
 				sinkArg(SinkLabel, 1)
-			case "Counter", "Gauge", "Histogram", "CounterFunc", "GaugeFunc":
+			case "Counter", "Histogram", "CounterFunc", "GaugeFunc":
 				sinkArg(SinkLabel, 0)
 			}
 		}

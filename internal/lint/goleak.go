@@ -14,8 +14,8 @@ import (
 // a channel send or receive (a ctx.Done() select counts), a range over
 // a channel — or a call to a function that provides one. A goroutine
 // with none of these is fire-and-forget: nothing can wait for it, and
-// under load it accumulates (the leak class the staging pipeline and
-// build pool were designed around).
+// under load it accumulates (the leak class the build pool was
+// designed around).
 //
 // Goroutines whose callee cannot be resolved statically (function
 // values, interface methods) are skipped rather than guessed at.

@@ -21,7 +21,7 @@ func finiteSet(reg *obs.Registry) {
 		reg.Counter("mloc_endpoint_total", "Requests by endpoint.", obs.L("endpoint", ep)).Inc()
 	}
 	for i := 0; i < 4; i++ {
-		reg.Gauge("mloc_worker_busy", "Worker busy flag.", obs.L("worker", strconv.Itoa(i))).Set(0)
+		reg.GaugeFunc("mloc_worker_busy", "Worker busy flag.", func() float64 { return 0 }, obs.L("worker", strconv.Itoa(i)))
 	}
 }
 

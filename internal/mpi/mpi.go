@@ -1,9 +1,8 @@
 // Package mpi provides a goroutine-based SPMD runtime standing in for
 // MPI in MLOC's parallel query engine (paper §III-D). Each "rank" is a
-// goroutine executing the same body; the package supplies the
-// bulk-synchronous collectives the paper's engine uses: barrier,
-// gather, all-gather, and all-reduce (including the bitmap OR used for
-// multi-variable query index synchronization).
+// goroutine executing the same body, and Barrier is the one collective.
+// The engines gather results without a collective: each rank writes its
+// own slot of a slice the caller owns, and Run returning is the gather.
 //
 // The runtime preserves the paper's decomposition and synchronization
 // structure exactly; only the transport differs (shared memory instead
@@ -28,8 +27,6 @@ type Comm struct {
 type world struct {
 	size int
 	bar  *cyclicBarrier
-	mu   sync.Mutex
-	slot []any
 }
 
 // Run executes body on size concurrent ranks and waits for all of them.
@@ -43,7 +40,6 @@ func Run(size int, body func(c *Comm) error) error {
 	w := &world{
 		size: size,
 		bar:  newCyclicBarrier(size),
-		slot: make([]any, size),
 	}
 	errs := make([]error, size)
 	var wg sync.WaitGroup
@@ -74,65 +70,6 @@ func (c *Comm) Size() int { return c.world.size }
 
 // Barrier blocks until every rank has entered it.
 func (c *Comm) Barrier() error { return c.world.bar.await() }
-
-// AllGather deposits each rank's value and returns the slice of all
-// ranks' values, indexed by rank, on every rank.
-func AllGather[T any](c *Comm, v T) ([]T, error) {
-	c.world.mu.Lock()
-	c.world.slot[c.rank] = v
-	c.world.mu.Unlock()
-	if err := c.Barrier(); err != nil {
-		return nil, err
-	}
-	out := make([]T, c.world.size)
-	c.world.mu.Lock()
-	for i := range out {
-		val, ok := c.world.slot[i].(T)
-		if !ok {
-			c.world.mu.Unlock()
-			return nil, fmt.Errorf("mpi: rank %d deposited %T, want %T", i, c.world.slot[i], out[i])
-		}
-		out[i] = val
-	}
-	c.world.mu.Unlock()
-	// Second barrier: nobody reuses the slots for the next collective
-	// until everyone has read this round.
-	if err := c.Barrier(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Gather returns all ranks' values on root (ordered by rank) and nil on
-// the other ranks.
-func Gather[T any](c *Comm, root int, v T) ([]T, error) {
-	if root < 0 || root >= c.world.size {
-		return nil, fmt.Errorf("mpi: root %d out of [0,%d)", root, c.world.size)
-	}
-	all, err := AllGather(c, v)
-	if err != nil {
-		return nil, err
-	}
-	if c.rank != root {
-		return nil, nil
-	}
-	return all, nil
-}
-
-// AllReduce combines all ranks' values with fn (assumed associative and
-// commutative) and returns the result on every rank.
-func AllReduce[T any](c *Comm, v T, fn func(a, b T) T) (T, error) {
-	all, err := AllGather(c, v)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	acc := all[0]
-	for _, x := range all[1:] {
-		acc = fn(acc, x)
-	}
-	return acc, nil
-}
 
 // cyclicBarrier is a reusable N-party barrier with abort support.
 type cyclicBarrier struct {

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"mloc/internal/bitmap"
 )
 
 func TestRunBasic(t *testing.T) {
@@ -82,124 +80,6 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
-func TestAllGather(t *testing.T) {
-	err := Run(5, func(c *Comm) error {
-		got, err := AllGather(c, c.Rank()*10)
-		if err != nil {
-			return err
-		}
-		for i, v := range got {
-			if v != i*10 {
-				return fmt.Errorf("rank %d: got[%d] = %d", c.Rank(), i, v)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllGatherRepeated(t *testing.T) {
-	// Slot reuse across rounds must not corrupt earlier reads.
-	err := Run(4, func(c *Comm) error {
-		for round := 0; round < 50; round++ {
-			got, err := AllGather(c, c.Rank()+round*100)
-			if err != nil {
-				return err
-			}
-			for i, v := range got {
-				if v != i+round*100 {
-					return fmt.Errorf("round %d rank %d: got[%d] = %d", round, c.Rank(), i, v)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherRootOnly(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
-		got, err := Gather(c, 2, fmt.Sprintf("r%d", c.Rank()))
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 2 {
-			if len(got) != 4 || got[0] != "r0" || got[3] != "r3" {
-				return fmt.Errorf("root got %v", got)
-			}
-		} else if got != nil {
-			return fmt.Errorf("non-root rank %d got %v", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherBadRoot(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		_, err := Gather(c, 5, 0)
-		if err == nil {
-			return errors.New("bad root accepted")
-		}
-		// Re-sync so both ranks exit cleanly.
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllReduceSum(t *testing.T) {
-	err := Run(8, func(c *Comm) error {
-		sum, err := AllReduce(c, c.Rank()+1, func(a, b int) int { return a + b })
-		if err != nil {
-			return err
-		}
-		if sum != 36 {
-			return fmt.Errorf("sum = %d", sum)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllReduceBitmapOr(t *testing.T) {
-	// The multi-variable query pattern: each rank sets its own bits,
-	// all ranks end with the union.
-	err := Run(4, func(c *Comm) error {
-		bm := bitmap.New(100)
-		bm.Set(int64(c.Rank() * 10))
-		union, err := AllReduce(c, bm, func(a, b *bitmap.Bitmap) *bitmap.Bitmap {
-			out := a.Clone()
-			out.Or(b)
-			return out
-		})
-		if err != nil {
-			return err
-		}
-		if union.Count() != 4 {
-			return fmt.Errorf("union count = %d", union.Count())
-		}
-		for r := 0; r < 4; r++ {
-			if !union.Get(int64(r * 10)) {
-				return fmt.Errorf("bit %d missing", r*10)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPanicConvertsToError(t *testing.T) {
 	err := Run(3, func(c *Comm) error {
 		if c.Rank() == 1 {
@@ -219,39 +99,13 @@ func TestPanicConvertsToError(t *testing.T) {
 
 func TestSingleRankCollectives(t *testing.T) {
 	err := Run(1, func(c *Comm) error {
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		got, err := AllGather(c, 42)
-		if err != nil {
-			return err
-		}
-		if len(got) != 1 || got[0] != 42 {
-			return fmt.Errorf("got %v", got)
+		for i := 0; i < 3; i++ {
+			if err := c.Barrier(); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMismatchedTypesInAllGather(t *testing.T) {
-	// Ranks depositing different concrete types is a programming error
-	// that must surface, not panic.
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			_, err := AllGather[any](c, 1)
-			if err != nil {
-				return err
-			}
-			return nil
-		}
-		_, err := AllGather[any](c, "x")
-		return err
-	})
-	// With the any instantiation both succeed; this documents that the
-	// type check is per-instantiation.
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,67 +126,38 @@ func BenchmarkBarrier8(b *testing.B) {
 	}
 }
 
-func BenchmarkAllGather8(b *testing.B) {
-	b.ReportAllocs()
-	err := Run(8, func(c *Comm) error {
-		for i := 0; i < b.N; i++ {
-			if _, err := AllGather(c, c.Rank()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-// TestRunContention8Ranks hammers every collective from 8 concurrent
-// ranks with deliberately skewed arrival times. It is the regression
-// net for the shared errs and slot slices inside Run and AllGather:
-// run under the race detector (`make race`, or
-// `go test -race ./internal/mpi`) it fails on any unsynchronized
-// access the scheduler can surface.
+// TestRunContention8Ranks hammers the barrier from 8 concurrent ranks
+// with deliberately skewed arrival times, each rank writing its own
+// slot of a shared slice between barriers and reading every slot after
+// one — the pattern the engines gather by. It is the regression net for
+// the shared errs slice inside Run and the barrier's ordering: run
+// under the race detector (`make race`, or
+// `go test -race ./internal/mpi`) it fails on any unsynchronized access
+// the scheduler can surface.
 func TestRunContention8Ranks(t *testing.T) {
 	const (
 		ranks  = 8
 		rounds = 200
 	)
+	slots := make([]int, ranks)
 	err := Run(ranks, func(c *Comm) error {
 		for round := 0; round < rounds; round++ {
-			// Jitter arrival order so ranks hit the collectives from
+			// Jitter arrival order so ranks hit the barrier from
 			// different scheduling states each round.
 			for i := 0; i < (c.Rank()*7+round)%13; i++ {
 				runtime.Gosched()
 			}
-			vals, err := AllGather(c, c.Rank()*rounds+round)
-			if err != nil {
+			slots[c.Rank()] = c.Rank()*rounds + round
+			if err := c.Barrier(); err != nil {
 				return err
 			}
-			for r, v := range vals {
+			for r, v := range slots {
 				if want := r*rounds + round; v != want {
 					return fmt.Errorf("round %d: slot %d = %d, want %d", round, r, v, want)
 				}
 			}
-			total, err := AllReduce(c, 1, func(a, b int) int { return a + b })
-			if err != nil {
-				return err
-			}
-			if total != ranks {
-				return fmt.Errorf("round %d: AllReduce sum = %d, want %d", round, total, ranks)
-			}
-			root := round % ranks
-			g, err := Gather(c, root, round)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == root {
-				if len(g) != ranks {
-					return fmt.Errorf("round %d: Gather returned %d values on root", round, len(g))
-				}
-			} else if g != nil {
-				return fmt.Errorf("round %d: Gather returned values on non-root %d", round, c.Rank())
-			}
+			// Nobody writes the next round's slot until everyone has
+			// read this round.
 			if err := c.Barrier(); err != nil {
 				return err
 			}

@@ -36,7 +36,7 @@ func TestLintAcceptsRegistryOutput(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mloc_requests_total", "req", L("endpoint", "/query"), L("code", "200")).Add(3)
 	r.Counter("mloc_requests_total", "req", L("endpoint", "/query"), L("code", "429")).Add(1)
-	r.Gauge("mloc_in_flight", "in flight").Set(2)
+	r.GaugeFunc("mloc_in_flight", "in flight", func() float64 { return 2 })
 	h := r.Histogram("mloc_wait_seconds", "wait", DefSecondsBuckets(), L("endpoint", "/query"))
 	h.Observe(0.004)
 	h.Observe(12)

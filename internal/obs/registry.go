@@ -1,5 +1,5 @@
 // Package obs is the repo's stdlib-only observability layer: a unified
-// metrics registry (atomic counters, gauges, and fixed-bucket
+// metrics registry (atomic counters, sampled gauges, and fixed-bucket
 // histograms, registered by name with labels and exposed in Prometheus
 // text exposition format) plus per-request span tracing (context-
 // propagated span trees recording wall time, virtual-clock time, bytes,
@@ -81,28 +81,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an atomic float64 value that can move in both directions.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by d (negative to decrease).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram is a fixed-bucket histogram: observations are counted into
 // the first bucket whose upper bound is >= the value, with an implicit
 // +Inf bucket. Bounds are set at registration and immutable.
@@ -162,10 +140,6 @@ func (h *Histogram) Count() int64 {
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Bounds returns the bucket upper bounds (excluding +Inf); the returned
-// slice must not be modified.
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // ExpBuckets returns n bucket bounds growing geometrically from start
 // by factor — the usual shape for latency histograms.
 func ExpBuckets(start, factor float64, n int) []float64 {
@@ -194,7 +168,6 @@ type series struct {
 
 	// Exactly one of the following is set, matching the family kind.
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	fn      func() float64
 }
@@ -340,13 +313,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 	s.fn = fn
 }
 
-// Gauge registers (and returns) a gauge series under name.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.register(name, help, KindGauge, nil, labels)
-	s.gauge = &Gauge{}
-	return s.gauge
-}
-
 // GaugeFunc registers a gauge series sampled from fn at exposition time
 // (queue depths, bytes in use).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
@@ -400,27 +366,11 @@ func (r *Registry) snapshot() []famSnap {
 	return out
 }
 
-// Each calls fn for every counter and gauge series with its current
-// value (histograms are skipped; read them via their own accessors).
-// Iteration order matches the exposition order.
-func (r *Registry) Each(fn func(name string, labels []Label, kind Kind, value float64)) {
-	for _, fam := range r.snapshot() {
-		if fam.kind == KindHistogram {
-			continue
-		}
-		for _, s := range fam.series {
-			fn(fam.name, s.labels, fam.kind, seriesValue(s))
-		}
-	}
-}
-
 // seriesValue samples a counter/gauge series.
 func seriesValue(s *series) float64 {
 	switch {
 	case s.counter != nil:
 		return float64(s.counter.Value())
-	case s.gauge != nil:
-		return s.gauge.Value()
 	case s.fn != nil:
 		return s.fn()
 	}

@@ -107,7 +107,7 @@ func TestRegistryNameValidation(t *testing.T) {
 				t.Error("kind conflict did not panic")
 			}
 		}()
-		r.Gauge("mloc_hits_total", "h", L("other", "x"))
+		r.GaugeFunc("mloc_hits_total", "h", func() float64 { return 0 }, L("other", "x"))
 	}()
 	func() {
 		defer func() {
@@ -134,7 +134,6 @@ func TestRegistryNameValidation(t *testing.T) {
 func TestRegistryConcurrentMutation(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("mloc_shared_total", "shared counter")
-	g := r.Gauge("mloc_shared", "shared gauge")
 	h := r.Histogram("mloc_shared_seconds", "shared histogram", DefSecondsBuckets())
 	vars := []string{"phi", "theta", "rho", "pres"}
 	var wg sync.WaitGroup
@@ -146,8 +145,6 @@ func TestRegistryConcurrentMutation(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				c.Inc()
 				lc.Add(2)
-				g.Add(0.5)
-				g.Add(-0.25)
 				h.Observe(float64(i) * 1e-4)
 				if i%100 == 0 {
 					var sb strings.Builder
@@ -161,9 +158,6 @@ func TestRegistryConcurrentMutation(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != 8*500 {
 		t.Errorf("counter = %d, want %d", got, 8*500)
-	}
-	if got := g.Value(); math.Abs(got-8*500*0.25) > 1e-9 {
-		t.Errorf("gauge = %v, want %v", got, 8*500*0.25)
 	}
 	if got := h.Count(); got != 8*500 {
 		t.Errorf("histogram count = %d, want %d", got, 8*500)
@@ -202,25 +196,6 @@ func TestExpositionSortedAndEscaped(t *testing.T) {
 	}
 	if probs := Lint(out, true); len(probs) != 0 {
 		t.Errorf("lint problems: %v", probs)
-	}
-}
-
-// TestEachMatchesExposition cross-checks the Each iterator against
-// direct values.
-func TestEachMatchesExposition(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("mloc_x_total", "x").Add(7)
-	r.Gauge("mloc_y", "y").Set(2.5)
-	r.Histogram("mloc_z_seconds", "z", []float64{1}).Observe(0.5)
-	got := map[string]float64{}
-	r.Each(func(name string, labels []Label, kind Kind, value float64) {
-		got[name] = value
-	})
-	if len(got) != 2 {
-		t.Fatalf("Each visited %d series, want 2 (histograms skipped): %v", len(got), got)
-	}
-	if got["mloc_x_total"] != 7 || got["mloc_y"] != 2.5 {
-		t.Errorf("Each values = %v", got)
 	}
 }
 

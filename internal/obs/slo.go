@@ -89,11 +89,3 @@ func (s *SLO) Observe(wall time.Duration) {
 		}
 	}
 }
-
-// Objectives returns the configured objectives (ascending).
-func (s *SLO) Objectives() []time.Duration {
-	if s == nil {
-		return nil
-	}
-	return s.objectives
-}

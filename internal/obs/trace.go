@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -35,14 +34,13 @@ import (
 // constructed with a non-positive capacity.
 const DefaultTraceCapacity = 64
 
-// DefaultMaxSpans bounds the spans recorded per trace.
+// DefaultMaxSpans bounds the spans recorded per trace; it is the only
+// bound, so a test of the bound records DefaultMaxSpans spans.
 const DefaultMaxSpans = 4096
 
 // Tracer retains the last N completed traces in a ring buffer. All
 // methods are safe for concurrent use.
 type Tracer struct {
-	maxSpans int
-
 	mu   sync.Mutex
 	ring []*Trace // circular; next is the slot to overwrite
 	next int
@@ -63,14 +61,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{ring: make([]*Trace, capacity), maxSpans: DefaultMaxSpans, open: make(map[uint64]*Trace)}
-}
-
-// SetMaxSpans overrides the per-trace span bound (before use).
-func (t *Tracer) SetMaxSpans(n int) {
-	if n > 0 {
-		t.maxSpans = n
-	}
+	return &Tracer{ring: make([]*Trace, capacity), open: make(map[uint64]*Trace)}
 }
 
 // Trace is one operation's span tree plus identity and bookkeeping.
@@ -159,7 +150,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // span bound.
 func (s *Span) newChild(name string) *Span {
 	tr := s.trace
-	if tr.spans.Add(1) > int64(tr.tracer.maxSpans) {
+	if tr.spans.Add(1) > DefaultMaxSpans {
 		tr.spans.Add(-1)
 		tr.dropped.Add(1)
 		return nil
@@ -324,16 +315,6 @@ type TraceDump struct {
 	Root *SpanDump `json:"root"`
 }
 
-// Dump snapshots the span's subtree as a SpanDump — the hook servers
-// use to embed a completed query tree in a response envelope (nil for
-// the nil span).
-func (s *Span) Dump() *SpanDump {
-	if s == nil {
-		return nil
-	}
-	return s.dump()
-}
-
 // dump snapshots a span subtree.
 func (s *Span) dump() *SpanDump {
 	s.mu.Lock()
@@ -413,12 +394,6 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.n
-}
-
-// MarshalJSONIndent renders the dump as indented JSON (the form
-// /debug/traces serves).
-func (d TraceDump) MarshalJSONIndent() ([]byte, error) {
-	return json.MarshalIndent(d, "", "  ")
 }
 
 // Render writes a human-readable tree of the trace:

@@ -187,23 +187,24 @@ func TestNoopSpanZeroAlloc(t *testing.T) {
 // spans beyond the bound without corrupting the tree.
 func TestMaxSpansBound(t *testing.T) {
 	tr := NewTracer(2)
-	tr.SetMaxSpans(3)
 	ctx, root := tr.StartTrace(context.Background(), "query")
-	_, a := StartSpan(ctx, "a")
-	_, b := StartSpan(ctx, "b")
-	_, c := StartSpan(ctx, "c")
-	if a == nil || b == nil {
-		t.Fatal("spans under the bound were dropped")
+	for i := 1; i < DefaultMaxSpans; i++ {
+		_, s := StartSpan(ctx, "a")
+		if s == nil {
+			t.Fatalf("span %d under the bound was dropped", i+1)
+		}
+		s.End()
 	}
-	if c != nil {
+	if _, c := StartSpan(ctx, "c"); c != nil {
 		t.Fatal("span over the bound was not dropped")
 	}
-	a.End()
-	b.End()
 	root.End()
 	d, _ := tr.DumpByID(root.TraceID())
-	if d.Spans != 3 || d.Dropped != 1 {
-		t.Errorf("spans=%d dropped=%d, want 3/1", d.Spans, d.Dropped)
+	if d.Spans != DefaultMaxSpans || d.Dropped != 1 {
+		t.Errorf("spans=%d dropped=%d, want %d/1", d.Spans, d.Dropped, DefaultMaxSpans)
+	}
+	if got := len(d.Root.Children); got != DefaultMaxSpans-1 {
+		t.Errorf("root holds %d children, want %d", got, DefaultMaxSpans-1)
 	}
 }
 

@@ -256,7 +256,7 @@ func (s *Span) graftSubtree(sw *SpanWire, rootNS int64, base time.Time) (virt fl
 // honoring the per-trace span bound the same way newChild does.
 func (s *Span) graftChild(sw *SpanWire, start time.Time) *Span {
 	tr := s.trace
-	if tr.spans.Add(1) > int64(tr.tracer.maxSpans) {
+	if tr.spans.Add(1) > DefaultMaxSpans {
 		tr.spans.Add(-1)
 		tr.dropped.Add(1)
 		return nil

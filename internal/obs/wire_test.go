@@ -184,10 +184,15 @@ func TestGraftWireHonorsMaxSpans(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 
+	// Fill the trace to one span short of the bound: root, shard and
+	// fillers, so exactly one grafted span fits.
 	local := NewTracer(4)
-	local.SetMaxSpans(3) // root + shard + one grafted span
 	ctx, root := local.StartTrace(context.Background(), "route")
 	_, shard := StartSpan(ctx, "shard")
+	for i := 2; i < DefaultMaxSpans-1; i++ {
+		_, fill := StartSpan(ctx, "fill")
+		fill.End()
+	}
 	_, dropped := shard.GraftWire(w, "node-a")
 	shard.End()
 	root.End()
@@ -200,8 +205,8 @@ func TestGraftWireHonorsMaxSpans(t *testing.T) {
 	if !ok {
 		t.Fatal("trace not retained")
 	}
-	if out.Spans != 3 {
-		t.Errorf("trace recorded %d spans, want 3", out.Spans)
+	if out.Spans != DefaultMaxSpans {
+		t.Errorf("trace recorded %d spans, want %d", out.Spans, DefaultMaxSpans)
 	}
 	if out.Dropped != remoteSpans-1 {
 		t.Errorf("trace dropped = %d, want %d", out.Dropped, remoteSpans-1)

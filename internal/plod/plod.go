@@ -19,7 +19,6 @@ package plod
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // NumPlanes is the number of byte planes (7: one 2-byte plane plus six
@@ -113,7 +112,7 @@ func splitInto(values []float64, planes *[NumPlanes][]byte) {
 // SplitScratch holds reusable plane buffers for Split, so per-unit
 // splits in a build loop stop allocating seven fresh slices each time.
 // A scratch is single-owner (not safe for concurrent use); builders
-// keep one per worker via GetSplitScratch/PutSplitScratch.
+// keep one per worker.
 type SplitScratch struct {
 	planes [NumPlanes][]byte
 }
@@ -125,15 +124,6 @@ func (s *SplitScratch) Split(values []float64) [NumPlanes][]byte {
 	splitInto(values, &s.planes)
 	return s.planes
 }
-
-var splitScratchPool = sync.Pool{New: func() any { return new(SplitScratch) }}
-
-// GetSplitScratch takes a scratch from the package pool.
-func GetSplitScratch() *SplitScratch { return splitScratchPool.Get().(*SplitScratch) }
-
-// PutSplitScratch returns a scratch to the package pool. The caller
-// must not use previously returned planes afterwards.
-func PutSplitScratch(s *SplitScratch) { splitScratchPool.Put(s) }
 
 // FillPolicy selects how absent low-order bytes are synthesized during
 // partial reassembly.
@@ -207,11 +197,4 @@ func RelErrorBound(level int, fill FillPolicy) float64 {
 		return interval / 2
 	}
 	return interval
-}
-
-// IOSavings returns the fraction of bytes NOT transferred when reading
-// at the given level (e.g. level 2 → 5/8 = 62.5%, the paper's figure).
-func IOSavings(level int) float64 {
-	checkLevel(level)
-	return float64(8-BytesPerValue(level)) / 8
 }

@@ -34,7 +34,6 @@ func TestLevelPanics(t *testing.T) {
 		func() { PlaneWidth(-1) },
 		func() { PlaneWidth(7) },
 		func() { RelErrorBound(9, FillCentered) },
-		func() { IOSavings(0) },
 	} {
 		func() {
 			defer func() {
@@ -113,8 +112,8 @@ func TestLevel2MatchesPaperErrorClaim(t *testing.T) {
 	if bound > 0.0002 {
 		t.Errorf("level-2 bound %g is not the paper's order of magnitude", bound)
 	}
-	if IOSavings(2) != 0.625 {
-		t.Errorf("IOSavings(2) = %v, want 0.625 (62.5%%)", IOSavings(2))
+	if saved := float64(8-BytesPerValue(2)) / 8; saved != 0.625 {
+		t.Errorf("level 2 saves %v of the bytes, want 0.625 (62.5%%)", saved)
 	}
 }
 

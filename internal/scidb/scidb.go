@@ -128,15 +128,6 @@ func Build(fs *pfs.Sim, clk *pfs.Clock, prefix string, shape grid.Shape, data []
 // replication (Table I's SciDB row).
 func (s *Store) StorageBytes() int64 { return s.offsets[len(s.offsets)-1] }
 
-// Shape returns the grid shape.
-func (s *Store) Shape() grid.Shape { return s.shape }
-
-// OverlapFactor returns stored-bytes / raw-bytes, the replication
-// overhead Table I footnotes.
-func (s *Store) OverlapFactor() float64 {
-	return float64(s.StorageBytes()) / float64(8*s.shape.Elems())
-}
-
 // Query executes a request over the given number of ranks.
 func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 	if err := req.Validate(s.shape); err != nil {

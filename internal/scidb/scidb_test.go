@@ -83,7 +83,7 @@ func TestOverlapInflatesStorage(t *testing.T) {
 	if withOverlap.StorageBytes() <= raw {
 		t.Fatalf("overlap-1 storage %d did not grow over raw %d", withOverlap.StorageBytes(), raw)
 	}
-	f := withOverlap.OverlapFactor()
+	f := float64(withOverlap.StorageBytes()) / float64(raw)
 	// Paper: SciDB stored 8.8 GB for 8 GB (1.1x).
 	if f < 1.01 || f > 2 {
 		t.Fatalf("overlap factor %v outside plausible range", f)

@@ -44,27 +44,9 @@ func Build(fs *pfs.Sim, clk *pfs.Clock, path string, shape grid.Shape, data []fl
 	return &Store{fs: fs, path: path, shape: shape, scanChunk: 4 << 20}, nil
 }
 
-// Open attaches to an existing store file.
-func Open(fs *pfs.Sim, path string, shape grid.Shape) (*Store, error) {
-	if err := shape.Validate(); err != nil {
-		return nil, err
-	}
-	size, err := fs.Size(path)
-	if err != nil {
-		return nil, err
-	}
-	if size != 8*shape.Elems() {
-		return nil, fmt.Errorf("seqscan: file %s has %d bytes, want %d", path, size, 8*shape.Elems())
-	}
-	return &Store{fs: fs, path: path, shape: shape, scanChunk: 4 << 20}, nil
-}
-
 // StorageBytes returns the on-PFS footprint (Table I's "data size";
 // sequential scan has no index).
 func (s *Store) StorageBytes() (int64, error) { return s.fs.Size(s.path) }
-
-// Shape returns the grid shape.
-func (s *Store) Shape() grid.Shape { return s.shape }
 
 // Query executes a request with the given number of parallel ranks.
 //

@@ -67,23 +67,6 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-func TestOpen(t *testing.T) {
-	st, _, shape := buildStore(t)
-	re, err := Open(st.fs, st.path, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !re.Shape().Equal(shape) {
-		t.Fatal("shape mismatch after open")
-	}
-	if _, err := Open(st.fs, "missing", shape); err == nil {
-		t.Error("open of missing file accepted")
-	}
-	if _, err := Open(st.fs, st.path, grid.Shape{3, 3}); err == nil {
-		t.Error("open with wrong shape accepted")
-	}
-}
-
 func TestValueQueryMatchesBruteForce(t *testing.T) {
 	st, data, shape := buildStore(t)
 	sc, _ := grid.NewRegion([]int{5, 7}, []int{20, 25})

@@ -38,23 +38,15 @@ type resultEncoder struct {
 	err error
 }
 
-// AppendResultJSON appends the /query response body for r — one JSON
-// object and a newline — to dst. Unless indexOnly is set, the bytes
-// are exactly what encoding/json's Encoder writes for r. indexOnly is
-// the request's index_only: its matches carry no values, so each is
-// written as {"index":n} and a client decoding into MatchWire reads
-// the same zero. r.Trace is copied as it is, without the validation
-// and compaction encoding/json would apply (obs.EncodeTraceWire output
-// needs neither). A NaN or infinite number is an error, as it is for
-// encoding/json.
-func AppendResultJSON(dst []byte, r *ResultWire, indexOnly bool) ([]byte, error) {
-	e := resultEncoder{buf: dst}
-	e.result(r, indexOnly, nil)
-	return e.buf, e.err
-}
-
-// WriteResult writes r as the 200 response to a /query request, encoded
-// as AppendResultJSON does, through a pooled 64 KiB buffer. extra, when
+// WriteResult writes r as the 200 response to a /query request — one
+// JSON object and a newline — through a pooled 64 KiB buffer. Unless
+// indexOnly is set, the bytes are exactly what encoding/json's Encoder
+// writes for r. indexOnly is the request's index_only: its matches
+// carry no values, so each is written as {"index":n} and a client
+// decoding into MatchWire reads the same zero. r.Trace is copied as it
+// is, without the validation and compaction encoding/json would apply
+// (obs.EncodeTraceWire output needs neither). A NaN or infinite number
+// is an error, as it is for encoding/json. extra, when
 // not empty, is a JSON object whose members follow r's own — the
 // router's degraded/shards annotations.
 func WriteResult(w http.ResponseWriter, r *ResultWire, indexOnly bool, extra []byte) error {

@@ -306,3 +306,12 @@ func FuzzAppendResultJSON(f *testing.F) {
 		}
 	})
 }
+
+// AppendResultJSON appends the body WriteResult sends for r to dst,
+// through the same encoder with no writer behind it, so the tests can
+// compare bodies byte for byte.
+func AppendResultJSON(dst []byte, r *ResultWire, indexOnly bool) ([]byte, error) {
+	e := resultEncoder{buf: dst}
+	e.result(r, indexOnly, nil)
+	return e.buf, e.err
+}

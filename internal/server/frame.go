@@ -46,13 +46,11 @@ type Role struct {
 
 	// The knobs both roles' Configs carry; zero values take the
 	// defaults documented there.
-	MaxMatches       int
-	MaxBodyBytes     int64
-	Registry         *obs.Registry
-	Tracer           *obs.Tracer
-	SLOObjectives    []time.Duration
-	QueryLogCapacity int
-	Logf             func(format string, args ...any)
+	MaxMatches    int
+	Registry      *obs.Registry
+	Tracer        *obs.Tracer
+	SLOObjectives []time.Duration
+	Logf          func(format string, args ...any)
 
 	// Vars lists the served variables for GET /vars, sorted by name.
 	Vars func() []VarWire
@@ -146,9 +144,6 @@ func NewFrame(role Role) (*Frame, error) {
 	if role.MaxMatches <= 0 {
 		role.MaxMatches = 65536
 	}
-	if role.MaxBodyBytes <= 0 {
-		role.MaxBodyBytes = 1 << 20
-	}
 	if role.Registry == nil {
 		role.Registry = obs.NewRegistry()
 	}
@@ -165,7 +160,7 @@ func NewFrame(role Role) (*Frame, error) {
 	if role.Logf == nil {
 		role.Logf = log.Printf
 	}
-	f := &Frame{role: role, qlog: obs.NewQueryLog(role.QueryLogCapacity)}
+	f := &Frame{role: role, qlog: obs.NewQueryLog(obs.DefaultQueryLogCapacity)}
 	f.instrument()
 	return f, nil
 }
@@ -225,12 +220,6 @@ func (f *Frame) instrument() {
 // Registry returns the metrics registry backing /metrics, so the role
 // and the embedding process (mlocd) can register more families on it.
 func (f *Frame) Registry() *obs.Registry { return f.role.Registry }
-
-// Tracer returns the tracer backing /debug/traces.
-func (f *Frame) Tracer() *obs.Tracer { return f.role.Tracer }
-
-// QueryLog returns the always-on query log backing /debug/querylog.
-func (f *Frame) QueryLog() *obs.QueryLog { return f.qlog }
 
 // Logf writes one log line through the configured sink.
 func (f *Frame) Logf(format string, args ...any) { f.role.Logf(format, args...) }
@@ -302,7 +291,7 @@ func (f *Frame) handleQuery(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusServiceUnavailable, f.role.Name+" is draining")
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, f.role.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	wire, err := ParseRequest(r.Body)
 	if err != nil {
 		f.failed.Inc()

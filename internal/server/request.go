@@ -22,6 +22,8 @@ const (
 	// at most one range per two slabs, so it refuses SlabsPerVar above
 	// twice this.
 	MaxWireRows = 1024
+	// MaxBodyBytes caps a /query request body, on both roles.
+	MaxBodyBytes = 1 << 20
 )
 
 // VCWire is the JSON shape of a value constraint. Pointers distinguish

@@ -64,8 +64,6 @@ type Config struct {
 	// MaxMatches caps the matches returned per response (default
 	// 65536); the full count is always reported.
 	MaxMatches int
-	// MaxBodyBytes caps the request body (default 1 MiB).
-	MaxBodyBytes int64
 	// Registry receives the server's (and cache's) metrics and backs
 	// GET /metrics. New creates a private one when nil. It must not
 	// already hold mloc_server_* or mloc_cache_* families.
@@ -77,9 +75,6 @@ type Config struct {
 	// mloc_slo_query_ok_total / mloc_slo_query_breach_total counter
 	// pairs (default obs.DefaultSLOObjectives).
 	SLOObjectives []time.Duration
-	// QueryLogCapacity bounds the always-on query-log ring served at
-	// /debug/querylog (default obs.DefaultQueryLogCapacity).
-	QueryLogCapacity int
 	// Logf receives the service's log lines (default log.Printf).
 	Logf func(format string, args ...any)
 }
@@ -126,20 +121,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg}
 	frame, err := NewFrame(Role{
-		Name:             "server",
-		Prefix:           "mloc_server",
-		RootSpan:         "query",
-		Limits:           &Limits{MaxConcurrent: cfg.MaxConcurrent, MaxQueue: cfg.MaxQueue, QueueWait: cfg.QueueWait},
-		MaxMatches:       cfg.MaxMatches,
-		MaxBodyBytes:     cfg.MaxBodyBytes,
-		Registry:         cfg.Registry,
-		Tracer:           cfg.Tracer,
-		SLOObjectives:    cfg.SLOObjectives,
-		QueryLogCapacity: cfg.QueryLogCapacity,
-		Logf:             cfg.Logf,
-		Vars:             s.vars,
-		Prepare:          s.prepare,
-		Stats:            s.stats,
+		Name:          "server",
+		Prefix:        "mloc_server",
+		RootSpan:      "query",
+		Limits:        &Limits{MaxConcurrent: cfg.MaxConcurrent, MaxQueue: cfg.MaxQueue, QueueWait: cfg.QueueWait},
+		MaxMatches:    cfg.MaxMatches,
+		Registry:      cfg.Registry,
+		Tracer:        cfg.Tracer,
+		SLOObjectives: cfg.SLOObjectives,
+		Logf:          cfg.Logf,
+		Vars:          s.vars,
+		Prepare:       s.prepare,
+		Stats:         s.stats,
 	})
 	if err != nil {
 		return nil, err

@@ -15,19 +15,13 @@ import (
 )
 
 // Curve linearizes N-dimensional lattice coordinates into a single
-// index and back. All implementations in this package are bijections
-// over the cube [0, 2^order)^dims.
+// index. All implementations in this package are bijections over the
+// cube [0, 2^order)^dims, and each has a Coords method inverting Index.
 type Curve interface {
 	// Dims returns the number of dimensions the curve spans.
 	Dims() int
-	// Order returns the number of bits per dimension. The curve covers
-	// side length 2^Order per dimension.
-	Order() uint
 	// Index maps lattice coordinates to the curve position.
 	Index(coords []uint32) uint64
-	// Coords maps a curve position back to lattice coordinates,
-	// appending into dst (which may be nil).
-	Coords(index uint64, dst []uint32) []uint32
 }
 
 // Hilbert is an N-dimensional Hilbert curve of a given order.
@@ -67,9 +61,6 @@ func (h *Hilbert) Dims() int { return h.dims }
 
 // Order returns the bits per dimension.
 func (h *Hilbert) Order() uint { return h.order }
-
-// Side returns the number of lattice points per dimension, 2^order.
-func (h *Hilbert) Side() uint64 { return 1 << h.order }
 
 // Length returns the total number of points on the curve.
 func (h *Hilbert) Length() uint64 {

@@ -4,8 +4,8 @@ package sfc
 // into contiguous runs of the linearized order. The MLOC paper's case
 // for Hilbert ordering (§III-B2, citing Moon et al.) is that a query
 // over a spatial sub-volume touches fewer, longer runs of the
-// linearization, reducing seek count. These helpers drive both tests
-// and the curve-ablation benchmark.
+// linearization, reducing seek count. TestHilbertBeatsZOrderOnRuns
+// measures that claim with these helpers.
 
 // RegionRuns returns the number of maximal contiguous runs of curve
 // indices covered by the axis-aligned box [lo, hi] (inclusive bounds per
@@ -22,17 +22,6 @@ func RegionRuns(c Curve, lo, hi []uint32) int {
 		}
 	}
 	return runs
-}
-
-// RegionSpan returns (min, max) curve index covered by the box. The
-// span-to-volume ratio measures over-read when a reader fetches the
-// whole span in one request.
-func RegionSpan(c Curve, lo, hi []uint32) (min, max uint64) {
-	idx := regionIndices(c, lo, hi)
-	if len(idx) == 0 {
-		return 0, 0
-	}
-	return idx[0], idx[len(idx)-1]
 }
 
 // regionIndices enumerates and sorts the curve indices of every lattice

@@ -25,20 +25,8 @@ func NewZOrder(dims int, order uint) (*ZOrder, error) {
 	return &ZOrder{dims: dims, order: order}, nil
 }
 
-// MustZOrder is NewZOrder that panics on error.
-func MustZOrder(dims int, order uint) *ZOrder {
-	z, err := NewZOrder(dims, order)
-	if err != nil {
-		panic(err)
-	}
-	return z
-}
-
 // Dims returns the dimensionality of the curve.
 func (z *ZOrder) Dims() int { return z.dims }
-
-// Order returns the bits per dimension.
-func (z *ZOrder) Order() uint { return z.order }
 
 // Index interleaves the coordinate bits into a Morton code. Dimension 0
 // provides the most significant bit within each bit plane, matching the
@@ -93,20 +81,8 @@ func NewRowMajor(dims int, order uint) (*RowMajor, error) {
 	return &RowMajor{dims: dims, order: order}, nil
 }
 
-// MustRowMajor is NewRowMajor that panics on error.
-func MustRowMajor(dims int, order uint) *RowMajor {
-	r, err := NewRowMajor(dims, order)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Dims returns the dimensionality of the curve.
 func (r *RowMajor) Dims() int { return r.dims }
-
-// Order returns the bits per dimension.
-func (r *RowMajor) Order() uint { return r.order }
 
 // Index computes the row-major linear index (dimension 0 slowest).
 func (r *RowMajor) Index(coords []uint32) uint64 {

@@ -80,8 +80,19 @@ func TestNewCurveKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewCurve(%s): %v", kind, err)
 		}
-		if c.Dims() != 2 || c.Order() != 4 {
-			t.Fatalf("NewCurve(%s): dims/order mismatch", kind)
+		if c.Dims() != 2 {
+			t.Fatalf("NewCurve(%s): %d dims, want 2", kind, c.Dims())
+		}
+		// Order 4: the 16×16 lattice maps one to one onto [0, 256).
+		seen := make(map[uint64]bool, 256)
+		for x := uint32(0); x < 16; x++ {
+			for y := uint32(0); y < 16; y++ {
+				i := c.Index([]uint32{x, y})
+				if i >= 256 || seen[i] {
+					t.Fatalf("NewCurve(%s): Index(%d,%d) = %d repeats or leaves [0,256)", kind, x, y, i)
+				}
+				seen[i] = true
+			}
 		}
 	}
 	if _, err := NewCurve("peano", 2, 4); err == nil {
@@ -134,14 +145,6 @@ func TestRegionRunsEmptyRegion(t *testing.T) {
 	}
 }
 
-func TestRegionSpan(t *testing.T) {
-	r := MustRowMajor(2, 3) // side 8, index = x*8+y
-	min, max := RegionSpan(r, []uint32{1, 2}, []uint32{2, 4})
-	if min != 10 || max != 20 {
-		t.Errorf("RegionSpan = (%d,%d), want (10,20)", min, max)
-	}
-}
-
 func BenchmarkZOrderIndex3D(b *testing.B) {
 	z := MustZOrder(3, 10)
 	coords := []uint32{123, 456, 789}
@@ -149,4 +152,22 @@ func BenchmarkZOrderIndex3D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = z.Index(coords)
 	}
+}
+
+// MustZOrder is NewZOrder that panics on error.
+func MustZOrder(dims int, order uint) *ZOrder {
+	z, err := NewZOrder(dims, order)
+	if err != nil {
+		panic(err)
+	}
+	return z
+}
+
+// MustRowMajor is NewRowMajor that panics on error.
+func MustRowMajor(dims int, order uint) *RowMajor {
+	r, err := NewRowMajor(dims, order)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
