@@ -172,35 +172,27 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 	encSpan.AddVirt(clk.Now() - v1)
 	encSpan.End()
 
-	// Optional hierarchical V-level index: super-bin tree bitmaps over
-	// the same binned points, built and written serially so the store
-	// stays byte-identical across worker counts.
-	var vidx *vindex
-	if cfg.HierarchicalIndex {
-		tree, terr := binning.NewTree(scheme, indexFanout)
-		if terr != nil {
-			return nil, terr
-		}
-		v2 := clk.Now()
-		_, vSpan := obs.StartSpan(ctx, "pass_vindex")
-		vidx, err = buildVindex(fs, clk, prefix, tree, shape, chunks, perBin, vSpan)
-		if err != nil {
-			vSpan.End()
-			return nil, err
-		}
-		vSpan.AddVirt(clk.Now() - v2)
-		vSpan.End()
-	}
-
-	metaBytes := meta.marshal()
-	if err := fs.WriteFile(clk, metaPath(prefix), metaBytes); err != nil {
-		return nil, err
-	}
 	st, err := newStore(fs, prefix, meta, cfg.ByteCodec, cfg.FloatCodec)
 	if err != nil {
 		return nil, err
 	}
-	st.vidx = vidx
+	// Optional hierarchical V-level index: the inner nodes' bitmaps over
+	// the same binned points, built and written serially so the store
+	// stays byte-identical across worker counts.
+	if cfg.HierarchicalIndex {
+		v2 := clk.Now()
+		_, vSpan := obs.StartSpan(ctx, "pass_vindex")
+		st.vidx, err = buildVindex(fs, clk, prefix, st.tree, shape, chunks, perBin, vSpan)
+		vSpan.AddVirt(clk.Now() - v2)
+		vSpan.End()
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	if err := fs.WriteFile(clk, metaPath(prefix), meta.marshal()); err != nil {
+		return nil, err
+	}
 	return st, nil
 }
 

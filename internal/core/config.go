@@ -126,16 +126,16 @@ const (
 
 // Fixed build parameters. The meta format version fixes compressPlanes
 // (the meta stores only plane 0's length, so changing it is a format
-// change); every store records indexFanout in its vindex header, and
-// Open serves the value a store records.
+// change); every store's bin tree has indexFanout, which the vindex
+// header records and Open checks.
 const (
 	// compressPlanes is how many leading byte planes run through the
 	// byte codec in planes mode; the rest are stored raw. The paper
 	// treats bytes 3..8 as incompressible: one compressed plane, plane
 	// 0 = bytes 1-2.
 	compressPlanes = 1
-	// indexFanout is the arity of the super-bin tree behind
-	// HierarchicalIndex.
+	// indexFanout is the arity of the super-bin tree that value plans
+	// walk and HierarchicalIndex stores.
 	indexFanout = 4
 )
 
@@ -165,12 +165,14 @@ type Config struct {
 	// builds), and the virtual clock charges the aggregated compute as
 	// total/workers wall-equivalent.
 	BuildWorkers int
-	// HierarchicalIndex builds a super-bin tree over the V-level with
-	// OR-aggregated WAH bitmaps per node (the vindex subfile), letting
-	// index-only range queries answer fully-inside subtrees from one
-	// aggregated bitmap read instead of per-bin index files. Off by
-	// default: the vindex replicates each position once per tree level,
-	// so it trades index footprint for query latency.
+	// HierarchicalIndex stores the inner nodes of the super-bin tree
+	// over the V-level as WAH bitmaps (the vindex subfile), letting
+	// index-only range queries answer a fully-inside subtree from one
+	// bitmap read instead of its bins' index files. A leaf is never
+	// stored: its bins' offsets answer it. Off by default: the vindex
+	// holds each position once per inner level, so it trades index
+	// footprint for query latency. A tree with no inner level (one bin)
+	// writes no vindex.
 	HierarchicalIndex bool
 }
 

@@ -222,10 +222,10 @@ func (s *Store) execute(ctx context.Context, ranks int, compile func() (*plan, e
 		return nil, err
 	}
 	perRank, perRankNodes := s.assign(p, ranks)
-	if p.hier != nil {
-		ps.SetInt("bins_pruned", int64(p.hier.PrunedLeaves))
-		ps.SetInt("bins_covered", int64(p.hier.CoveredLeaves))
-		ps.SetInt("index_nodes", int64(len(p.hier.Inside)))
+	if p.indexOnly && p.vc != nil {
+		ps.SetInt("bins_pruned", int64(p.pruned))
+		ps.SetInt("bins_covered", int64(p.covered))
+		ps.SetInt("index_nodes", int64(len(p.nodes)))
 	}
 	ps.SetInt("tasks", int64(len(p.tasks)))
 	ps.SetInt("bins", int64(p.bins))
@@ -254,15 +254,10 @@ func (s *Store) execute(ctx context.Context, ranks int, compile func() (*plan, e
 	}
 
 	res := gatherRanks(outs)
-	res.BinsAccessed = p.bins
-	if p.hier != nil {
-		// Covered leaves were answered from aggregated node bitmaps;
-		// they count as accessed (their contents were served) even
-		// though no per-bin file was touched.
-		res.BinsAccessed += p.hier.CoveredLeaves
-		res.BinsPruned = p.hier.PrunedLeaves
-		res.BinsCovered = p.hier.CoveredLeaves
-	}
+	// The bins under node steps count as accessed (their contents were
+	// served) even though no per-bin file was touched.
+	res.BinsAccessed = p.bins + p.nodeBins
+	res.BinsPruned, res.BinsCovered = p.pruned, p.covered
 	return res, nil
 }
 
@@ -309,7 +304,7 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []b
 	// inside it, so what is left of its volume bounds the nodes too.
 	var points int64
 	for _, n := range nodes {
-		lo, hi := s.vidx.tree.Leaves(n)
+		lo, hi := s.tree.Leaves(n)
 		for _, bm := range s.meta.bins[lo:hi] {
 			for i := range bm.units {
 				points += int64(bm.units[i].count)

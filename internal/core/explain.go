@@ -36,13 +36,13 @@ type Plan struct {
 	// Points is the total point count inside the touched units — the
 	// upper bound on matches before VC/SC filtering.
 	Points int64
-	// Hierarchical reports whether the request takes the super-bin tree
-	// path (vindex present, VC set, index-only).
+	// Hierarchical reports whether the plan is an index-only value plan,
+	// the one whose tree walk is accounted below.
 	Hierarchical bool
 	// BinsPruned, BinsCovered, and IndexNodes are the planner's tree
-	// classification on the hierarchical path: leaves ruled out without
-	// any read, leaves answered wholesale from aggregated node bitmaps,
-	// and the node count those reads touch.
+	// walk on an index-only value plan: leaves ruled out without any
+	// read, leaves answered from the index alone (from node bitmaps or
+	// their own offsets), and the vindex nodes those bitmaps come from.
 	BinsPruned, BinsCovered, IndexNodes int
 	// Measured, when non-nil, carries the observed cost breakdown of an
 	// actual execution of this plan (set via Observe), so predicted and
@@ -65,9 +65,9 @@ type MeasuredCost struct {
 	CacheHits int
 	// Matches is the result cardinality.
 	Matches int
-	// BinsPruned and BinsCovered are the hierarchical index's measured
-	// pruning factors (zero on flat scans); IndexNodesRead counts the
-	// aggregated node bitmaps actually fetched.
+	// BinsPruned and BinsCovered are the tree walk's measured pruning
+	// factors (zero off index-only value plans); IndexNodesRead counts
+	// the vindex node bitmaps actually fetched.
 	BinsPruned, BinsCovered, IndexNodesRead int
 }
 
@@ -123,15 +123,13 @@ func (s *Store) Explain(req *query.Request) (*Plan, error) {
 		MisalignedBins: p.misaligned,
 		ChunksSelected: p.chunks,
 		PlanesRead:     p.pieces,
+		Hierarchical:   p.indexOnly && p.vc != nil,
+		BinsPruned:     p.pruned,
+		BinsCovered:    p.covered,
+		IndexNodes:     len(p.nodes),
 	}
-	if p.hier != nil {
-		out.Hierarchical = true
-		out.BinsPruned = p.hier.PrunedLeaves
-		out.BinsCovered = p.hier.CoveredLeaves
-		out.IndexNodes = len(p.hier.Inside)
-		for _, n := range p.hier.Inside {
-			out.IndexBytes += s.vidx.lens[s.vidx.nodeID(n)]
-		}
+	for _, n := range p.nodes {
+		out.IndexBytes += s.vidx.lens[s.vidx.nodeID(n)]
 	}
 	var pieces []pfs.Extent
 	for _, t := range p.tasks {

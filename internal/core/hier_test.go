@@ -196,7 +196,8 @@ func TestHierarchicalAccountingInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := datagen.Selectivity(data, 0.3, 11, 1024)
+	// Wide enough to hold an inner node: the vindex stores no leaf.
+	lo, hi := datagen.Selectivity(data, 0.7, 11, 1024)
 	req := &query.Request{VC: &binning.ValueConstraint{Min: lo, Max: hi}, IndexOnly: true}
 	res, err := st.Query(req, 2)
 	if err != nil {
@@ -237,7 +238,8 @@ func TestHierarchicalRejectsOversizedNodeBitmap(t *testing.T) {
 	if err := fs.WriteFile(clk, st.vidx.path, raw); err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := datagen.Selectivity(data, 0.3, 11, 1024)
+	// Wide enough to hold an inner node: the vindex stores no leaf.
+	lo, hi := datagen.Selectivity(data, 0.7, 11, 1024)
 	req := &query.Request{VC: &binning.ValueConstraint{Min: lo, Max: hi}, IndexOnly: true}
 	if _, err := st.Query(req, 2); err == nil || !strings.Contains(err.Error(), "positions") {
 		t.Fatalf("query over oversized node bitmaps: err = %v, want a vindex node size error", err)

@@ -16,19 +16,27 @@ import (
 )
 
 // planAllUnits is the planner the chunk-map walk replaced, kept as the
-// test's reference: bins selected the same way, then every unit of every
+// test's reference: bins selected by the flat scheme less those under a
+// vindex node an index-only plan reads, then every unit of every
 // selected bin checked against a set of the SC's chunk ids.
 func planAllUnits(s *Store, req *query.Request) ([]task, int) {
 	var sel []binSel
 	switch {
-	case s.hierPlan(req):
-		for _, b := range s.vidx.tree.Select(*req.VC).Boundary {
-			sel = append(sel, binSel{b, true})
-		}
 	case req.VC != nil:
+		byNode := map[int]bool{}
+		if req.IndexOnly {
+			for _, n := range s.tree.Select(*req.VC).Inside {
+				lo, hi := s.tree.Leaves(n)
+				for b := lo; b < hi && s.vidx.holds(n); b++ {
+					byNode[b] = true
+				}
+			}
+		}
 		aligned, mis := s.scheme.SelectBins(*req.VC)
 		for _, b := range aligned {
-			sel = append(sel, binSel{b, false})
+			if !byNode[b] {
+				sel = append(sel, binSel{b, false})
+			}
 		}
 		for _, b := range mis {
 			sel = append(sel, binSel{b, true})

@@ -31,7 +31,10 @@ type Store struct {
 	// processes; it lets tests cancel a context mid-query
 	// deterministically. Nil outside tests.
 	hookBeforeBin func(bin int)
-	// vidx is the hierarchical super-bin index; nil for flat stores.
+	// tree is the super-bin tree over the bins that every
+	// value-constrained plan walks; vidx stores its inner nodes' bitmaps,
+	// nil when the store has none.
+	tree *binning.Tree
 	vidx *vindex
 }
 
@@ -53,12 +56,17 @@ func newStore(fs *pfs.Sim, prefix string, meta *storeMeta, bc compress.ByteCodec
 	if err != nil {
 		return nil, err
 	}
+	tree, err := binning.NewTree(scheme, indexFanout)
+	if err != nil {
+		return nil, err
+	}
 	return &Store{
 		fs:         fs,
 		prefix:     prefix,
 		meta:       meta,
 		chunks:     chunks,
 		scheme:     scheme,
+		tree:       tree,
 		curve:      curve,
 		byteCodec:  bc,
 		floatCodec: fc,
@@ -119,7 +127,7 @@ func Open(fs *pfs.Sim, clk *pfs.Clock, prefix string) (*Store, error) {
 	}
 	// Probe for the hierarchical index subfile; only its header and
 	// offset table are read here, node payloads are fetched per query.
-	st.vidx, err = openVindex(fs, clk, prefix, st.scheme, st.meta.shape.Elems())
+	st.vidx, err = openVindex(fs, clk, prefix, st.tree, st.meta.shape.Elems())
 	if err != nil {
 		return nil, err
 	}
