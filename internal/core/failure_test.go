@@ -177,15 +177,16 @@ func TestQueryAfterOtherBinCorruptionStillWorksWhenUntouched(t *testing.T) {
 
 // TestOpenRejectsCorruptStore: the meta stores lengths and Open derives
 // every offset from them, so a store whose subfiles disagree with the
-// layout, whose units name chunks outside the grid, or whose meta is of
-// another format version must fail at Open — naming the bin or the
-// version — and never reach a query.
+// layout, whose units name chunks outside the grid, or whose meta or
+// vindex is of another format version or shape must fail at Open —
+// naming the bin, the vindex or the version — and never reach a query.
 func TestOpenRejectsCorruptStore(t *testing.T) {
 	d := datagen.GTSLike(64, 64, 1)
 	v, _ := d.Var("phi")
 	cfg := DefaultConfig([]int{16, 16})
 	cfg.NumBins = 8
 	cfg.SampleSize = 1024
+	cfg.HierarchicalIndex = true // a tree of 8 leaves, 2 + 1 inner nodes
 	const prefix = "oc/phi"
 	// build returns a fresh store's PFS and its meta.
 	build := func(t *testing.T) (*pfs.Sim, *storeMeta) {
@@ -266,6 +267,34 @@ func TestOpenRejectsCorruptStore(t *testing.T) {
 			binary.LittleEndian.PutUint32(raw[4:], 3)
 			write(t, fs, metaPath(prefix), raw)
 			return []string{"version 3,", fmt.Sprintf("version %d", metaVersion)}
+		}, nil},
+		{"vindex of version 1", func(t *testing.T, fs *pfs.Sim, m *storeMeta) []string {
+			raw := read(t, fs, vindexPath(prefix))
+			binary.LittleEndian.PutUint32(raw[4:], 1)
+			write(t, fs, vindexPath(prefix), raw)
+			return []string{"vindex", "version 1,", fmt.Sprintf("version %d", vindexVersion)}
+		}, nil},
+		{"vindex table of every node", func(t *testing.T, fs *pfs.Sim, m *storeMeta) []string {
+			// Version 1's table: an entry per leaf ahead of the inner
+			// nodes' entries, every extent inside the file.
+			raw := read(t, fs, vindexPath(prefix))
+			inner := int(binary.LittleEndian.Uint32(raw[20:]))
+			table := raw[vindexHeaderSize : vindexHeaderSize+vindexEntrySize*inner]
+			shift := uint64(vindexEntrySize * len(m.bins))
+			full := binary.LittleEndian.AppendUint32(raw[:20:20], uint32(len(m.bins)+inner))
+			full = append(full, raw[24:vindexHeaderSize]...)
+			for i := 0; i < len(m.bins)+inner; i++ {
+				e := table[vindexEntrySize*max(i-len(m.bins), 0):]
+				full = binary.LittleEndian.AppendUint64(full, binary.LittleEndian.Uint64(e)+shift)
+				full = append(full, e[8:vindexEntrySize]...)
+			}
+			write(t, fs, vindexPath(prefix), append(full, raw[len(table)+vindexHeaderSize:]...))
+			return []string{"vindex", fmt.Sprintf("%d inner nodes", len(m.bins)+inner)}
+		}, nil},
+		{"vindex node past the end", func(t *testing.T, fs *pfs.Sim, m *storeMeta) []string {
+			raw := read(t, fs, vindexPath(prefix))
+			write(t, fs, vindexPath(prefix), raw[:len(raw)-1])
+			return []string{"vindex node 2 ", "exceeds file size"}
 		}, nil},
 		{"parent-format meta", func(t *testing.T, fs *pfs.Sim, m *storeMeta) []string {
 			// The format before versioning: the magic, then the dims
