@@ -329,41 +329,58 @@ func TestCanceledRequestFreesSlot(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	st, _, _ := buildStore(t, 5, nil)
 	_, ts := newTestServer(t, Config{Stores: map[string]*core.Store{"phi": st}})
+	dims17 := strings.Repeat("0,", 16) + "0"
 	cases := []struct {
 		name string
 		body string
 		want int
+		// msg, when set, is what the answer's error must say.
+		msg string
 	}{
-		{"empty body", ``, http.StatusBadRequest},
-		{"not json", `hello`, http.StatusBadRequest},
-		{"missing var", `{"vc":{"min":0,"max":1}}`, http.StatusBadRequest},
-		{"unknown field", `{"var":"phi","selectivity":-3}`, http.StatusBadRequest},
-		{"half-open vc", `{"var":"phi","vc":{"min":0}}`, http.StatusBadRequest},
-		{"inverted vc", `{"var":"phi","vc":{"min":2,"max":1}}`, http.StatusBadRequest},
-		{"negative sc", `{"var":"phi","sc":{"lo":[-1,0],"hi":[3,3]}}`, http.StatusBadRequest},
-		{"inverted sc", `{"var":"phi","sc":{"lo":[5,5],"hi":[1,1]}}`, http.StatusBadRequest},
-		{"sc length mismatch", `{"var":"phi","sc":{"lo":[0],"hi":[1,1]}}`, http.StatusBadRequest},
-		{"sc wrong dims", `{"var":"phi","sc":{"lo":[0,0,0],"hi":[1,1,1]}}`, http.StatusBadRequest},
-		{"huge plod", `{"var":"phi","plod":99}`, http.StatusBadRequest},
-		{"negative plod", `{"var":"phi","plod":-1}`, http.StatusBadRequest},
-		{"huge ranks", `{"var":"phi","ranks":100000}`, http.StatusBadRequest},
-		{"trailing data", `{"var":"phi"}{"var":"phi"}`, http.StatusBadRequest},
-		{"empty rows", `{"var":"phi","rows":[]}`, http.StatusBadRequest},
-		{"empty row range", `{"var":"phi","rows":[[4,4]]}`, http.StatusBadRequest},
-		{"row range of three bounds", `{"var":"phi","rows":[[0,1,2]]}`, http.StatusBadRequest},
-		{"row range of one bound", `{"var":"phi","rows":[[4]]}`, http.StatusBadRequest},
-		{"descending rows", `{"var":"phi","rows":[[8,12],[0,4]]}`, http.StatusBadRequest},
-		{"overlapping rows", `{"var":"phi","rows":[[0,8],[4,12]]}`, http.StatusBadRequest},
-		{"rows beyond dim 0", `{"var":"phi","rows":[[24,40]]}`, http.StatusBadRequest},
-		{"rows outside sc", `{"var":"phi","sc":{"lo":[8,0],"hi":[16,32]},"rows":[[4,12]]}`, http.StatusBadRequest},
-		{"too many rows", `{"var":"phi","rows":[[0,1]` + strings.Repeat(`,[0,1]`, MaxWireRows) + `]}`, http.StatusBadRequest},
-		{"unknown var", `{"var":"nope"}`, http.StatusNotFound},
+		{"empty body", ``, http.StatusBadRequest, ""},
+		{"not json", `hello`, http.StatusBadRequest, ""},
+		{"missing var", `{"vc":{"min":0,"max":1}}`, http.StatusBadRequest, ""},
+		{"unknown field", `{"var":"phi","selectivity":-3}`, http.StatusBadRequest, ""},
+		{"half-open vc", `{"var":"phi","vc":{"min":0}}`, http.StatusBadRequest, ""},
+		{"inverted vc", `{"var":"phi","vc":{"min":2,"max":1}}`, http.StatusBadRequest, ""},
+		{"negative sc", `{"var":"phi","sc":{"lo":[-1,0],"hi":[3,3]}}`, http.StatusBadRequest, ""},
+		{"inverted sc", `{"var":"phi","sc":{"lo":[5,5],"hi":[1,1]}}`, http.StatusBadRequest, ""},
+		{"sc length mismatch", `{"var":"phi","sc":{"lo":[0],"hi":[1,1]}}`, http.StatusBadRequest, ""},
+		{"sc wrong dims", `{"var":"phi","sc":{"lo":[0,0,0],"hi":[1,1,1]}}`, http.StatusBadRequest, ""},
+		{"sc past the wire dims", `{"var":"phi","sc":{"lo":[` + dims17 + `],"hi":[` + dims17 + `]}}`, http.StatusBadRequest,
+			"sc has 17 dimensions, limit 16"},
+		{"huge plod", `{"var":"phi","plod":99}`, http.StatusBadRequest, ""},
+		{"negative plod", `{"var":"phi","plod":-1}`, http.StatusBadRequest, ""},
+		{"huge ranks", `{"var":"phi","ranks":100000}`, http.StatusBadRequest, ""},
+		{"trailing data", `{"var":"phi"}{"var":"phi"}`, http.StatusBadRequest, ""},
+		{"empty rows", `{"var":"phi","rows":[]}`, http.StatusBadRequest, ""},
+		{"empty row range", `{"var":"phi","rows":[[4,4]]}`, http.StatusBadRequest, ""},
+		{"row range of three bounds", `{"var":"phi","rows":[[0,1,2]]}`, http.StatusBadRequest, ""},
+		{"row range of one bound", `{"var":"phi","rows":[[4]]}`, http.StatusBadRequest, ""},
+		{"descending rows", `{"var":"phi","rows":[[8,12],[0,4]]}`, http.StatusBadRequest, ""},
+		{"overlapping rows", `{"var":"phi","rows":[[0,8],[4,12]]}`, http.StatusBadRequest, ""},
+		{"rows beyond dim 0", `{"var":"phi","rows":[[24,40]]}`, http.StatusBadRequest, ""},
+		{"rows outside sc", `{"var":"phi","sc":{"lo":[8,0],"hi":[16,32]},"rows":[[4,12]]}`, http.StatusBadRequest, ""},
+		{"too many rows", `{"var":"phi","rows":[[0,1]` + strings.Repeat(`,[0,1]`, MaxWireRows) + `]}`, http.StatusBadRequest, ""},
+		{"unknown var", `{"var":"nope"}`, http.StatusNotFound, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, _ := postQuery(t, ts, tc.body)
 			if resp.StatusCode != tc.want {
 				t.Errorf("status %d, want %d", resp.StatusCode, tc.want)
+			}
+			if tc.msg == "" {
+				return
+			}
+			var answer struct {
+				Error string `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&answer); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(answer.Error, tc.msg) {
+				t.Errorf("error %q, want %q", answer.Error, tc.msg)
 			}
 		})
 	}
