@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 RACE_PKGS = ./internal/client ./internal/mpi ./internal/pfs ./internal/compress ./internal/core ./internal/fastbit ./internal/cache ./internal/query ./internal/server ./internal/obs \
 	./internal/cluster/shardmap ./internal/cluster/health ./internal/cluster/fault ./internal/cluster/router
 
-.PHONY: build test vet mlocvet race bench-json bench-query fuzz-short fuzz-list fuzz-list-check serve-smoke cluster-smoke obslint examples check
+.PHONY: build test vet mlocvet race bench-json bench-query query-gate fuzz-short fuzz-list fuzz-list-check serve-smoke cluster-smoke obslint examples check
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,12 @@ bench-json:
 ## virtual latency, so running it doubles as the regression gate).
 bench-query:
 	./scripts/bench_json.sh query
+
+## query-gate: run the query-latency matrix once as a gate. The
+## benchmark fails by itself past 2x the virtual latency committed in
+## BENCH_query.json, and it rewrites no file.
+query-gate:
+	$(GO) test . -run '^$$' -bench '^BenchmarkQueryLatency$$' -benchtime 3x
 
 ## fuzz-short: run every fuzz target briefly (~$(FUZZTIME) each). The
 ## target inventory lives in scripts/fuzz_targets.txt (regenerate with
@@ -89,4 +95,4 @@ examples:
 	done
 
 ## check: everything CI runs (minus the fuzzing).
-check: build test vet fuzz-list-check race obslint serve-smoke cluster-smoke examples
+check: build test vet fuzz-list-check race query-gate obslint serve-smoke cluster-smoke examples
