@@ -37,7 +37,7 @@ type QueryRecord struct {
 	Outcome string `json:"outcome"`
 	// Matches is the total match count before truncation.
 	Matches int `json:"matches"`
-	// BinsPruned counts bins the hierarchical index skipped.
+	// BinsPruned counts bins the index tree walk skipped.
 	BinsPruned int `json:"bins_pruned,omitempty"`
 	// BinsCovered counts bins answered from the index alone.
 	BinsCovered int `json:"bins_covered,omitempty"`

@@ -155,14 +155,15 @@ type Result struct {
 	// from a shared decode cache instead of being read and decompressed
 	// again (zero when no cache is attached).
 	CacheHits int
-	// BinsPruned counts leaf bins a hierarchical index ruled out without
-	// reading any index or data bytes (zero for flat scans).
+	// BinsPruned counts leaf bins an index-only value query's tree walk
+	// ruled out without reading any index or data bytes (zero on any
+	// other query).
 	BinsPruned int
-	// BinsCovered counts leaf bins answered wholesale from aggregated
-	// super-bin bitmaps instead of per-bin index reads.
+	// BinsCovered counts leaf bins such a query answered from the index
+	// alone: from vindex node bitmaps or from their own offsets.
 	BinsCovered int
-	// IndexNodesRead counts hierarchical index nodes whose bitmaps were
-	// actually fetched and decoded.
+	// IndexNodesRead counts vindex nodes whose bitmaps were actually
+	// fetched and decoded.
 	IndexNodesRead int
 }
 

@@ -242,8 +242,8 @@ type ResultWire struct {
 	BlocksRead   int         `json:"blocks_read"`
 	BytesRead    int64       `json:"bytes_read"`
 	CacheHits    int         `json:"cache_hits"`
-	// BinsPruned, BinsCovered, and IndexNodesRead are the hierarchical
-	// index's pruning factors; all zero (and omitted) on flat scans.
+	// BinsPruned, BinsCovered, and IndexNodesRead are an index-only
+	// value query's pruning factors; all zero (and omitted) otherwise.
 	BinsPruned     int      `json:"bins_pruned,omitempty"`
 	BinsCovered    int      `json:"bins_covered,omitempty"`
 	IndexNodesRead int      `json:"index_nodes_read,omitempty"`
