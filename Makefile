@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 RACE_PKGS = ./internal/client ./internal/mpi ./internal/pfs ./internal/compress ./internal/core ./internal/fastbit ./internal/cache ./internal/query ./internal/server ./internal/obs \
 	./internal/cluster/shardmap ./internal/cluster/health ./internal/cluster/fault ./internal/cluster/router
 
-.PHONY: build test vet mlocvet race bench-json bench-query query-gate fuzz-short fuzz-list fuzz-list-check serve-smoke cluster-smoke obslint examples check
+.PHONY: build test vet mlocvet race bench-json bench-query query-gate repeat-check fuzz-short fuzz-list fuzz-list-check serve-smoke cluster-smoke obslint examples check
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,12 @@ bench-query:
 ## BENCH_query.json, and it rewrites no file.
 query-gate:
 	$(GO) test . -run '^$$' -bench '^BenchmarkQueryLatency$$' -benchtime 3x
+
+## repeat-check: run the curve and assignment ablations twice each and
+## fail if any table cell differs between the runs (virtual seconds are
+## charged from models, so they repeat exactly).
+repeat-check:
+	./scripts/repeat_check.sh
 
 ## fuzz-short: run every fuzz target briefly (~$(FUZZTIME) each). The
 ## target inventory lives in scripts/fuzz_targets.txt (regenerate with
@@ -95,4 +101,4 @@ examples:
 	done
 
 ## check: everything CI runs (minus the fuzzing).
-check: build test vet fuzz-list-check race query-gate obslint serve-smoke cluster-smoke examples
+check: build test vet fuzz-list-check race query-gate repeat-check obslint serve-smoke cluster-smoke examples

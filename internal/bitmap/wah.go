@@ -98,6 +98,10 @@ func (w *WAH) Len() int64 { return w.n }
 // experiment (Table I) accounts.
 func (w *WAH) SizeBytes() int64 { return 8 + 4 + int64(4*len(w.words)) }
 
+// Words returns the number of compressed words, literal and fill: the
+// units of work Decompress expands.
+func (w *WAH) Words() int64 { return int64(len(w.words)) }
+
 // Decompress expands back to an uncompressed bitmap.
 func (w *WAH) Decompress() *Bitmap {
 	b := New(w.n)

@@ -22,9 +22,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
+
+	"mloc/internal/server"
 )
 
 // Mode is a fault-injection behavior.
@@ -93,6 +96,15 @@ func (in *Injector) Wrap(next http.Handler) http.Handler {
 			// in-process injector gets to a dead node.
 			panic(http.ErrAbortHandler)
 		case Delay:
+			// A slow node has taken the call: read the request first,
+			// bounded as the service frame bounds it (a longer body
+			// keeps its excess byte, so the frame still refuses it), so
+			// the caller is not left holding a POST for the whole delay.
+			body, err := io.ReadAll(io.LimitReader(r.Body, server.MaxBodyBytes+1))
+			if err != nil {
+				panic(http.ErrAbortHandler)
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
 			t := time.NewTimer(delay)
 			defer t.Stop()
 			select {

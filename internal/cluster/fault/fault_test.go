@@ -189,3 +189,60 @@ func TestParseModeAndSetErrors(t *testing.T) {
 		t.Error("bogus mode set")
 	}
 }
+
+// eofReader is a request body that records when it was read to its end.
+type eofReader struct {
+	r    io.Reader
+	done chan struct{}
+}
+
+func (e *eofReader) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err == io.EOF {
+		select {
+		case <-e.done:
+		default:
+			close(e.done)
+		}
+	}
+	return n, err
+}
+
+// TestDelayDrainsRequestBody: a delayed POST's body is read to its end
+// before the delay starts, and the wrapped handler still gets all of it.
+func TestDelayDrainsRequestBody(t *testing.T) {
+	in := New()
+	if err := in.Set(Delay, 200*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	const payload = `{"var":"t","ranks":2}`
+	got := make(chan string, 1)
+	h := in.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- string(b)
+	}))
+	body := &eofReader{r: strings.NewReader(payload), done: make(chan struct{})}
+	req := httptest.NewRequest(http.MethodPost, "/query", body)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	select {
+	case <-body.done:
+	case <-time.After(150 * time.Millisecond):
+		t.Fatal("request body not consumed while the delay runs")
+	}
+	select {
+	case <-served:
+		t.Fatal("handler finished before the delay elapsed")
+	default:
+	}
+	<-served
+	if b := <-got; b != payload {
+		t.Fatalf("wrapped handler read %q, want %q", b, payload)
+	}
+}

@@ -120,9 +120,10 @@ func (sc *rankScratch) taskValues(n int) [][]float64 {
 // (1 MiB of matches); a larger answer's buffer goes back to the GC.
 const maxPooledMatches = 1 << 16
 
-// queryScratch is one query's pooled state: a rankScratch and a rankOut
-// per rank.
+// queryScratch is one query's pooled state: the split's working state,
+// and a rankScratch and a rankOut per rank.
 type queryScratch struct {
+	split splitScratch
 	ranks []rankScratch
 	outs  []rankOut
 }
@@ -157,6 +158,10 @@ func (q *queryScratch) end() {
 		clear(o.sc.values[:cap(o.sc.values)])
 		q.outs[r] = rankOut{}
 	}
+	// The split's per-rank slices alias the plan; drop them so an idle
+	// scratch pins no plan.
+	clear(q.split.tasks)
+	clear(q.split.nodes)
 }
 
 // gatherRanks is the final gather: every rank's matches copied once
@@ -215,13 +220,15 @@ func (s *Store) execute(ctx context.Context, ranks int, compile func() (*plan, e
 		return nil, fmt.Errorf("core: query canceled: %w", err)
 	}
 
+	qs := queryScratchPool.Get().(*queryScratch)
+	defer queryScratchPool.Put(qs)
 	_, ps := obs.StartSpan(ctx, "plan")
 	p, err := compile()
 	if err != nil {
 		ps.End()
 		return nil, err
 	}
-	perRank, perRankNodes := s.assign(p, ranks)
+	perRank, perRankNodes := s.assign(p, ranks, &qs.split)
 	if p.indexOnly && p.vc != nil {
 		ps.SetInt("bins_pruned", int64(p.pruned))
 		ps.SetInt("bins_covered", int64(p.covered))
@@ -232,8 +239,6 @@ func (s *Store) execute(ctx context.Context, ranks int, compile func() (*plan, e
 	ps.SetInt("ranks", int64(ranks))
 	ps.End()
 
-	qs := queryScratchPool.Get().(*queryScratch)
-	defer queryScratchPool.Put(qs)
 	outs := qs.begin(ranks)
 	defer qs.end() // runs before the Put, after the gather
 	clks := s.fs.NewClocks(ranks)
@@ -275,15 +280,15 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []b
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: query canceled before vindex nodes: %w", err)
 	}
+	// One read batch for the whole node set: the payloads live in one
+	// subfile in level order, so sorting and gap-merging the extents
+	// costs at most a seek per disjoint run, not one per level. The open
+	// is part of the fetch, as it is for a bin.
+	t0 := clk.Now()
+	wall0 := time.Now()
 	if err := s.fs.Open(clk, s.vidx.path); err != nil {
 		return err
 	}
-
-	// One read batch for the whole node set: the payloads live in one
-	// subfile in level order, so sorting and gap-merging the extents
-	// costs at most a seek per disjoint run, not one per level.
-	t0 := clk.Now()
-	wall0 := time.Now()
 	sc := out.sc
 	sc.idxExtents = sc.idxExtents[:0]
 	for _, n := range nodes {
@@ -326,40 +331,43 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []b
 			return fmt.Errorf("core: vindex node %d: %w", id, err)
 		}
 		var w bitmap.WAH
-		decode := clk.MeasureCPU(func() {
-			err = w.UnmarshalBinary(raw)
-		})
-		out.time.Decompress += decode
+		err = w.UnmarshalBinary(raw)
+		out.time.Decompress += clk.ChargeCPU(pfs.CPUBitmapByte, int64(len(raw)))
 		if err != nil {
 			return fmt.Errorf("core: vindex node %d: %w", id, err)
 		}
 		if w.Len() != s.vidx.bitLen {
 			return fmt.Errorf("core: vindex node %d covers %d positions, grid has %d", id, w.Len(), s.vidx.bitLen)
 		}
-		filter := clk.MeasureCPU(func() {
-			it := w.Bits()
-			// Bits come in ascending order, so the cut that may hold the
-			// next one only moves forward.
-			k := 0
-			for lin, ok := it.Next(); ok; lin, ok = it.Next() {
-				switch {
-				case p.cuts != nil:
-					coords = s.meta.shape.Coords(lin, coords[:0])
-					for k < len(p.cuts) && p.cuts[k].Hi[0] <= coords[0] {
-						k++
-					}
-					if k == len(p.cuts) || !p.cuts[k].Contains(coords) {
-						continue
-					}
-				case p.sc != nil:
-					coords = s.meta.shape.Coords(lin, coords[:0])
-					if !p.sc.Contains(coords) {
-						continue
-					}
+		it := w.Bits()
+		// Bits come in ascending order, so the cut that may hold the next
+		// one only moves forward.
+		k := 0
+		var bits int64
+		from := len(out.matches)
+		for lin, ok := it.Next(); ok; lin, ok = it.Next() {
+			bits++
+			switch {
+			case p.cuts != nil:
+				coords = s.meta.shape.Coords(lin, coords[:0])
+				for k < len(p.cuts) && p.cuts[k].Hi[0] <= coords[0] {
+					k++
 				}
-				out.matches = append(out.matches, query.Match{Index: lin})
+				if k == len(p.cuts) || !p.cuts[k].Contains(coords) {
+					continue
+				}
+			case p.sc != nil:
+				coords = s.meta.shape.Coords(lin, coords[:0])
+				if !p.sc.Contains(coords) {
+					continue
+				}
 			}
-		})
+			out.matches = append(out.matches, query.Match{Index: lin})
+		}
+		filter := clk.ChargeCPU(pfs.CPUBit, bits) + clk.ChargeCPU(pfs.CPUMatch, int64(len(out.matches)-from))
+		if p.cuts != nil || p.sc != nil {
+			filter += clk.ChargeCPU(pfs.CPUPoint, bits)
+		}
 		out.filter += filter
 		out.time.Reconstruct += filter
 		out.nodesRead++
@@ -497,11 +505,12 @@ func (s *Store) runBin(ctx context.Context, clk *pfs.Clock, p *plan, tasks []tas
 	}
 
 	// Filter: map intra-chunk offsets to global indices and emit.
-	filter := clk.MeasureCPU(func() {
-		for i, t := range tasks {
-			s.emitUnit(t, &bm.units[t.unit], p, sc.run(i), values[i], out)
-		}
-	})
+	var points int64
+	from := len(out.matches)
+	for i, t := range tasks {
+		points += s.emitUnit(t, &bm.units[t.unit], p, sc.run(i), values[i], out)
+	}
+	filter := clk.ChargeCPU(pfs.CPUPoint, points) + clk.ChargeCPU(pfs.CPUMatch, int64(len(out.matches)-from))
 	out.filter += filter
 	out.time.Reconstruct += filter
 	return nil
@@ -517,36 +526,38 @@ func (u *unitMeta) appendPieces(dst []pfs.Extent, n int) []pfs.Extent {
 }
 
 // decodeBinOffsets decodes the positional index of every task of one
-// bin into the rank's offsets arena, as one measured section charged to
-// the reassemble component. Under a position predicate the section also
-// looks the decoded points up: a unit holding no selected position keeps
-// an empty run.
+// bin into the rank's offsets arena, charged to the reassemble component.
+// Under a position predicate it also looks the decoded points up: a unit
+// holding no selected position keeps an empty run.
 func (s *Store) decodeBinOffsets(clk *pfs.Clock, p *plan, tasks []task, idxMap *pfs.ExtentMap, out *rankOut) error {
 	sc := out.sc
 	sc.offsets, sc.ends = sc.offsets[:0], sc.ends[:0]
 	bm := &s.meta.bins[tasks[0].bin]
-	var err error
-	reassemble := clk.MeasureCPU(func() {
-		for _, t := range tasks {
-			u := &bm.units[t.unit]
-			from := len(sc.offsets)
-			var raw []byte
-			if raw, err = idxMap.Slice(u.indexOff, u.indexLen); err == nil {
-				sc.offsets, err = decodeOffsets(sc.offsets, raw, int(u.count))
-			}
-			if err != nil {
-				err = fmt.Errorf("core: bin %d unit %d index: %w", t.bin, t.unit, err)
-				return
-			}
-			if p.positions != nil && !s.anySelected(u, sc.offsets[from:], p.positions, sc) {
+	var decoded, probed int64
+	for _, t := range tasks {
+		u := &bm.units[t.unit]
+		decoded += int64(u.count)
+		from := len(sc.offsets)
+		raw, err := idxMap.Slice(u.indexOff, u.indexLen)
+		if err == nil {
+			sc.offsets, err = decodeOffsets(sc.offsets, raw, int(u.count))
+		}
+		if err != nil {
+			return fmt.Errorf("core: bin %d unit %d index: %w", t.bin, t.unit, err)
+		}
+		if p.positions != nil {
+			n, hit := s.firstSelected(u, sc.offsets[from:], p.positions, sc)
+			probed += int64(n)
+			if !hit {
 				sc.offsets = sc.offsets[:from]
 			}
-			sc.ends = append(sc.ends, len(sc.offsets))
 		}
-	})
+		sc.ends = append(sc.ends, len(sc.offsets))
+	}
+	reassemble := clk.ChargeCPU(pfs.CPUOffset, decoded) + clk.ChargeCPU(pfs.CPUPoint, probed)
 	out.reassemble += reassemble
 	out.time.Reconstruct += reassemble
-	return err
+	return nil
 }
 
 // enterChunk loads the unit's chunk region and widths into the scratch
@@ -560,21 +571,22 @@ func (s *Store) enterChunk(u *unitMeta, sc *rankScratch) (base int64) {
 	return base
 }
 
-// anySelected reports whether any of the unit's points (given as its
-// intra-chunk offsets) is set in positions.
-func (s *Store) anySelected(u *unitMeta, offsets []int32, positions *bitmap.Bitmap, sc *rankScratch) bool {
+// firstSelected reports whether any of the unit's points (given as its
+// intra-chunk offsets) is set in positions, and how many points it
+// looked up to find out.
+func (s *Store) firstSelected(u *unitMeta, offsets []int32, positions *bitmap.Bitmap, sc *rankScratch) (int, bool) {
 	base := s.enterChunk(u, sc)
-	for _, off := range offsets {
+	for i, off := range offsets {
 		rem, lin := int64(off), base
 		for d := len(sc.widths) - 1; d >= 0; d-- {
 			lin += (rem % sc.widths[d]) * sc.strides[d]
 			rem /= sc.widths[d]
 		}
 		if positions.Get(lin) {
-			return true
+			return i + 1, true
 		}
 	}
-	return false
+	return len(offsets), false
 }
 
 // cacheKey builds the decode-cache key for one unit of this store.
@@ -585,15 +597,13 @@ func (s *Store) cacheKey(bin, unit, level int) cache.Key {
 // unitValues decodes a unit's values: through the decode cache's
 // single-flight path, or directly when no cache is attached. It updates
 // the rank's decompress time, block count, and cache-hit count. The
-// measured section sits inside the flight's compute, never around the
-// wait for another query's flight: a waiter holds no slot of the
-// measurement gate, so the flight's leader can always get one.
+// decode is charged only where it runs, inside the flight's compute, so
+// a query served by another query's flight pays no decompress.
 func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, t task, u *unitMeta, level int, dataMap *pfs.ExtentMap, out *rankOut) ([]float64, error) {
 	var decompress float64
 	decode := func() (values []float64, err error) {
-		decompress = clk.MeasureCPU(func() {
-			values, err = s.decodeUnitValues(u, level, dataMap, out.sc)
-		})
+		values, err = s.decodeUnitValues(u, level, dataMap, out.sc)
+		decompress = s.chargeDecode(clk, u, level)
 		return values, err
 	}
 	if s.decodeCache == nil {
@@ -624,16 +634,18 @@ func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, t task, u *unitM
 // decoded intra-chunk offsets, values its decoded values (nil when the
 // unit is answered from the index alone), the plan's predicate decides.
 // A plan with row ranges emits the chunk once through each cut it
-// overlaps, so the per-point loop tests one region either way.
-func (s *Store) emitUnit(t task, u *unitMeta, p *plan, offsets []int32, values []float64, out *rankOut) {
+// overlaps, so the per-point loop tests one region either way. It
+// returns the number of points tested.
+func (s *Store) emitUnit(t task, u *unitMeta, p *plan, offsets []int32, values []float64, out *rankOut) int64 {
 	if len(offsets) == 0 {
-		return
+		return 0
 	}
 	base := s.enterChunk(u, out.sc)
 	if p.cuts == nil {
 		s.emitPoints(t, p, p.sc, base, offsets, values, out)
-		return
+		return int64(len(offsets))
 	}
+	var tested int64
 	lo, hi := out.sc.reg.Lo[0], out.sc.reg.Hi[0]
 	for i := range p.cuts {
 		c := &p.cuts[i]
@@ -642,8 +654,10 @@ func (s *Store) emitUnit(t task, u *unitMeta, p *plan, offsets []int32, values [
 		}
 		if c.Hi[0] > lo {
 			s.emitPoints(t, p, c, base, offsets, values, out)
+			tested += int64(len(offsets))
 		}
 	}
+	return tested
 }
 
 // emitPoints is emitUnit's filter-and-emit loop over the unit's points
@@ -688,6 +702,26 @@ func (s *Store) emitPoints(t task, p *plan, sc *grid.Region, base int64, offsets
 		}
 		out.matches = append(out.matches, m)
 	}
+}
+
+// chargeDecode charges the model's price of decoding the unit at level
+// (decodeUnitValues) and returns it: a float codec's per-unit and
+// per-value cost, or each deflated plane's stream and bytes plus the
+// values assembled.
+func (s *Store) chargeDecode(clk *pfs.Clock, u *unitMeta, level int) float64 {
+	count := int64(u.count)
+	if s.meta.mode == ModeFloats {
+		return clk.ChargeCPU(s.floatDecode[0], 1) + clk.ChargeCPU(s.floatDecode[1], count)
+	}
+	var streams, inflated int64
+	for p := 0; p < plod.PlanesForLevel(level) && p < compressPlanes; p++ {
+		if want := count * int64(plod.PlaneWidth(p)); u.pieceLen[p] != want {
+			streams++
+			inflated += want
+		}
+	}
+	return clk.ChargeCPU(pfs.CPUInflateStream, streams) + clk.ChargeCPU(pfs.CPUInflate, inflated) +
+		clk.ChargeCPU(pfs.CPUAssemble, count)
 }
 
 // decodeUnitValues reconstructs the unit's values at the given PLoD

@@ -6,6 +6,8 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -258,6 +260,74 @@ func TestDeterministicVirtualTime(t *testing.T) {
 		}
 		if res.Time.IO != first {
 			t.Fatalf("run %d: IO %v != first run %v (virtual time not deterministic)", i, res.Time.IO, first)
+		}
+	}
+}
+
+// TestVirtualTimeRepeatsUnderLoad runs TestDeterministicVirtualTime's
+// query and a 64² sub-volume value query 20 times each while a spinning
+// goroutine occupies every core: every component of the reported time —
+// I/O, decompress and reconstruct — must repeat exactly, because query
+// compute is charged from the rate table, not timed, and the split that
+// decides each rank's work is a function of the plan.
+func TestVirtualTimeRepeatsUnderLoad(t *testing.T) {
+	sys := buildAll(t)
+	lo, hi := datagen.Selectivity(sys.data, 0.05, 41, 1024)
+	vc := binning.ValueConstraint{Min: lo, Max: hi}
+
+	d := datagen.GTSLike(128, 128, 9)
+	v, _ := d.Var("phi")
+	cfg := DefaultConfig([]int{32, 32})
+	cfg.NumBins = 40
+	cfg.SampleSize = 2048
+	fs := pfs.New(pfs.DefaultConfig())
+	sub, err := Build(fs, fs.NewClock(), "load/phi", d.Shape, v.Data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := grid.Region{Lo: []int{40, 30}, Hi: []int{104, 94}}
+
+	stop := make(chan struct{})
+	var spinning sync.WaitGroup
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		spinning.Add(1)
+		go func() {
+			defer spinning.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		spinning.Wait()
+	}()
+
+	for _, c := range []struct {
+		name string
+		st   *Store
+		req  *query.Request
+	}{
+		{"region", sys.mloc[0], &query.Request{VC: &vc, IndexOnly: true}},
+		{"subvol", sub, &query.Request{SC: &sc}},
+	} {
+		var first query.Components
+		for i := 0; i < 20; i++ {
+			res, err := c.st.Query(c.req, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = res.Time
+				continue
+			}
+			if res.Time != first {
+				t.Fatalf("%s run %d: time %+v != first run %+v", c.name, i, res.Time, first)
+			}
 		}
 	}
 }

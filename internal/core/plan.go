@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"mloc/internal/binning"
 	"mloc/internal/bitmap"
@@ -259,50 +258,4 @@ func (s *Store) planUnits(p *plan, sel []binSel, chunkIDs []int64, every bool) {
 			p.bins++
 		}
 	}
-}
-
-// minNodesPerRank keeps node fan-out worthwhile: every rank that
-// touches the vindex pays an open plus at least one seek, so tiny node
-// sets concentrate on few ranks instead of spreading that fixed cost
-// everywhere.
-const minNodesPerRank = 8
-
-// assign splits a plan across ranks. Tasks: column order hands each
-// rank a contiguous slice (few bins, thus few files, per rank);
-// round-robin stripes them across ranks (the ablation alternative, which
-// maximizes file sharing and contention). Node steps, when the plan has
-// them: contiguous runs (each run's vindex reads stay adjacent
-// and coalesce) handed to the ranks with the lightest task load, so node
-// reads overlap boundary-bin work instead of extending the slowest rank.
-func (s *Store) assign(p *plan, ranks int) ([][]task, [][]binning.NodeRef) {
-	tasks := make([][]task, ranks)
-	switch s.assignment {
-	case AssignRoundRobin:
-		for i, t := range p.tasks {
-			tasks[i%ranks] = append(tasks[i%ranks], t)
-		}
-	default: // AssignColumn
-		per := (len(p.tasks) + ranks - 1) / ranks
-		for r := range tasks {
-			lo := min(r*per, len(p.tasks))
-			tasks[r] = p.tasks[lo:min(lo+per, len(p.tasks))]
-		}
-	}
-	inside := p.nodes
-	if len(inside) == 0 {
-		return tasks, nil
-	}
-	nodes := make([][]binning.NodeRef, ranks)
-	k := min((len(inside)+minNodesPerRank-1)/minNodesPerRank, ranks)
-	// Ranks ordered by ascending task load, ties by rank for determinism.
-	order := make([]int, ranks)
-	for r := range order {
-		order[r] = r
-	}
-	sort.SliceStable(order, func(i, j int) bool { return len(tasks[order[i]]) < len(tasks[order[j]]) })
-	per := (len(inside) + k - 1) / k
-	for i := 0; i < k; i++ {
-		nodes[order[i]] = inside[i*per : min(i*per+per, len(inside))]
-	}
-	return tasks, nodes
 }

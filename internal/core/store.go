@@ -23,7 +23,10 @@ type Store struct {
 	curve      sfc.Curve
 	byteCodec  compress.ByteCodec
 	floatCodec compress.FloatCodec
-	assignment Assignment
+	// floatDecode is the modelled compute of floatCodec's decode: its
+	// per-unit and its per-value kind.
+	floatDecode [2]pfs.CPU
+	assignment  Assignment
 	// decodeCache, when set, shares decoded unit values across queries
 	// (and across stores, keyed by prefix). Set via SetDecodeCache.
 	decodeCache *cache.Cache
@@ -36,7 +39,12 @@ type Store struct {
 	// nil when the store has none.
 	tree *binning.Tree
 	vidx *vindex
+	// binOST is, per bin, the OST its subfiles start on, for pricing.
+	binOST []binFiles
 }
+
+// binFiles holds one value per subfile of a bin.
+type binFiles struct{ index, data int }
 
 // newStore assembles the runtime view over metadata.
 func newStore(fs *pfs.Sim, prefix string, meta *storeMeta, bc compress.ByteCodec, fc compress.FloatCodec) (*Store, error) {
@@ -60,18 +68,38 @@ func newStore(fs *pfs.Sim, prefix string, meta *storeMeta, bc compress.ByteCodec
 	if err != nil {
 		return nil, err
 	}
+	binOST := make([]binFiles, len(meta.bins))
+	for b := range binOST {
+		binOST[b] = binFiles{index: fs.FileOST(binIndexPath(prefix, b)), data: fs.FileOST(binDataPath(prefix, b))}
+	}
 	return &Store{
-		fs:         fs,
-		prefix:     prefix,
-		meta:       meta,
-		chunks:     chunks,
-		scheme:     scheme,
-		tree:       tree,
-		curve:      curve,
-		byteCodec:  bc,
-		floatCodec: fc,
-		assignment: AssignColumn,
+		binOST:      binOST,
+		fs:          fs,
+		prefix:      prefix,
+		meta:        meta,
+		chunks:      chunks,
+		scheme:      scheme,
+		tree:        tree,
+		curve:       curve,
+		byteCodec:   bc,
+		floatCodec:  fc,
+		floatDecode: floatDecodeCPU(fc),
+		assignment:  AssignColumn,
 	}, nil
+}
+
+// floatDecodeCPU maps a float codec to the modelled kinds of its decode:
+// per unit and per value.
+func floatDecodeCPU(fc compress.FloatCodec) [2]pfs.CPU {
+	if fc != nil {
+		switch fc.Name() {
+		case "isobar":
+			return [2]pfs.CPU{pfs.CPUIsobarUnit, pfs.CPUIsobarValue}
+		case "isabela":
+			return [2]pfs.CPU{pfs.CPUIsabelaUnit, pfs.CPUIsabelaValue}
+		}
+	}
+	return [2]pfs.CPU{pfs.CPURawUnit, pfs.CPURawValue}
 }
 
 // Open loads a previously built store from the PFS, charging the meta

@@ -247,30 +247,24 @@ func (s *SubsetStore) ReadLevel(level int, ranks int) (*SubsetResult, error) {
 			times[c.Rank()].IO += clk.Now() - t0
 			bytesRead[c.Rank()] += b.length
 
-			var values []float64
-			var derr error
-			times[c.Rank()].Decompress += clk.MeasureCPU(func() {
-				buf := raw
-				if int(b.length) != 8*b.count {
-					buf, derr = compress.DecodeBytesMax(s.codec, raw, make([]byte, 0, 8*b.count), int64(8*b.count))
-					if derr != nil {
-						derr = fmt.Errorf("core: subset block %d/%d: %w", bt.lvl, bt.idx, derr)
-						return
-					}
+			buf := raw
+			if int(b.length) != 8*b.count {
+				buf, err = compress.DecodeBytesMax(s.codec, raw, make([]byte, 0, 8*b.count), int64(8*b.count))
+				if err != nil {
+					return fmt.Errorf("core: subset block %d/%d: %w", bt.lvl, bt.idx, err)
 				}
-				if len(buf) != 8*b.count {
-					derr = fmt.Errorf("core: subset block %d/%d: %d bytes, want %d",
-						bt.lvl, bt.idx, len(buf), 8*b.count)
-					return
-				}
-				values = make([]float64, b.count)
-				for j := range values {
-					values[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
-				}
-			})
-			if derr != nil {
-				return derr
+				times[c.Rank()].Decompress += clk.ChargeCPU(pfs.CPUInflateStream, 1) +
+					clk.ChargeCPU(pfs.CPUInflate, int64(8*b.count))
 			}
+			if len(buf) != 8*b.count {
+				return fmt.Errorf("core: subset block %d/%d: %d bytes, want %d",
+					bt.lvl, bt.idx, len(buf), 8*b.count)
+			}
+			values := make([]float64, b.count)
+			for j := range values {
+				values[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
+			}
+			times[c.Rank()].Decompress += clk.ChargeCPU(pfs.CPURawValue, int64(b.count))
 			outs[c.Rank()] = append(outs[c.Rank()], decoded{lvl: bt.lvl, start: bt.start, values: values})
 		}
 		return nil

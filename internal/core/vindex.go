@@ -44,8 +44,10 @@ func vindexPath(prefix string) string { return prefix + "/vindex" }
 // vindex is the runtime view: the tree shape plus the node offset
 // table, loaded at Open; payloads are fetched per query.
 type vindex struct {
-	tree   *binning.Tree
-	path   string
+	tree *binning.Tree
+	path string
+	// ost is the OST the subfile starts on, for pricing node reads.
+	ost    int
 	size   int64
 	bitLen int64
 	offs   []int64
@@ -165,6 +167,7 @@ func buildVindex(fs *pfs.Sim, clk *pfs.Clock, prefix string, tree *binning.Tree,
 	return &vindex{
 		tree:   tree,
 		path:   vindexPath(prefix),
+		ost:    fs.FileOST(vindexPath(prefix)),
 		size:   int64(len(buf)),
 		bitLen: bitLen,
 		offs:   offs,
@@ -228,5 +231,5 @@ func openVindex(fs *pfs.Sim, clk *pfs.Clock, prefix string, tree *binning.Tree, 
 				i, offs[i], offs[i]+lens[i], size)
 		}
 	}
-	return &vindex{tree: tree, path: path, size: size, bitLen: bitLen, offs: offs, lens: lens}, nil
+	return &vindex{tree: tree, path: path, ost: fs.FileOST(path), size: size, bitLen: bitLen, offs: offs, lens: lens}, nil
 }

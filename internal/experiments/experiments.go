@@ -194,7 +194,7 @@ func mlocConfig(v mlocVariant, chunk []int) core.Config {
 }
 
 // newScaledFS creates a PFS whose cost model is scale-aware for the
-// workload: transfer time and measured CPU are multiplied by the byte
+// workload: transfer time and charged CPU are multiplied by the byte
 // factor between paper geometry and the scaled dataset, while seek and
 // open latencies stay constant. Reported virtual times are therefore
 // directly at paper scale.

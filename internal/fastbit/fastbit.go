@@ -272,22 +272,28 @@ func (s *Store) evalBitmap(clk *pfs.Clock, out *rankOut, e pfs.Extent, req *quer
 		return fmt.Errorf("fastbit: bitmap at index offset %d: %w", e.Off, err)
 	}
 	var pending []int64
-	out.time.Decompress += clk.MeasureCPU(func() {
-		coords := make([]int, 0, s.shape.Dims())
-		w.Decompress().Each(func(i int64) {
-			if req.SC != nil {
-				coords = s.shape.Coords(i, coords[:0])
-				if !req.SC.Contains(coords) {
-					return
-				}
-			}
-			if req.IndexOnly && !check {
-				out.matches = append(out.matches, query.Match{Index: i})
+	var bits int64
+	from := len(out.matches)
+	coords := make([]int, 0, s.shape.Dims())
+	w.Decompress().Each(func(i int64) {
+		bits++
+		if req.SC != nil {
+			coords = s.shape.Coords(i, coords[:0])
+			if !req.SC.Contains(coords) {
 				return
 			}
-			pending = append(pending, i)
-		})
+		}
+		if req.IndexOnly && !check {
+			out.matches = append(out.matches, query.Match{Index: i})
+			return
+		}
+		pending = append(pending, i)
 	})
+	out.time.Decompress += clk.ChargeCPU(pfs.CPUWAHWord, w.Words()) + clk.ChargeCPU(pfs.CPUBitmapWord, (w.Len()+63)/64) +
+		clk.ChargeCPU(pfs.CPUBit, bits) + clk.ChargeCPU(pfs.CPUMatch, int64(len(out.matches)-from))
+	if req.SC != nil {
+		out.time.Decompress += clk.ChargeCPU(pfs.CPUPoint, bits)
+	}
 	if len(pending) == 0 {
 		return nil
 	}
@@ -315,20 +321,20 @@ func (s *Store) fetchValues(clk *pfs.Clock, out *rankOut, indices []int64, req *
 		}
 		out.time.IO += clk.Now() - t0
 		out.bytes += count * 8
-		out.time.Reconstruct += clk.MeasureCPU(func() {
-			for k := int64(0); k < count; k++ {
-				v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*k:]))
-				if check && !req.VC.Contains(v) {
-					continue
-				}
-				// An index-only request gets here only to have the VC checked.
-				m := query.Match{Index: start + k}
-				if !req.IndexOnly {
-					m.Value = v
-				}
-				out.matches = append(out.matches, m)
+		from := len(out.matches)
+		for k := int64(0); k < count; k++ {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*k:]))
+			if check && !req.VC.Contains(v) {
+				continue
 			}
-		})
+			// An index-only request gets here only to have the VC checked.
+			m := query.Match{Index: start + k}
+			if !req.IndexOnly {
+				m.Value = v
+			}
+			out.matches = append(out.matches, m)
+		}
+		out.time.Reconstruct += clk.ChargeCPU(pfs.CPUScan, count) + clk.ChargeCPU(pfs.CPUMatch, int64(len(out.matches)-from))
 		i = j
 	}
 	return nil

@@ -228,7 +228,7 @@ func (s *Span) setAttr(key string, v any) {
 
 // AddVirt accumulates virtual-clock seconds onto the span — the
 // pfs.Clock hook: callers feed deltas of their rank's clock (or
-// measured CPU charges) so the span records simulated cost alongside
+// CPU charges) so the span records simulated cost alongside
 // wall time.
 func (s *Span) AddVirt(sec float64) {
 	if s == nil || sec == 0 { //mlocvet:ignore floatcmp -- exact zero is the no-op sentinel, never a computed value

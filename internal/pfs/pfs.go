@@ -45,9 +45,9 @@ type Config struct {
 	// time is multiplied by it while seek and open latencies — which do
 	// not depend on data volume — stay constant. Zero means 1.
 	ByteScale float64
-	// CPUScale is the matching multiplier for measured compute charged
-	// through Clock.AdvanceCPU (codec and filter work scales linearly
-	// with data volume). Zero means 1.
+	// CPUScale is the matching multiplier for compute charged through
+	// Clock.AdvanceCPU, modelled or measured (codec and filter work
+	// scales linearly with data volume). Zero means 1.
 	CPUScale float64
 }
 
@@ -157,7 +157,9 @@ func (c *Clock) AdvanceCPU(d float64) float64 {
 }
 
 // MeasureCPU runs fn, measures its wall-clock duration, charges it via
-// AdvanceCPU, and returns the scaled delta. When the clock came from a
+// AdvanceCPU, and returns the scaled delta. Queries charge modelled CPU
+// (ChargeCPU) instead; the stopwatch is left to build-time sections and
+// probes. When the clock came from a
 // Sim, the section holds a slot of the simulator's measurement gate
 // (see the gate field); compute still counts toward each rank's own
 // virtual clock, so simulated parallelism is unaffected. fn must not
@@ -215,6 +217,7 @@ type ostWork struct {
 	bytes   int64
 	seeks   int64
 	lastEnd int64
+	cost    float64
 	touched bool
 }
 
@@ -453,8 +456,8 @@ func (s *Sim) ReadFile(clk *Clock, path string) ([]byte, error) {
 // charge computes the completion time of a striped transfer starting
 // at startT on the given clock, updating the clock's head state and the
 // simulator's busy accounting. The per-OST components proceed in
-// parallel; completion is the slowest OST's finish time. Caller holds
-// s.mu.
+// parallel; completion is the slowest OST's finish time, as transfer
+// prices it. Caller holds s.mu.
 func (s *Sim) charge(clk *Clock, f *file, startT float64, offset, length int64, bw float64) float64 {
 	if length == 0 {
 		return startT
@@ -463,64 +466,83 @@ func (s *Sim) charge(clk *Clock, f *file, startT float64, offset, length int64, 
 		clk.heads = make([]headPos, s.cfg.NumOSTs)
 		clk.work = make([]ostWork, s.cfg.NumOSTs)
 	}
-	contention := clk.contention
-	if contention < 1 {
-		contention = 1
-	}
-	// Partition [offset, offset+length) into per-OST byte counts and
-	// detect whether each OST needs a seek (non-contiguous head).
-	work := clk.work
-	clear(work)
-	stripe := s.stripe
-	for pos := offset; pos < offset+length; {
-		stripeIdx := pos / stripe
-		stripeEnd := (stripeIdx + 1) * stripe
-		end := offset + length
-		if stripeEnd < end {
-			end = stripeEnd
-		}
-		ost := (int(stripeIdx) + f.startOST) % s.cfg.NumOSTs
-		// Seek detection happens in the OST's *object* address space:
-		// on Lustre, an OST stores its stripes of a file back-to-back
-		// in one object, so file stripes k and k+NumOSTs are contiguous
-		// on disk even though they are far apart in file offsets.
-		objOff := (stripeIdx/int64(s.cfg.NumOSTs))*stripe + pos%stripe
-		objEnd := objOff + (end - pos)
-		w := &work[ost]
-		if !w.touched {
-			w.touched = true
-			head := clk.heads[ost]
-			if !head.valid || head.fileID != f.id || head.off != objOff {
-				w.seeks++
-			}
-		} else if w.lastEnd != objOff {
-			// A second non-contiguous extent on the same OST within one
-			// request: charge another seek.
-			w.seeks++
-		}
-		w.bytes += end - pos
-		w.lastEnd = objEnd
-		pos = end
-	}
+	cost := s.transfer(clk.work, clk.heads, f.id, f.startOST, offset, length, clk.contention, bw)
 	if s.stats.OSTBusy == nil {
 		s.stats.OSTBusy = make([]float64, s.cfg.NumOSTs)
 	}
-	completion := startT
-	for ost := range work {
-		w := &work[ost]
+	for ost := range clk.work {
+		w := &clk.work[ost]
 		if !w.touched {
 			continue
 		}
-		cost := float64(w.seeks)*s.cfg.SeekLatency +
-			float64(w.bytes)*s.byteScale()*contention/bw
 		s.stats.Seeks += w.seeks
-		s.stats.OSTBusy[ost] += cost
+		s.stats.OSTBusy[ost] += w.cost
 		clk.heads[ost] = headPos{fileID: f.id, off: w.lastEnd, valid: true}
-		if t := startT + cost; t > completion {
-			completion = t
-		}
 	}
-	return completion
+	return startT + cost
+}
+
+// transfer is the simulator's one price of a striped transfer: it splits
+// [offset, offset+length) of the file fileID, whose first stripe lives
+// on OST first, into per-OST bytes, charges a seek to each OST whose
+// head (in heads) is not where the transfer starts on it, fills work
+// with each OST's share and cost, and returns the slowest OST's cost.
+// It reads heads but does not move them, and touches nothing else, so
+// charge and PriceRead price a transfer alike.
+//
+// Seek detection happens in the OST's *object* address space: on
+// Lustre an OST stores its stripes of a file back to back in one
+// object, so file stripes k and k+NumOSTs are contiguous on disk even
+// though they are far apart in file offsets. A contiguous transfer is
+// thus contiguous on every OST it touches, and each OST's share is one
+// run from its first stripe in the range to its last: the price takes
+// O(NumOSTs) whatever the length.
+func (s *Sim) transfer(work []ostWork, heads []headPos, fileID int64, first int, offset, length int64, contention, bw float64) float64 {
+	clear(work)
+	if contention < 1 {
+		contention = 1
+	}
+	n := int64(s.cfg.NumOSTs)
+	stripe := s.stripe
+	end := offset + length
+	lo, hi := offset/stripe, (end-1)/stripe // first and last stripe touched
+	if lo == hi {
+		// Within one stripe: one OST, one run.
+		ost := (int(lo%n) + first) % s.cfg.NumOSTs
+		w := &work[ost]
+		objOff := lo/n*stripe + offset - lo*stripe
+		w.touched, w.bytes, w.lastEnd = true, length, objOff+length
+		if h := heads[ost]; !h.valid || h.fileID != fileID || h.off != objOff {
+			w.seeks = 1
+		}
+		w.cost = float64(w.seeks)*s.cfg.SeekLatency + float64(w.bytes)*s.byteScale()*contention/bw
+		return w.cost
+	}
+	slowest := 0.0
+	for k := lo; k <= hi && k < lo+n; k++ {
+		// Stripes k, k+n, ..., last are this OST's share of the range.
+		last := k + (hi-k)/n*n
+		ost := (int(k%n) + first) % s.cfg.NumOSTs
+		w := &work[ost]
+		w.touched = true
+		w.bytes = ((last-k)/n + 1) * stripe
+		objOff := k / n * stripe
+		w.lastEnd = last/n*stripe + stripe
+		if k == lo {
+			w.bytes -= offset - k*stripe
+			objOff += offset - k*stripe
+		}
+		if last == hi {
+			w.bytes -= (hi+1)*stripe - end
+			w.lastEnd -= (hi+1)*stripe - end
+		}
+		if h := heads[ost]; !h.valid || h.fileID != fileID || h.off != objOff {
+			w.seeks = 1
+		}
+		w.cost = float64(w.seeks)*s.cfg.SeekLatency + float64(w.bytes)*s.byteScale()*contention/bw
+		slowest = max(slowest, w.cost)
+	}
+	return slowest
 }
 
 // Size returns a file's length in bytes.

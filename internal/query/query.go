@@ -104,7 +104,7 @@ type Match struct {
 type Components struct {
 	// IO is seek+read time charged by the PFS model.
 	IO float64
-	// Decompress is codec time (measured CPU seconds).
+	// Decompress is codec time (modelled CPU seconds).
 	Decompress float64
 	// Reconstruct is filtering plus value/byte assembly time.
 	Reconstruct float64

@@ -183,32 +183,32 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 			core := s.chunks.ChunkRegionByID(id)
 			cells := stored.Elems()
 			matchesBefore := len(out.matches)
-			out.time.Reconstruct += clk.MeasureCPU(func() {
-				j := -1
-				stored.Each(func(cc []int) {
-					j++
-					// Skip halo cells: they belong to a neighbor's core.
-					copy(coords, cc)
-					if !core.Contains(coords) {
-						return
-					}
-					v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
-					if req.VC != nil && !req.VC.Contains(v) {
-						return
-					}
-					if req.SC != nil && !req.SC.Contains(coords) {
-						return
-					}
-					m := query.Match{Index: s.shape.Linear(coords)}
-					if !req.IndexOnly {
-						m.Value = v
-					}
-					out.matches = append(out.matches, m)
-				})
+			j := -1
+			stored.Each(func(cc []int) {
+				j++
+				// Skip halo cells: they belong to a neighbor's core.
+				copy(coords, cc)
+				if !core.Contains(coords) {
+					return
+				}
+				v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+				if req.VC != nil && !req.VC.Contains(v) {
+					return
+				}
+				if req.SC != nil && !req.SC.Contains(coords) {
+					return
+				}
+				m := query.Match{Index: s.shape.Linear(coords)}
+				if !req.IndexOnly {
+					m.Value = v
+				}
+				out.matches = append(out.matches, m)
 			})
-			// Engine iterator cost: per chunk + per cell + per result.
-			engine := s.cfg.PerChunkCPU + float64(cells)*s.cfg.PerCellCPU +
-				float64(len(out.matches)-matchesBefore)*s.cfg.PerMatchCPU
+			matched := int64(len(out.matches) - matchesBefore)
+			// The loop above, then the engine's iterator overhead: per
+			// chunk + per cell + per result.
+			out.time.Reconstruct += clk.ChargeCPU(pfs.CPUScan, cells) + clk.ChargeCPU(pfs.CPUMatch, matched)
+			engine := s.cfg.PerChunkCPU + float64(cells)*s.cfg.PerCellCPU + float64(matched)*s.cfg.PerMatchCPU
 			out.time.Reconstruct += clk.AdvanceCPU(engine)
 		}
 		return nil

@@ -132,12 +132,11 @@ func (s *Store) regionRead(req *query.Request, ranks int) (*query.Result, error)
 			clk.AdvanceBy(extraRunCost)
 			out.time.IO += clk.Now() - t0
 			out.bytes += run.count * 8
-			out.time.Reconstruct += clk.MeasureCPU(func() {
-				for j := int64(0); j < run.count; j++ {
-					v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
-					out.matches = append(out.matches, query.Match{Index: run.start + j, Value: v})
-				}
-			})
+			for j := int64(0); j < run.count; j++ {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+				out.matches = append(out.matches, query.Match{Index: run.start + j, Value: v})
+			}
+			out.time.Reconstruct += clk.ChargeCPU(pfs.CPUScan, run.count) + clk.ChargeCPU(pfs.CPUMatch, run.count)
 		}
 		return nil
 	})
@@ -177,26 +176,29 @@ func (s *Store) fullScan(req *query.Request, ranks int) (*query.Result, error) {
 			}
 			out.time.IO += clk.Now() - t0
 			out.bytes += n * 8
-			out.time.Reconstruct += clk.MeasureCPU(func() {
-				for j := int64(0); j < n; j++ {
-					v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
-					if req.VC != nil && !req.VC.Contains(v) {
+			from := len(out.matches)
+			var tested int64
+			for j := int64(0); j < n; j++ {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+				if req.VC != nil && !req.VC.Contains(v) {
+					continue
+				}
+				idx := pos + j
+				if req.SC != nil {
+					tested++
+					coords = s.shape.Coords(idx, coords[:0])
+					if !req.SC.Contains(coords) {
 						continue
 					}
-					idx := pos + j
-					if req.SC != nil {
-						coords = s.shape.Coords(idx, coords[:0])
-						if !req.SC.Contains(coords) {
-							continue
-						}
-					}
-					m := query.Match{Index: idx}
-					if !req.IndexOnly {
-						m.Value = v
-					}
-					out.matches = append(out.matches, m)
 				}
-			})
+				m := query.Match{Index: idx}
+				if !req.IndexOnly {
+					m.Value = v
+				}
+				out.matches = append(out.matches, m)
+			}
+			out.time.Reconstruct += clk.ChargeCPU(pfs.CPUScan, n) + clk.ChargeCPU(pfs.CPUPoint, tested) +
+				clk.ChargeCPU(pfs.CPUMatch, int64(len(out.matches)-from))
 			pos += n
 		}
 		return nil
