@@ -159,12 +159,11 @@ func (c *Clock) AdvanceCPU(d float64) float64 {
 // MeasureCPU runs fn, measures its wall-clock duration, charges it via
 // AdvanceCPU, and returns the scaled delta. Queries charge modelled CPU
 // (ChargeCPU) instead; the stopwatch is left to build-time sections and
-// probes. When the clock came from a
-// Sim, the section holds a slot of the simulator's measurement gate
-// (see the gate field); compute still counts toward each rank's own
-// virtual clock, so simulated parallelism is unaffected. fn must not
-// wait on another goroutine's measured section: on a one-core host the
-// gate has one slot.
+// probes. When the clock came from a Sim, the section holds a slot of
+// the simulator's measurement gate (see the gate field); compute still
+// counts toward each rank's own virtual clock, so simulated parallelism
+// is unaffected. fn must not wait on another goroutine's measured
+// section: on a one-core host the gate has one slot.
 func (c *Clock) MeasureCPU(fn func()) float64 {
 	return c.AdvanceCPU(timeSection(c.gate, fn))
 }
@@ -350,7 +349,7 @@ func (s *Sim) WriteFile(clk *Clock, path string, data []byte) error {
 	defer s.mu.Unlock()
 	f, ok := s.files[path]
 	if !ok {
-		f = &file{id: s.nextID, startOST: int(hashPath(path) % uint64(s.cfg.NumOSTs))}
+		f = &file{id: s.nextID, startOST: s.FileOST(path)}
 		s.nextID++
 		s.files[path] = f
 	}
@@ -373,7 +372,7 @@ func (s *Sim) AppendFile(clk *Clock, path string, data []byte) error {
 	defer s.mu.Unlock()
 	f, ok := s.files[path]
 	if !ok {
-		f = &file{id: s.nextID, startOST: int(hashPath(path) % uint64(s.cfg.NumOSTs))}
+		f = &file{id: s.nextID, startOST: s.FileOST(path)}
 		s.nextID++
 		s.files[path] = f
 		s.stats.Opens++
