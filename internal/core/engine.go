@@ -64,13 +64,15 @@ type rankScratch struct {
 	// matches is the rank's match buffer between queries; rankOut.matches
 	// is the same buffer while one runs.
 	matches []query.Match
-	// offsets is the current bin's arena of decoded intra-chunk offsets;
-	// ends[i] is where task i's run stops (see run).
+	// offsets is the current bin's arena of intra-chunk offsets, decoded
+	// or copied from the cache; ends[i] is where task i's run stops (see
+	// run).
 	offsets []int32
 	ends    []int
-	// values[i] is task i's decoded values (nil: answered from the index
-	// alone). The slices belong to the decode cache or to this bin.
-	values [][]float64
+	// units[i] is task i's decoded unit: what the cache probe found, then
+	// its values (nil: answered from the index alone). The slices belong
+	// to the decode cache or to this bin.
+	units []cache.Unit
 	// planes and inflate serve one unit at a time: the unit's compressed
 	// planes inflate back to back into inflate, and planes[p] points at
 	// plane p there (or at the PFS bytes of a plane stored raw).
@@ -85,9 +87,7 @@ type rankScratch struct {
 	idxExtents, dataExtents []pfs.Extent
 }
 
-// run returns task i's decoded offsets in the current bin's arena. It is
-// empty for a unit none of whose points a position predicate selects:
-// such a unit is not probed, read or decoded any further.
+// run returns task i's offsets in the current bin's arena.
 func (sc *rankScratch) run(i int) []int32 {
 	lo := 0
 	if i > 0 {
@@ -108,12 +108,18 @@ func (sc *rankScratch) setGrid(shape grid.Shape) {
 	}
 }
 
-// taskValues returns the per-task values slice for a bin of n tasks,
-// all nil.
-func (sc *rankScratch) taskValues(n int) [][]float64 {
-	sc.values = slices.Grow(sc.values[:0], n)[:n]
-	clear(sc.values)
-	return sc.values
+// taskUnits returns the units of a bin's tasks, each asking for its
+// values at level when the task needs data and for its offsets only
+// (level 0) otherwise.
+func (sc *rankScratch) taskUnits(tasks []task, level int) []cache.Unit {
+	sc.units = slices.Grow(sc.units[:0], len(tasks))[:len(tasks)]
+	for i, t := range tasks {
+		sc.units[i] = cache.Unit{Unit: t.unit}
+		if t.needData {
+			sc.units[i].Level = level
+		}
+	}
+	return sc.units
 }
 
 // maxPooledMatches bounds the match buffer an idle scratch may keep
@@ -155,7 +161,7 @@ func (q *queryScratch) end() {
 		if cap(o.matches) <= maxPooledMatches {
 			o.sc.matches = o.matches[:0]
 		}
-		clear(o.sc.values[:cap(o.sc.values)])
+		clear(o.sc.units[:cap(o.sc.units)])
 		q.outs[r] = rankOut{}
 	}
 	// The split's per-rank slices alias the plan; drop them so an idle
@@ -284,24 +290,16 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []b
 	// subfile in level order, so sorting and gap-merging the extents
 	// costs at most a seek per disjoint run, not one per level. The open
 	// is part of the fetch, as it is for a bin.
-	t0 := clk.Now()
-	wall0 := time.Now()
-	if err := s.fs.Open(clk, s.vidx.path); err != nil {
-		return err
-	}
 	sc := out.sc
 	sc.idxExtents = sc.idxExtents[:0]
 	for _, n := range nodes {
 		id := s.vidx.nodeID(n)
 		sc.idxExtents = append(sc.idxExtents, pfs.Extent{Off: s.vidx.offs[id], Len: s.vidx.lens[id]})
 	}
-	m, ioBytes, err := s.fs.ReadExtents(clk, s.vidx.path, sc.idxExtents)
+	m, err := s.readFile(clk, s.vidx.path, sc.idxExtents, out)
 	if err != nil {
 		return err
 	}
-	out.bytes += ioBytes
-	out.time.IO += clk.Now() - t0
-	out.fetchWall += time.Since(wall0)
 
 	// The plan sizes the nodes' share of the match buffer before any is
 	// decoded: a node's set bits are the points of the leaf bins under
@@ -409,15 +407,18 @@ func (s *Store) runRank(ctx context.Context, clk *pfs.Clock, p *plan, tasks []ta
 }
 
 // runBin handles one rank's tasks within a single bin, in six stages
-// that each pay their fixed costs once for the bin: read the positional
-// indices; decode every unit's offsets (a position predicate drops the
-// units it selects nothing in); probe the decode cache; read the data
-// pieces of the units still unresolved (resident and dropped units'
-// extents are never read); resolve the values unit by unit (misses go
-// through the cache's single-flight path so concurrent queries
-// decompress each unit once); then filter and emit the whole bin. Each
-// stage adds to the rank's totals, which execute traces once per rank:
-// a bin opens no span of its own.
+// that each pay their fixed costs once for the bin: probe the decode
+// cache for every unit; read the positional indices of the units it
+// missed (a warm bin opens no file); fill the offsets arena, copying the
+// units found and decoding the rest (a position predicate lowers the
+// units it selects nothing in to level 0: they need no values), and let
+// the cache keep the units that need no values; read the data pieces of
+// the units whose values are still missing; decode those values unit by
+// unit through the cache's single-flight path, so concurrent queries
+// decompress each unit once and its offsets and values enter the cache
+// as one entry; then filter and emit the whole bin. Each stage adds to
+// the rank's totals, which execute traces once per rank: a bin opens no
+// span of its own.
 func (s *Store) runBin(ctx context.Context, clk *pfs.Clock, p *plan, tasks []task, out *rankOut) error {
 	bin := tasks[0].bin
 	if s.hookBeforeBin != nil {
@@ -430,90 +431,100 @@ func (s *Store) runBin(ctx context.Context, clk *pfs.Clock, p *plan, tasks []tas
 	out.units += len(tasks)
 	sc := out.sc
 	bm := &s.meta.bins[bin]
-	idxPath := binIndexPath(s.prefix, bin)
-	dataPath := binDataPath(s.prefix, bin)
 
-	// Index read: every task needs its positional index.
-	t0 := clk.Now()
-	wall0 := time.Now()
-	if err := s.fs.Open(clk, idxPath); err != nil {
-		return err
+	// Cache probe: a unit found whole needs no read at all, one whose
+	// offsets alone are resident needs no index read.
+	units := sc.taskUnits(tasks, p.level)
+	if s.decodeCache != nil {
+		out.cacheHits += s.decodeCache.Probe(s.prefix, bin, units)
 	}
+
+	// Index read, of the units the probe left without offsets.
 	sc.idxExtents = sc.idxExtents[:0]
-	for _, t := range tasks {
-		u := &bm.units[t.unit]
-		sc.idxExtents = append(sc.idxExtents, pfs.Extent{Off: u.indexOff, Len: u.indexLen})
+	for i, t := range tasks {
+		if units[i].Offsets == nil {
+			u := &bm.units[t.unit]
+			sc.idxExtents = append(sc.idxExtents, pfs.Extent{Off: u.indexOff, Len: u.indexLen})
+		}
 	}
-	idxMap, ioBytes, err := s.fs.ReadExtents(clk, idxPath, sc.idxExtents)
-	if err != nil {
-		return err
+	var idxMap *pfs.ExtentMap
+	if len(sc.idxExtents) > 0 {
+		var err error
+		if idxMap, err = s.readFile(clk, binIndexPath(s.prefix, bin), sc.idxExtents, out); err != nil {
+			return err
+		}
 	}
-	out.bytes += ioBytes
-	out.time.IO += clk.Now() - t0
-	out.fetchWall += time.Since(wall0)
 
 	// Reassemble: every unit's offsets into the bin's arena.
 	if err := s.decodeBinOffsets(clk, p, tasks, idxMap, out); err != nil {
 		return err
 	}
 
-	// Cache probe: units already resident need neither a data read nor
-	// a decode. values is aligned with tasks (nil = not resolved yet, or
-	// answered from the index alone); the rest list their data pieces.
-	values := sc.taskValues(len(tasks))
+	// The units the probe did not serve: those at level 0 need no values
+	// and are settled with the cache now; the rest list their data pieces.
 	sc.dataExtents = sc.dataExtents[:0]
+	keep := false
 	for i, t := range tasks {
-		if !t.needData || len(sc.run(i)) == 0 {
-			continue
+		switch u := &units[i]; {
+		case u.Hit:
+		case u.Level == 0:
+			keep = true
+		default:
+			sc.dataExtents = bm.units[t.unit].appendPieces(sc.dataExtents, p.pieces)
 		}
-		if s.decodeCache != nil {
-			if vals, ok := s.decodeCache.Get(s.cacheKey(bin, t.unit, p.level)); ok {
-				values[i] = vals
-				out.cacheHits++
-				continue
+	}
+	if keep && s.decodeCache != nil {
+		out.cacheHits += s.decodeCache.Keep(s.prefix, bin, units)
+	}
+
+	// Data read and decode, of the units whose values are missing.
+	if len(sc.dataExtents) > 0 {
+		dataMap, err := s.readFile(clk, binDataPath(s.prefix, bin), sc.dataExtents, out)
+		if err != nil {
+			return err
+		}
+		for i, t := range tasks {
+			if u := &units[i]; !u.Hit && u.Level > 0 {
+				if err := s.unitValues(ctx, clk, bin, &bm.units[t.unit], u, dataMap, out); err != nil {
+					return fmt.Errorf("core: bin %d unit %d data: %w", bin, t.unit, err)
+				}
 			}
 		}
-		sc.dataExtents = bm.units[t.unit].appendPieces(sc.dataExtents, p.pieces)
 	}
 
-	// Data read, when the probe left any unit unresolved.
-	var dataMap *pfs.ExtentMap
-	if len(sc.dataExtents) > 0 {
-		t1 := clk.Now()
-		wall1 := time.Now()
-		if err := s.fs.Open(clk, dataPath); err != nil {
-			return err
-		}
-		dataMap, ioBytes, err = s.fs.ReadExtents(clk, dataPath, sc.dataExtents)
-		if err != nil {
-			return err
-		}
-		out.bytes += ioBytes
-		out.time.IO += clk.Now() - t1
-		out.fetchWall += time.Since(wall1)
-	}
-
-	// Decode: the values of every unit the probe did not resolve.
-	for i, t := range tasks {
-		if !t.needData || values[i] != nil || len(sc.run(i)) == 0 {
-			continue
-		}
-		values[i], err = s.unitValues(ctx, clk, t, &bm.units[t.unit], p.level, dataMap, out)
-		if err != nil {
-			return fmt.Errorf("core: bin %d unit %d data: %w", bin, t.unit, err)
-		}
-	}
-
-	// Filter: map intra-chunk offsets to global indices and emit.
+	// Filter: map intra-chunk offsets to global indices and emit. A data
+	// task at level 0 holds no selected position.
 	var points int64
 	from := len(out.matches)
 	for i, t := range tasks {
-		points += s.emitUnit(t, &bm.units[t.unit], p, sc.run(i), values[i], out)
+		if t.needData && units[i].Level == 0 {
+			continue
+		}
+		points += s.emitUnit(t, &bm.units[t.unit], p, sc.run(i), units[i].Values, out)
 	}
 	filter := clk.ChargeCPU(pfs.CPUPoint, points) + clk.ChargeCPU(pfs.CPUMatch, int64(len(out.matches)-from))
 	out.filter += filter
 	out.time.Reconstruct += filter
 	return nil
+}
+
+// readFile opens one of the store's subfiles and reads the extents in
+// one batch: the open belongs to the fetch, which adds to the rank's
+// bytes, virtual I/O time and fetch wall time.
+func (s *Store) readFile(clk *pfs.Clock, path string, extents []pfs.Extent, out *rankOut) (*pfs.ExtentMap, error) {
+	t0 := clk.Now()
+	wall0 := time.Now()
+	if err := s.fs.Open(clk, path); err != nil {
+		return nil, err
+	}
+	m, n, err := s.fs.ReadExtents(clk, path, extents)
+	if err != nil {
+		return nil, err
+	}
+	out.bytes += n
+	out.time.IO += clk.Now() - t0
+	out.fetchWall += time.Since(wall0)
+	return m, nil
 }
 
 // appendPieces appends the extents of the unit's first n data pieces:
@@ -525,34 +536,45 @@ func (u *unitMeta) appendPieces(dst []pfs.Extent, n int) []pfs.Extent {
 	return dst
 }
 
-// decodeBinOffsets decodes the positional index of every task of one
-// bin into the rank's offsets arena, charged to the reassemble component.
-// Under a position predicate it also looks the decoded points up: a unit
-// holding no selected position keeps an empty run.
+// decodeBinOffsets fills the rank's offsets arena with every task's
+// offsets: copied when the cache probe found them, decoded from idxMap
+// otherwise (charged to the reassemble component), after which each
+// decoded unit's Offsets point at its run for the cache to keep. Under a
+// position predicate it also looks the points up: a unit holding no
+// selected position is lowered to level 0, as it needs no values.
 func (s *Store) decodeBinOffsets(clk *pfs.Clock, p *plan, tasks []task, idxMap *pfs.ExtentMap, out *rankOut) error {
 	sc := out.sc
 	sc.offsets, sc.ends = sc.offsets[:0], sc.ends[:0]
 	bm := &s.meta.bins[tasks[0].bin]
 	var decoded, probed int64
-	for _, t := range tasks {
+	for i, t := range tasks {
 		u := &bm.units[t.unit]
-		decoded += int64(u.count)
 		from := len(sc.offsets)
-		raw, err := idxMap.Slice(u.indexOff, u.indexLen)
-		if err == nil {
-			sc.offsets, err = decodeOffsets(sc.offsets, raw, int(u.count))
-		}
-		if err != nil {
-			return fmt.Errorf("core: bin %d unit %d index: %w", t.bin, t.unit, err)
+		if cached := sc.units[i].Offsets; cached != nil {
+			sc.offsets = append(sc.offsets, cached...)
+		} else {
+			decoded += int64(u.count)
+			raw, err := idxMap.Slice(u.indexOff, u.indexLen)
+			if err == nil {
+				sc.offsets, err = decodeOffsets(sc.offsets, raw, int(u.count))
+			}
+			if err != nil {
+				return fmt.Errorf("core: bin %d unit %d index: %w", t.bin, t.unit, err)
+			}
 		}
 		if p.positions != nil {
 			n, hit := s.firstSelected(u, sc.offsets[from:], p.positions, sc)
 			probed += int64(n)
 			if !hit {
-				sc.offsets = sc.offsets[:from]
+				sc.units[i].Level = 0
 			}
 		}
 		sc.ends = append(sc.ends, len(sc.offsets))
+	}
+	for i := range tasks {
+		if sc.units[i].Offsets == nil {
+			sc.units[i].Offsets = sc.run(i)
+		}
 	}
 	reassemble := clk.ChargeCPU(pfs.CPUOffset, decoded) + clk.ChargeCPU(pfs.CPUPoint, probed)
 	out.reassemble += reassemble
@@ -589,35 +611,28 @@ func (s *Store) firstSelected(u *unitMeta, offsets []int32, positions *bitmap.Bi
 	return len(offsets), false
 }
 
-// cacheKey builds the decode-cache key for one unit of this store.
-func (s *Store) cacheKey(bin, unit, level int) cache.Key {
-	return cache.Key{Store: s.prefix, Bin: bin, Unit: unit, Level: level}
-}
-
-// unitValues decodes a unit's values: through the decode cache's
-// single-flight path, or directly when no cache is attached. It updates
-// the rank's decompress time, block count, and cache-hit count. The
-// decode is charged only where it runs, inside the flight's compute, so
-// a query served by another query's flight pays no decompress.
-func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, t task, u *unitMeta, level int, dataMap *pfs.ExtentMap, out *rankOut) ([]float64, error) {
+// unitValues decodes the unit's values at u.Level into u.Values:
+// through the decode cache's single-flight path, which keeps them with
+// u.Offsets as one entry, or directly when no cache is attached. It
+// updates the rank's decompress time, block count, and cache-hit count.
+// The decode is charged only where it runs, inside the flight's compute,
+// so a query served by another query's flight pays no decompress.
+func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, bin int, um *unitMeta, u *cache.Unit, dataMap *pfs.ExtentMap, out *rankOut) error {
 	var decompress float64
 	decode := func() (values []float64, err error) {
-		values, err = s.decodeUnitValues(u, level, dataMap, out.sc)
-		decompress = s.chargeDecode(clk, u, level)
+		values, err = s.decodeUnitValues(um, u.Level, dataMap, out.sc)
+		decompress = s.chargeDecode(clk, um, u.Level)
 		return values, err
 	}
+	var hit bool
+	var err error
 	if s.decodeCache == nil {
-		values, err := decode()
-		if err != nil {
-			return nil, err
-		}
-		out.time.Decompress += decompress
-		out.blocks++
-		return values, nil
+		u.Values, err = decode()
+	} else {
+		hit, err = s.decodeCache.Fill(ctx, s.prefix, bin, u, decode)
 	}
-	values, hit, err := s.decodeCache.GetOrCompute(ctx, s.cacheKey(t.bin, t.unit, level), decode)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if hit {
 		// Another query's decode (or an insert racing the probe) served
@@ -627,7 +642,7 @@ func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, t task, u *unitM
 		out.time.Decompress += decompress
 		out.blocks++
 	}
-	return values, nil
+	return nil
 }
 
 // emitUnit appends one unit's qualifying matches: offsets are its

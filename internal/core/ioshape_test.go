@@ -35,45 +35,51 @@ type ioShape struct {
 // row lost exactly the opens (and the seek and read of each) of the bins
 // the equal-count split had shared, and the bytes those ranks re-read
 // through coalesced gaps, so every r3 row now equals its r1 row. No r1
-// row moved.
+// row moved. The warm rows were re-recorded once more, when the decode
+// cache began keeping each unit's offsets with its values (and the
+// offsets alone of a unit the bitmap selects nothing in): a warm fetch
+// reads no index, so its reads, seeks, opens and bytes fall to 0, and
+// every unit it visits is served from the cache, so its cache hits count
+// all of them (282 or 727), not only the units whose values it decoded
+// cold. No cold or nocache row moved.
 var wantIOShapes = map[string]ioShape{
 	// name: {matches, bytes, reads, seeks, opens, blocks, cacheHits}
 	"fetch/col/sel0.01/r1/cold":            {40, 6374, 13, 13, 13, 25, 0},
 	"fetch/col/sel0.01/r1/nocache":         {40, 6374, 13, 13, 13, 25, 0},
-	"fetch/col/sel0.01/r1/warm":            {40, 3776, 12, 12, 12, 0, 25},
+	"fetch/col/sel0.01/r1/warm":            {40, 0, 0, 0, 0, 0, 282},
 	"fetch/col/sel0.01/r3/cold":            {40, 6374, 13, 13, 13, 25, 0},
 	"fetch/col/sel0.01/r3/nocache":         {40, 6374, 13, 13, 13, 25, 0},
-	"fetch/col/sel0.01/r3/warm":            {40, 3776, 12, 12, 12, 0, 25},
+	"fetch/col/sel0.01/r3/warm":            {40, 0, 0, 0, 0, 0, 282},
 	"fetch/col/sel0.1/r1/cold":             {409, 12234, 15, 15, 15, 106, 0},
 	"fetch/col/sel0.1/r1/nocache":          {409, 12234, 15, 15, 15, 106, 0},
-	"fetch/col/sel0.1/r1/warm":             {409, 4096, 12, 12, 12, 0, 106},
+	"fetch/col/sel0.1/r1/warm":             {409, 0, 0, 0, 0, 0, 727},
 	"fetch/col/sel0.1/r3/cold":             {409, 12234, 15, 15, 15, 106, 0},
 	"fetch/col/sel0.1/r3/nocache":          {409, 12234, 15, 15, 15, 106, 0},
-	"fetch/col/sel0.1/r3/warm":             {409, 4096, 12, 12, 12, 0, 106},
+	"fetch/col/sel0.1/r3/warm":             {409, 0, 0, 0, 0, 0, 727},
 	"fetch/col/sel0.5/r1/cold":             {2048, 22742, 19, 19, 19, 419, 0},
 	"fetch/col/sel0.5/r1/nocache":          {2048, 22742, 19, 19, 19, 419, 0},
-	"fetch/col/sel0.5/r1/warm":             {2048, 4096, 12, 12, 12, 0, 419},
+	"fetch/col/sel0.5/r1/warm":             {2048, 0, 0, 0, 0, 0, 727},
 	"fetch/col/sel0.5/r3/cold":             {2048, 22742, 19, 19, 19, 419, 0},
 	"fetch/col/sel0.5/r3/nocache":          {2048, 22742, 19, 19, 19, 419, 0},
-	"fetch/col/sel0.5/r3/warm":             {2048, 4096, 12, 12, 12, 0, 419},
+	"fetch/col/sel0.5/r3/warm":             {2048, 0, 0, 0, 0, 0, 727},
 	"fetch/iso/sel0.01/r1/cold":            {40, 7143, 13, 13, 13, 25, 0},
 	"fetch/iso/sel0.01/r1/nocache":         {40, 7143, 13, 13, 13, 25, 0},
-	"fetch/iso/sel0.01/r1/warm":            {40, 3776, 12, 12, 12, 0, 25},
+	"fetch/iso/sel0.01/r1/warm":            {40, 0, 0, 0, 0, 0, 282},
 	"fetch/iso/sel0.01/r3/cold":            {40, 7143, 13, 13, 13, 25, 0},
 	"fetch/iso/sel0.01/r3/nocache":         {40, 7143, 13, 13, 13, 25, 0},
-	"fetch/iso/sel0.01/r3/warm":            {40, 3776, 12, 12, 12, 0, 25},
+	"fetch/iso/sel0.01/r3/warm":            {40, 0, 0, 0, 0, 0, 282},
 	"fetch/iso/sel0.1/r1/cold":             {409, 14866, 15, 15, 15, 106, 0},
 	"fetch/iso/sel0.1/r1/nocache":          {409, 14866, 15, 15, 15, 106, 0},
-	"fetch/iso/sel0.1/r1/warm":             {409, 4096, 12, 12, 12, 0, 106},
+	"fetch/iso/sel0.1/r1/warm":             {409, 0, 0, 0, 0, 0, 727},
 	"fetch/iso/sel0.1/r3/cold":             {409, 14866, 15, 15, 15, 106, 0},
 	"fetch/iso/sel0.1/r3/nocache":          {409, 14866, 15, 15, 15, 106, 0},
-	"fetch/iso/sel0.1/r3/warm":             {409, 4096, 12, 12, 12, 0, 106},
+	"fetch/iso/sel0.1/r3/warm":             {409, 0, 0, 0, 0, 0, 727},
 	"fetch/iso/sel0.5/r1/cold":             {2048, 29137, 19, 19, 19, 419, 0},
 	"fetch/iso/sel0.5/r1/nocache":          {2048, 29137, 19, 19, 19, 419, 0},
-	"fetch/iso/sel0.5/r1/warm":             {2048, 4096, 12, 12, 12, 0, 419},
+	"fetch/iso/sel0.5/r1/warm":             {2048, 0, 0, 0, 0, 0, 727},
 	"fetch/iso/sel0.5/r3/cold":             {2048, 29137, 19, 19, 19, 419, 0},
 	"fetch/iso/sel0.5/r3/nocache":          {2048, 29137, 19, 19, 19, 419, 0},
-	"fetch/iso/sel0.5/r3/warm":             {2048, 4096, 12, 12, 12, 0, 419},
+	"fetch/iso/sel0.5/r3/warm":             {2048, 0, 0, 0, 0, 0, 727},
 	"multivar/vc/sel0.05/r1/cache=false":   {172, 33646, 36, 36, 36, 0, 0},
 	"multivar/vc/sel0.05/r1/cache=true":    {172, 33646, 36, 36, 36, 0, 0},
 	"multivar/vc/sel0.05/r3/cache=false":   {172, 33646, 36, 36, 36, 0, 0},

@@ -206,22 +206,22 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 			}
 			return share
 		}
+		// Load the FULL index (the paper's dominating cost): ranks read
+		// disjoint partitions concurrently. The open is part of the read.
+		t0 := clk.Now()
 		if err := s.fs.Open(clk, indexPath); err != nil {
 			return err
 		}
-		// Load the FULL index (the paper's dominating cost): ranks read
-		// disjoint partitions concurrently.
 		per := (s.indexSize + int64(c.Size()) - 1) / int64(c.Size())
 		lo := per * int64(c.Rank())
 		hi := min(lo+per, s.indexSize)
 		if lo < hi {
-			t0 := clk.Now()
 			if _, err := s.fs.ReadAt(clk, indexPath, lo, hi-lo); err != nil {
 				return err
 			}
-			out.time.IO += clk.Now() - t0
 			out.bytes += hi - lo
 		}
+		out.time.IO += clk.Now() - t0
 		if err := c.Barrier(); err != nil {
 			return err
 		}
@@ -304,9 +304,11 @@ func (s *Store) evalBitmap(clk *pfs.Clock, out *rankOut, e pfs.Extent, req *quer
 // coalescing adjacent indices into single reads, filters by the VC when
 // check is set, and appends matches.
 func (s *Store) fetchValues(clk *pfs.Clock, out *rankOut, indices []int64, req *query.Request, check bool) error {
+	t0 := clk.Now()
 	if err := s.fs.Open(clk, s.prefix+"/data"); err != nil {
 		return err
 	}
+	out.time.IO += clk.Now() - t0
 	for i := 0; i < len(indices); {
 		j := i + 1
 		for j < len(indices) && indices[j] == indices[j-1]+1 {

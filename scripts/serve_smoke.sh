@@ -90,6 +90,13 @@ if [[ "${cache_hits:-0}" -le 0 ]]; then
     cat "$workdir/stats.out" >&2
     exit 1
 fi
+# The cache keeps each unit's offsets with its values, so the repeat
+# opens no bin file: it reads no byte and charges no I/O time.
+if ! grep -q ', 0\.00 MB read,' "$workdir/q2.out" || ! grep -q 'time: io 0\.0000s,' "$workdir/q2.out"; then
+    echo "serve-smoke: FAIL — second identical query still read from the PFS" >&2
+    cat "$workdir/q2.out" >&2
+    exit 1
+fi
 
 echo "serve-smoke: validating /metrics and /debug/traces"
 if ! "$workdir/mloclint" -remote "$addr" -pprof; then
