@@ -48,9 +48,10 @@ bench-query:
 query-gate:
 	$(GO) test . -run '^$$' -bench '^BenchmarkQueryLatency$$' -benchtime 3x
 
-## repeat-check: run the curve and assignment ablations twice each and
-## fail if any table cell differs between the runs (virtual seconds are
-## charged from models, so they repeat exactly).
+## repeat-check: run the curve and assignment ablations and
+## examples/insitu twice each and fail if any table cell or output line
+## differs between the runs (virtual seconds are charged from models,
+## so they repeat exactly).
 repeat-check:
 	./scripts/repeat_check.sh
 

@@ -28,8 +28,8 @@ const (
 // staged is the outcome of staging one time step.
 type staged struct {
 	store *core.Store
-	// ingest is the virtual time the build charged (PFS writes plus
-	// scaled compression CPU).
+	// ingest is the virtual time the build charged (PFS writes plus the
+	// scaled, modelled CPU of binning, encoding and indexing).
 	ingest float64
 	err    error
 }

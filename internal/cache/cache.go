@@ -16,7 +16,9 @@
 // values as one entry.
 //
 // Get, Put and GetOrCompute deal in values alone; the entries they make
-// carry no offsets. Entries are immutable after insertion: callers must
+// carry no offsets. Get counts a hit but never a miss: misses are
+// recorded where a unit is decoded, by GetOrCompute, Keep and Fill.
+// Entries are immutable after insertion: callers must
 // treat returned slices as read-only (the query engine only reads
 // them). All methods are safe for concurrent use.
 package cache
@@ -494,8 +496,8 @@ func (sh *shard) finish(e *entry, err error) {
 
 // Get returns the cached values for key, or ok=false on a miss. A miss
 // from Get is not counted against the Misses statistic (probes that
-// precede a batched read would double-count otherwise); only
-// GetOrCompute records misses.
+// precede a batched read would double-count otherwise); the paths that
+// decode the unit — GetOrCompute, Keep and Fill — record misses.
 func (c *Cache) Get(key Key) (vals []float64, ok bool) {
 	start := time.Now()
 	defer c.observeLookup(start)

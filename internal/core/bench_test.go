@@ -68,9 +68,9 @@ func benchStagingFS() *pfs.Sim {
 // BenchmarkBuildParallel measures the parallel store-build pipeline
 // across worker counts and storage modes. Wall ns/op shows the real
 // multi-core speedup where the host has cores to offer; the virt-s/op
-// metric is the virtual-clock build time (compute charged as
-// total/workers plus write time), whose speedup reproduces the paper's
-// pipeline shape on any host. scripts/bench_json.sh turns this into
+// metric is the virtual-clock build time (modelled compute divided by
+// the pool width, plus write time), which repeats exactly and whose
+// speedup reproduces the paper's pipeline shape on any host. scripts/bench_json.sh turns this into
 // BENCH_build.json, the recorded bench trajectory.
 func BenchmarkBuildParallel(b *testing.B) {
 	data, shape := benchData(b)

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mloc/internal/binning"
 	"mloc/internal/compress"
@@ -21,24 +20,26 @@ import (
 
 // Build ingests one variable through the MLOC multi-level pipeline and
 // writes the per-bin subfiles plus metadata to the PFS under prefix.
-// PFS write time is charged to clk; compression CPU time is measured
-// and added to the same clock, reproducing the paper's in-situ
-// processing-pipeline accounting.
+// PFS write time is charged to clk, and so is the compute of binning,
+// encoding and indexing, modelled from the rate table of pfs.CPU as
+// queries are, reproducing the paper's in-situ processing-pipeline
+// accounting.
 //
 // Both passes fan out over Config.BuildWorkers workers (pass 1 over
 // chunks, pass 2 over bins) while committing results in deterministic
 // storage order, so the produced store is byte-identical for every
-// worker count. Measured compute is aggregated across workers and
-// charged as total/workers wall-equivalent, keeping the virtual-clock
-// pipeline timings meaningful (DESIGN.md cost-model notes).
+// worker count. Each pass charges its modelled compute divided by its
+// effective worker count (DESIGN.md cost-model notes), so a build's
+// virtual time depends on its input and configuration, never on the
+// host's load.
 func Build(fs *pfs.Sim, clk *pfs.Clock, prefix string, shape grid.Shape, data []float64, cfg Config) (*Store, error) {
 	return BuildWithSampleContext(context.Background(), fs, clk, prefix, shape, data, nil, cfg)
 }
 
 // BuildContext is Build under a context. The context carries the span
 // for tracing (obs.StartSpan): when it holds an active span, the build
-// records per-pass, per-worker, and per-bin child spans whose virtual
-// times explain the AdvanceParallel charging. Cancellation is observed
+// records per-pass spans with per-bin and per-level events carrying the
+// compute each charged. Cancellation is observed
 // between bin commits in pass 2; a pass already fanned out runs its
 // in-flight work to completion.
 func BuildContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, prefix string, shape grid.Shape, data []float64, cfg Config) (*Store, error) {
@@ -100,16 +101,15 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 
 	// Pass 1: chunk the data (level S boundary definition), bin each
 	// chunk's points (level V membership), fanned out over the worker
-	// pool and merged in storage order. The pass span's virtual time is
-	// the clock delta actually charged (summed worker CPU divided by the
-	// pool width, plus the serial merge); its per-worker child spans
-	// carry each worker's raw measured CPU, so the span tree shows both
-	// sides of the AdvanceParallel accounting.
-	v0 := clk.Now()
+	// pool and merged in storage order. The pass charges its values and
+	// the units they form, divided among its workers.
 	_, binSpan := obs.StartSpan(ctx, "pass_binning")
-	perBin := binChunks(clk, fs, chunks, order, data, scheme, nbins, cfg.buildWorkers(), binSpan)
-	binSpan.AddVirt(clk.Now() - v0)
+	nw := max(1, min(cfg.buildWorkers(), len(order))) // a worker per chunk at most
+	perBin, units := binChunks(chunks, order, data, scheme, nbins, nw)
+	binCPU := pfs.CPUSeconds(pfs.CPUBin, int64(len(data))) + pfs.CPUSeconds(pfs.CPUBinUnit, units)
+	binSpan.AddVirt(clk.AdvanceCPU(binCPU / float64(nw)))
 	binSpan.SetInt("chunks", int64(len(order)))
+	binSpan.SetInt("workers", int64(nw))
 	binSpan.End()
 
 	// Pass 2: encode each bin's units (levels M + compression), lay out
@@ -130,21 +130,16 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 		meta.codecName = cfg.FloatCodec.Name()
 	}
 
-	nw := cfg.buildWorkers()
-	if nw > nbins {
-		nw = nbins
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	// Pass 2 span: per-bin child spans carry each bin's raw encode CPU
-	// (charged to the clock as cpu/workers) and committed sizes; the
-	// pass virtual time is the full clock delta including the writes.
+	// Pass 2 span: per-bin events carry the compute each bin charged
+	// (its modelled encode seconds divided among the workers) and its
+	// committed sizes; the pass virtual time is the full clock delta
+	// including the writes.
+	nw = max(1, min(cfg.buildWorkers(), nbins)) // a worker per bin at most
 	v1 := clk.Now()
 	_, encSpan := obs.StartSpan(ctx, "pass_encode")
 	encSpan.SetInt("bins", int64(nbins))
 	encSpan.SetInt("workers", int64(nw))
-	enc := encodeBins(fs, meta, perBin, cfg, nw)
+	enc := encodeBins(meta, perBin, cfg, nw)
 	for b := 0; b < nbins; b++ {
 		if err := ctx.Err(); err != nil {
 			encSpan.End()
@@ -155,7 +150,7 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 			encSpan.End()
 			return nil, fmt.Errorf("core: bin %d: %w", b, e.err)
 		}
-		clk.AdvanceParallel(e.cpu, nw)
+		cpu := clk.AdvanceCPU(e.cpu / float64(nw))
 		bm := &meta.bins[b]
 		if err := fs.WriteFile(clk, binDataPath(prefix, b), e.data); err != nil {
 			encSpan.End()
@@ -165,7 +160,7 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 			encSpan.End()
 			return nil, err
 		}
-		es := encSpan.Event("bin", 0, e.cpu)
+		es := encSpan.Event("bin", 0, cpu)
 		es.SetInt("bin", int64(b))
 		es.SetInt("bytes", bm.dataSize+bm.indexSize)
 	}
@@ -219,24 +214,32 @@ func dataRange(data []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// runWorkers runs fn(worker) from n goroutines; n == 1 runs inline so a
-// serial build pays no scheduling overhead.
-func runWorkers(n int, fn func(w int)) {
+// runTasks runs worker on n goroutines; each worker pulls tasks
+// 0..tasks-1 off one shared counter with next, so tasks start in
+// ascending order, and owns whatever scratch it sets up. n == 1 runs
+// inline so a serial build pays no scheduling overhead.
+func runTasks(n, tasks int, worker func(next func() (task int, ok bool))) {
+	var counter atomic.Int64
+	next := func() (int, bool) {
+		t := int(counter.Add(1)) - 1
+		return t, t < tasks
+	}
 	if n <= 1 {
-		fn(0)
+		worker(next)
 		return
 	}
 	var wg sync.WaitGroup
-	work := func(w int) {
+	work := func() {
 		defer wg.Done()
-		fn(w)
+		worker(next)
 	}
 	for w := 0; w < n; w++ {
 		wg.Add(1)
 		// The build worker pool is intra-rank compute fan-out, not an
-		// SPMD rank: it shares one virtual clock and charges aggregated
-		// CPU via AdvanceParallel, so the mpi/stage runtimes don't apply.
-		go work(w)
+		// SPMD rank: it shares one virtual clock, which the pass charges
+		// its modelled compute divided by the pool width once the pool is
+		// done, so the mpi/stage runtimes don't apply.
+		go work()
 	}
 	wg.Wait()
 }
@@ -249,81 +252,57 @@ type binnedChunk struct {
 	values  [][]float64
 }
 
-// binChunks runs pass 1: chunks are pulled off a shared counter by the
-// worker pool (each worker owning its extraction and per-bin scratch
-// arrays), and the per-chunk results are merged into perBin serially in
-// storage order, so unit order inside every bin is exactly the serial
-// build's. Worker compute is charged to clk as total/workers; the
-// cheap serial merge is charged as is.
-func binChunks(clk *pfs.Clock, fs *pfs.Sim, chunks *grid.Chunking, order []int64, data []float64, scheme *binning.Scheme, nbins, workers int, sp *obs.Span) [][]rawUnit {
-	nw := workers
-	if nw > len(order) {
-		nw = len(order)
-	}
-	if nw < 1 {
-		nw = 1
-	}
+// binChunks runs pass 1 over nw workers: chunks are pulled off a shared
+// counter by the worker pool (each worker owning its extraction and
+// per-bin scratch arrays), and the per-chunk results are merged into
+// perBin serially in storage order, so unit order inside every bin is
+// exactly the serial build's. It also returns how many units it made.
+func binChunks(chunks *grid.Chunking, order []int64, data []float64, scheme *binning.Scheme, nbins, nw int) ([][]rawUnit, int64) {
 	results := make([]binnedChunk, len(order))
-	cpus := make([]float64, nw)
-	var next atomic.Int64
-	runWorkers(nw, func(w int) {
+	runTasks(nw, len(order), func(next func() (int, bool)) {
 		// Worker-owned scratch: the header arrays are reused across
 		// chunks; the per-bin slices they point at escape into results,
 		// so they reset to nil (not [:0]) each iteration.
 		var chunkBuf []float64
 		local := make([][]int32, nbins)
 		localV := make([][]float64, nbins)
-		for {
-			pos := int(next.Add(1)) - 1
-			if pos >= len(order) {
-				break
+		for pos, ok := next(); ok; pos, ok = next() {
+			chunkID := order[pos]
+			chunkBuf = chunks.ExtractChunk(data, chunkID, chunkBuf[:0])
+			for b := range local {
+				local[b], localV[b] = nil, nil
 			}
-			cpus[w] += fs.MeasureSection(func() {
-				chunkID := order[pos]
-				chunkBuf = chunks.ExtractChunk(data, chunkID, chunkBuf[:0])
-				for b := range local {
-					local[b], localV[b] = nil, nil
+			for off, v := range chunkBuf {
+				b := scheme.BinOf(v)
+				local[b] = append(local[b], int32(off))
+				localV[b] = append(localV[b], v)
+			}
+			rc := &results[pos]
+			for b := 0; b < nbins; b++ {
+				if len(local[b]) == 0 {
+					continue
 				}
-				for off, v := range chunkBuf {
-					b := scheme.BinOf(v)
-					local[b] = append(local[b], int32(off))
-					localV[b] = append(localV[b], v)
-				}
-				rc := &results[pos]
-				for b := 0; b < nbins; b++ {
-					if len(local[b]) == 0 {
-						continue
-					}
-					rc.bins = append(rc.bins, int32(b))
-					rc.offsets = append(rc.offsets, local[b])
-					rc.values = append(rc.values, localV[b])
-				}
-			})
+				rc.bins = append(rc.bins, int32(b))
+				rc.offsets = append(rc.offsets, local[b])
+				rc.values = append(rc.values, localV[b])
+			}
 		}
 	})
-	var total float64
-	for w, c := range cpus {
-		total += c
-		ws := sp.Event("worker", 0, c)
-		ws.SetInt("worker", int64(w))
-	}
-	sp.SetInt("workers", int64(nw))
-	clk.AdvanceParallel(total, nw)
-
-	t0 := time.Now()
 	perBin := make([][]rawUnit, nbins)
+	var units int64
 	for pos, chunkID := range order {
 		rc := &results[pos]
 		for k, b := range rc.bins {
 			perBin[b] = append(perBin[b], rawUnit{chunkID: chunkID, offsets: rc.offsets[k], values: rc.values[k]})
 		}
+		units += int64(len(rc.bins))
 	}
-	clk.AdvanceBy(time.Since(t0).Seconds())
-	return perBin
+	return perBin, units
 }
 
 // encodedBin is one bin's pass-2 result, produced by a worker and
-// committed by the caller in bin order.
+// committed by the caller in bin order. cpu is the modelled seconds of
+// its encode at CPUScale 1.
 type encodedBin struct {
 	index []byte
 	data  []byte
@@ -338,33 +317,34 @@ type encodedBin struct {
 // first error remaining bins are skipped; the caller reports the
 // erroring bin with the lowest id (deterministic because bins are
 // pulled in ascending order).
-func encodeBins(fs *pfs.Sim, meta *storeMeta, perBin [][]rawUnit, cfg Config, nw int) []encodedBin {
+func encodeBins(meta *storeMeta, perBin [][]rawUnit, cfg Config, nw int) []encodedBin {
 	out := make([]encodedBin, len(perBin))
-	var next atomic.Int64
+	_, floatEncode := floatCPU(cfg.FloatCodec)
 	var failed atomic.Bool
-	runWorkers(nw, func(int) {
+	runTasks(nw, len(perBin), func(next func() (int, bool)) {
 		sc := encodeScratchPool.Get().(*encodeScratch)
 		defer encodeScratchPool.Put(sc)
-		for {
-			b := int(next.Add(1)) - 1
-			if b >= len(perBin) {
-				break
-			}
+		for b, ok := next(); ok; b, ok = next() {
 			if failed.Load() {
 				continue
 			}
 			e := &out[b]
-			e.cpu = fs.MeasureSection(func() {
-				bm := &meta.bins[b]
-				units := perBin[b]
-				e.index = encodeBinIndex(bm, units)
-				switch cfg.Mode {
-				case ModePlanes:
-					e.data, e.err = encodePlanesBin(bm, units, cfg, sc)
-				case ModeFloats:
-					e.data, e.err = encodeFloatsBin(bm, units, cfg)
-				}
-			})
+			bm := &meta.bins[b]
+			units := perBin[b]
+			n := int64(len(units))
+			var values int64
+			e.index, values = encodeBinIndex(bm, units)
+			e.cpu = pfs.CPUSeconds(pfs.CPUOffsetUnit, n) + pfs.CPUSeconds(pfs.CPUOffsetEncode, values)
+			switch cfg.Mode {
+			case ModePlanes:
+				var calls, deflated int64
+				e.data, calls, deflated, e.err = encodePlanesBin(bm, units, cfg, sc)
+				e.cpu += pfs.CPUSeconds(pfs.CPUSplitUnit, n) + pfs.CPUSeconds(pfs.CPUSplit, values) +
+					pfs.CPUSeconds(pfs.CPUDeflateCall, calls) + pfs.CPUSeconds(pfs.CPUDeflate, deflated)
+			case ModeFloats:
+				e.data, e.err = encodeFloatsBin(bm, units, cfg)
+				e.cpu += pfs.CPUSeconds(floatEncode[0], n) + pfs.CPUSeconds(floatEncode[1], values)
+			}
 			if e.err != nil {
 				failed.Store(true)
 			}
@@ -387,8 +367,9 @@ var encodeScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
 // arena back to back in (unit, plane) order — compressed pieces are
 // encoded straight into it, and the split planes never escape the
 // scratch — so the only allocations left are the exactly-sized output
-// buffer and the per-bin piece-extent slab.
-func encodePlanesBin(bm *binMeta, units []rawUnit, cfg Config, sc *encodeScratch) ([]byte, error) {
+// buffer and the per-bin piece-extent slab. It also returns how many
+// deflate calls it made and the bytes it fed them, for the model.
+func encodePlanesBin(bm *binMeta, units []rawUnit, cfg Config, sc *encodeScratch) (data []byte, calls, deflated int64, err error) {
 	arena := sc.arena[:0]
 	defer func() { sc.arena = arena }()
 	_, isZlib := cfg.ByteCodec.(*compress.Zlib)
@@ -405,10 +386,13 @@ func encodePlanesBin(bm *binMeta, units []rawUnit, cfg Config, sc *encodeScratch
 				// without trying: zlib could only lose.
 				won := false
 				if !isZlib || compress.ZlibFloor(planes[p]) < len(planes[p]) {
-					var err error
+					if isZlib {
+						calls++
+						deflated += int64(len(planes[p]))
+					}
 					arena, err = compress.AppendBytes(cfg.ByteCodec, arena, planes[p])
 					if err != nil {
-						return nil, err
+						return nil, 0, 0, err
 					}
 					won = len(arena)-mark < len(planes[p])
 				}
@@ -431,7 +415,7 @@ func encodePlanesBin(bm *binMeta, units []rawUnit, cfg Config, sc *encodeScratch
 			from += n
 		}
 	}
-	return dataBuf, nil
+	return dataBuf, calls, deflated, nil
 }
 
 // encodeFloatsBin encodes units with the float codec, one piece each,

@@ -162,8 +162,9 @@ type Config struct {
 	// BuildWorkers bounds the worker pool Build fans chunk binning and
 	// per-bin encoding over; 0 means GOMAXPROCS. The produced store is
 	// byte-identical for every worker count (see README §Parallel
-	// builds), and the virtual clock charges the aggregated compute as
-	// total/workers wall-equivalent.
+	// builds), and the virtual clock charges each pass's modelled
+	// compute divided by the pool width (at most one worker per chunk
+	// or bin).
 	BuildWorkers int
 	// HierarchicalIndex stores the inner nodes of the super-bin tree
 	// over the V-level as WAH bitmaps (the vindex subfile), letting

@@ -15,10 +15,11 @@ import (
 )
 
 // BenchmarkCPURates calibrates pfs's rate table: each sub-benchmark runs
-// one of the engines' own inner loops over one bin of a 256² GTS store
-// (32² chunks, 100 bins, as the bench fixture is cut) and reports the
-// nanoseconds it takes per unit of the kind the engines charge for that
-// loop. Run it on an idle host, several times, and commit the medians:
+// one of the engines' or the build's own inner loops over one bin of a
+// 256² GTS store (32² chunks, 100 bins, as the bench fixture is cut), or
+// over the whole store where the build works on it whole, and reports
+// the nanoseconds it takes per unit of the kind charged for that loop.
+// Run it on an idle host, several times, and commit the medians:
 //
 //	go test ./internal/core -run '^$' -bench '^BenchmarkCPURates$' -benchtime 2000x -count 5
 func BenchmarkCPURates(b *testing.B) {
@@ -124,8 +125,8 @@ func BenchmarkCPURates(b *testing.B) {
 			b.ReportMetric(last, "ns/unit")
 		})
 	}
-	// fixed reports the ns per unit left when perOp units at rate, and
-	// known ns besides, are taken from each op.
+	// fixed reports, and leaves in last, the ns per unit left when perOp
+	// units at rate, and known ns besides, are taken from each op.
 	fixed := func(name string, perOp, units int64, rate float64, fn func(), known ...float64) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -135,7 +136,8 @@ func BenchmarkCPURates(b *testing.B) {
 			for _, k := range known {
 				op -= k
 			}
-			b.ReportMetric(op/float64(units), "ns/unit")
+			last = op / float64(units)
+			b.ReportMetric(last, "ns/unit")
 		})
 	}
 	whole := plod.Split(phi.Data)
@@ -267,4 +269,111 @@ func BenchmarkCPURates(b *testing.B) {
 	}
 	run("scan", points, scan(binning.ValueConstraint{Min: math.Inf(1), Max: math.Inf(1)}))
 	fixed("match", points, points, last, scan(binning.ValueConstraint{Min: math.Inf(-1), Max: math.Inf(1)}))
+
+	// The build. Its loops cost a fixed amount per unit (a chunk's
+	// points in one bin) and an amount per value: the per-value rate
+	// comes from a one-bin store of the same data and chunks, whose units
+	// hold 1 024 values each, the fixed part from the fixture's bin less
+	// that rate (pass 1: from the whole fixture, which it bins whole).
+	oneCfg := DefaultConfig([]int{32, 32})
+	oneCfg.ByteCodec = compress.RawBytes{} // a copy: the split without deflate
+	oneCfg.NumBins = 1
+	one, err := Build(pfs.New(pfs.DefaultConfig()), pfs.NewClock(), "cal/one", d.Shape, phi.Data, oneCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	order := chunkStorageOrder(col.chunks, col.curve)
+	bins := func(st *Store) ([][]rawUnit, int64) {
+		return binChunks(st.chunks, order, phi.Data, st.scheme, st.scheme.NumBins(), 1)
+	}
+	raws, nunits := bins(col)
+	ones, _ := bins(one)
+	whole1 := ones[0]
+	run("bin", n, func() { bins(one) })
+	fixed("bin_unit", n, nunits, last, func() { bins(col) })
+	var bm, bm1 binMeta
+	encodeBinIndex(&bm, raws[bin]) // the split's unit table, if it runs alone
+	encodeBinIndex(&bm1, whole1)
+	run("offset_encode", n, func() { encodeBinIndex(&bm1, whole1) })
+	fixed("offset_unit", points, int64(len(raws[bin])), last, func() { encodeBinIndex(&bm, raws[bin]) })
+	// The split with a raw byte codec, which copies the piece: per
+	// value from the one-bin store, per unit from the fixture's bin.
+	sc := new(encodeScratch)
+	rawCfg := colCfg
+	rawCfg.ByteCodec = compress.RawBytes{}
+	run("split", n, func() { _, _, _, _ = encodePlanesBin(&bm1, whole1, oneCfg, sc) })
+	split := last
+	fixed("split_unit", points, int64(len(raws[bin])), split, func() {
+		_, _, _, _ = encodePlanesBin(&bm, raws[bin], rawCfg, sc)
+	})
+	splitUnits := last * float64(len(raws[bin]))
+	// Deflate per byte from one large stream; per call from the bin's
+	// split with the zlib codec less the raw split and those bytes.
+	run("deflate", int64(len(whole[0])), func() {
+		buf, _ = compress.AppendBytes(col.byteCodec, buf[:0], whole[0])
+	})
+	_, calls, deflated, err := encodePlanesBin(&bm, raws[bin], colCfg, sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fixed("deflate_call", deflated, calls, last, func() {
+		_, _, _, _ = encodePlanesBin(&bm, raws[bin], colCfg, sc)
+	}, split*float64(points), splitUnits)
+	for _, c := range []struct {
+		name string
+		fc   compress.FloatCodec
+		st   *Store
+	}{{"raw", compress.RawFloats{}, nil}, {"isobar", iso.floatCodec, iso}, {"isabela", isa.floatCodec, isa}} {
+		run(c.name+"_encode_value", int64(len(phi.Data)), func() {
+			buf, _ = compress.AppendFloats(c.fc, buf[:0], phi.Data)
+		})
+		if c.st == nil {
+			continue // a raw unit is an append, its fixed cost nil
+		}
+		perBin, _ := bins(c.st)
+		us := perBin[bin]
+		var values int64
+		for _, u := range us {
+			values += int64(len(u.values))
+		}
+		fixed(c.name+"_encode_unit", values, int64(len(us)), last, func() {
+			for _, u := range us {
+				buf, _ = compress.AppendFloats(c.fc, buf[:0], u.values)
+			}
+		})
+	}
+	set := bitmap.New(n)
+	var psc rankScratch
+	psc.setGrid(col.meta.shape)
+	run("position", n, func() {
+		setPositions(set, col.chunks, &psc, whole1)
+	})
+	position := last
+	fixed("position_unit", n, nunits, position, func() {
+		for _, units := range raws {
+			setPositions(set, col.chunks, &psc, units)
+		}
+	})
+	positions := position*float64(n) + last*float64(nunits)
+	// The vindex build less its positions, per group produced: each
+	// level-1 node's Reset and Compress, each Or of the levels above,
+	// and the marshalled file.
+	var produced int64
+	groups := (n + 30) / 31
+	for l := 1; l < col.tree.NumLevels(); l++ {
+		for i := 0; i < col.tree.LevelWidth(l); i++ {
+			if l == 1 {
+				produced += groups
+				continue
+			}
+			lo, hi := col.tree.Children(binning.NodeRef{Level: l, Index: i})
+			produced += int64(hi-lo-1) * groups
+		}
+	}
+	vfs := pfs.New(pfs.DefaultConfig())
+	fixed("wah_group", 0, produced, 0, func() {
+		if _, err := buildVindex(vfs, pfs.NewClock(), "cal/v", col.tree, col.meta.shape, col.chunks, raws, nil); err != nil {
+			b.Fatal(err)
+		}
+	}, positions)
 }

@@ -582,10 +582,10 @@ func (s *Store) decodeBinOffsets(clk *pfs.Clock, p *plan, tasks []task, idxMap *
 	return nil
 }
 
-// enterChunk loads the unit's chunk region and widths into the scratch
-// and returns the global linear index of the chunk's origin.
-func (s *Store) enterChunk(u *unitMeta, sc *rankScratch) (base int64) {
-	s.chunks.ChunkRegionInto(u.chunkID, &sc.reg)
+// enterChunk loads chunk id's region and widths into the scratch and
+// returns the global linear index of the chunk's origin.
+func (sc *rankScratch) enterChunk(chunks *grid.Chunking, id int64) (base int64) {
+	chunks.ChunkRegionInto(id, &sc.reg)
 	for d := range sc.widths {
 		base += int64(sc.reg.Lo[d]) * sc.strides[d]
 		sc.widths[d] = int64(sc.reg.Hi[d] - sc.reg.Lo[d])
@@ -597,7 +597,7 @@ func (s *Store) enterChunk(u *unitMeta, sc *rankScratch) (base int64) {
 // intra-chunk offsets) is set in positions, and how many points it
 // looked up to find out.
 func (s *Store) firstSelected(u *unitMeta, offsets []int32, positions *bitmap.Bitmap, sc *rankScratch) (int, bool) {
-	base := s.enterChunk(u, sc)
+	base := sc.enterChunk(s.chunks, u.chunkID)
 	for i, off := range offsets {
 		rem, lin := int64(off), base
 		for d := len(sc.widths) - 1; d >= 0; d-- {
@@ -655,7 +655,7 @@ func (s *Store) emitUnit(t task, u *unitMeta, p *plan, offsets []int32, values [
 	if len(offsets) == 0 {
 		return 0
 	}
-	base := s.enterChunk(u, out.sc)
+	base := out.sc.enterChunk(s.chunks, u.chunkID)
 	if p.cuts == nil {
 		s.emitPoints(t, p, p.sc, base, offsets, values, out)
 		return int64(len(offsets))

@@ -5,8 +5,11 @@ package core
 // contract behind every timing comparison in the experiments.
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -15,6 +18,7 @@ import (
 	"mloc/internal/datagen"
 	"mloc/internal/fastbit"
 	"mloc/internal/grid"
+	"mloc/internal/obs"
 	"mloc/internal/pfs"
 	"mloc/internal/query"
 	"mloc/internal/scidb"
@@ -269,7 +273,11 @@ func TestDeterministicVirtualTime(t *testing.T) {
 // goroutine occupies every core: every component of the reported time —
 // I/O, decompress and reconstruct — must repeat exactly, because query
 // compute is charged from the rate table, not timed, and the split that
-// decides each rank's work is a function of the plan.
+// decides each rank's work is a function of the plan. Under the same
+// load, a build with a vindex over three workers, at CPU scales 1, 2 and
+// 7, twice each, must repeat its clock and every pass span exactly, and
+// the scale must multiply its compute and leave its writes alone: the
+// clock reads writes + scale × compute.
 func TestVirtualTimeRepeatsUnderLoad(t *testing.T) {
 	sys := buildAll(t)
 	lo, hi := datagen.Selectivity(sys.data, 0.05, 41, 1024)
@@ -329,5 +337,48 @@ func TestVirtualTimeRepeatsUnderLoad(t *testing.T) {
 				t.Fatalf("%s run %d: time %+v != first run %+v", c.name, i, res.Time, first)
 			}
 		}
+	}
+
+	bcfg := cfg
+	bcfg.BuildWorkers = 3
+	bcfg.HierarchicalIndex = true
+	passes := []string{"pass_binning", "pass_encode", "pass_vindex"}
+	build := func(scale float64) (now float64, virt []float64) {
+		pcfg := pfs.DefaultConfig()
+		pcfg.CPUScale = scale
+		fs := pfs.New(pcfg)
+		clk := fs.NewClock()
+		tr := obs.NewTracer(1)
+		ctx, root := tr.StartTrace(context.Background(), "build")
+		if _, err := BuildContext(ctx, fs, clk, "load/phi", d.Shape, v.Data, bcfg); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		td, _ := tr.DumpByID(1)
+		for _, name := range passes {
+			sp := td.Root.Find(name)
+			if sp == nil {
+				t.Fatalf("scale %v: no %s span", scale, name)
+			}
+			virt = append(virt, sp.VirtS)
+		}
+		return clk.Now(), virt
+	}
+	now := map[float64]float64{}
+	for _, scale := range []float64{1, 2, 7} {
+		t1, v1 := build(scale)
+		t2, v2 := build(scale)
+		if t1 != t2 || !slices.Equal(v1, v2) {
+			t.Fatalf("build at CPU scale %v: clock %v then %v, passes %v then %v", scale, t1, t2, v1, v2)
+		}
+		now[scale] = t1
+	}
+	compute := now[2] - now[1]
+	writes := now[1] - compute
+	if compute <= 0 || writes <= 0 {
+		t.Fatalf("build clock at scales 1, 2: %v, %v: compute %v, writes %v", now[1], now[2], compute, writes)
+	}
+	if want := writes + 7*compute; math.Abs(now[7]-want) > 1e-9*want {
+		t.Fatalf("build clock at scale 7 = %v, want writes %v + 7 × compute %v = %v", now[7], writes, compute, want)
 	}
 }

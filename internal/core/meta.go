@@ -80,10 +80,11 @@ func (bm *binMeta) place(planesFirst bool) {
 }
 
 // encodeBinIndex fills bm's unit metadata from the bin's raw units (in
-// storage order) and returns the bin's positional index file: per unit,
-// the ascending intra-chunk offsets as delta uvarints. Build's encode
-// workers call it concurrently, one worker per bin.
-func encodeBinIndex(bm *binMeta, units []rawUnit) []byte {
+// storage order) and returns the bin's positional index file — per unit,
+// the ascending intra-chunk offsets as delta uvarints — and how many
+// offsets it holds. Build's encode workers call it concurrently, one
+// worker per bin.
+func encodeBinIndex(bm *binMeta, units []rawUnit) (index []byte, offsets int64) {
 	bm.units = make([]unitMeta, len(units))
 	bm.unitByChunk = make(map[int64]int, len(units))
 	var indexBuf []byte
@@ -91,6 +92,7 @@ func encodeBinIndex(bm *binMeta, units []rawUnit) []byte {
 		um := &bm.units[j]
 		um.chunkID = u.chunkID
 		um.count = int32(len(u.offsets))
+		offsets += int64(len(u.offsets))
 		mark := len(indexBuf)
 		prev := int32(0)
 		for _, off := range u.offsets {
@@ -100,7 +102,7 @@ func encodeBinIndex(bm *binMeta, units []rawUnit) []byte {
 		um.indexLen = int64(len(indexBuf) - mark)
 		bm.unitByChunk[u.chunkID] = j
 	}
-	return indexBuf
+	return indexBuf, offsets
 }
 
 // storeMeta is the full persistent description of a built variable

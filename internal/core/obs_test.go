@@ -362,8 +362,8 @@ func TestBuildSpans(t *testing.T) {
 	if binPass.VirtS <= 0 {
 		t.Errorf("pass_binning virtual time %v, want > 0", binPass.VirtS)
 	}
-	if binPass.Find("worker") == nil {
-		t.Error("pass_binning has no worker events")
+	if n, ok := attrFloat(binPass, "workers"); !ok || n != 2 {
+		t.Errorf("pass_binning workers attr = %v, %v; want 2", n, ok)
 	}
 	if n, ok := attrFloat(binPass, "chunks"); !ok || n <= 0 {
 		t.Errorf("pass_binning chunks attr = %v, %v", n, ok)

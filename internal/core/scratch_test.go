@@ -312,7 +312,7 @@ func TestLargeAnswerBufferNotRetained(t *testing.T) {
 
 // yieldingCodec yields the processor inside every decode, so under
 // GOMAXPROCS(1) other ranks and queries run while this one sits inside
-// a measured section and a cache flight.
+// a cache flight.
 type yieldingCodec struct{ compress.ByteCodec }
 
 func (y yieldingCodec) DecodeBytes(data, dst []byte) ([]byte, error) {
@@ -320,14 +320,13 @@ func (y yieldingCodec) DecodeBytes(data, dst []byte) ([]byte, error) {
 	return y.ByteCodec.DecodeBytes(data, dst)
 }
 
-// TestConcurrentColdQueriesOneCore: with one core the measurement gate
-// has one slot. Two cold queries over the same units lead and wait on
-// each other's cache flights; they finish only because no measured
-// section is held across a wait on a flight.
+// TestConcurrentColdQueriesOneCore: on one core, two cold queries over
+// the same units lead and wait on each other's cache flights; they
+// finish only because no flight waits on one that waits on it.
 func TestConcurrentColdQueriesOneCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	data, shape := testData(t)
-	fs := pfs.New(pfs.DefaultConfig()) // after GOMAXPROCS(1): a one-slot gate
+	fs := pfs.New(pfs.DefaultConfig())
 	cfg := testConfig()
 	cfg.ByteCodec = yieldingCodec{compress.NewZlib(compress.DefaultZlibLevel)}
 	st, err := Build(fs, fs.NewClock(), "onecore/phi", shape, data, cfg)

@@ -68,6 +68,7 @@ func newStore(fs *pfs.Sim, prefix string, meta *storeMeta, bc compress.ByteCodec
 	if err != nil {
 		return nil, err
 	}
+	decode, _ := floatCPU(fc)
 	binOST := make([]binFiles, len(meta.bins))
 	for b := range binOST {
 		binOST[b] = binFiles{index: fs.FileOST(binIndexPath(prefix, b)), data: fs.FileOST(binDataPath(prefix, b))}
@@ -83,23 +84,23 @@ func newStore(fs *pfs.Sim, prefix string, meta *storeMeta, bc compress.ByteCodec
 		curve:       curve,
 		byteCodec:   bc,
 		floatCodec:  fc,
-		floatDecode: floatDecodeCPU(fc),
+		floatDecode: decode,
 		assignment:  AssignColumn,
 	}, nil
 }
 
-// floatDecodeCPU maps a float codec to the modelled kinds of its decode:
-// per unit and per value.
-func floatDecodeCPU(fc compress.FloatCodec) [2]pfs.CPU {
+// floatCPU maps a float codec to the modelled kinds of its decode and
+// of its encode, each per unit and per value.
+func floatCPU(fc compress.FloatCodec) (decode, encode [2]pfs.CPU) {
 	if fc != nil {
 		switch fc.Name() {
 		case "isobar":
-			return [2]pfs.CPU{pfs.CPUIsobarUnit, pfs.CPUIsobarValue}
+			return [2]pfs.CPU{pfs.CPUIsobarUnit, pfs.CPUIsobarValue}, [2]pfs.CPU{pfs.CPUIsobarEncodeUnit, pfs.CPUIsobarEncodeValue}
 		case "isabela":
-			return [2]pfs.CPU{pfs.CPUIsabelaUnit, pfs.CPUIsabelaValue}
+			return [2]pfs.CPU{pfs.CPUIsabelaUnit, pfs.CPUIsabelaValue}, [2]pfs.CPU{pfs.CPUIsabelaEncodeUnit, pfs.CPUIsabelaEncodeValue}
 		}
 	}
-	return [2]pfs.CPU{pfs.CPURawUnit, pfs.CPURawValue}
+	return [2]pfs.CPU{pfs.CPURawUnit, pfs.CPURawValue}, [2]pfs.CPU{pfs.CPURawUnit, pfs.CPURawEncodeValue}
 }
 
 // Open loads a previously built store from the PFS, charging the meta

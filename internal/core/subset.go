@@ -228,44 +228,58 @@ func (s *SubsetStore) ReadLevel(level int, ranks int) (*SubsetResult, error) {
 	clks := s.fs.NewClocks(ranks)
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		clk := clks[c.Rank()]
-		opened := make(map[int]bool)
-		for i := c.Rank(); i < len(tasks); i += c.Size() {
-			bt := tasks[i]
-			b := s.levels[bt.lvl].blocks[bt.idx]
-			path := subsetLevelPath(s.prefix, bt.lvl)
-			t0 := clk.Now()
-			if !opened[bt.lvl] {
-				if err := s.fs.Open(clk, path); err != nil {
-					return err
+		// One open and one extent read per level file this rank has
+		// blocks of; blocks are dealt round-robin.
+		for lvl := 0; lvl <= level; lvl++ {
+			var mine []blockTask
+			var extents []pfs.Extent
+			for i := c.Rank(); i < len(tasks); i += c.Size() {
+				if bt := tasks[i]; bt.lvl == lvl {
+					b := s.levels[lvl].blocks[bt.idx]
+					mine = append(mine, bt)
+					extents = append(extents, pfs.Extent{Off: b.off, Len: b.length})
 				}
-				opened[bt.lvl] = true
 			}
-			raw, err := s.fs.ReadAt(clk, path, b.off, b.length)
+			if len(mine) == 0 {
+				continue
+			}
+			path := subsetLevelPath(s.prefix, lvl)
+			t0 := clk.Now()
+			if err := s.fs.Open(clk, path); err != nil {
+				return err
+			}
+			dataMap, read, err := s.fs.ReadExtents(clk, path, extents)
 			if err != nil {
 				return err
 			}
 			times[c.Rank()].IO += clk.Now() - t0
-			bytesRead[c.Rank()] += b.length
-
-			buf := raw
-			if int(b.length) != 8*b.count {
-				buf, err = compress.DecodeBytesMax(s.codec, raw, make([]byte, 0, 8*b.count), int64(8*b.count))
+			bytesRead[c.Rank()] += read
+			for _, bt := range mine {
+				b := s.levels[lvl].blocks[bt.idx]
+				raw, err := dataMap.Slice(b.off, b.length)
 				if err != nil {
-					return fmt.Errorf("core: subset block %d/%d: %w", bt.lvl, bt.idx, err)
+					return fmt.Errorf("core: subset block %d/%d: %w", lvl, bt.idx, err)
 				}
-				times[c.Rank()].Decompress += clk.ChargeCPU(pfs.CPUInflateStream, 1) +
-					clk.ChargeCPU(pfs.CPUInflate, int64(8*b.count))
+				buf := raw
+				if int(b.length) != 8*b.count {
+					buf, err = compress.DecodeBytesMax(s.codec, raw, make([]byte, 0, 8*b.count), int64(8*b.count))
+					if err != nil {
+						return fmt.Errorf("core: subset block %d/%d: %w", lvl, bt.idx, err)
+					}
+					times[c.Rank()].Decompress += clk.ChargeCPU(pfs.CPUInflateStream, 1) +
+						clk.ChargeCPU(pfs.CPUInflate, int64(8*b.count))
+				}
+				if len(buf) != 8*b.count {
+					return fmt.Errorf("core: subset block %d/%d: %d bytes, want %d",
+						lvl, bt.idx, len(buf), 8*b.count)
+				}
+				values := make([]float64, b.count)
+				for j := range values {
+					values[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
+				}
+				times[c.Rank()].Decompress += clk.ChargeCPU(pfs.CPURawValue, int64(b.count))
+				outs[c.Rank()] = append(outs[c.Rank()], decoded{lvl: lvl, start: bt.start, values: values})
 			}
-			if len(buf) != 8*b.count {
-				return fmt.Errorf("core: subset block %d/%d: %d bytes, want %d",
-					bt.lvl, bt.idx, len(buf), 8*b.count)
-			}
-			values := make([]float64, b.count)
-			for j := range values {
-				values[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
-			}
-			times[c.Rank()].Decompress += clk.ChargeCPU(pfs.CPURawValue, int64(b.count))
-			outs[c.Rank()] = append(outs[c.Rank()], decoded{lvl: bt.lvl, start: bt.start, values: values})
 		}
 		return nil
 	})

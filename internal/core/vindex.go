@@ -72,10 +72,12 @@ func (v *vindex) nodeID(n binning.NodeRef) int {
 // points and writes the vindex subfile. A level-1 node's bitmap sets
 // the global row-major position of every point of the bins under it;
 // each higher level is the fanout-wise OR of the level below, all in
-// WAH form. The build is serial and deterministic. CPU is
-// charged to clk per level, and the span records one event per level so
-// the virtual-clock charging is attributable. A tree with no inner
-// level writes no file and returns nil.
+// WAH form. The build is serial and deterministic. Each level charges
+// clk per position set and per unit placed (CPUPosition,
+// CPUPositionUnit) and one CPUWAHGroup per 31-bit group compressed or
+// ORed (Compress and Or walk every group of the grid, whatever the
+// words), and the span records one event per level with what it
+// charged. A tree with no inner level writes no file and returns nil.
 func buildVindex(fs *pfs.Sim, clk *pfs.Clock, prefix string, tree *binning.Tree, shape grid.Shape, chunks *grid.Chunking, perBin [][]rawUnit, sp *obs.Span) (*vindex, error) {
 	nbins := tree.Scheme().NumBins()
 	if len(perBin) != nbins {
@@ -85,53 +87,37 @@ func buildVindex(fs *pfs.Sim, clk *pfs.Clock, prefix string, tree *binning.Tree,
 		return nil, nil
 	}
 	bitLen := shape.Elems()
-	dims := shape.Dims()
-	strides := make([]int64, dims)
-	strides[dims-1] = 1
-	for d := dims - 2; d >= 0; d-- {
-		strides[d] = strides[d+1] * int64(shape[d+1])
-	}
-	widths := make([]int64, dims)
-	bm := bitmap.New(bitLen) // one scratch bitmap, cleared per level-1 node
-	var nodes []*bitmap.WAH  // in table order: level by level from level 1
+	groups := (bitLen + 30) / 31 // 31-bit groups per bitmap
+	bm := bitmap.New(bitLen)     // one scratch bitmap, cleared per level-1 node
+	var nodes []*bitmap.WAH      // in table order: level by level from level 1
+	var sc rankScratch           // the grid's strides for setPositions
+	sc.setGrid(shape)
 	for l := 1; l < tree.NumLevels(); l++ {
 		below := len(nodes) - tree.LevelWidth(l-1) // level l-1's first node, from level 2 on
-		cpu := clk.MeasureCPU(func() {
-			for i := 0; i < tree.LevelWidth(l); i++ {
-				n := binning.NodeRef{Level: l, Index: i}
-				if l > 1 {
-					cl, ch := tree.Children(n)
-					agg := nodes[below+cl]
-					for c := cl + 1; c < ch; c++ {
-						agg = agg.Or(nodes[below+c])
-					}
-					nodes = append(nodes, agg)
-					continue
+		var positions, units, produced int64
+		for i := 0; i < tree.LevelWidth(l); i++ {
+			n := binning.NodeRef{Level: l, Index: i}
+			if l > 1 {
+				cl, ch := tree.Children(n)
+				agg := nodes[below+cl]
+				for c := cl + 1; c < ch; c++ {
+					agg = agg.Or(nodes[below+c])
+					produced += groups
 				}
-				bm.Reset()
-				lo, hi := tree.Leaves(n)
-				for _, units := range perBin[lo:hi] {
-					for _, u := range units {
-						reg := chunks.ChunkRegionByID(u.chunkID)
-						var base int64
-						for d := 0; d < dims; d++ {
-							base += int64(reg.Lo[d]) * strides[d]
-							widths[d] = int64(reg.Hi[d] - reg.Lo[d])
-						}
-						for _, off := range u.offsets {
-							rem := int64(off)
-							lin := base
-							for d := dims - 1; d >= 0; d-- {
-								lin += (rem % widths[d]) * strides[d]
-								rem /= widths[d]
-							}
-							bm.Set(lin)
-						}
-					}
-				}
-				nodes = append(nodes, bitmap.Compress(bm))
+				nodes = append(nodes, agg)
+				continue
 			}
-		})
+			bm.Reset()
+			lo, hi := tree.Leaves(n)
+			for _, us := range perBin[lo:hi] {
+				positions += setPositions(bm, chunks, &sc, us)
+				units += int64(len(us))
+			}
+			nodes = append(nodes, bitmap.Compress(bm))
+			produced += groups
+		}
+		cpu := clk.ChargeCPU(pfs.CPUPosition, positions) + clk.ChargeCPU(pfs.CPUPositionUnit, units) +
+			clk.ChargeCPU(pfs.CPUWAHGroup, produced)
 		sp.Event("level", 0, cpu).SetInt("level", int64(l))
 	}
 
@@ -175,14 +161,35 @@ func buildVindex(fs *pfs.Sim, clk *pfs.Clock, prefix string, tree *binning.Tree,
 	}, nil
 }
 
+// setPositions sets in bm the global row-major position of every point
+// of units, through sc sized for the grid (setGrid), and returns how
+// many it set.
+func setPositions(bm *bitmap.Bitmap, chunks *grid.Chunking, sc *rankScratch, units []rawUnit) int64 {
+	var n int64
+	for _, u := range units {
+		base := sc.enterChunk(chunks, u.chunkID)
+		for _, off := range u.offsets {
+			rem, lin := int64(off), base
+			for d := len(sc.widths) - 1; d >= 0; d-- {
+				lin += (rem % sc.widths[d]) * sc.strides[d]
+				rem /= sc.widths[d]
+			}
+			bm.Set(lin)
+		}
+		n += int64(len(u.offsets))
+	}
+	return n
+}
+
 // openVindex loads the vindex header and offset table (not the
 // payloads) for a store whose tree is already reconstructed. Returns
 // (nil, nil) when the store has no vindex subfile: such a store answers
 // every inside subtree from its bins' offsets.
 func openVindex(fs *pfs.Sim, clk *pfs.Clock, prefix string, tree *binning.Tree, bitLen int64) (*vindex, error) {
 	path := vindexPath(prefix)
-	if !fs.Exists(path) {
-		return nil, nil
+	size, err := fs.Size(path)
+	if err != nil {
+		return nil, nil // no vindex subfile
 	}
 	if err := fs.Open(clk, path); err != nil {
 		return nil, err
@@ -216,10 +223,6 @@ func openVindex(fs *pfs.Sim, clk *pfs.Clock, prefix string, tree *binning.Tree, 
 	table, err := fs.ReadAt(clk, path, vindexHeaderSize, int64(vindexEntrySize*nnodes))
 	if err != nil {
 		return nil, fmt.Errorf("core: vindex table: %w", err)
-	}
-	size, err := fs.Size(path)
-	if err != nil {
-		return nil, err
 	}
 	offs := make([]int64, nnodes)
 	lens := make([]int64, nnodes)

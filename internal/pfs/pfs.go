@@ -18,7 +18,6 @@ package pfs
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -46,8 +45,9 @@ type Config struct {
 	// not depend on data volume — stay constant. Zero means 1.
 	ByteScale float64
 	// CPUScale is the matching multiplier for compute charged through
-	// Clock.AdvanceCPU, modelled or measured (codec and filter work
-	// scales linearly with data volume). Zero means 1.
+	// Clock.AdvanceCPU — every modelled query and build CPU second
+	// (codec, binning, index and filter work scales linearly with data
+	// volume). Zero means 1.
 	CPUScale float64
 }
 
@@ -104,13 +104,6 @@ type Clock struct {
 	// work is charge's per-OST scratch, kept here because a clock has one
 	// goroutine and a query issues hundreds of reads on it.
 	work []ostWork
-	// gate, when set (clocks created by a Sim), is the simulator's
-	// measurement gate: MeasureCPU sections hold one of its slots, so at
-	// most one section runs per core and a rank's wall-clock sample
-	// covers only its own work — essential on machines with fewer cores
-	// than simulated ranks, where unbounded concurrent sections would
-	// count each other's execution time.
-	gate chan struct{}
 }
 
 // NewClock returns a standalone clock at virtual time zero with CPU
@@ -140,9 +133,9 @@ func (c *Clock) AdvanceBy(d float64) float64 {
 	return c.now
 }
 
-// AdvanceCPU charges measured compute seconds, multiplied by the
-// clock's CPU scale (see Config.CPUScale), and returns the scaled
-// delta so callers can attribute it to a cost component.
+// AdvanceCPU charges compute seconds, multiplied by the clock's CPU
+// scale (see Config.CPUScale), and returns the scaled delta so callers
+// can attribute it to a cost component.
 func (c *Clock) AdvanceCPU(d float64) float64 {
 	if d <= 0 {
 		return 0
@@ -156,47 +149,16 @@ func (c *Clock) AdvanceCPU(d float64) float64 {
 	return d
 }
 
-// MeasureCPU runs fn, measures its wall-clock duration, charges it via
-// AdvanceCPU, and returns the scaled delta. Queries charge modelled CPU
-// (ChargeCPU) instead; the stopwatch is left to build-time sections and
-// probes. When the clock came from a Sim, the section holds a slot of
-// the simulator's measurement gate (see the gate field); compute still
-// counts toward each rank's own virtual clock, so simulated parallelism
-// is unaffected. fn must not wait on another goroutine's measured
-// section: on a one-core host the gate has one slot.
+// MeasureCPU is an ungated stopwatch: it runs fn, charges its
+// wall-clock duration via AdvanceCPU, and returns the scaled delta. Its
+// result depends on the host, and concurrent callers count each other's
+// execution time on a busy one, so queries and builds charge modelled
+// CPU (ChargeCPU) instead; only the benchmark's probes (bench/probes.go)
+// call it.
 func (c *Clock) MeasureCPU(fn func()) float64 {
-	return c.AdvanceCPU(timeSection(c.gate, fn))
-}
-
-// timeSection runs fn holding a slot of gate (nil: ungated) and returns
-// its wall-clock seconds.
-func timeSection(gate chan struct{}, fn func()) float64 {
-	if gate != nil {
-		gate <- struct{}{}
-		defer func() { <-gate }()
-	}
 	t0 := time.Now()
 	fn()
-	return time.Since(t0).Seconds()
-}
-
-// AdvanceParallel charges compute that ran fanned out over a bounded
-// worker pool: total is the summed measured seconds across all workers,
-// and the clock advances by the wall-equivalent total/workers. With
-// workers = 1 this is exactly AdvanceBy, so serial and parallel builds
-// charge the same total compute and differ only by the parallelism
-// divisor (DESIGN.md cost-model notes). The returned value is the
-// charged delta.
-func (c *Clock) AdvanceParallel(total float64, workers int) float64 {
-	if total <= 0 {
-		return 0
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	d := total / float64(workers)
-	c.now += d
-	return d
+	return c.AdvanceCPU(time.Since(t0).Seconds())
 }
 
 // Stats aggregates simulator counters since the last Reset.
@@ -249,12 +211,6 @@ type Sim struct {
 	files  map[string]*file
 	nextID int64
 	stats  Stats
-	// gate is a counting semaphore as wide as the host's usable cores
-	// (GOMAXPROCS when the Sim was made): every measured section of this
-	// Sim — Clock.MeasureCPU and MeasureSection alike — holds one slot,
-	// so sections run truly concurrently up to the core count and never
-	// share a core with another measured section.
-	gate chan struct{}
 }
 
 // New constructs a simulator; it panics on invalid configuration since
@@ -274,7 +230,6 @@ func New(cfg Config) *Sim {
 		cfg:    cfg,
 		stripe: stripe,
 		files:  make(map[string]*file),
-		gate:   make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 }
 
@@ -282,14 +237,14 @@ func New(cfg Config) *Sim {
 func (s *Sim) Config() Config { return s.cfg }
 
 // NewClock returns a fresh clock carrying the simulator's CPU scale.
-// Query engines create their per-rank clocks through this so measured
+// Query engines and builds create their clocks through this so modelled
 // compute projects to the simulated data scale.
 func (s *Sim) NewClock() *Clock {
 	scale := s.cfg.CPUScale
 	if scale <= 0 { // zero means unset (Config.CPUScale doc)
 		scale = 1
 	}
-	return &Clock{cpuScale: scale, contention: 1, gate: s.gate}
+	return &Clock{cpuScale: scale, contention: 1}
 }
 
 // NewClocks returns n per-rank clocks whose transfer times carry a
@@ -308,17 +263,6 @@ func (s *Sim) NewClocks(n int) []*Clock {
 		out[i] = c
 	}
 	return out
-}
-
-// MeasureSection runs fn holding a slot of the simulator's measurement
-// gate (the one Clock.MeasureCPU uses) and returns its wall-clock
-// seconds without advancing any clock. Parallel builders time their
-// workers' sections with it: workers that fit in the host's cores keep
-// true concurrency, and the excess of an oversubscribed pool waits its
-// turn instead of counting the others' execution time into the
-// aggregate CPU that Clock.AdvanceParallel divides by the worker count.
-func (s *Sim) MeasureSection(fn func()) float64 {
-	return timeSection(s.gate, fn)
 }
 
 // byteScale returns the effective transfer-time multiplier.
@@ -342,29 +286,19 @@ func (s *Sim) CoalesceGap() int64 {
 // WriteFile creates or replaces a file with the given contents,
 // charging open and striped write time to clk.
 func (s *Sim) WriteFile(clk *Clock, path string, data []byte) error {
-	if path == "" {
-		return fmt.Errorf("pfs: empty path")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.files[path]
-	if !ok {
-		f = &file{id: s.nextID, startOST: s.FileOST(path)}
-		s.nextID++
-		s.files[path] = f
-	}
-	f.data = append(f.data[:0], data...)
-	s.stats.Opens++
-	s.stats.BytesWritten += int64(len(data))
-	start := clk.Now() + s.cfg.OpenLatency
-	end := s.charge(clk, f, start, 0, int64(len(data)), s.cfg.WriteBW)
-	clk.advanceTo(end)
-	return nil
+	return s.write(clk, path, data, true)
 }
 
 // AppendFile appends data to a file, creating it if needed; the write
 // is charged as a contiguous striped write at the file's tail.
 func (s *Sim) AppendFile(clk *Clock, path string, data []byte) error {
+	return s.write(clk, path, data, false)
+}
+
+// write appends data to path, first emptying it when replace is set. A
+// replace charges an open's latency; it and the append that creates the
+// file count an open.
+func (s *Sim) write(clk *Clock, path string, data []byte, replace bool) error {
 	if path == "" {
 		return fmt.Errorf("pfs: empty path")
 	}
@@ -375,13 +309,19 @@ func (s *Sim) AppendFile(clk *Clock, path string, data []byte) error {
 		f = &file{id: s.nextID, startOST: s.FileOST(path)}
 		s.nextID++
 		s.files[path] = f
+	}
+	start := clk.Now()
+	if replace {
+		f.data = f.data[:0]
+		start += s.cfg.OpenLatency
+	}
+	if replace || !ok {
 		s.stats.Opens++
 	}
 	off := int64(len(f.data))
 	f.data = append(f.data, data...)
 	s.stats.BytesWritten += int64(len(data))
-	end := s.charge(clk, f, clk.Now(), off, int64(len(data)), s.cfg.WriteBW)
-	clk.advanceTo(end)
+	clk.advanceTo(s.charge(clk, f, start, off, int64(len(data)), s.cfg.WriteBW))
 	return nil
 }
 
@@ -440,13 +380,8 @@ func (s *Sim) Peek(path string, offset, length int64) ([]byte, error) {
 
 // ReadFile reads an entire file.
 func (s *Sim) ReadFile(clk *Clock, path string) ([]byte, error) {
-	s.mu.Lock()
-	size, ok := int64(0), false
-	if f, exists := s.files[path]; exists {
-		size, ok = int64(len(f.data)), true
-	}
-	s.mu.Unlock()
-	if !ok {
+	size, err := s.Size(path)
+	if err != nil {
 		return nil, fmt.Errorf("pfs: read %s: no such file", path)
 	}
 	return s.ReadAt(clk, path, 0, size)
@@ -553,14 +488,6 @@ func (s *Sim) Size(path string) (int64, error) {
 		return 0, fmt.Errorf("pfs: stat %s: no such file", path)
 	}
 	return int64(len(f.data)), nil
-}
-
-// Exists reports whether a path is present.
-func (s *Sim) Exists(path string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.files[path]
-	return ok
 }
 
 // Delete removes a file; deleting a missing file is an error.

@@ -3,10 +3,8 @@ package pfs
 import (
 	"bytes"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
 func testConfig() Config {
@@ -381,13 +379,13 @@ func TestListTotalSizeDelete(t *testing.T) {
 	if total != 420 {
 		t.Fatalf("sizes under bin/ sum to %d, want 420", total)
 	}
-	if !s.Exists("other") {
-		t.Fatal("Exists false negative")
+	if _, err := s.Size("other"); err != nil {
+		t.Fatalf("Size of a written file: %v", err)
 	}
 	if err := s.Delete("other"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Exists("other") {
+	if _, err := s.Size("other"); err == nil {
 		t.Fatal("file survived delete")
 	}
 	if err := s.Delete("other"); err == nil {
@@ -459,118 +457,6 @@ func TestWriteFileEmptyPathRejected(t *testing.T) {
 	if err := s.AppendFile(NewClock(), "", nil); err == nil {
 		t.Fatal("empty path accepted by append")
 	}
-}
-
-func TestClockAdvanceParallel(t *testing.T) {
-	clk := NewClock()
-	// 8 seconds of aggregate CPU across 4 workers charges 2 wall-seconds.
-	if d := clk.AdvanceParallel(8, 4); d != 2 {
-		t.Fatalf("AdvanceParallel(8,4) = %v, want 2", d)
-	}
-	if clk.Now() != 2 {
-		t.Fatalf("clock at %v, want 2", clk.Now())
-	}
-	// Degenerate worker counts clamp to serial; non-positive totals are
-	// ignored like AdvanceBy.
-	if d := clk.AdvanceParallel(3, 0); d != 3 {
-		t.Fatalf("AdvanceParallel(3,0) = %v, want 3", d)
-	}
-	if d := clk.AdvanceParallel(-1, 2); d != 0 {
-		t.Fatalf("AdvanceParallel(-1,2) = %v, want 0", d)
-	}
-	if clk.Now() != 5 {
-		t.Fatalf("clock at %v, want 5", clk.Now())
-	}
-}
-
-// gateOccupancy runs the given number of concurrent measured sections
-// on s — Sim.MeasureSection and Clock.MeasureCPU alternately, which
-// share the gate — each yielding the processor while inside, and returns
-// how many ran and the most that were ever inside at once.
-func gateOccupancy(t *testing.T, s *Sim, sections int) (entered, maxInside int32) {
-	t.Helper()
-	var inside int32
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	body := func() {
-		mu.Lock()
-		inside++
-		entered++
-		maxInside = max(maxInside, inside)
-		mu.Unlock()
-		for i := 0; i < 20; i++ {
-			runtime.Gosched() // let every other goroutine reach the gate
-		}
-		mu.Lock()
-		inside--
-		mu.Unlock()
-	}
-	for i := 0; i < sections; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var d float64
-			if i%2 == 0 {
-				d = s.MeasureSection(body)
-			} else {
-				d = s.NewClock().MeasureCPU(body)
-			}
-			if d < 0 {
-				t.Errorf("negative section time %v", d)
-			}
-		}(i)
-	}
-	wg.Wait()
-	return entered, maxInside
-}
-
-// TestMeasureGateBoundedByCores: measured sections never outnumber the
-// cores (so a sample never shares a core with another section), exactly
-// one runs at a time on a one-core host, and with two cores two really
-// are inside together.
-func TestMeasureGateBoundedByCores(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	entered, maxInside := gateOccupancy(t, New(testConfig()), 8*procs)
-	if int(entered) != 8*procs {
-		t.Fatalf("ran %d sections, want %d", entered, 8*procs)
-	}
-	if int(maxInside) > procs {
-		t.Fatalf("%d sections inside at once with GOMAXPROCS %d", maxInside, procs)
-	}
-
-	defer runtime.GOMAXPROCS(procs)
-	runtime.GOMAXPROCS(1)
-	entered, maxInside = gateOccupancy(t, New(testConfig()), 8)
-	if entered != 8 || maxInside != 1 {
-		t.Fatalf("GOMAXPROCS(1): %d sections ran, %d at once; want 8 and exactly 1", entered, maxInside)
-	}
-
-	// Two sections that each wait for the other to arrive: they finish
-	// only if the gate lets both in.
-	runtime.GOMAXPROCS(2)
-	s := New(testConfig())
-	arrived := make(chan struct{}, 2)
-	both := make(chan struct{})
-	done := make(chan struct{})
-	for i := 0; i < 2; i++ {
-		go func() {
-			s.MeasureSection(func() {
-				arrived <- struct{}{}
-				<-both
-			})
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-arrived:
-		case <-time.After(10 * time.Second):
-			t.Fatal("GOMAXPROCS(2): the second section never got inside while the first was")
-		}
-	}
-	close(both)
-	<-done
-	<-done
 }
 
 // TestReadAtChargesWithoutAllocating: the per-OST partition of a read

@@ -229,7 +229,7 @@ END {
 		# w=max is GOMAXPROCS workers, so on a host with fewer than four
 		# cores it is a smaller pool than w=4; annotate the row so the
 		# trajectory is not misread as a regression (see DESIGN.md,
-		# "One measurement gate, as wide as the cores").
+		# "Modelled CPU, not a stopwatch").
 		note = (rworkers[i] == "w=max") ? ", \"note\": \"w=max is GOMAXPROCS workers: with fewer than 4 cores it is a smaller pool than w=4, so a lower speedup here is expected, not a regression\"" : ""
 		printf "    {\"mode\": \"%s\", \"workers\": \"%s\", \"ns_op\": %d, \"allocs_op\": %d, \"bytes_op\": %d, \"virt_s_op\": %g, \"wall_speedup\": %.3f, \"virt_speedup\": %.3f%s}%s\n", \
 			m, rworkers[i], rns[i], rallocs[i], rbytes[i], rvirt[i], ws, vs, note, (i < n ? "," : "")
