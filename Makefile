@@ -37,14 +37,14 @@ bench-json:
 
 ## bench-query: run the flat-vs-hierarchical query-latency matrix and
 ## regenerate BENCH_query.json (the committed query-latency
-## trajectory; the benchmark itself fails past 2x the committed
-## virtual latency, so running it doubles as the regression gate).
+## trajectory; TestQueryLatencyGolden and the benchmark itself fail on
+## any virtual number that differs from the committed row).
 bench-query:
 	./scripts/bench_json.sh query
 
 ## query-gate: run the query-latency matrix once as a gate. The
-## benchmark fails by itself past 2x the virtual latency committed in
-## BENCH_query.json, and it rewrites no file.
+## benchmark fails by itself on a virtual latency or bin count that
+## differs from BENCH_query.json, and it rewrites no file.
 query-gate:
 	$(GO) test . -run '^$$' -bench '^BenchmarkQueryLatency$$' -benchtime 3x
 

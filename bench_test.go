@@ -8,6 +8,8 @@ package mloc
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -30,10 +32,12 @@ import (
 // absent (first recording run).
 type benchQueryDoc struct {
 	QueryLatency []struct {
-		Index   string  `json:"index"`
-		Codec   string  `json:"codec"`
-		Sel     string  `json:"sel"`
-		VirtSOp float64 `json:"virt_s_op"`
+		Index       string  `json:"index"`
+		Codec       string  `json:"codec"`
+		Sel         string  `json:"sel"`
+		VirtSOp     float64 `json:"virt_s_op"`
+		BinsPruned  int     `json:"bins_pruned"`
+		BinsCovered int     `json:"bins_covered"`
 	} `json:"query_latency"`
 	ResultPath []struct {
 		Case    string  `json:"case"`
@@ -56,28 +60,54 @@ func loadBenchQueryDoc() benchQueryDoc {
 	return doc
 }
 
-// queryLatencyBaseline maps "index/codec/sel" to the recorded
-// virtual-clock latency.
-func queryLatencyBaseline() map[string]float64 {
+// latencyRow is one committed query_latency row's virtual numbers.
+type latencyRow struct {
+	virt            float64
+	pruned, covered int
+}
+
+// queryLatencyRows maps "index/codec/sel" to the committed row.
+func queryLatencyRows() map[string]latencyRow {
 	doc := loadBenchQueryDoc()
-	out := make(map[string]float64, len(doc.QueryLatency))
+	out := make(map[string]latencyRow, len(doc.QueryLatency))
 	for _, r := range doc.QueryLatency {
-		out[r.Index+"/"+r.Codec+"/"+r.Sel] = r.VirtSOp
+		out[r.Index+"/"+r.Codec+"/"+r.Sel] = latencyRow{r.VirtSOp, r.BinsPruned, r.BinsCovered}
 	}
 	return out
 }
 
-// BenchmarkQueryLatency is the committed query-latency trajectory:
-// flat vs hierarchical index across VC selectivities and codecs, on
-// index-only range queries over a 256x256 GTS field with 256 bins.
-// The headline metric is virt-s/op — the virtual-clock latency of the
-// slowest rank, deterministic across hosts — which
-// scripts/bench_json.sh distills into BENCH_query.json. The committed
-// checkpoint doubles as a regression gate: a run whose virtual latency
-// exceeds 2x the recorded value fails, mirroring the vet_repo budget
-// in BENCH_build.json.
-func BenchmarkQueryLatency(b *testing.B) {
-	const side, bins, ranks = 256, 1024, 4
+// checkLatencyRow reports how a measured row differs from the committed
+// one: virtual seconds to 1e-9 relative, bin counts exactly. Virtual
+// seconds are charged from models, so on any host they repeat; a change
+// that moves one re-records the row in the same commit.
+func checkLatencyRow(key string, got latencyRow, rows map[string]latencyRow) error {
+	want, ok := rows[key]
+	if !ok {
+		return fmt.Errorf("BENCH_query.json has no query_latency row %s", key)
+	}
+	if math.Abs(got.virt-want.virt) > 1e-9*math.Abs(want.virt) || got.pruned != want.pruned || got.covered != want.covered {
+		return fmt.Errorf("BENCH_query.json %s: virt_s_op %.12g, bins_pruned %d, bins_covered %d; committed %.12g, %d, %d",
+			key, got.virt, got.pruned, got.covered, want.virt, want.pruned, want.covered)
+	}
+	return nil
+}
+
+// latencyCase is one cell of the query-latency matrix: an index-only
+// range query on one store, and its row's key.
+type latencyCase struct {
+	key string
+	st  *core.Store
+	req *query.Request
+}
+
+// latencyRanks is the rank count every query-latency cell runs at.
+const latencyRanks = 4
+
+// queryLatencyCases builds the query-latency matrix: flat and
+// hierarchical index, planes and ISOBAR codecs, three VC selectivities,
+// on a 256x256 GTS field with 1 024 bins.
+func queryLatencyCases(tb testing.TB) []latencyCase {
+	const side, bins = 256, 1024
 	d := datagen.GTSLike(side, side, 11)
 	v, _ := d.Var("phi")
 	data, shape := v.Data, d.Shape
@@ -97,58 +127,85 @@ func BenchmarkQueryLatency(b *testing.B) {
 		{"sel=10%", 0.10},
 		{"sel=50%", 0.50},
 	}
-	baseline := queryLatencyBaseline()
-
+	var cases []latencyCase
 	for _, c := range codecs {
 		cfg := c.cfg
 		cfg.NumBins = bins
 		cfg.SampleSize = 1 << 16
 		fs := pfs.New(pfs.DefaultConfig())
-		flat, err := core.Build(fs, pfs.NewClock(), "bq/"+c.name+"/flat", shape, data, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hcfg := cfg
-		hcfg.HierarchicalIndex = true
-		hier, err := core.Build(fs, pfs.NewClock(), "bq/"+c.name+"/hier", shape, data, hcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stores := []struct {
-			name string
-			st   *core.Store
-		}{{"flat", flat}, {"hier", hier}}
-		for _, s := range stores {
+		for _, hier := range []bool{false, true} {
+			name := "flat"
+			if hier {
+				name = "hier"
+			}
+			cfg.HierarchicalIndex = hier
+			st, err := core.Build(fs, pfs.NewClock(), "bq/"+c.name+"/"+name, shape, data, cfg)
+			if err != nil {
+				tb.Fatal(err)
+			}
 			for _, sel := range sels {
 				lo, hi := datagen.Selectivity(data, sel.frac, 17, 4096)
-				req := &query.Request{
-					VC:        &binning.ValueConstraint{Min: lo, Max: hi},
-					IndexOnly: true,
-				}
-				b.Run(s.name+"/"+c.name+"/"+sel.name, func(b *testing.B) {
-					b.ReportAllocs()
-					var virt float64
-					var pruned, covered int
-					for i := 0; i < b.N; i++ {
-						res, err := s.st.Query(req, ranks)
-						if err != nil {
-							b.Fatal(err)
-						}
-						virt += res.Time.Total()
-						pruned, covered = res.BinsPruned, res.BinsCovered
-					}
-					virtOp := virt / float64(b.N)
-					b.ReportMetric(virtOp, "virt-s/op")
-					b.ReportMetric(float64(pruned), "bins-pruned/op")
-					b.ReportMetric(float64(covered), "bins-covered/op")
-					key := s.name + "/" + c.name + "/" + sel.name
-					if base, ok := baseline[key]; ok && base > 0 && virtOp > 2*base {
-						b.Fatalf("virtual latency %.6fs exceeds 2x the committed %.6fs (BENCH_query.json %s)",
-							virtOp, base, key)
-					}
+				cases = append(cases, latencyCase{
+					key: name + "/" + c.name + "/" + sel.name,
+					st:  st,
+					req: &query.Request{VC: &binning.ValueConstraint{Min: lo, Max: hi}, IndexOnly: true},
 				})
 			}
 		}
+	}
+	return cases
+}
+
+// TestQueryLatencyGolden recomputes every query_latency row of
+// BENCH_query.json and requires its virtual seconds and bin counts to
+// equal the committed ones.
+func TestQueryLatencyGolden(t *testing.T) {
+	rows := queryLatencyRows()
+	for _, c := range queryLatencyCases(t) {
+		res, err := c.st.Query(c.req, latencyRanks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkLatencyRow(c.key, latencyRow{res.Time.Total(), res.BinsPruned, res.BinsCovered}, rows); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// BenchmarkQueryLatency is the committed query-latency trajectory:
+// flat vs hierarchical index across VC selectivities and codecs, on
+// index-only range queries over a 256x256 GTS field with 1 024 bins.
+// The headline metric is virt-fs/op — the virtual-clock latency of the
+// slowest rank in femtoseconds, so that the benchmark line carries
+// every digit scripts/bench_json.sh writes into BENCH_query.json as
+// virt_s_op. Virtual seconds repeat on any host, so a run whose virtual
+// latency or bin counts differ from the committed row fails, as
+// TestQueryLatencyGolden does.
+func BenchmarkQueryLatency(b *testing.B) {
+	rows := queryLatencyRows()
+	for _, c := range queryLatencyCases(b) {
+		b.Run(c.key, func(b *testing.B) {
+			b.ReportAllocs()
+			var virt float64
+			var pruned, covered int
+			for i := 0; i < b.N; i++ {
+				res, err := c.st.Query(c.req, latencyRanks)
+				if err != nil {
+					b.Fatal(err)
+				}
+				virt += res.Time.Total()
+				pruned, covered = res.BinsPruned, res.BinsCovered
+			}
+			virtOp := virt / float64(b.N)
+			b.ReportMetric(virtOp*1e15, "virt-fs/op")
+			b.ReportMetric(float64(pruned), "bins-pruned/op")
+			b.ReportMetric(float64(covered), "bins-covered/op")
+			if len(rows) > 0 {
+				if err := checkLatencyRow(c.key, latencyRow{virtOp, pruned, covered}, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
