@@ -19,18 +19,14 @@ import (
 	"mloc/internal/query"
 )
 
-// rankOut accumulates one rank's results and the totals its trace
-// reports. reassemble and filter split the Reconstruct component for
-// span attribution (index/offset decoding vs. the match-filter loop);
-// their sum always equals time.Reconstruct. fetchWall is the host time
-// of the rank's PFS reads, the one stage whose wall time is kept apart.
+// rankOut accumulates one rank's result, which the final gather reads,
+// and the totals its trace reports beside it. reassemble and filter
+// split the Reconstruct component for span attribution (index/offset
+// decoding vs. the match-filter loop); their sum always equals
+// Time.Reconstruct. fetchWall is the host time of the rank's PFS reads,
+// the one stage whose wall time is kept apart.
 type rankOut struct {
-	matches     []query.Match
-	time        query.Components
-	bytes       int64
-	blocks      int
-	cacheHits   int
-	nodesRead   int
+	*query.Result
 	bins, units int
 	reassemble  float64
 	filter      float64
@@ -45,24 +41,24 @@ type rankOut struct {
 // traced per stage, not per bin, so a query's trace is O(ranks) spans
 // whatever the store's bin count.
 func (o *rankOut) trace(rs *obs.Span) {
-	rs.SetFloat("virt_total_s", o.time.Total())
-	fetch := rs.Event("fetch", o.fetchWall, o.time.IO)
+	rs.SetFloat("virt_total_s", o.Time.Total())
+	fetch := rs.Event("fetch", o.fetchWall, o.Time.IO)
 	fetch.SetInt("bins", int64(o.bins))
-	fetch.SetInt("bytes", o.bytes)
-	decode := rs.Event("decode", 0, o.time.Decompress)
-	decode.SetInt("blocks", int64(o.blocks))
-	decode.SetInt("cache_hits", int64(o.cacheHits))
-	decode.SetInt("index_nodes", int64(o.nodesRead))
+	fetch.SetInt("bytes", o.BytesRead)
+	decode := rs.Event("decode", 0, o.Time.Decompress)
+	decode.SetInt("blocks", int64(o.BlocksRead))
+	decode.SetInt("cache_hits", int64(o.CacheHits))
+	decode.SetInt("index_nodes", int64(o.IndexNodesRead))
 	rs.Event("reassemble", 0, o.reassemble).SetInt("units", int64(o.units))
-	rs.Event("filter", 0, o.filter).SetInt("matches", int64(len(o.matches)))
+	rs.Event("filter", 0, o.filter).SetInt("matches", int64(len(o.Matches)))
 }
 
-// rankScratch is everything a rank needs only until gatherRanks has
+// rankScratch is everything a rank needs only until the gather has
 // copied its matches out. It is reused bin after bin and, through
 // queryScratchPool, query after query, so none of it is paid per unit.
 type rankScratch struct {
-	// matches is the rank's match buffer between queries; rankOut.matches
-	// is the same buffer while one runs.
+	// matches is the rank's match buffer between queries; its result's
+	// Matches is the same buffer while one runs.
 	matches []query.Match
 	// offsets is the current bin's arena of intra-chunk offsets, decoded
 	// or copied from the cache; ends[i] is where task i's run stops (see
@@ -127,11 +123,12 @@ func (sc *rankScratch) taskUnits(tasks []task, level int) []cache.Unit {
 const maxPooledMatches = 1 << 16
 
 // queryScratch is one query's pooled state: the split's working state,
-// and a rankScratch and a rankOut per rank.
+// and a rankScratch, a rankOut and its result per rank.
 type queryScratch struct {
-	split splitScratch
-	ranks []rankScratch
-	outs  []rankOut
+	split   splitScratch
+	ranks   []rankScratch
+	outs    []rankOut
+	results []query.Result
 }
 
 var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -143,9 +140,11 @@ func (q *queryScratch) begin(ranks int) []rankOut {
 		q.ranks = append(q.ranks, rankScratch{})
 	}
 	q.outs = slices.Grow(q.outs[:0], ranks)[:ranks]
+	q.results = slices.Grow(q.results[:0], ranks)[:ranks]
 	for r := range q.outs {
 		sc := &q.ranks[r]
-		q.outs[r] = rankOut{sc: sc, matches: sc.matches[:0]}
+		q.results[r] = query.Result{Matches: sc.matches[:0]}
+		q.outs[r] = rankOut{Result: &q.results[r], sc: sc}
 	}
 	return q.outs
 }
@@ -158,42 +157,16 @@ func (q *queryScratch) end() {
 	for r := range q.outs {
 		o := &q.outs[r]
 		o.sc.matches = nil
-		if cap(o.matches) <= maxPooledMatches {
-			o.sc.matches = o.matches[:0]
+		if cap(o.Matches) <= maxPooledMatches {
+			o.sc.matches = o.Matches[:0]
 		}
 		clear(o.sc.units[:cap(o.sc.units)])
-		q.outs[r] = rankOut{}
+		q.outs[r], q.results[r] = rankOut{}, query.Result{}
 	}
 	// The split's per-rank slices alias the plan; drop them so an idle
 	// scratch pins no plan.
 	clear(q.split.tasks)
 	clear(q.split.nodes)
-}
-
-// gatherRanks is the final gather: every rank's matches copied once
-// into a slice of their summed length and sorted, the volume counters
-// summed, and the time breakdown of the slowest rank.
-func gatherRanks(outs []rankOut) *query.Result {
-	res := &query.Result{}
-	n := 0
-	for i := range outs {
-		n += len(outs[i].matches)
-	}
-	res.Matches = make([]query.Match, 0, n)
-	var slowest float64
-	for i := range outs {
-		res.Matches = append(res.Matches, outs[i].matches...)
-		res.BytesRead += outs[i].bytes
-		res.BlocksRead += outs[i].blocks
-		res.CacheHits += outs[i].cacheHits
-		res.IndexNodesRead += outs[i].nodesRead
-		if t := outs[i].time.Total(); t >= slowest {
-			slowest = t
-			res.Time = outs[i].time
-		}
-	}
-	res.Sort()
-	return res
 }
 
 // Query executes a request over the given number of parallel ranks,
@@ -215,9 +188,9 @@ func (s *Store) QueryContext(ctx context.Context, req *query.Request, ranks int)
 }
 
 // execute is the one frame every access runs in: compile the plan and
-// assign it to ranks (the "plan" span), run each rank's bins and vindex
-// nodes on its own clock with pooled scratch (a "rank" span with the
-// rank's stage events), gather.
+// assign it to ranks (the "plan" span), run each rank's steps on its own
+// clock with pooled scratch (a "rank" span with the rank's stage
+// events), gather.
 func (s *Store) execute(ctx context.Context, ranks int, compile func() (*plan, error)) (*query.Result, error) {
 	if ranks < 1 {
 		return nil, fmt.Errorf("core: ranks %d < 1", ranks)
@@ -234,7 +207,7 @@ func (s *Store) execute(ctx context.Context, ranks int, compile func() (*plan, e
 		ps.End()
 		return nil, err
 	}
-	perRank, perRankNodes := s.assign(p, ranks, &qs.split)
+	tasks, nodes := s.assign(p, ranks, &qs.split)
 	if p.indexOnly && p.vc != nil {
 		ps.SetInt("bins_pruned", int64(p.pruned))
 		ps.SetInt("bins_covered", int64(p.covered))
@@ -252,10 +225,7 @@ func (s *Store) execute(ctx context.Context, ranks int, compile func() (*plan, e
 		r := c.Rank()
 		_, rs := obs.StartSpan(ctx, "rank")
 		rs.SetInt("rank", int64(r))
-		rerr := s.runRank(ctx, clks[r], p, perRank[r], &outs[r])
-		if rerr == nil && perRankNodes != nil {
-			rerr = s.runNodes(ctx, clks[r], p, perRankNodes[r], &outs[r])
-		}
+		rerr := s.runRank(ctx, clks[r], p, tasks[r], nodes[r], &outs[r])
 		outs[r].trace(rs)
 		rs.End()
 		return rerr
@@ -264,7 +234,7 @@ func (s *Store) execute(ctx context.Context, ranks int, compile func() (*plan, e
 		return nil, err
 	}
 
-	res := gatherRanks(outs)
+	res := query.Gather(qs.results)
 	// The bins under node steps count as accessed (their contents were
 	// served) even though no per-bin file was touched.
 	res.BinsAccessed = p.bins + p.nodeBins
@@ -272,24 +242,63 @@ func (s *Store) execute(ctx context.Context, ranks int, compile func() (*plan, e
 	return res, nil
 }
 
-// runNodes answers one rank's share of the inside-subtree roots from
-// the vindex: all node bitmaps are fetched in a single coalesced read
-// batch from the vindex subfile (one open, extents sorted and
-// gap-merged across tree levels), then decoded and their set bits
-// emitted as matches (filtered by SC per point). The read, each node's
-// bitmap decode and its filter loop add to the rank's fetch, decode and
-// filter totals, the same stages the bins report.
-func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []binning.NodeRef, out *rankOut) error {
-	if len(nodes) == 0 {
+// runRank executes one rank's steps: its tasks, grouped by bin so each
+// bin's files are opened once and reads coalesce, then its node run,
+// answered from the vindex. Cancellation is checked before every step: a
+// bin, or the node run, is the engine's unit of I/O, so that is the
+// soonest point at which stopping saves PFS work.
+func (s *Store) runRank(ctx context.Context, clk *pfs.Clock, p *plan, tasks []task, nodes []binning.NodeRef, out *rankOut) error {
+	if len(tasks) == 0 && len(nodes) == 0 {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: query canceled before vindex nodes: %w", err)
+	// The plan bounds the rank's answer: a unit contributes at most its
+	// point count, and exactly that when nothing filters it; a node's set
+	// bits are the points of the leaf bins under it. The predicate's own
+	// limit bounds it as well.
+	var points int64
+	for _, t := range tasks {
+		points += int64(s.meta.bins[t.bin].units[t.unit].count)
 	}
-	// One read batch for the whole node set: the payloads live in one
-	// subfile in level order, so sorting and gap-merging the extents
-	// costs at most a seek per disjoint run, not one per level. The open
-	// is part of the fetch, as it is for a bin.
+	for _, n := range nodes {
+		lo, hi := s.tree.Leaves(n)
+		for _, bm := range s.meta.bins[lo:hi] {
+			for i := range bm.units {
+				points += int64(bm.units[i].count)
+			}
+		}
+	}
+	out.Matches = slices.Grow(out.Matches, int(min(points, p.limit)))
+	out.sc.setGrid(s.meta.shape)
+	for lo := 0; lo < len(tasks) || len(nodes) > 0; {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: query canceled after %d of the rank's tasks: %w", lo, err)
+		}
+		if lo == len(tasks) {
+			return s.runNodes(ctx, clk, p, nodes, out)
+		}
+		hi := lo + 1
+		for hi < len(tasks) && tasks[hi].bin == tasks[lo].bin {
+			hi++
+		}
+		if err := s.runBin(ctx, clk, p, tasks[lo:hi], out); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// runNodes answers the rank's node run, inside-subtree roots, from the
+// vindex: all node bitmaps are fetched in a single coalesced read batch
+// from the vindex subfile (one open, extents sorted and gap-merged across
+// tree levels), then decoded and their set bits emitted as matches
+// (filtered by the plan's cuts per point). The read, each node's bitmap
+// decode and its filter loop add to the rank's fetch, decode and filter
+// totals, the same stages the bins report.
+func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []binning.NodeRef, out *rankOut) error {
+	// The payloads live in one subfile in level order, so sorting and
+	// gap-merging the extents costs at most a seek per disjoint run, not
+	// one per level. The open is part of the fetch, as it is for a bin.
 	sc := out.sc
 	sc.idxExtents = sc.idxExtents[:0]
 	for _, n := range nodes {
@@ -301,23 +310,6 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []b
 		return err
 	}
 
-	// The plan sizes the nodes' share of the match buffer before any is
-	// decoded: a node's set bits are the points of the leaf bins under
-	// it — exactly, without an SC; with one, the rank's whole answer lies
-	// inside it, so what is left of its volume bounds the nodes too.
-	var points int64
-	for _, n := range nodes {
-		lo, hi := s.tree.Leaves(n)
-		for _, bm := range s.meta.bins[lo:hi] {
-			for i := range bm.units {
-				points += int64(bm.units[i].count)
-			}
-		}
-	}
-	points = min(points, p.limit-int64(len(out.matches)))
-	out.matches = slices.Grow(out.matches, int(max(points, 0)))
-
-	sc.setGrid(s.meta.shape)
 	coords := sc.global
 	for _, n := range nodes {
 		if err := ctx.Err(); err != nil {
@@ -330,7 +322,7 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []b
 		}
 		var w bitmap.WAH
 		err = w.UnmarshalBinary(raw)
-		out.time.Decompress += clk.ChargeCPU(pfs.CPUBitmapByte, int64(len(raw)))
+		out.Time.Decompress += clk.ChargeCPU(pfs.CPUBitmapByte, int64(len(raw)))
 		if err != nil {
 			return fmt.Errorf("core: vindex node %d: %w", id, err)
 		}
@@ -342,11 +334,10 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []b
 		// one only moves forward.
 		k := 0
 		var bits int64
-		from := len(out.matches)
+		from := len(out.Matches)
 		for lin, ok := it.Next(); ok; lin, ok = it.Next() {
 			bits++
-			switch {
-			case p.cuts != nil:
+			if p.cuts != nil {
 				coords = s.meta.shape.Coords(lin, coords[:0])
 				for k < len(p.cuts) && p.cuts[k].Hi[0] <= coords[0] {
 					k++
@@ -354,54 +345,16 @@ func (s *Store) runNodes(ctx context.Context, clk *pfs.Clock, p *plan, nodes []b
 				if k == len(p.cuts) || !p.cuts[k].Contains(coords) {
 					continue
 				}
-			case p.sc != nil:
-				coords = s.meta.shape.Coords(lin, coords[:0])
-				if !p.sc.Contains(coords) {
-					continue
-				}
 			}
-			out.matches = append(out.matches, query.Match{Index: lin})
+			out.Matches = append(out.Matches, query.Match{Index: lin})
 		}
-		filter := clk.ChargeCPU(pfs.CPUBit, bits) + clk.ChargeCPU(pfs.CPUMatch, int64(len(out.matches)-from))
-		if p.cuts != nil || p.sc != nil {
+		filter := clk.ChargeCPU(pfs.CPUBit, bits) + clk.ChargeCPU(pfs.CPUMatch, int64(len(out.Matches)-from))
+		if p.cuts != nil {
 			filter += clk.ChargeCPU(pfs.CPUPoint, bits)
 		}
 		out.filter += filter
-		out.time.Reconstruct += filter
-		out.nodesRead++
-	}
-	return nil
-}
-
-// runRank executes one rank's tasks, grouped by bin so each bin's files
-// are opened once and reads coalesce. Cancellation is checked at every
-// bin boundary: a bin is the engine's unit of I/O, so that is the
-// soonest point at which stopping saves PFS work.
-func (s *Store) runRank(ctx context.Context, clk *pfs.Clock, p *plan, tasks []task, out *rankOut) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	// The plan bounds the rank's answer: a unit contributes at most its
-	// point count, and exactly that when nothing filters it; the
-	// predicate's own limit bounds it as well.
-	var points int64
-	for _, t := range tasks {
-		points += int64(s.meta.bins[t.bin].units[t.unit].count)
-	}
-	out.matches = slices.Grow(out.matches, int(min(points, p.limit)))
-	out.sc.setGrid(s.meta.shape)
-	for lo := 0; lo < len(tasks); {
-		hi := lo + 1
-		for hi < len(tasks) && tasks[hi].bin == tasks[lo].bin {
-			hi++
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: query canceled before bin %d: %w", tasks[lo].bin, err)
-		}
-		if err := s.runBin(ctx, clk, p, tasks[lo:hi], out); err != nil {
-			return err
-		}
-		lo = hi
+		out.Time.Reconstruct += filter
+		out.IndexNodesRead++
 	}
 	return nil
 }
@@ -436,7 +389,7 @@ func (s *Store) runBin(ctx context.Context, clk *pfs.Clock, p *plan, tasks []tas
 	// offsets alone are resident needs no index read.
 	units := sc.taskUnits(tasks, p.level)
 	if s.decodeCache != nil {
-		out.cacheHits += s.decodeCache.Probe(s.prefix, bin, units)
+		out.CacheHits += s.decodeCache.Probe(s.prefix, bin, units)
 	}
 
 	// Index read, of the units the probe left without offsets.
@@ -474,7 +427,7 @@ func (s *Store) runBin(ctx context.Context, clk *pfs.Clock, p *plan, tasks []tas
 		}
 	}
 	if keep && s.decodeCache != nil {
-		out.cacheHits += s.decodeCache.Keep(s.prefix, bin, units)
+		out.CacheHits += s.decodeCache.Keep(s.prefix, bin, units)
 	}
 
 	// Data read and decode, of the units whose values are missing.
@@ -495,16 +448,16 @@ func (s *Store) runBin(ctx context.Context, clk *pfs.Clock, p *plan, tasks []tas
 	// Filter: map intra-chunk offsets to global indices and emit. A data
 	// task at level 0 holds no selected position.
 	var points int64
-	from := len(out.matches)
+	from := len(out.Matches)
 	for i, t := range tasks {
 		if t.needData && units[i].Level == 0 {
 			continue
 		}
 		points += s.emitUnit(t, &bm.units[t.unit], p, sc.run(i), units[i].Values, out)
 	}
-	filter := clk.ChargeCPU(pfs.CPUPoint, points) + clk.ChargeCPU(pfs.CPUMatch, int64(len(out.matches)-from))
+	filter := clk.ChargeCPU(pfs.CPUPoint, points) + clk.ChargeCPU(pfs.CPUMatch, int64(len(out.Matches)-from))
 	out.filter += filter
-	out.time.Reconstruct += filter
+	out.Time.Reconstruct += filter
 	return nil
 }
 
@@ -521,8 +474,8 @@ func (s *Store) readFile(clk *pfs.Clock, path string, extents []pfs.Extent, out 
 	if err != nil {
 		return nil, err
 	}
-	out.bytes += n
-	out.time.IO += clk.Now() - t0
+	out.BytesRead += n
+	out.Time.IO += clk.Now() - t0
 	out.fetchWall += time.Since(wall0)
 	return m, nil
 }
@@ -578,7 +531,7 @@ func (s *Store) decodeBinOffsets(clk *pfs.Clock, p *plan, tasks []task, idxMap *
 	}
 	reassemble := clk.ChargeCPU(pfs.CPUOffset, decoded) + clk.ChargeCPU(pfs.CPUPoint, probed)
 	out.reassemble += reassemble
-	out.time.Reconstruct += reassemble
+	out.Time.Reconstruct += reassemble
 	return nil
 }
 
@@ -637,10 +590,10 @@ func (s *Store) unitValues(ctx context.Context, clk *pfs.Clock, bin int, um *uni
 	if hit {
 		// Another query's decode (or an insert racing the probe) served
 		// this unit; the data bytes were read but no CPU was spent.
-		out.cacheHits++
+		out.CacheHits++
 	} else {
-		out.time.Decompress += decompress
-		out.blocks++
+		out.Time.Decompress += decompress
+		out.BlocksRead++
 	}
 	return nil
 }
@@ -657,7 +610,7 @@ func (s *Store) emitUnit(t task, u *unitMeta, p *plan, offsets []int32, values [
 	}
 	base := out.sc.enterChunk(s.chunks, u.chunkID)
 	if p.cuts == nil {
-		s.emitPoints(t, p, p.sc, base, offsets, values, out)
+		s.emitPoints(t, p, nil, base, offsets, values, out)
 		return int64(len(offsets))
 	}
 	var tested int64
@@ -715,7 +668,7 @@ func (s *Store) emitPoints(t task, p *plan, sc *grid.Region, base int64, offsets
 		if !p.indexOnly {
 			m.Value = v
 		}
-		out.matches = append(out.matches, m)
+		out.Matches = append(out.Matches, m)
 	}
 }
 

@@ -30,19 +30,18 @@ type task struct {
 // folds over it, so what is printed is what would run. It holds what to
 // visit (tasks, and the vindex nodes an index-only value plan answers
 // from), how to decode it (level, pieces) and the point predicate: a
-// point of a visited unit is emitted when it lies inside sc (inside one
-// of cuts, when the request has row ranges), is set in positions and, in
-// a filterVC task, has a value inside vc — a nil field does not
-// constrain. Nothing per unit is materialised here beyond the task
+// point of a visited unit is emitted when it lies inside one of cuts, is
+// set in positions and, in a filterVC task, has a value inside vc — a
+// nil field does not constrain. Nothing per unit is materialised here beyond the task
 // itself; extents are built at execution, into the rank's scratch.
 type plan struct {
 	// tasks are in column order: bin-major, storage order within a bin.
 	// bins counts the bins that have at least one.
 	tasks []task
 	bins  int
-	// nodes are the inside-subtree roots runNodes answers from the
-	// vindex, in ascending leaf order; nodeBins counts the bins under
-	// them.
+	// nodes are the plan's node steps, inside-subtree roots runNodes
+	// answers from the vindex, in ascending leaf order; nodeBins counts
+	// the bins under them.
 	nodes    []binning.NodeRef
 	nodeBins int
 	// level is the PLoD level values are decoded at, pieces the number of
@@ -50,9 +49,9 @@ type plan struct {
 	// mode).
 	level, pieces int
 
-	sc *grid.Region
-	// cuts[i] is sc (or the whole grid) cut to the request's i-th row
-	// range, in ascending row order; nil without row ranges.
+	// cuts are the spatial predicate, in ascending row order: the SC, or
+	// the SC (or the whole grid) cut to each of the request's row ranges;
+	// nil when neither constrains.
 	cuts      []grid.Region
 	vc        *binning.ValueConstraint
 	positions *bitmap.Bitmap
@@ -92,7 +91,7 @@ func (s *Store) planQuery(req *query.Request) (*plan, error) {
 			s.meta.mode, level)
 	}
 	p := s.newPlan(level)
-	p.sc, p.vc, p.indexOnly = req.SC, req.VC, req.IndexOnly
+	p.vc, p.indexOnly = req.VC, req.IndexOnly
 
 	var sel []binSel
 	if req.VC != nil {
@@ -101,14 +100,15 @@ func (s *Store) planQuery(req *query.Request) (*plan, error) {
 		sel = s.everyBin()
 		p.aligned = len(sel)
 	}
-	switch {
-	case req.Rows != nil:
-		s.planUnits(p, sel, s.planRows(p, req.Rows), false)
-	case req.SC == nil:
+	rows := req.Rows
+	if rows == nil && req.SC != nil {
+		// An SC alone is one cut: the SC over its own rows.
+		rows = query.Rows{{Lo: req.SC.Lo[0], Hi: req.SC.Hi[0]}}
+	}
+	if rows == nil {
 		s.planUnits(p, sel, nil, true)
-	default:
-		p.limit = req.SC.Elems()
-		s.planUnits(p, sel, s.chunks.OverlappingChunks(*req.SC), false)
+	} else {
+		s.planUnits(p, sel, s.planCuts(p, req.SC, rows), false)
 	}
 	return p, nil
 }
@@ -144,19 +144,19 @@ func (s *Store) selectBins(p *plan, vc binning.ValueConstraint) []binSel {
 	return sel
 }
 
-// planRows cuts the SC (nil: the whole grid) to each of the row ranges
-// into the plan's cuts and returns the chunks the cuts overlap: their deduplicated
-// union in row-major order, one plan for every range, so that a bin
-// file the ranges share is opened once. The plan's limit becomes the
-// number of points the cuts hold.
-func (s *Store) planRows(p *plan, rows query.Rows) []int64 {
+// planCuts cuts sc (nil: the whole grid) to each of the row ranges into
+// the plan's cuts and returns the chunks the cuts overlap: their
+// deduplicated union in row-major order, one plan for every range, so
+// that a bin file the ranges share is opened once. The plan's limit
+// becomes the number of points the cuts hold.
+func (s *Store) planCuts(p *plan, sc *grid.Region, rows query.Rows) []int64 {
 	p.cuts = make([]grid.Region, len(rows))
 	p.limit = 0
 	var ids []int64
 	for i, r := range rows {
 		c := grid.FullRegion(s.meta.shape)
-		if p.sc != nil {
-			c = grid.Region{Lo: slices.Clone(p.sc.Lo), Hi: slices.Clone(p.sc.Hi)}
+		if sc != nil {
+			c = grid.Region{Lo: slices.Clone(sc.Lo), Hi: slices.Clone(sc.Hi)}
 		}
 		c.Lo[0], c.Hi[0] = r.Lo, r.Hi
 		p.cuts[i] = c

@@ -295,10 +295,10 @@ func TestLargeAnswerBufferNotRetained(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.runRank(context.Background(), fs.NewClock(), p, p.tasks, &outs[0]); err != nil {
+		if err := st.runRank(context.Background(), fs.NewClock(), p, p.tasks, nil, &outs[0]); err != nil {
 			t.Fatal(err)
 		}
-		n := len(gatherRanks(outs).Matches)
+		n := len(query.Gather(qs.results).Matches)
 		qs.end()
 		if kept := cap(qs.ranks[0].matches) > 0; kept != tc.kept {
 			t.Errorf("%s (%d gathered): buffer of %d matches retained = %v, want %v",

@@ -17,8 +17,9 @@ type splitScratch struct {
 	price pfs.PriceScratch
 	ext   []pfs.Extent
 	// groups are the plan's bins in column order, each a run of plan
-	// tasks with the price of reading all of it; prefix[g] sums the
-	// prices of the groups before g.
+	// tasks, then its node steps as one run, each with the price of
+	// reading all of it; prefix[g] sums the prices of the groups before
+	// g.
 	groups []taskRun
 	prefix []float64
 	// breaks holds the break counts of the groups that have any (see
@@ -26,9 +27,9 @@ type splitScratch struct {
 	// region per plane.
 	breaks []int32
 	planes bool
-	// memo caches the prices of runs that cut a bin and of node runs,
-	// which the bisection asks for again and again; gen tells this
-	// query's entries apart.
+	// memo caches the prices of runs that cut a group, which the
+	// bisection asks for again and again; gen tells this query's entries
+	// apart.
 	memo [memoSize]memoEntry
 	gen  uint32
 	// cuts and try are rank boundaries over the plan's steps: rank r
@@ -39,7 +40,8 @@ type splitScratch struct {
 }
 
 // taskRun is one bin's run of plan tasks, [lo, hi), as the split sees
-// it. The extents runBin reads for it fall into regions, each a list in
+// it, or the plan's node steps (lo at the first of them, no regions).
+// The extents runBin reads for a bin's run fall into regions, each a list in
 // file order with one extent per task: the index extents, then the data
 // extents — one region per plane under V-M-S, where each plane is stored
 // apart, else one region whose extent per task spans its leading pieces.
@@ -68,7 +70,6 @@ type memoEntry struct {
 // and opens few files, cut where the slowest rank's modelled I/O is
 // least (splitByCost). Round-robin stripes the steps across ranks (the
 // ablation alternative, which maximizes file sharing and contention).
-// The node slices are nil when the plan has no node steps.
 func (s *Store) assign(p *plan, ranks int, sp *splitScratch) ([][]task, [][]binning.NodeRef) {
 	sp.tasks = growSlices(sp.tasks, ranks)
 	sp.nodes = growSlices(sp.nodes, ranks)
@@ -88,9 +89,6 @@ func (s *Store) assign(p *plan, ranks int, sp *splitScratch) ([][]task, [][]binn
 			tasks[r] = p.tasks[min(lo, nt):min(hi, nt)]
 			nodes[r] = p.nodes[max(lo, nt)-nt : max(hi, nt)-nt]
 		}
-	}
-	if len(p.nodes) == 0 {
-		return tasks, nil
 	}
 	return tasks, nodes
 }
@@ -173,53 +171,42 @@ func (s *Store) greedySplit(p *plan, sp *splitScratch, ranks int, bound, content
 }
 
 // longestRun returns the largest b > a whose run [a, b) prices within
-// bound, with its price, or a when even one step is dearer. Bins the run
-// covers whole are summed from the prefix sums, so it prices at most the
-// bin it starts in, the bin it stops in, and node steps.
+// bound, with its price, or a when even one step is dearer. Groups the
+// run covers whole are summed from the prefix sums, so it prices at most
+// the group it starts in and the group it stops in.
 func (s *Store) longestRun(p *plan, sp *splitScratch, a int, bound, contention float64) (int, float64) {
-	nt := len(p.tasks)
-	acc := 0.0
-	if a < nt {
-		ga := sp.groupOf(a)
-		first := s.cutPrice(p, sp, ga, a, sp.groups[ga].hi, contention)
-		if first > bound {
-			return s.longestIn(p, sp, ga, a, sp.groups[ga].hi, 0, bound, contention)
-		}
-		// The largest gb such that groups ga+1..gb-1 fit whole.
-		acc = first
-		lo, hi := ga+1, len(sp.groups)
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			if acc+sp.prefix[mid]-sp.prefix[ga+1] <= bound {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		acc += sp.prefix[lo] - sp.prefix[ga+1]
-		if lo < len(sp.groups) {
-			return s.longestIn(p, sp, lo, sp.groups[lo].lo, sp.groups[lo].hi, acc, bound, contention)
-		}
-		a = nt
+	ga := sp.groupOf(a)
+	first := s.cutPrice(p, sp, ga, a, sp.groups[ga].hi, contention)
+	if first > bound {
+		return s.longestIn(p, sp, ga, a, sp.groups[ga].hi, 0, bound, contention)
 	}
-	return s.longestIn(p, sp, -1, a, nt+len(p.nodes), acc, bound, contention)
+	// The largest gb such that groups ga+1..gb-1 fit whole.
+	acc := first
+	lo, hi := ga+1, len(sp.groups)
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if acc+sp.prefix[mid]-sp.prefix[ga+1] <= bound {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	acc += sp.prefix[lo] - sp.prefix[ga+1]
+	if lo < len(sp.groups) {
+		return s.longestIn(p, sp, lo, sp.groups[lo].lo, sp.groups[lo].hi, acc, bound, contention)
+	}
+	return sp.groups[lo-1].hi, acc
 }
 
 // longestIn returns the largest b in (a, end] such that acc plus the
 // price of [a, b) is within bound, with that sum, or a and acc when none
-// is; [a, end) lies within group g, or within the node steps when g is
-// -1.
+// is; [a, end) lies within group g.
 func (s *Store) longestIn(p *plan, sp *splitScratch, g, a, end int, acc, bound, contention float64) (int, float64) {
 	best, price := a, acc
 	lo, hi := a+1, end
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		var c float64
-		if g < 0 {
-			c = acc + s.nodePrice(p, sp, a, mid, contention)
-		} else {
-			c = acc + s.cutPrice(p, sp, g, a, mid, contention)
-		}
+		c := acc + s.cutPrice(p, sp, g, a, mid, contention)
 		if c <= bound {
 			best, price = mid, c
 			lo = mid + 1
@@ -230,10 +217,11 @@ func (s *Store) longestIn(p *plan, sp *splitScratch, g, a, end int, acc, bound, 
 	return best, price
 }
 
-// groupRuns fills sp.groups with the plan's bins in column order and
-// their prices, and sp.prefix with the prices' running sums. One walk
-// per region prices the whole run from its coalesced extents; a run with
-// a gap wider than CoalesceGap in some region also gets break counts.
+// groupRuns fills sp.groups with the plan's bins in column order, then
+// its node run, and their prices, and sp.prefix with the prices' running
+// sums. One walk per region prices a bin's whole run from its coalesced
+// extents; a run with a gap wider than CoalesceGap in some region also
+// gets break counts.
 func (s *Store) groupRuns(p *plan, sp *splitScratch, contention float64) {
 	sp.groups, sp.breaks = sp.groups[:0], sp.breaks[:0]
 	sp.prefix = append(sp.prefix[:0], 0)
@@ -304,10 +292,19 @@ func (s *Store) groupRuns(p *plan, sp *splitScratch, contention float64) {
 				}
 			}
 		}
-		sp.groups = append(sp.groups, run)
-		sp.prefix = append(sp.prefix, sp.prefix[len(sp.groups)-1]+run.price)
+		sp.addGroup(run)
 		lo = hi
 	}
+	if nt := len(p.tasks); len(p.nodes) > 0 {
+		sp.addGroup(taskRun{lo: nt, hi: nt + len(p.nodes), off: -1, price: s.priceNodes(sp, p.nodes, contention)})
+	}
+}
+
+// addGroup appends a priced run to sp.groups and its running sum to
+// sp.prefix.
+func (sp *splitScratch) addGroup(run taskRun) {
+	sp.groups = append(sp.groups, run)
+	sp.prefix = append(sp.prefix, sp.prefix[len(sp.groups)-1]+run.price)
 }
 
 // regionExtent returns unit u's extent in region r of its bin: its index
@@ -327,34 +324,20 @@ func (sp *splitScratch) regionExtent(p *plan, u *unitMeta, r int) pfs.Extent {
 
 // runPrice is the modelled I/O of the steps [a, b): what the simulator
 // would charge one rank running them, from opens, seeks and striped
-// bytes (pfs.Sim.PriceRead). A rank's bins are distinct files, so their
-// prices add; a bin the run covers whole is priced once, in groupRuns.
+// bytes (pfs.Sim.PriceRead). A rank's bins and its node run are distinct
+// files, so their prices add; a group the run covers whole is priced
+// once, in groupRuns.
 func (s *Store) runPrice(p *plan, sp *splitScratch, a, b int, contention float64) float64 {
-	nt := len(p.tasks)
-	price := 0.0
-	if e := min(b, nt); a < e {
-		ga, gb := sp.groupOf(a), sp.groupOf(e-1)
-		price += s.cutPrice(p, sp, ga, a, min(e, sp.groups[ga].hi), contention)
-		if gb > ga {
-			price += sp.prefix[gb] - sp.prefix[ga+1]
-			price += s.cutPrice(p, sp, gb, sp.groups[gb].lo, e, contention)
-		}
+	if a == b {
+		return 0
 	}
-	if b > nt {
-		price += s.nodePrice(p, sp, max(a, nt), b, contention)
+	ga, gb := sp.groupOf(a), sp.groupOf(b-1)
+	price := s.cutPrice(p, sp, ga, a, min(b, sp.groups[ga].hi), contention)
+	if gb > ga {
+		price += sp.prefix[gb] - sp.prefix[ga+1]
+		price += s.cutPrice(p, sp, gb, sp.groups[gb].lo, b, contention)
 	}
 	return price
-}
-
-// nodePrice prices the node steps among steps [a, b), from the memo or
-// priceNodes.
-func (s *Store) nodePrice(p *plan, sp *splitScratch, a, b int, contention float64) float64 {
-	m := sp.memoFor(a, b)
-	if m.gen != sp.gen || int(m.a) != a || int(m.b) != b {
-		nt := len(p.tasks)
-		*m = memoEntry{a: int32(a), b: int32(b), gen: sp.gen, price: s.priceNodes(sp, p.nodes[a-nt:b-nt], contention)}
-	}
-	return m.price
 }
 
 // memoFor returns the memo slot of the run [a, b).
@@ -362,7 +345,7 @@ func (sp *splitScratch) memoFor(a, b int) *memoEntry {
 	return &sp.memo[(uint(a)*2654435761+uint(b))%memoSize]
 }
 
-// groupOf returns the group holding task i.
+// groupOf returns the group holding step i.
 func (sp *splitScratch) groupOf(i int) int {
 	lo, hi := 0, len(sp.groups)-1
 	for lo < hi {
@@ -376,8 +359,8 @@ func (sp *splitScratch) groupOf(i int) int {
 	return lo
 }
 
-// cutPrice prices tasks [a, b) of group g: the group's price when the
-// run is all of it, else from the memo or binPrice.
+// cutPrice prices steps [a, b) of group g: the group's price when the
+// run is all of it, else from the memo, or from binPrice or priceNodes.
 func (s *Store) cutPrice(p *plan, sp *splitScratch, g, a, b int, contention float64) float64 {
 	run := &sp.groups[g]
 	if a == run.lo && b == run.hi {
@@ -385,7 +368,13 @@ func (s *Store) cutPrice(p *plan, sp *splitScratch, g, a, b int, contention floa
 	}
 	m := sp.memoFor(a, b)
 	if m.gen != sp.gen || int(m.a) != a || int(m.b) != b {
-		*m = memoEntry{a: int32(a), b: int32(b), gen: sp.gen, price: s.binPrice(p, sp, run, a, b, contention)}
+		var price float64
+		if nt := len(p.tasks); a >= nt {
+			price = s.priceNodes(sp, p.nodes[a-nt:b-nt], contention)
+		} else {
+			price = s.binPrice(p, sp, run, a, b, contention)
+		}
+		*m = memoEntry{a: int32(a), b: int32(b), gen: sp.gen, price: price}
 	}
 	return m.price
 }
@@ -423,8 +412,8 @@ func (s *Store) regionExtents(p *plan, sp *splitScratch, run *taskRun, r0, r1, a
 	return sp.ext
 }
 
-// priceNodes prices one rank's node steps as runNodes reads them: one
-// open of the vindex and one read batch of the nodes' bitmaps.
+// priceNodes prices node steps as runNodes reads them: one open of the
+// vindex and one read batch of the nodes' bitmaps.
 func (s *Store) priceNodes(sp *splitScratch, nodes []binning.NodeRef, contention float64) float64 {
 	sp.ext = sp.ext[:0]
 	for _, n := range nodes {

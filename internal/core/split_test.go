@@ -159,8 +159,8 @@ func TestSplitByCost(t *testing.T) {
 					wide++
 				}
 			}
-			t.Logf("%d tasks in %d bins (%d with wide gaps), %d node steps: dearest rank %.6fs, equal-count %.6fs",
-				len(p.tasks), len(sp1.groups), wide, len(p.nodes), worst, equal)
+			t.Logf("%d tasks and %d node steps in %d runs (%d with wide gaps): dearest rank %.6fs, equal-count %.6fs",
+				len(p.tasks), len(p.nodes), len(sp1.groups), wide, worst, equal)
 		})
 	}
 }

@@ -143,13 +143,6 @@ func (s *Store) DataBytes() int64 { return 8 * s.shape.Elems() }
 // column).
 func (s *Store) IndexBytes() int64 { return s.indexSize }
 
-// rankOut accumulates one rank's results.
-type rankOut struct {
-	matches []query.Match
-	time    query.Components
-	bytes   int64
-}
-
 // binExtent locates a leaf bin's serialized bitmap in the index file.
 func (s *Store) binExtent(bin int) pfs.Extent {
 	return pfs.Extent{Off: s.bitmapOffsets[bin], Len: s.bitmapOffsets[bin+1] - s.bitmapOffsets[bin]}
@@ -190,9 +183,7 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 	for _, b := range edge {
 		check = append(check, s.binExtent(b))
 	}
-	res := &query.Result{BinsAccessed: len(aligned) + len(edge)}
-
-	outs := make([]rankOut, ranks)
+	outs := make([]query.Result, ranks)
 	clks := s.fs.NewClocks(ranks)
 	indexPath := s.prefix + "/index"
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
@@ -219,9 +210,9 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 			if _, err := s.fs.ReadAt(clk, indexPath, lo, hi-lo); err != nil {
 				return err
 			}
-			out.bytes += hi - lo
+			out.BytesRead += hi - lo
 		}
-		out.time.IO += clk.Now() - t0
+		out.Time.IO += clk.Now() - t0
 		if err := c.Barrier(); err != nil {
 			return err
 		}
@@ -242,16 +233,8 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 		return nil, err
 	}
 
-	var slowest float64
-	for i := range outs {
-		res.Matches = append(res.Matches, outs[i].matches...)
-		res.BytesRead += outs[i].bytes
-		if t := outs[i].time.Total(); t >= slowest {
-			slowest = t
-			res.Time = outs[i].time
-		}
-	}
-	res.Sort()
+	res := query.Gather(outs)
+	res.BinsAccessed = len(aligned) + len(edge)
 	return res, nil
 }
 
@@ -262,7 +245,7 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 // against the VC). The index bytes were already paid for by the ranks'
 // full index load — possibly by another rank's partition of it — so
 // Peek re-slices them without double-charging the cost model.
-func (s *Store) evalBitmap(clk *pfs.Clock, out *rankOut, e pfs.Extent, req *query.Request, check bool) error {
+func (s *Store) evalBitmap(clk *pfs.Clock, out *query.Result, e pfs.Extent, req *query.Request, check bool) error {
 	raw, err := s.fs.Peek(s.prefix+"/index", e.Off, e.Len)
 	if err != nil {
 		return err
@@ -273,7 +256,7 @@ func (s *Store) evalBitmap(clk *pfs.Clock, out *rankOut, e pfs.Extent, req *quer
 	}
 	var pending []int64
 	var bits int64
-	from := len(out.matches)
+	from := len(out.Matches)
 	coords := make([]int, 0, s.shape.Dims())
 	w.Decompress().Each(func(i int64) {
 		bits++
@@ -284,15 +267,15 @@ func (s *Store) evalBitmap(clk *pfs.Clock, out *rankOut, e pfs.Extent, req *quer
 			}
 		}
 		if req.IndexOnly && !check {
-			out.matches = append(out.matches, query.Match{Index: i})
+			out.Matches = append(out.Matches, query.Match{Index: i})
 			return
 		}
 		pending = append(pending, i)
 	})
-	out.time.Decompress += clk.ChargeCPU(pfs.CPUWAHWord, w.Words()) + clk.ChargeCPU(pfs.CPUBitmapWord, (w.Len()+63)/64) +
-		clk.ChargeCPU(pfs.CPUBit, bits) + clk.ChargeCPU(pfs.CPUMatch, int64(len(out.matches)-from))
+	out.Time.Decompress += clk.ChargeCPU(pfs.CPUWAHWord, w.Words()) + clk.ChargeCPU(pfs.CPUBitmapWord, (w.Len()+63)/64) +
+		clk.ChargeCPU(pfs.CPUBit, bits) + clk.ChargeCPU(pfs.CPUMatch, int64(len(out.Matches)-from))
 	if req.SC != nil {
-		out.time.Decompress += clk.ChargeCPU(pfs.CPUPoint, bits)
+		out.Time.Decompress += clk.ChargeCPU(pfs.CPUPoint, bits)
 	}
 	if len(pending) == 0 {
 		return nil
@@ -303,12 +286,12 @@ func (s *Store) evalBitmap(clk *pfs.Clock, out *rankOut, e pfs.Extent, req *quer
 // fetchValues reads candidate point values from the base data,
 // coalescing adjacent indices into single reads, filters by the VC when
 // check is set, and appends matches.
-func (s *Store) fetchValues(clk *pfs.Clock, out *rankOut, indices []int64, req *query.Request, check bool) error {
+func (s *Store) fetchValues(clk *pfs.Clock, out *query.Result, indices []int64, req *query.Request, check bool) error {
 	t0 := clk.Now()
 	if err := s.fs.Open(clk, s.prefix+"/data"); err != nil {
 		return err
 	}
-	out.time.IO += clk.Now() - t0
+	out.Time.IO += clk.Now() - t0
 	for i := 0; i < len(indices); {
 		j := i + 1
 		for j < len(indices) && indices[j] == indices[j-1]+1 {
@@ -321,9 +304,9 @@ func (s *Store) fetchValues(clk *pfs.Clock, out *rankOut, indices []int64, req *
 		if err != nil {
 			return err
 		}
-		out.time.IO += clk.Now() - t0
-		out.bytes += count * 8
-		from := len(out.matches)
+		out.Time.IO += clk.Now() - t0
+		out.BytesRead += count * 8
+		from := len(out.Matches)
 		for k := int64(0); k < count; k++ {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*k:]))
 			if check && !req.VC.Contains(v) {
@@ -334,9 +317,9 @@ func (s *Store) fetchValues(clk *pfs.Clock, out *rankOut, indices []int64, req *
 			if !req.IndexOnly {
 				m.Value = v
 			}
-			out.matches = append(out.matches, m)
+			out.Matches = append(out.Matches, m)
 		}
-		out.time.Reconstruct += clk.ChargeCPU(pfs.CPUScan, count) + clk.ChargeCPU(pfs.CPUMatch, int64(len(out.matches)-from))
+		out.Time.Reconstruct += clk.ChargeCPU(pfs.CPUScan, count) + clk.ChargeCPU(pfs.CPUMatch, int64(len(out.Matches)-from))
 		i = j
 	}
 	return nil

@@ -175,6 +175,43 @@ func (r *Result) MatchCount() int { return max(r.Total, len(r.Matches)) }
 // output through this before returning.
 func (r *Result) Sort() { SortMatches(r.Matches) }
 
+// Gather is the final gather of a parallel access (paper §III-D): the
+// ranks' matches copied once into one slice of exactly their summed
+// length and sorted, the volume counters summed, and the time breakdown
+// of the slowest rank, the last of equal ones, because the access
+// completes when its slowest rank does.
+func Gather(ranks []Result) *Result {
+	res := &Result{}
+	n := 0
+	for i := range ranks {
+		n += len(ranks[i].Matches)
+	}
+	res.Matches = make([]Match, 0, n)
+	var slowest float64
+	for i := range ranks {
+		r := &ranks[i]
+		res.Matches = append(res.Matches, r.Matches...)
+		res.addCounts(r)
+		if t := r.Time.Total(); t >= slowest {
+			slowest = t
+			res.Time = r.Time
+		}
+	}
+	res.Sort()
+	return res
+}
+
+// addCounts adds o's volume counters to r's.
+func (r *Result) addCounts(o *Result) {
+	r.BytesRead += o.BytesRead
+	r.BinsAccessed += o.BinsAccessed
+	r.BlocksRead += o.BlocksRead
+	r.CacheHits += o.CacheHits
+	r.BinsPruned += o.BinsPruned
+	r.BinsCovered += o.BinsCovered
+	r.IndexNodesRead += o.IndexNodesRead
+}
+
 // MergeResults combines the partial results of shards that answered
 // disjoint pieces of one query — the gather step of a scatter-gather
 // fan-out. Matches are copied once into a slice of their summed length
@@ -205,13 +242,7 @@ func MergeResults(parts []*Result) *Result {
 		merged.Matches = append(merged.Matches, p.Matches...)
 		merged.Total += p.MatchCount()
 		merged.Time.MaxWith(p.Time)
-		merged.BytesRead += p.BytesRead
-		merged.BinsAccessed += p.BinsAccessed
-		merged.BlocksRead += p.BlocksRead
-		merged.CacheHits += p.CacheHits
-		merged.BinsPruned += p.BinsPruned
-		merged.BinsCovered += p.BinsCovered
-		merged.IndexNodesRead += p.IndexNodesRead
+		merged.addCounts(p)
 	}
 	merged.Sort()
 	return merged

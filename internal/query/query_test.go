@@ -124,3 +124,32 @@ func TestMergeResultsCarriesTotals(t *testing.T) {
 		t.Fatalf("MatchCount without Total = %d, want 3", got)
 	}
 }
+
+// TestGather: ranks' matches land sorted in one exactly-sized slice,
+// counters sum, and the time is the slowest rank's whole breakdown —
+// the last of two equally slow ranks — not a component-wise maximum.
+func TestGather(t *testing.T) {
+	ranks := []Result{
+		{Matches: []Match{{Index: 9}, {Index: 4}}, Time: Components{IO: 1, Decompress: 5}, BytesRead: 10, BlocksRead: 1, CacheHits: 2, IndexNodesRead: 1},
+		{Time: Components{IO: 6}, BytesRead: 5},
+		{Matches: []Match{{Index: 1}}, Time: Components{IO: 2, Reconstruct: 4}, BlocksRead: 3},
+	}
+	g := Gather(ranks)
+	if len(g.Matches) != 3 || cap(g.Matches) != 3 {
+		t.Fatalf("gathered %d matches in a slice of capacity %d, want 3 and 3", len(g.Matches), cap(g.Matches))
+	}
+	for i, want := range []int64{1, 4, 9} {
+		if g.Matches[i].Index != want {
+			t.Fatalf("match %d index = %d, want %d", i, g.Matches[i].Index, want)
+		}
+	}
+	if g.BytesRead != 15 || g.BlocksRead != 4 || g.CacheHits != 2 || g.IndexNodesRead != 1 {
+		t.Fatalf("summed counters wrong: %+v", g)
+	}
+	if g.Time != (Components{IO: 2, Reconstruct: 4}) {
+		t.Fatalf("gathered time = %+v, want the last slowest rank's {IO:2 Reconstruct:4}", g.Time)
+	}
+	if empty := Gather(nil); len(empty.Matches) != 0 || empty.Time != (Components{}) {
+		t.Fatalf("empty gather = %+v", empty)
+	}
+}

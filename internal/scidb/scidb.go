@@ -152,13 +152,7 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 		}
 	}
 
-	type rankOut struct {
-		matches []query.Match
-		time    query.Components
-		bytes   int64
-		blocks  int
-	}
-	outs := make([]rankOut, ranks)
+	outs := make([]query.Result, ranks)
 	clks := s.fs.NewClocks(ranks)
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		clk := clks[c.Rank()]
@@ -175,14 +169,14 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 			if err != nil {
 				return err
 			}
-			out.time.IO += clk.Now() - t0
-			out.bytes += hi - lo
-			out.blocks++
+			out.Time.IO += clk.Now() - t0
+			out.BytesRead += hi - lo
+			out.BlocksRead++
 
 			stored := s.regions[id]
 			core := s.chunks.ChunkRegionByID(id)
 			cells := stored.Elems()
-			matchesBefore := len(out.matches)
+			matchesBefore := len(out.Matches)
 			j := -1
 			stored.Each(func(cc []int) {
 				j++
@@ -202,14 +196,14 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 				if !req.IndexOnly {
 					m.Value = v
 				}
-				out.matches = append(out.matches, m)
+				out.Matches = append(out.Matches, m)
 			})
-			matched := int64(len(out.matches) - matchesBefore)
+			matched := int64(len(out.Matches) - matchesBefore)
 			// The loop above, then the engine's iterator overhead: per
 			// chunk + per cell + per result.
-			out.time.Reconstruct += clk.ChargeCPU(pfs.CPUScan, cells) + clk.ChargeCPU(pfs.CPUMatch, matched)
+			out.Time.Reconstruct += clk.ChargeCPU(pfs.CPUScan, cells) + clk.ChargeCPU(pfs.CPUMatch, matched)
 			engine := s.cfg.PerChunkCPU + float64(cells)*s.cfg.PerCellCPU + float64(matched)*s.cfg.PerMatchCPU
-			out.time.Reconstruct += clk.AdvanceCPU(engine)
+			out.Time.Reconstruct += clk.AdvanceCPU(engine)
 		}
 		return nil
 	})
@@ -217,17 +211,5 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 		return nil, err
 	}
 
-	res := &query.Result{}
-	var slowest float64
-	for i := range outs {
-		res.Matches = append(res.Matches, outs[i].matches...)
-		res.BytesRead += outs[i].bytes
-		res.BlocksRead += outs[i].blocks
-		if t := outs[i].time.Total(); t >= slowest {
-			slowest = t
-			res.Time = outs[i].time
-		}
-	}
-	res.Sort()
-	return res, nil
+	return query.Gather(outs), nil
 }

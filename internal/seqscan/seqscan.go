@@ -70,13 +70,6 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 	return s.fullScan(req, ranks)
 }
 
-// rankOut collects one rank's contribution.
-type rankOut struct {
-	matches []query.Match
-	time    query.Components
-	bytes   int64
-}
-
 // regionRead serves SC-only queries by direct offset reads of the
 // region's row runs, split across ranks.
 //
@@ -112,7 +105,7 @@ func (s *Store) regionRead(req *query.Request, ranks int) (*query.Result, error)
 		}
 		extraRunCost = (runsPerScaled - 1) * perRun
 	}
-	outs := make([]rankOut, ranks)
+	outs := make([]query.Result, ranks)
 	clks := s.fs.NewClocks(ranks)
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		clk := clks[c.Rank()]
@@ -121,7 +114,7 @@ func (s *Store) regionRead(req *query.Request, ranks int) (*query.Result, error)
 		}
 		ioStart := clk.Now()
 		out := &outs[c.Rank()]
-		out.time.IO += clk.Now() - ioStart
+		out.Time.IO += clk.Now() - ioStart
 		for i := c.Rank(); i < len(runs); i += c.Size() {
 			run := runs[i]
 			t0 := clk.Now()
@@ -130,27 +123,27 @@ func (s *Store) regionRead(req *query.Request, ranks int) (*query.Result, error)
 				return err
 			}
 			clk.AdvanceBy(extraRunCost)
-			out.time.IO += clk.Now() - t0
-			out.bytes += run.count * 8
+			out.Time.IO += clk.Now() - t0
+			out.BytesRead += run.count * 8
 			for j := int64(0); j < run.count; j++ {
 				v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
-				out.matches = append(out.matches, query.Match{Index: run.start + j, Value: v})
+				out.Matches = append(out.Matches, query.Match{Index: run.start + j, Value: v})
 			}
-			out.time.Reconstruct += clk.ChargeCPU(pfs.CPUScan, run.count) + clk.ChargeCPU(pfs.CPUMatch, run.count)
+			out.Time.Reconstruct += clk.ChargeCPU(pfs.CPUScan, run.count) + clk.ChargeCPU(pfs.CPUMatch, run.count)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return combine(outs), nil
+	return query.Gather(outs), nil
 }
 
 // fullScan reads the whole file (rank-partitioned) and filters.
 func (s *Store) fullScan(req *query.Request, ranks int) (*query.Result, error) {
 	total := s.shape.Elems()
 	per := (total + int64(ranks) - 1) / int64(ranks)
-	outs := make([]rankOut, ranks)
+	outs := make([]query.Result, ranks)
 	clks := s.fs.NewClocks(ranks)
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		clk := clks[c.Rank()]
@@ -174,9 +167,9 @@ func (s *Store) fullScan(req *query.Request, ranks int) (*query.Result, error) {
 			if err != nil {
 				return err
 			}
-			out.time.IO += clk.Now() - t0
-			out.bytes += n * 8
-			from := len(out.matches)
+			out.Time.IO += clk.Now() - t0
+			out.BytesRead += n * 8
+			from := len(out.Matches)
 			var tested int64
 			for j := int64(0); j < n; j++ {
 				v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
@@ -195,10 +188,10 @@ func (s *Store) fullScan(req *query.Request, ranks int) (*query.Result, error) {
 				if !req.IndexOnly {
 					m.Value = v
 				}
-				out.matches = append(out.matches, m)
+				out.Matches = append(out.Matches, m)
 			}
-			out.time.Reconstruct += clk.ChargeCPU(pfs.CPUScan, n) + clk.ChargeCPU(pfs.CPUPoint, tested) +
-				clk.ChargeCPU(pfs.CPUMatch, int64(len(out.matches)-from))
+			out.Time.Reconstruct += clk.ChargeCPU(pfs.CPUScan, n) + clk.ChargeCPU(pfs.CPUPoint, tested) +
+				clk.ChargeCPU(pfs.CPUMatch, int64(len(out.Matches)-from))
 			pos += n
 		}
 		return nil
@@ -206,24 +199,7 @@ func (s *Store) fullScan(req *query.Request, ranks int) (*query.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return combine(outs), nil
-}
-
-// combine merges per-rank outputs: matches concatenate and sort; the
-// reported time is the slowest rank's breakdown; bytes sum.
-func combine(outs []rankOut) *query.Result {
-	res := &query.Result{}
-	var slowest float64
-	for i := range outs {
-		res.Matches = append(res.Matches, outs[i].matches...)
-		res.BytesRead += outs[i].bytes
-		if t := outs[i].time.Total(); t >= slowest {
-			slowest = t
-			res.Time = outs[i].time
-		}
-	}
-	res.Sort()
-	return res
+	return query.Gather(outs), nil
 }
 
 // run is one contiguous element range in the flat file.
