@@ -32,8 +32,9 @@ type task struct {
 // from), how to decode it (level, pieces) and the point predicate: a
 // point of a visited unit is emitted when it lies inside one of cuts, is
 // set in positions and, in a filterVC task, has a value inside vc — a
-// nil field does not constrain. Nothing per unit is materialised here beyond the task
-// itself; extents are built at execution, into the rank's scratch.
+// nil field does not constrain. Nothing per unit is materialised here
+// beyond the task itself; extents are built at execution, into the
+// rank's scratch.
 type plan struct {
 	// tasks are in column order: bin-major, storage order within a bin.
 	// bins counts the bins that have at least one.
@@ -154,14 +155,21 @@ func (s *Store) planCuts(p *plan, sc *grid.Region, rows query.Rows) []int64 {
 	p.limit = 0
 	var ids []int64
 	for i, r := range rows {
-		c := grid.FullRegion(s.meta.shape)
+		var c grid.Region
 		if sc != nil {
 			c = grid.Region{Lo: slices.Clone(sc.Lo), Hi: slices.Clone(sc.Hi)}
+		} else {
+			c = grid.FullRegion(s.meta.shape)
 		}
 		c.Lo[0], c.Hi[0] = r.Lo, r.Hi
 		p.cuts[i] = c
-		ids = append(ids, s.chunks.OverlappingChunks(c)...)
 		p.limit += c.Elems()
+		// The first cut's chunk list is the union's start, not copied.
+		if overlap := s.chunks.OverlappingChunks(c); i == 0 {
+			ids = overlap
+		} else {
+			ids = append(ids, overlap...)
+		}
 	}
 	slices.Sort(ids)
 	return slices.Compact(ids)
