@@ -104,10 +104,10 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 	// pool and merged in storage order. The pass charges its values and
 	// the units they form, divided among its workers.
 	_, binSpan := obs.StartSpan(ctx, "pass_binning")
-	nw := max(1, min(cfg.buildWorkers(), len(order))) // a worker per chunk at most
+	nw, charged := cfg.buildWorkers(len(order))
 	perBin, units := binChunks(chunks, order, data, scheme, nbins, nw)
 	binCPU := pfs.CPUSeconds(pfs.CPUBin, int64(len(data))) + pfs.CPUSeconds(pfs.CPUBinUnit, units)
-	binSpan.AddVirt(clk.AdvanceCPU(binCPU / float64(nw)))
+	binSpan.AddVirt(clk.AdvanceCPU(binCPU / float64(charged)))
 	binSpan.SetInt("chunks", int64(len(order)))
 	binSpan.SetInt("workers", int64(nw))
 	binSpan.End()
@@ -134,7 +134,7 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 	// (its modelled encode seconds divided among the workers) and its
 	// committed sizes; the pass virtual time is the full clock delta
 	// including the writes.
-	nw = max(1, min(cfg.buildWorkers(), nbins)) // a worker per bin at most
+	nw, charged = cfg.buildWorkers(nbins)
 	v1 := clk.Now()
 	_, encSpan := obs.StartSpan(ctx, "pass_encode")
 	encSpan.SetInt("bins", int64(nbins))
@@ -150,7 +150,7 @@ func BuildWithSampleContext(ctx context.Context, fs *pfs.Sim, clk *pfs.Clock, pr
 			encSpan.End()
 			return nil, fmt.Errorf("core: bin %d: %w", b, e.err)
 		}
-		cpu := clk.AdvanceCPU(e.cpu / float64(nw))
+		cpu := clk.AdvanceCPU(e.cpu / float64(charged))
 		bm := &meta.bins[b]
 		if err := fs.WriteFile(clk, binDataPath(prefix, b), e.data); err != nil {
 			encSpan.End()

@@ -129,7 +129,8 @@ func regionOf(t *testing.T, shape grid.Shape) *grid.Region {
 }
 
 // TestBuildWorkersValidation checks the config knob's edges: negative
-// counts are rejected, zero resolves to GOMAXPROCS.
+// counts are rejected, zero runs GOMAXPROCS workers charged as
+// modelledBuildWorkers, and neither width exceeds the items.
 func TestBuildWorkersValidation(t *testing.T) {
 	data, shape := testData(t)
 	cfg := testConfig()
@@ -139,8 +140,13 @@ func TestBuildWorkersValidation(t *testing.T) {
 		t.Fatal("BuildWorkers=-1 accepted")
 	}
 	cfg.BuildWorkers = 0
-	if got := cfg.buildWorkers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("buildWorkers() with 0 = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if pool, charged := cfg.buildWorkers(1 << 20); pool != runtime.GOMAXPROCS(0) || charged != modelledBuildWorkers {
+		t.Fatalf("buildWorkers with 0 = (%d, %d), want GOMAXPROCS %d charged as %d",
+			pool, charged, runtime.GOMAXPROCS(0), modelledBuildWorkers)
+	}
+	cfg.BuildWorkers = 8
+	if pool, charged := cfg.buildWorkers(3); pool != 3 || charged != 3 {
+		t.Fatalf("buildWorkers(3) with 8 = (%d, %d), want (3, 3)", pool, charged)
 	}
 }
 

@@ -164,7 +164,7 @@ type Config struct {
 	// byte-identical for every worker count (see README §Parallel
 	// builds), and the virtual clock charges each pass's modelled
 	// compute divided by the pool width (at most one worker per chunk
-	// or bin).
+	// or bin) — by modelledBuildWorkers when BuildWorkers is 0.
 	BuildWorkers int
 	// HierarchicalIndex stores the inner nodes of the super-bin tree
 	// over the V-level as WAH bitmaps (the vindex subfile), letting
@@ -279,10 +279,20 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// buildWorkers resolves the effective worker count (0 = GOMAXPROCS).
-func (c *Config) buildWorkers() int {
-	if c.BuildWorkers > 0 {
-		return c.BuildWorkers
+// modelledBuildWorkers is the pool width a build with BuildWorkers 0 is
+// charged for. Its goroutines still number GOMAXPROCS, but its modelled
+// compute is divided by this constant, so its virtual seconds are the
+// same on every host rather than a function of the core count.
+const modelledBuildWorkers = 4
+
+// buildWorkers returns, for a build pass over n items, the worker pool
+// it runs on and the width its modelled compute is divided by, each at
+// most one worker per item: BuildWorkers for both, or GOMAXPROCS
+// goroutines charged as modelledBuildWorkers when it is 0.
+func (c *Config) buildWorkers(n int) (pool, charged int) {
+	pool, charged = c.BuildWorkers, c.BuildWorkers
+	if pool == 0 {
+		pool, charged = runtime.GOMAXPROCS(0), modelledBuildWorkers
 	}
-	return runtime.GOMAXPROCS(0)
+	return max(1, min(pool, n)), max(1, min(charged, n))
 }
