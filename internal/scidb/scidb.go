@@ -155,11 +155,13 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 	outs := make([]query.Result, ranks)
 	clks := s.fs.NewClocks(ranks)
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		clk := clks[c.Rank()]
+		clk, out := clks[c.Rank()], &outs[c.Rank()]
+		// The open is part of the rank's I/O.
+		t0 := clk.Now()
 		if err := s.fs.Open(clk, s.prefix+"/array"); err != nil {
 			return err
 		}
-		out := &outs[c.Rank()]
+		out.Time.IO += clk.Now() - t0
 		coords := make([]int, s.shape.Dims())
 		for i := c.Rank(); i < len(ids); i += c.Size() {
 			id := ids[i]

@@ -108,13 +108,10 @@ func (s *Store) regionRead(req *query.Request, ranks int) (*query.Result, error)
 	outs := make([]query.Result, ranks)
 	clks := s.fs.NewClocks(ranks)
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		clk := clks[c.Rank()]
-		if err := s.fs.Open(clk, s.path); err != nil {
+		clk, out := clks[c.Rank()], &outs[c.Rank()]
+		if err := s.open(clk, out); err != nil {
 			return err
 		}
-		ioStart := clk.Now()
-		out := &outs[c.Rank()]
-		out.Time.IO += clk.Now() - ioStart
 		for i := c.Rank(); i < len(runs); i += c.Size() {
 			run := runs[i]
 			t0 := clk.Now()
@@ -146,11 +143,10 @@ func (s *Store) fullScan(req *query.Request, ranks int) (*query.Result, error) {
 	outs := make([]query.Result, ranks)
 	clks := s.fs.NewClocks(ranks)
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		clk := clks[c.Rank()]
-		if err := s.fs.Open(clk, s.path); err != nil {
+		clk, out := clks[c.Rank()], &outs[c.Rank()]
+		if err := s.open(clk, out); err != nil {
 			return err
 		}
-		out := &outs[c.Rank()]
 		lo := per * int64(c.Rank())
 		hi := lo + per
 		if hi > total {
@@ -200,6 +196,14 @@ func (s *Store) fullScan(req *query.Request, ranks int) (*query.Result, error) {
 		return nil, err
 	}
 	return query.Gather(outs), nil
+}
+
+// open opens the file for one rank, charging the open to its I/O.
+func (s *Store) open(clk *pfs.Clock, out *query.Result) error {
+	t0 := clk.Now()
+	err := s.fs.Open(clk, s.path)
+	out.Time.IO += clk.Now() - t0
+	return err
 }
 
 // run is one contiguous element range in the flat file.
