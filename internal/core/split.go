@@ -41,10 +41,11 @@ type splitScratch struct {
 
 // taskRun is one bin's run of plan tasks, [lo, hi), as the split sees
 // it, or the plan's node steps (lo at the first of them, no regions).
-// The extents runBin reads for a bin's run fall into regions, each a list in
-// file order with one extent per task: the index extents, then the data
-// extents — one region per plane under V-M-S, where each plane is stored
-// apart, else one region whose extent per task spans its leading pieces.
+// The extents runBin reads for a bin's run fall into regions, each a
+// list in file order with one extent per task: the index extents, then
+// the data extents — one region per plane under V-M-S, where each plane
+// is stored apart, else one region whose extent per task spans its
+// leading pieces.
 // A run of tasks with no gap wider than CoalesceGap between consecutive
 // extents of a region reads that region as one coalesced extent. off is
 // -1 when the bin has no such gap; else breaks[off + r*(hi-lo) + i]
