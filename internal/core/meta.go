@@ -256,6 +256,13 @@ func unmarshalStoreMeta(data []byte) (*storeMeta, error) {
 			u.count = int32(r.uvarintMax(math.MaxInt32))
 			u.indexLen = int64(r.uvarintMax(math.MaxInt32))
 			u.pieceLen[0] = int64(r.uvarintMax(math.MaxInt32))
+			// Every offset takes at least one index byte. A query sizes
+			// its match buffer by the units' counts before it reads an
+			// index, so a count the index cannot back is refused here.
+			if r.err == nil && int64(u.count) > u.indexLen {
+				return nil, fmt.Errorf("core: meta bin %d unit %d declares %d points in %d index bytes",
+					i, j, u.count, u.indexLen)
+			}
 			for p := 1; p < np; p++ {
 				u.pieceLen[p] = int64(u.count) * int64(plod.PlaneWidth(p))
 			}
