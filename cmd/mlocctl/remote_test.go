@@ -344,3 +344,24 @@ func TestOversizedErrorEnvelopeBounded(t *testing.T) {
 		t.Fatalf("error message is %d bytes; the oversized envelope leaked through the cap", len(err.Error()))
 	}
 }
+
+// TestCmdQueryRemoteSkipsInvalidIndexes: shape.Coords panics on an
+// index outside the grid, and the index comes from the server. A
+// server that lists matches outside its own 32×32 shape must get them
+// reported and skipped, not crash the CLI.
+func TestCmdQueryRemoteSkipsInvalidIndexes(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/vars" {
+			io.WriteString(w, `[{"var":"phi","shape":[32,32],"bins":8,"mode":"col"}]`)
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		io.WriteString(w, `{"var":"phi","matches":[{"index":-1,"value":1},{"index":1024,"value":2},{"index":3,"value":3}],"matches_total":3}`)
+	}))
+	t.Cleanup(ts.Close)
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	if err := cmdQuery([]string{"-remote", addr, "-var", "phi", "-print", "3"}); err != nil {
+		t.Fatalf("cmdQuery: %v", err)
+	}
+}

@@ -815,3 +815,134 @@ func TestBootstrapRejectsInvalidShapes(t *testing.T) {
 		})
 	}
 }
+
+// TestBootstrapSlabsBoundedByConfig: the slab count is the router's
+// SlabsPerVar clamped to the variable's row count, from both sides. A
+// node whose /vars reports 2^20 rows bootstraps to SlabsPerVar slabs,
+// and a 4-row variable under the largest SlabsPerVar to 4 slabs, with
+// no room kept for more.
+func TestBootstrapSlabsBoundedByConfig(t *testing.T) {
+	for _, tc := range []struct {
+		rows, slabsPerVar, want int
+	}{
+		{1 << 20, 16, 16},
+		{4, 2 * server.MaxWireRows, 4},
+	} {
+		shape := fmt.Sprintf(`[%d,4]`, tc.rows)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `[{"var":"phi","shape":`+shape+`,"bins":8,"mode":"col"}]`)
+		}))
+		t.Cleanup(ts.Close)
+		rt, err := New(Config{Nodes: []string{strings.TrimPrefix(ts.URL, "http://")}, SlabsPerVar: tc.slabsPerVar, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bootstrapWithin(rt, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if slabs := rt.vars["phi"].slabs; len(slabs) != tc.want || cap(slabs) != tc.want {
+			t.Errorf("%d rows, SlabsPerVar %d: %d slabs (cap %d), want %d",
+				tc.rows, tc.slabsPerVar, len(slabs), cap(slabs), tc.want)
+		}
+	}
+}
+
+// fakeNode answers /vars with one 32×32 variable and every /query with
+// the given body.
+func fakeNode(t *testing.T, answer string) string {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/vars" {
+			io.WriteString(w, `[{"var":"phi","shape":[32,32],"bins":8,"mode":"col"}]`)
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		io.WriteString(w, answer)
+	}))
+	t.Cleanup(ts.Close)
+	return strings.TrimPrefix(ts.URL, "http://")
+}
+
+// TestMergeNotSizedByPeerTotal: a node's matches_total is a count it
+// claims, not matches it sent. A node that lists one match under a
+// matches_total of 2^40 must get that total passed through, and the
+// router must size nothing by it.
+func TestMergeNotSizedByPeerTotal(t *testing.T) {
+	const total = int64(1) << 40
+	node := fakeNode(t, fmt.Sprintf(`{"var":"phi","matches":[{"index":5,"value":1.5}],"matches_total":%d,"truncated":true}`, total))
+	rt, err := New(Config{Nodes: []string{node}, SlabsPerVar: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bootstrapWithin(rt, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var res routedWire
+	code := postJSON(t, ts.URL+"/query", `{"var":"phi"}`, &res)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusOK {
+		t.Fatalf("status %d, want 200", code)
+	}
+	if res.MatchesTotal != int(total) || len(res.Matches) != 1 || !res.Truncated {
+		t.Fatalf("matches_total %d, %d listed, truncated %v; want %d, 1, true",
+			res.MatchesTotal, len(res.Matches), res.Truncated, total)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Fatalf("one routed query allocated %d bytes", got)
+	}
+}
+
+// seriesCount is the number of samples a /metrics scrape lists.
+func seriesCount(t *testing.T, base string) int {
+	t.Helper()
+	n := 0
+	for _, line := range strings.Split(metricsPayload(t, base), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRouterLabelsBoundedAgainstVarNames: every metric label value comes
+// from a finite set (config, endpoint names, outcome classes), never
+// from a request. After the first of many queries naming distinct
+// variables, the router's /metrics lists no new series.
+func TestRouterLabelsBoundedAgainstVarNames(t *testing.T) {
+	_, ts := startRouter(t, startCluster(t, 1), nil)
+	postJSON(t, ts.URL+"/query", `{"var":"v0"}`, nil)
+	want := seriesCount(t, ts.URL)
+	for i := 1; i <= 20; i++ {
+		postJSON(t, ts.URL+"/query", fmt.Sprintf(`{"var":"v%d"}`, i), nil)
+	}
+	if got := seriesCount(t, ts.URL); got != want {
+		t.Fatalf("/metrics lists %d series after 20 distinct var names, %d after the first", got, want)
+	}
+}
+
+// TestBootstrapRejectsEmptyListing: a node that serves no variables
+// fails bootstrap, instead of leaving a router that answers 404 to
+// every query.
+func TestBootstrapRejectsEmptyListing(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `[]`)
+	}))
+	t.Cleanup(ts.Close)
+	node := strings.TrimPrefix(ts.URL, "http://")
+	rt, err := New(Config{Nodes: []string{node}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = bootstrapWithin(rt, 300*time.Millisecond)
+	if want := node + " serves no variables"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("bootstrap error = %v, want it to contain %q", err, want)
+	}
+}

@@ -1,8 +1,12 @@
 package compress
 
 import (
+	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 
+	"mloc/internal/bspline"
 	"mloc/internal/plod"
 )
 
@@ -43,12 +47,56 @@ func TestDecodeRejectsOversizedDeclarations(t *testing.T) {
 			data:  isabelaHeader(oversizeHuge, 4, 2),
 		},
 		{
+			name:  "isabela count wrap",
+			codec: NewIsabela(DefaultIsabelaConfig()),
+			// A count of 1<<63 wraps int() negative: unchecked, the
+			// window loop never runs and nothing is decoded, no error.
+			data: append(isabelaHeader(1<<63, 4, 2), make([]byte, 16)...),
+		},
+		{
+			name:  "isobar short raw plane",
+			codec: NewIsobar(DefaultZlibLevel),
+			// count 4: plane 0 raw holds 3 of its 8 bytes, planes 1-6
+			// their 4 each.
+			data: func() []byte {
+				out := append(putUvarint(nil, 4), 0, 3, 1, 2, 3)
+				for p := 1; p < plod.NumPlanes; p++ {
+					out = append(out, 0, 4, 1, 2, 3, 4)
+				}
+				return out
+			}(),
+		},
+		{
 			name:  "isabela window wrap",
 			codec: NewIsabela(DefaultIsabelaConfig()),
-			// Tiny count, but window and coefficient counts above
-			// MaxInt64 would wrap int() negative without the clamps.
-			data: append(isabelaHeader(2, 1<<63, 1<<63), make([]byte, 2)...),
+			// A window above MaxInt64 wraps int() negative without its
+			// clamp: the raw window then reads nothing and the loop
+			// ends, so 8 of the 16 bytes two values need decode to no
+			// values and no error.
+			data: append(append(isabelaHeader(2, 1<<63, 2), isaWindowRaw), make([]byte, 8)...),
 		},
+		{
+			name:  "isabela coefficient wrap",
+			codec: NewIsabela(DefaultIsabelaConfig()),
+			// A coefficient count above MaxInt64 wraps negative without
+			// its clamp and sizes the coefficient slice.
+			data: append(append(isabelaHeader(2, 2, 1<<63), isaWindowSpline), isaFloor...),
+		},
+		{
+			name:  "isabela residual bomb",
+			codec: NewIsabela(DefaultIsabelaConfig()),
+			// Five values hold at most 50 residual bytes; this stream
+			// inflates to 4 MiB of zero residuals.
+			data: isabelaSpline(t, []uint32{0, 1, 2, 3, 4}, make([]byte, 4<<20)),
+		},
+		{
+			name:  "isabela permutation out of range",
+			codec: NewIsabela(DefaultIsabelaConfig()),
+			data:  isabelaSpline(t, []uint32{0, 1, 2, 3, 7}, make([]byte, 5)),
+		},
+	}
+	if _, err := NewIsabela(DefaultIsabelaConfig()).DecodeFloats(isabelaSpline(t, []uint32{4, 0, 3, 1, 2}, make([]byte, 5)), nil); err != nil {
+		t.Fatalf("the well-formed spline window the last cases corrupt: %v", err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,6 +106,31 @@ func TestDecodeRejectsOversizedDeclarations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// isaFloor is an ISABELA window's scale floor, 1.0.
+var isaFloor = binary.LittleEndian.AppendUint64(nil, math.Float64bits(1))
+
+// isabelaSpline is an ISABELA stream of one spline window over
+// len(perm) values: zero coefficients, the permutation perm and the
+// zlib-compressed residual bytes resid (each zero byte a residual of 0).
+func isabelaSpline(t *testing.T, perm []uint32, resid []byte) []byte {
+	t.Helper()
+	n := uint64(len(perm))
+	out := putUvarint(nil, n)
+	out = putUvarint(out, n)
+	out = putUvarint(out, bspline.Degree+1)
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(1e-3)) // relative error
+	out = append(out, isaWindowSpline)
+	out = append(out, isaFloor...)
+	out = append(out, make([]byte, 8*(bspline.Degree+1))...)
+	out = packBits(out, perm, bitsFor(len(perm)))
+	enc, err := NewZlib(DefaultZlibLevel).EncodeBytes(resid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = putUvarint(out, uint64(len(enc)))
+	return append(out, enc...)
 }
 
 // TestIsobarRejectsOverlongCompressedPlane builds a plane whose zlib
@@ -124,6 +197,40 @@ func TestIsobarRoundtripAfterHardening(t *testing.T) {
 	for i := range dec {
 		if dec[i] != values[i] {
 			t.Fatalf("value %d: got %v, want %v", i, dec[i], values[i])
+		}
+	}
+}
+
+// TestIsobarInflatesNoMoreThanDeclared: a small zlib payload can stand
+// for up to ~1 000 times its size. A count no payload could back is
+// refused before any plane is inflated, and a plane is inflated at
+// most one byte past what the count allows, so neither a count bomb
+// nor an over-long plane allocates by the inflated size.
+func TestIsobarInflatesNoMoreThanDeclared(t *testing.T) {
+	zl := NewZlib(DefaultZlibLevel)
+	bomb, err := zl.EncodeBytes(make([]byte, 4<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := func(count uint64) []byte {
+		data := putUvarint(nil, count)
+		data = append(data, 1) // flag: zlib
+		data = putUvarint(data, uint64(len(bomb)))
+		return append(data, bomb...)
+	}
+	c := NewIsobar(DefaultZlibLevel)
+	for _, count := range []uint64{1 << 40, 2} {
+		data := plane(count)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := c.DecodeFloats(data, nil)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("count %d: isobar accepted a %d-byte plane that inflates to 4 MiB", count, len(bomb))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+			t.Errorf("count %d: decode allocated %d bytes for a %d-byte payload", count, got, len(data))
 		}
 	}
 }

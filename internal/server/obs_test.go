@@ -291,3 +291,30 @@ func TestSharedRegistryAcrossServers(t *testing.T) {
 		t.Errorf("caller tracer retained %d traces, want 1", tr.Len())
 	}
 }
+
+// TestLabelsBoundedAgainstVarNames: every metric label value comes from
+// a finite set (endpoint names, outcome and shed classes), never from a
+// request. After the first of many queries naming distinct variables,
+// /metrics lists no new series.
+func TestLabelsBoundedAgainstVarNames(t *testing.T) {
+	st, _, _ := buildStore(t, 5, nil)
+	_, ts := newTestServer(t, Config{Stores: map[string]*core.Store{"phi": st}})
+	series := func() int {
+		_, payload := getBody(t, ts, "/metrics")
+		n := 0
+		for _, line := range strings.Split(payload, "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") {
+				n++
+			}
+		}
+		return n
+	}
+	postQuery(t, ts, `{"var":"v0"}`)
+	want := series()
+	for i := 1; i <= 20; i++ {
+		postQuery(t, ts, fmt.Sprintf(`{"var":"v%d"}`, i))
+	}
+	if got := series(); got != want {
+		t.Fatalf("/metrics lists %d series after 20 distinct var names, %d after the first", got, want)
+	}
+}

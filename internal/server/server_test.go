@@ -329,7 +329,8 @@ func TestCanceledRequestFreesSlot(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	st, _, _ := buildStore(t, 5, nil)
 	_, ts := newTestServer(t, Config{Stores: map[string]*core.Store{"phi": st}})
-	dims17 := strings.Repeat("0,", 16) + "0"
+	dims16 := strings.Repeat("0,", 15) + "0"
+	dims17 := dims16 + ",0"
 	cases := []struct {
 		name string
 		body string
@@ -342,13 +343,16 @@ func TestBadRequests(t *testing.T) {
 		{"missing var", `{"vc":{"min":0,"max":1}}`, http.StatusBadRequest, ""},
 		{"unknown field", `{"var":"phi","selectivity":-3}`, http.StatusBadRequest, ""},
 		{"half-open vc", `{"var":"phi","vc":{"min":0}}`, http.StatusBadRequest, ""},
-		{"inverted vc", `{"var":"phi","vc":{"min":2,"max":1}}`, http.StatusBadRequest, ""},
+		{"inverted vc", `{"var":"phi","vc":{"min":2,"max":1}}`, http.StatusBadRequest, "inverted vc [2,1]"},
 		{"negative sc", `{"var":"phi","sc":{"lo":[-1,0],"hi":[3,3]}}`, http.StatusBadRequest, ""},
-		{"inverted sc", `{"var":"phi","sc":{"lo":[5,5],"hi":[1,1]}}`, http.StatusBadRequest, ""},
+		{"inverted sc", `{"var":"phi","sc":{"lo":[5,5],"hi":[1,1]}}`, http.StatusBadRequest, "inverted sc in dim 0 [5,1]"},
 		{"sc length mismatch", `{"var":"phi","sc":{"lo":[0],"hi":[1,1]}}`, http.StatusBadRequest, ""},
+		{"sc lo longer than hi", `{"var":"phi","sc":{"lo":[0,0],"hi":[1]}}`, http.StatusBadRequest, "sc lo/hi lengths 2/1"},
 		{"sc wrong dims", `{"var":"phi","sc":{"lo":[0,0,0],"hi":[1,1,1]}}`, http.StatusBadRequest, ""},
 		{"sc past the wire dims", `{"var":"phi","sc":{"lo":[` + dims17 + `],"hi":[` + dims17 + `]}}`, http.StatusBadRequest,
 			"sc has 17 dimensions, limit 16"},
+		{"sc at the wire dims", `{"var":"phi","sc":{"lo":[` + dims16 + `],"hi":[` + dims16 + `]}}`, http.StatusBadRequest,
+			"sc dimensionality 16 != grid 2"},
 		{"huge plod", `{"var":"phi","plod":99}`, http.StatusBadRequest, ""},
 		{"negative plod", `{"var":"phi","plod":-1}`, http.StatusBadRequest, ""},
 		{"huge ranks", `{"var":"phi","ranks":100000}`, http.StatusBadRequest, ""},
