@@ -18,21 +18,18 @@ func TestListMatchesSuite(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
 	all := lint.All()
-	// The suite ships fifteen analyzers (wiresize and labelcard
-	// retired into taintflow, spmd-goroutine into goleak; hotalloc and
-	// clockcharge retired because tests gate their defects); a drop
-	// here means a registration was lost, not that the suite shrank on
-	// purpose.
-	if len(all) != 15 {
-		t.Fatalf("suite has %d analyzers, want 15", len(all))
+	// The suite ships fourteen analyzers (spmd-goroutine retired into
+	// goleak; hotalloc, clockcharge and taintflow retired because tests
+	// gate their defects); a drop here means a registration was lost,
+	// not that the suite shrank on purpose.
+	if len(all) != 14 {
+		t.Fatalf("suite has %d analyzers, want 14", len(all))
 	}
 	if len(lines) != len(all) {
 		t.Fatalf("-list printed %d lines, suite has %d analyzers:\n%s", len(lines), len(all), stdout.String())
 	}
-	for _, name := range []string{"taintflow", "bodylimit"} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Errorf("-list output missing the taint analyzer %s", name)
-		}
+	if !strings.Contains(stdout.String(), "bodylimit") {
+		t.Errorf("-list output missing the body-limit analyzer")
 	}
 	for i, a := range all {
 		fields := strings.Fields(lines[i])

@@ -11,9 +11,7 @@
 //   - events that already happened on every path to a point
 //     (SolveMust: forward, intersection);
 //   - mutexes held on every path to a point (WalkHeld: forward,
-//     intersection, Unlock killing what Lock generated);
-//   - taint carried along any path to a point (BuildTaint: forward,
-//     union, under interprocedural summaries).
+//     intersection, Unlock killing what Lock generated).
 //
 // The package deliberately mirrors internal/lint's constraints — only
 // the standard library (go/ast, go/token, go/types) — and deliberately

@@ -2,15 +2,45 @@ package flow
 
 import (
 	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 )
+
+// srcProgram type-checks one source string into a Program. Sources
+// may declare bodyless functions (use, work) that the snippets call.
+func srcProgram(t *testing.T, src string) *Program {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "src.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", nil)}
+	pkg, err := conf.Check("srctest", fset, []*ast.File{f}, info)
+	if err != nil {
+		t.Fatalf("typecheck: %v", err)
+	}
+	pi := &PackageInfo{Path: "srctest", Fset: fset, Files: []*ast.File{f}, Types: pkg, Info: info}
+	return BuildProgram([]*PackageInfo{pi})
+}
 
 // heldAtUse solves f's held sets in a snippet and returns the classes
 // held at its one use() call, rendered "a,b" in name order.
 func heldAtUse(t *testing.T, body string) string {
 	t.Helper()
-	p := taintProgram(t, `package p
+	p := srcProgram(t, `package p
 
 import "sync"
 

@@ -7,8 +7,7 @@ import (
 )
 
 // Problem is one dataflow problem over a function's Graph. S is the
-// fact carried along the edges (a set of events, of held mutexes, a
-// taint map).
+// fact carried along the edges (a set of events, of held mutexes).
 type Problem[S any] struct {
 	// Backward solves against the edges: Boundary holds at Exit and a
 	// block's input is the meet of its successors' outputs.

@@ -48,14 +48,9 @@
 //   - bodylimit: every network body read must be length-bounded by
 //     io.LimitReader or http.MaxBytesReader
 //
-// Taint (forward, union) under interprocedural summaries guards the
-// cluster trust boundary — HTTP request data, JSON decoded from peer
-// nodes, and wire bytes are all attacker-controlled:
-//
-//   - taintflow: untrusted values must not reach allocation sizes,
-//     loop bounds, indexes, or sleep durations — across function
-//     calls — without a bounds check on every path, and metric label
-//     values and metric names must come from a finite set
+// The cluster trust boundary (request bodies, peer responses, store
+// files) has no analyzer: a test or a fuzz seed at each bounds check
+// gates it.
 //
 // The package deliberately depends only on the standard library
 // (go/ast, go/importer, go/parser, go/token, go/types) and the go
@@ -194,7 +189,6 @@ func All() []*Analyzer {
 		CtxFlow,
 		ClosePath,
 		IgnoreReason,
-		TaintFlow,
 		BodyLimit,
 	}
 }

@@ -105,33 +105,24 @@ func TestAnalyzersGolden(t *testing.T) {
 	cases := []struct {
 		analyzer *Analyzer
 		fixture  string
-		name     string // subtest prefix; the analyzer's name when empty
 	}{
-		{ErrPrefix, "errprefix", ""},
-		{FloatCmp, "floatcmp", ""},
-		{CommEscape, "commescape", ""},
-		{UncheckedErr, "uncheckederr", ""},
-		{ExportedDoc, "exporteddoc", ""},
-		{CtxFirst, "ctxfirst", ""},
-		{LockOrder, "lockorder", ""},
-		{ConstShare, "constshare", ""},
-		{AtomicMix, "atomicmix", ""},
-		{GoLeak, "goleak", ""},
-		{CtxFlow, "ctxflow", ""},
-		{ClosePath, "closepath", ""},
-		{IgnoreReason, "ignorereason", ""},
-		{TaintFlow, "taintflow", ""},
-		{BodyLimit, "bodylimit", ""},
-		// taintflow owns the metric-label sinks the retired labelcard
-		// analyzer reported; its fixture keeps labelcard's subtest name.
-		{TaintFlow, "labelcard", "labelcard"},
+		{ErrPrefix, "errprefix"},
+		{FloatCmp, "floatcmp"},
+		{CommEscape, "commescape"},
+		{UncheckedErr, "uncheckederr"},
+		{ExportedDoc, "exporteddoc"},
+		{CtxFirst, "ctxfirst"},
+		{LockOrder, "lockorder"},
+		{ConstShare, "constshare"},
+		{AtomicMix, "atomicmix"},
+		{GoLeak, "goleak"},
+		{CtxFlow, "ctxflow"},
+		{ClosePath, "closepath"},
+		{IgnoreReason, "ignorereason"},
+		{BodyLimit, "bodylimit"},
 	}
 	for _, tc := range cases {
-		prefix := tc.analyzer.Name
-		if tc.name != "" {
-			prefix = tc.name
-		}
-		name := prefix + "/" + strings.ReplaceAll(tc.fixture, "/", "_")
+		name := tc.analyzer.Name + "/" + strings.ReplaceAll(tc.fixture, "/", "_")
 		t.Run(name, func(t *testing.T) {
 			runGolden(t, tc.analyzer, tc.fixture)
 		})
@@ -155,7 +146,6 @@ func TestGoldenTruePositives(t *testing.T) {
 		CtxFlow.Name:      "ctxflow",
 		ClosePath.Name:    "closepath",
 		IgnoreReason.Name: "ignorereason",
-		TaintFlow.Name:    "taintflow",
 		BodyLimit.Name:    "bodylimit",
 	}
 	if len(fixtures) != len(All()) {
