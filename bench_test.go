@@ -402,3 +402,57 @@ func BenchmarkValuePath(b *testing.B) {
 		}
 	}
 }
+
+// TestCommittedGateColumnsNonZero: the benchmark gates skip a committed
+// figure of 0 (base.NsOp > 0, ...), so a row of zeros, as a failed
+// recording would once write, switches its gate off unseen. Every
+// column a gate reads must be positive, in BENCH_query.json and in
+// BENCH_build.json (virt_s_op, read by internal/core's build golden,
+// and vet_repo's ns_op, which cmd/mlocvet's budget doubles).
+func TestCommittedGateColumnsNonZero(t *testing.T) {
+	doc := loadBenchQueryDoc()
+	if len(doc.QueryLatency) == 0 || len(doc.ResultPath) == 0 || len(doc.ValuePath) == 0 {
+		t.Fatalf("BENCH_query.json: %d query_latency, %d result_path, %d value_path rows; want all three sections",
+			len(doc.QueryLatency), len(doc.ResultPath), len(doc.ValuePath))
+	}
+	for _, r := range doc.QueryLatency {
+		if !(r.VirtSOp > 0) {
+			t.Errorf("BENCH_query.json query_latency %s/%s/%s: virt_s_op %g", r.Index, r.Codec, r.Sel, r.VirtSOp)
+		}
+	}
+	for _, r := range doc.ResultPath {
+		if !(r.NsMatch > 0 && r.BytesOp > 0) {
+			t.Errorf("BENCH_query.json result_path %s: ns_match %g, bytes_op %g", r.Case, r.NsMatch, r.BytesOp)
+		}
+	}
+	for _, r := range doc.ValuePath {
+		if !(r.NsOp > 0 && r.BytesOp > 0) {
+			t.Errorf("BENCH_query.json value_path %s: ns_op %g, bytes_op %g", r.Case, r.NsOp, r.BytesOp)
+		}
+	}
+	raw, err := os.ReadFile("BENCH_build.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var build struct {
+		Results []struct {
+			Mode    string  `json:"mode"`
+			Workers string  `json:"workers"`
+			VirtSOp float64 `json:"virt_s_op"`
+		} `json:"results"`
+		VetRepo *struct {
+			NsOp float64 `json:"ns_op"`
+		} `json:"vet_repo"`
+	}
+	if err := json.Unmarshal(raw, &build); err != nil {
+		t.Fatal(err)
+	}
+	if len(build.Results) == 0 || build.VetRepo == nil || !(build.VetRepo.NsOp > 0) {
+		t.Fatalf("BENCH_build.json: %d results rows, vet_repo %+v; want rows and a positive vet_repo ns_op", len(build.Results), build.VetRepo)
+	}
+	for _, r := range build.Results {
+		if !(r.VirtSOp > 0) {
+			t.Errorf("BENCH_build.json results %s/%s: virt_s_op %g", r.Mode, r.Workers, r.VirtSOp)
+		}
+	}
+}

@@ -30,41 +30,75 @@
 #                                           store, cold and warm cache)
 #                                           as a "value_path" section
 #   BENCHTIME=10x ./scripts/bench_json.sh   longer runs for stabler numbers
+#
+# Any benchmark that fails, and any result line the distiller cannot
+# read in full, stops the script with a non-zero exit before the output
+# file is touched: a committed 0 would switch that row's gate off.
 set -eu
 cd "$(dirname "$0")/.."
+
+# bench runs one benchmark command, shows its output and appends it to
+# $raw. It exits the script when the command fails: a pipeline into tee
+# would report tee's status instead.
+bench() {
+	step=$(mktemp)
+	if ! "$@" >"$step" 2>&1; then
+		cat "$step"
+		rm -f "$step"
+		echo "bench_json: failed: $*" >&2
+		exit 1
+	fi
+	cat "$step"
+	cat "$step" >>"$raw"
+	rm -f "$step"
+}
+
+# distill runs the awk program $1 over $raw into $out only when it
+# succeeds, so a failed run leaves the committed file as it was.
+distill() {
+	if ! awk -v benchtime="$benchtime" -v goversion="$(go env GOVERSION)" "$1" "$raw" >"$raw.json"; then
+		rm -f "$raw.json"
+		exit 1
+	fi
+	mv "$raw.json" "$out"
+	echo "wrote $out"
+}
 
 if [ "${1:-}" = "query" ]; then
 	out=${2:-BENCH_query.json}
 	benchtime=${BENCHTIME:-3x}
 	raw=$(mktemp)
 	bin=$(mktemp -d)
-	trap 'rm -rf "$raw" "$bin"' EXIT
+	trap 'rm -rf "$raw" "$raw.json" "$bin"' EXIT
 	# BenchmarkQueryLatency fails on any row that differs from the
 	# committed file; a recording runs where there is none to read.
 	go test -c -o "$bin/mloc.test" .
-	(cd "$bin" && ./mloc.test -test.run '^$' -test.bench '^BenchmarkQueryLatency$' \
-		-test.benchmem -test.benchtime "$benchtime") | tee "$raw"
+	bench sh -c 'cd "$1" && ./mloc.test -test.run "^\$" -test.bench "^BenchmarkQueryLatency\$" -test.benchmem -test.benchtime "$2"' \
+		sh "$bin" "$benchtime"
 	# The result path is wall-clock and microseconds per op: a few
 	# hundred iterations, not three, make its ns/match repeatable.
-	go test . -run '^$' -bench '^BenchmarkResultPath$' \
-		-benchmem -benchtime 300x | tee -a "$raw"
+	bench go test . -run '^$' -bench '^BenchmarkResultPath$' \
+		-benchmem -benchtime 300x
 	# The value path is wall-clock too, about a millisecond per op.
-	go test . -run '^$' -bench '^BenchmarkValuePath$' \
-		-benchmem -benchtime 300x | tee -a "$raw"
+	bench go test . -run '^$' -bench '^BenchmarkValuePath$' \
+		-benchmem -benchtime 300x
 
 	# Result lines look like
 	#   BenchmarkQueryLatency/hier/planes/sel=10%-8  2  1649274 ns/op \
 	#       101.0 bins-covered/op  921.0 bins-pruned/op  39720000000000 virt-fs/op \
 	#       728776 B/op  1094 allocs/op
-	awk -v benchtime="$benchtime" -v goversion="$(go env GOVERSION)" '
+	distill '
 	/^cpu:/ { cpu = $0; sub(/^cpu: */, "", cpu) }
+	/^--- FAIL/ { bad = bad " " $3 }
+	# need records a result line that lacks one of its columns.
+	function need(v, col) { if (v == "") bad = bad " " $1 "(" col ")" }
 	/^BenchmarkQueryLatency\// {
 		split($1, parts, "/")
 		idx = parts[2]
 		codec = parts[3]
 		sel = parts[4]
 		sub(/-[0-9]+$/, "", sel)
-		ns = allocs = bytes = virt = pruned = covered = 0
+		ns = allocs = bytes = virt = pruned = covered = ""
 		for (i = 2; i < NF; i++) {
 			if ($(i + 1) == "ns/op") ns = $i
 			else if ($(i + 1) == "allocs/op") allocs = $i
@@ -73,6 +107,8 @@ if [ "${1:-}" = "query" ]; then
 			else if ($(i + 1) == "bins-pruned/op") pruned = $i
 			else if ($(i + 1) == "bins-covered/op") covered = $i
 		}
+		need(ns, "ns/op"); need(allocs, "allocs/op"); need(bytes, "B/op")
+		need(virt, "virt-fs/op"); need(pruned, "bins-pruned/op"); need(covered, "bins-covered/op")
 		if (idx == "flat") flatVirt[codec "/" sel] = virt
 		n++
 		ridx[n] = idx; rcodec[n] = codec; rsel[n] = sel
@@ -83,13 +119,14 @@ if [ "${1:-}" = "query" ]; then
 		name = $1
 		sub(/^BenchmarkResultPath\//, "", name)
 		sub(/-[0-9]+$/, "", name)
-		ns = nsmatch = allocs = bytes = 0
+		ns = nsmatch = allocs = bytes = ""
 		for (i = 2; i < NF; i++) {
 			if ($(i + 1) == "ns/op") ns = $i
 			else if ($(i + 1) == "ns/match") nsmatch = $i
 			else if ($(i + 1) == "allocs/op") allocs = $i
 			else if ($(i + 1) == "B/op") bytes = $i
 		}
+		need(ns, "ns/op"); need(nsmatch, "ns/match"); need(allocs, "allocs/op"); need(bytes, "B/op")
 		pn++
 		pcase[pn] = name; pns[pn] = ns; pnsmatch[pn] = nsmatch
 		pallocs[pn] = allocs; pbytes[pn] = bytes
@@ -98,17 +135,19 @@ if [ "${1:-}" = "query" ]; then
 		name = $1
 		sub(/^BenchmarkValuePath\//, "", name)
 		sub(/-[0-9]+$/, "", name)
-		ns = allocs = bytes = 0
+		ns = allocs = bytes = ""
 		for (i = 2; i < NF; i++) {
 			if ($(i + 1) == "ns/op") ns = $i
 			else if ($(i + 1) == "allocs/op") allocs = $i
 			else if ($(i + 1) == "B/op") bytes = $i
 		}
+		need(ns, "ns/op"); need(allocs, "allocs/op"); need(bytes, "B/op")
 		vn++
 		vcase[vn] = name; vns[vn] = ns; vallocs[vn] = allocs; vbytes[vn] = bytes
 	}
 	END {
 		if (n == 0 || pn == 0 || vn == 0) { print "bench_json: no query results parsed" > "/dev/stderr"; exit 1 }
+		if (bad != "") { print "bench_json: failed or incomplete results:" bad > "/dev/stderr"; exit 1 }
 		printf "{\n"
 		printf "  \"benchmark\": \"BenchmarkQueryLatency\",\n"
 		printf "  \"benchtime\": \"%s\",\n", benchtime
@@ -136,8 +175,7 @@ if [ "${1:-}" = "query" ]; then
 		printf "  ]\n"
 		printf "}\n"
 	}
-	' "$raw" >"$out"
-	echo "wrote $out"
+	'
 	exit 0
 fi
 
@@ -145,38 +183,42 @@ out=${1:-BENCH_build.json}
 benchtime=${BENCHTIME:-5x}
 
 raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
-go test ./internal/core -run '^$' -bench '^(BenchmarkBuildParallel|BenchmarkObsOverhead)$' \
-	-benchmem -benchtime "$benchtime" | tee "$raw"
+trap 'rm -f "$raw" "$raw.json"' EXIT
+bench go test ./internal/core -run '^$' -bench '^(BenchmarkBuildParallel|BenchmarkObsOverhead)$' \
+	-benchmem -benchtime "$benchtime"
 # The routed benchmark boots a two-node cluster per run; a few
 # iterations dominate the HTTP noise without dragging the gate.
-go test ./internal/cluster/router -run '^$' -bench '^BenchmarkDistTraceOverhead$' \
-	-benchmem -benchtime "$benchtime" | tee -a "$raw"
+bench go test ./internal/cluster/router -run '^$' -bench '^BenchmarkDistTraceOverhead$' \
+	-benchmem -benchtime "$benchtime"
 # The vet pass is seconds per op: one iteration five times, and the
 # median of the five is recorded, so that one pass on a busy host does
 # not move the analyzer gate's budget (twice this figure).
-go test ./cmd/mlocvet -run '^$' -bench '^BenchmarkMlocvetRepo$' \
-	-benchmem -benchtime 1x -count 5 | tee -a "$raw"
+bench go test ./cmd/mlocvet -run '^$' -bench '^BenchmarkMlocvetRepo$' \
+	-benchmem -benchtime 1x -count 5
 
 # Each result line looks like
 #   BenchmarkBuildParallel/planes/w=4-8  3  50046548 ns/op  10.48 MB/s \
 #       0.02391 virt-s/op  6950792 B/op  28584 allocs/op
 # (the trailing -8 is GOMAXPROCS and only appears when it isn't 1).
 # Scan for the unit tokens rather than hard-coding field positions.
-awk -v benchtime="$benchtime" -v goversion="$(go env GOVERSION)" '
+distill '
 /^cpu:/ { cpu = $0; sub(/^cpu: */, "", cpu) }
+/^--- FAIL/ { bad = bad " " $3 }
+# need records a result line that lacks one of its columns.
+function need(v, col) { if (v == "") bad = bad " " $1 "(" col ")" }
 /^BenchmarkBuildParallel\// {
 	split($1, parts, "/")
 	mode = parts[2]
 	workers = parts[3]
 	sub(/-[0-9]+$/, "", workers)
-	ns = allocs = bytes = virt = 0
+	ns = allocs = bytes = virt = ""
 	for (i = 2; i < NF; i++) {
 		if ($(i + 1) == "ns/op") ns = $i
 		else if ($(i + 1) == "allocs/op") allocs = $i
 		else if ($(i + 1) == "B/op") bytes = $i
 		else if ($(i + 1) == "virt-s/op") virt = $i
 	}
+	need(ns, "ns/op"); need(allocs, "allocs/op"); need(bytes, "B/op"); need(virt, "virt-s/op")
 	if (workers == "w=1") { baseNs[mode] = ns; baseVirt[mode] = virt }
 	n++
 	rmode[n] = mode; rworkers[n] = workers
@@ -230,6 +272,7 @@ function median(a, n,    i, j, x) {
 }
 END {
 	if (n == 0) { print "bench_json: no benchmark results parsed" > "/dev/stderr"; exit 1 }
+	if (bad != "") { print "bench_json: failed or incomplete results:" bad > "/dev/stderr"; exit 1 }
 	printf "{\n"
 	printf "  \"benchmark\": \"BenchmarkBuildParallel\",\n"
 	printf "  \"benchtime\": \"%s\",\n", benchtime
@@ -274,5 +317,4 @@ END {
 	}
 	printf "}\n"
 }
-' "$raw" >"$out"
-echo "wrote $out"
+'
