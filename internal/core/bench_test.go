@@ -16,8 +16,8 @@ import (
 	"mloc/internal/query"
 )
 
-func benchData(b *testing.B) ([]float64, grid.Shape) {
-	b.Helper()
+func benchData(tb testing.TB) ([]float64, grid.Shape) {
+	tb.Helper()
 	d := datagen.GTSLike(256, 256, 1)
 	v, _ := d.Var("phi")
 	return v.Data, d.Shape
@@ -65,6 +65,26 @@ func benchStagingFS() *pfs.Sim {
 	return pfs.New(cfg)
 }
 
+// buildMode is one storage mode of the parallel-build benchmark.
+type buildMode struct {
+	name string
+	cfg  Config
+}
+
+// buildParallelModes are BenchmarkBuildParallel's storage modes, the
+// "mode" column of BENCH_build.json.
+func buildParallelModes() []buildMode {
+	modes := []buildMode{
+		{"planes", DefaultConfig([]int{32, 32})},
+		{"isobar", ISOConfig([]int{32, 32})},
+		{"isabela", ISAConfig([]int{32, 32})},
+	}
+	for i := range modes {
+		modes[i].cfg.NumBins = 32
+	}
+	return modes
+}
+
 // BenchmarkBuildParallel measures the parallel store-build pipeline
 // across worker counts and storage modes. Wall ns/op shows the real
 // multi-core speedup where the host has cores to offer; the virt-s/op
@@ -74,14 +94,6 @@ func benchStagingFS() *pfs.Sim {
 // BENCH_build.json, the recorded bench trajectory.
 func BenchmarkBuildParallel(b *testing.B) {
 	data, shape := benchData(b)
-	modes := []struct {
-		name string
-		cfg  Config
-	}{
-		{"planes", DefaultConfig([]int{32, 32})},
-		{"isobar", ISOConfig([]int{32, 32})},
-		{"isabela", ISAConfig([]int{32, 32})},
-	}
 	workers := []struct {
 		name string
 		n    int
@@ -91,8 +103,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 		{"w=4", 4},
 		{"w=max", runtime.GOMAXPROCS(0)},
 	}
-	for _, m := range modes {
-		m.cfg.NumBins = 32
+	for _, m := range buildParallelModes() {
 		for _, w := range workers {
 			b.Run(fmt.Sprintf("%s/%s", m.name, w.name), func(b *testing.B) {
 				cfg := m.cfg
