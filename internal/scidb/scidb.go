@@ -30,30 +30,13 @@ type Config struct {
 	ChunkSize []int
 	// Overlap is the halo width replicated on every chunk face.
 	Overlap int
-	// PerCellCPU is the engine's per-cell iterator cost in seconds,
-	// charged while scanning chunk contents. The default (400 ns) is
-	// calibrated so the 8 GB region-query row lands in the paper's
-	// few-hundred-seconds regime.
-	PerCellCPU float64
-	// PerMatchCPU is the engine's per-result materialization cost in
-	// seconds; it makes high-selectivity queries grow the way the
-	// paper's SciDB rows do (206 s at 1% vs 677 s at 10%).
-	PerMatchCPU float64
-	// PerChunkCPU is the fixed per-chunk engine overhead in seconds.
-	PerChunkCPU float64
 }
 
 // DefaultConfig mirrors the paper's setup: the same chunk sizes as
-// MLOC, a one-cell overlap, and engine overheads calibrated to the
-// paper's measurements.
+// MLOC and a one-cell overlap. The engine's own overheads are the
+// pfs.CPUSciDB* kinds of the rate table.
 func DefaultConfig(chunkSize []int) Config {
-	return Config{
-		ChunkSize:   chunkSize,
-		Overlap:     1,
-		PerCellCPU:  400e-9,
-		PerMatchCPU: 4e-6,
-		PerChunkCPU: 200e-6,
-	}
+	return Config{ChunkSize: chunkSize, Overlap: 1}
 }
 
 // Store is a SciDB-style chunk store on the PFS.
@@ -204,7 +187,8 @@ func (s *Store) Query(req *query.Request, ranks int) (*query.Result, error) {
 			// The loop above, then the engine's iterator overhead: per
 			// chunk + per cell + per result.
 			out.Time.Reconstruct += clk.ChargeCPU(pfs.CPUScan, cells) + clk.ChargeCPU(pfs.CPUMatch, matched)
-			engine := s.cfg.PerChunkCPU + float64(cells)*s.cfg.PerCellCPU + float64(matched)*s.cfg.PerMatchCPU
+			engine := pfs.CPUSeconds(pfs.CPUSciDBChunk, 1) + pfs.CPUSeconds(pfs.CPUSciDBCell, cells) +
+				pfs.CPUSeconds(pfs.CPUSciDBMatch, matched)
 			out.Time.Reconstruct += clk.AdvanceCPU(engine)
 		}
 		return nil

@@ -142,7 +142,7 @@ func TestEnginePerCellCostCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	minEngine := float64(32*32) * st.cfg.PerCellCPU
+	minEngine := pfs.CPUSeconds(pfs.CPUSciDBCell, 32*32)
 	if res.Time.Reconstruct < minEngine {
 		t.Fatalf("engine CPU %v below per-cell floor %v", res.Time.Reconstruct, minEngine)
 	}
